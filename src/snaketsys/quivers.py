@@ -108,16 +108,7 @@ class HeightFunction:
     @staticmethod
     def big_theta(n0: int) -> "HeightFunction":
         """Twisted i, n0-1/2, i-1 staircase on [1, 2*n0-1]."""
-        n = 2 * n0 - 1
-        vals2 = []
-        for i in range(1, n + 1):
-            if i < n0:
-                vals2.append(2 * i)
-            elif i == n0:
-                vals2.append(2 * n0 - 1)
-            else:
-                vals2.append(2 * (i - 1))
-        return HeightFunction.twisted(vals2, n0)
+        return HeightFunction.twisted([big_theta2(n0, i) for i in range(1, 2 * n0)], n0)
 
     # -- basic structure ----------------------------------------------
 
@@ -166,22 +157,24 @@ class HeightFunction:
         return abs(v.i - w.i) == 1 and w.k2 - v.k2 == self._arrow_step2(v.i, w.i)
 
     def preceq(self, v: Vertex, w: Vertex) -> bool:
-        """Oriented-path reachability v -> ... -> w (reflexive)."""
+        """Oriented-path reachability v -> ... -> w (reflexive), in O(1).
+
+        With the doubled gap g = w.k2 - v.k2, v reaches w iff
+        g >= 2|i - i'| (untwisted, n >= 2), g >= |Theta_i' - Theta_i| with
+        Theta the doubled big_theta heights (twisted), v == w (untwisted
+        n = 1, which has no arrows).  Every arrow raises k2 by exactly the
+        change it makes to the row term (2i, or Theta_i), so the bound is
+        necessary; tests/test_quivers.py checks that it is sufficient
+        against breadth-first search over arrow_targets.
+        """
         if not (self.is_vertex(v) and self.is_vertex(w)):
             return False
-        if v == w:
-            return True
-        frontier = {v}
-        while frontier:
-            nxt = set()
-            for u in frontier:
-                for t in self.arrow_targets(u):
-                    if t == w:
-                        return True
-                    if t.k2 < w.k2:
-                        nxt.add(t)
-            frontier = nxt
-        return False
+        gap2 = w.k2 - v.k2
+        if self.twisted_flavor:
+            return gap2 >= abs(big_theta2(self.n0, w.i) - big_theta2(self.n0, v.i))
+        if self.n == 1:
+            return v == w
+        return gap2 >= 2 * abs(w.i - v.i)
 
     def prec(self, v: Vertex, w: Vertex) -> bool:
         return v != w and self.preceq(v, w)
@@ -266,6 +259,15 @@ class HeightFunction:
         if v not in m:
             raise OutsideWindow(f"{v} is not in the Gamma window")
         return m[v]
+
+
+def big_theta2(n0: int, i: int) -> int:
+    """Doubled big_theta height of row i: 2i below n0, 2n0 - 1 at n0, 2(i - 1) above."""
+    if i < n0:
+        return 2 * i
+    if i == n0:
+        return 2 * n0 - 1
+    return 2 * (i - 1)
 
 
 @lru_cache(maxsize=None)

@@ -47,24 +47,23 @@ class OmegaPoset:
 
 @lru_cache(maxsize=None)
 def omega(n: int, j: int) -> OmegaPoset:
-    """Omega_j, checked against its interval and root-set characterizations."""
+    """Omega_j as the interval (j,1) <= v <= (j*, n) of the canonical window.
+
+    The test suite checks it against the root-set description
+    {v : phi(v) contains j}.
+    """
     roots.check_node(n, j)
     delta = bar(j)
     hf = HeightFunction.canonical(n, delta)
     lo = Vertex(j, 2)
     hi = Vertex(roots.star(n, j), 2 * n)
     verts = tuple(v for v in hf.gamma_vertices() if hf.preceq(lo, v) and hf.preceq(v, hi))
-    by_roots = {
-        v for v in hf.gamma_vertices()
-        if hf.phi(v).lo <= j <= hf.phi(v).hi
-    }
-    assert set(verts) == by_roots, "interval and root-set descriptions of Omega disagree"
-    vset = set(verts)
+    pos = {v: a for a, v in enumerate(verts)}
     covers = []
     for a, v in enumerate(verts):
         for w in hf.arrow_targets(v):
-            if w in vset:
-                covers.append((a, verts.index(w)))
+            if w in pos:
+                covers.append((a, pos[w]))
     return OmegaPoset(n, j, delta, verts, tuple(covers))
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 from . import lusztig
 from .errors import NotPrimeSnake, NotPrimeSnakePair, NotSnake, OutsideWindow
-from .quivers import TWISTED, UNTWISTED, HeightFunction, Region, Vertex
+from .quivers import TWISTED, UNTWISTED, HeightFunction, Region, Vertex, big_theta2
 
 
 class QRPair(NamedTuple):
@@ -121,23 +121,21 @@ def qr_untwisted(xi: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
 
 def twisted_parity_shift2(xi: HeightFunction) -> int:
     """Even doubled shift aligning xi's quiver with big_theta's parity class."""
-    ref = HeightFunction.big_theta(xi.n0)
-    s2 = (xi.values2[0] - ref.values2[0]) % 4
+    s2 = (xi.values2[0] - big_theta2(xi.n0, 1)) % 4
     assert s2 in (0, 2)
     for i in range(1, xi.n + 1):
         if i != xi.n0:
-            assert (xi.xi2(i) - s2 - ref.xi2(i)) % 4 == 0, "twisted quiver parity mismatch"
+            assert (xi.xi2(i) - s2 - big_theta2(xi.n0, i)) % 4 == 0, "twisted quiver parity mismatch"
     return s2
 
 
 def _qr_twisted_normalized(hf: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
     """Q/R on the big_theta parity class; v, w already a prime pair."""
     n0 = hf.n0
-    theta2 = HeightFunction.big_theta(n0).values2
 
     def direct(v: Vertex, w: Vertex) -> QRPair:
         (i, k2), (ip, kp2) = v, w
-        t_i, t_ip = theta2[i - 1], theta2[ip - 1]
+        t_i, t_ip = big_theta2(n0, i), big_theta2(n0, ip)
         diff2 = kp2 - k2
         if diff2 == t_i + t_ip:
             q: tuple[Vertex, ...] = ()
@@ -209,24 +207,24 @@ def qr_sequences(xi: HeightFunction, points: Sequence[Vertex]) -> QRPair:
 # -- twisted -> untwisted translation -------------------------------------
 
 
-def _x_minus(n0: int, theta2, v: Vertex, region: Region) -> Vertex | None:
+def _x_minus(n0: int, v: Vertex, region: Region) -> Vertex | None:
     if region == Region.D:
         return None
-    t = theta2[v.i - 1]
+    t = big_theta2(n0, v.i)
     return Vertex(_exact_div(t + v.k2 + 4, 4), _exact_div(t + v.k2 - 4, 2))
 
 
-def _x_plus(n0: int, n: int, theta2, v: Vertex, region: Region) -> Vertex | None:
+def _x_plus(n0: int, n: int, v: Vertex, region: Region) -> Vertex | None:
     if region == Region.U:
         return None
-    t = theta2[v.i - 1]
+    t = big_theta2(n0, v.i)
     return Vertex(_exact_div(t - v.k2 + 4 * n, 4), _exact_div(-t + v.k2 + 4 * n, 2))
 
 
-def _x_mid(theta2, v: Vertex, w: Vertex, region_v: Region) -> Vertex | None:
+def _x_mid(n0: int, v: Vertex, w: Vertex, region_v: Region) -> Vertex | None:
     if region_v == Region.U:
         return None
-    t, tp = theta2[v.i - 1], theta2[w.i - 1]
+    t, tp = big_theta2(n0, v.i), big_theta2(n0, w.i)
     return Vertex(_exact_div(t + tp - v.k2 + w.k2, 4), _exact_div(-t + tp + v.k2 + w.k2, 2))
 
 
@@ -246,7 +244,6 @@ def translate_twisted(n0: int, points: Sequence[Vertex], validate: bool = False)
             raise OutsideWindow(f"{v} is outside the big_theta window")
     if not is_snake(big, points):
         raise NotSnake("translate_twisted expects a snake")
-    theta2 = big.values2
     regions = [big.region(v) for v in points]
     out: list[Vertex] = []
     s = 0
@@ -258,10 +255,10 @@ def translate_twisted(n0: int, points: Sequence[Vertex], validate: bool = False)
         e = s
         while e + 1 < len(points) and regions[e + 1] != Region.LT:
             e += 1
-        seg: list[Vertex | None] = [_x_minus(n0, theta2, points[s], regions[s])]
+        seg: list[Vertex | None] = [_x_minus(n0, points[s], regions[s])]
         for t in range(s, e):
-            seg.append(_x_mid(theta2, points[t], points[t + 1], regions[t]))
-        seg.append(_x_plus(n0, n, theta2, points[e], regions[e]))
+            seg.append(_x_mid(n0, points[t], points[t + 1], regions[t]))
+        seg.append(_x_plus(n0, n, points[e], regions[e]))
         out.extend(u for u in seg if u is not None)
         s = e + 1
     result = tuple(out)

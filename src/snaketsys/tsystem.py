@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from . import reineke, roots
 from .errors import NotPrimeSnake, NotSnake, OutsideWindow, TooShort
 from .lusztig import Carrier, unit_datum
-from .quivers import TWISTED, UNTWISTED, HeightFunction, Region, Vertex
+from .quivers import TWISTED, UNTWISTED, HeightFunction, Region, Vertex, big_theta2
 from .snakes import (
     in_snake_position,
     is_prime_snake,
@@ -93,16 +93,15 @@ def _on_ray(xi: HeightFunction, v: Vertex, w: Vertex) -> bool:
     if xi.flavor == UNTWISTED:
         r = w.k2 - v.k2
         return r > 0 and abs(w.i - v.i) * 2 == r
-    t = HeightFunction.big_theta(xi.n0).values2
     r2 = w.k2 - v.k2
-    return r2 > 0 and abs(t[w.i - 1] - t[v.i - 1]) == r2 and xi.prec(v, w)
+    return r2 > 0 and abs(big_theta2(xi.n0, w.i) - big_theta2(xi.n0, v.i)) == r2 and xi.prec(v, w)
 
 
 def predicted_tfd_left(xi: HeightFunction, v: Vertex, points) -> int | None:
     """Predicted tfd(S_v, S(P)) for a probe strictly preceding the snake.
 
     1 in the prime-position case, 0 in the enumerated vanishing cases,
-    None (indeterminate) outside them.
+    None (indeterminate) outside them.  Only the head of the snake enters.
     """
     pts = tuple(points)
     if not is_snake(xi, pts):
@@ -128,7 +127,10 @@ def predicted_tfd_left(xi: HeightFunction, v: Vertex, points) -> int | None:
 
 
 def predicted_tfd_right(xi: HeightFunction, points, v: Vertex) -> int | None:
-    """Predicted tfd(S(P), S_v) for a probe strictly after the snake."""
+    """Predicted tfd(S(P), S_v) for a probe strictly after the snake.
+
+    Only the tail of the snake enters.
+    """
     pts = tuple(points)
     if not is_snake(xi, pts):
         return None
@@ -374,36 +376,38 @@ class HypothesesReport:
         )
 
 
+def _epsilon_or_none(xi: HeightFunction, v: Vertex, points: Points, side: str) -> int | None:
+    try:
+        return tfd_via_epsilon(xi, v, points, side)
+    except (OutsideWindow, AssertionError):
+        return None
+
+
 def check_theorem_hypotheses(xi: HeightFunction, points, via_epsilon: bool = False) -> HypothesesReport:
     """Evaluate both exactness hypotheses on every sub-slice of a snake.
 
-    For a prime snake every check predicts 1.  With via_epsilon the exact
-    value is recomputed through the Reineke bridge where the configuration
-    admits it.
+    The left check of slice [a, b] probes P_[a+1, b] with its predecessor
+    and the right check probes P_[a, b-1] with its successor.  Slices of a
+    snake are snakes, and predicted_tfd_left reads only the head of its
+    snake (predicted_tfd_right only the tail), so each prediction depends
+    on one adjacent pair: 2(p-1) predictions fill all p(p-1) checks.  For a
+    prime snake every check predicts 1.  With via_epsilon the exact value
+    is recomputed per slice through the Reineke bridge, which needs the
+    whole slice, where the configuration admits it.
     """
     pts = tuple(points)
     if not is_snake(xi, pts):
         raise NotSnake("hypothesis check expects a snake")
-    checks = []
     p = len(pts)
+    left = [predicted_tfd_left(xi, pts[s], pts[s + 1:s + 2]) for s in range(p - 1)]
+    right = [predicted_tfd_right(xi, pts[s:s + 1], pts[s + 1]) for s in range(p - 1)]
+    checks = []
     for a in range(1, p):
         for b in range(a + 1, p + 1):
-            pred = predicted_tfd_left(xi, pts[a - 1], pts[a:b])
-            eps = None
-            if via_epsilon:
-                try:
-                    eps = tfd_via_epsilon(xi, pts[a - 1], pts[a:b], "left")
-                except (OutsideWindow, AssertionError):
-                    eps = None
-            checks.append(HypothesisCheck("left", a, b, pred, eps))
-            pred = predicted_tfd_right(xi, pts[a - 1:b - 1], pts[b - 1])
-            eps = None
-            if via_epsilon:
-                try:
-                    eps = tfd_via_epsilon(xi, pts[b - 1], pts[a - 1:b - 1], "right")
-                except (OutsideWindow, AssertionError):
-                    eps = None
-            checks.append(HypothesisCheck("right", a, b, pred, eps))
+            eps = _epsilon_or_none(xi, pts[a - 1], pts[a:b], "left") if via_epsilon else None
+            checks.append(HypothesisCheck("left", a, b, left[a - 1], eps))
+            eps = _epsilon_or_none(xi, pts[b - 1], pts[a - 1:b - 1], "right") if via_epsilon else None
+            checks.append(HypothesisCheck("right", a, b, right[b - 2], eps))
     return HypothesesReport(tuple(checks))
 
 

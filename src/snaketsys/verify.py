@@ -24,7 +24,7 @@ from .lusztig import (
     unit_datum,
     weight,
 )
-from .quivers import TWISTED, UNTWISTED, HeightFunction, Region, Vertex
+from .quivers import TWISTED, UNTWISTED, HeightFunction, Region, Vertex, big_theta2
 
 
 @dataclass
@@ -232,10 +232,9 @@ def _ray_candidates(xi: HeightFunction, v: Vertex, span2: int) -> list[Vertex]:
                 if 1 <= i <= xi.n and xi.is_vertex(w):
                     out.append(w)
         return out
-    t = HeightFunction.big_theta(xi.n0).values2
     for i in range(1, xi.n + 1):
         for sign in (1, -1):
-            r2 = sign * (t[i - 1] - t[v.i - 1])
+            r2 = sign * (big_theta2(xi.n0, i) - big_theta2(xi.n0, v.i))
             if 0 < r2 <= span2:
                 w = Vertex(i, v.k2 + r2)
                 if xi.is_vertex(w) and xi.prec(v, w):

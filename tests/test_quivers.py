@@ -1,9 +1,12 @@
+import itertools
 import random
 
 import pytest
 
 from snaketsys.errors import NotSinkOrSource, OutsideWindow
 from snaketsys.quivers import (
+    TWISTED,
+    UNTWISTED,
     HeightFunction,
     Region,
     Vertex,
@@ -74,6 +77,82 @@ def test_preceq():
     v = Vertex(2, 2)
     assert XI_DISPLAY.preceq(v, v)
     assert not XI_DISPLAY.preceq(Vertex(1, 4), Vertex(1, 6))  # parity of row 1 steps by 2
+
+
+def bfs_reachable(hf, v, k2_hi):
+    """Reference oracle: every vertex v reaches by arrows, up to height k2_hi."""
+    seen = {v}
+    frontier = [v]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for t in hf.arrow_targets(u):
+                if t.k2 <= k2_hi and t not in seen:
+                    seen.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    return seen
+
+
+def _all_height_functions(n, flavor):
+    """Every height function of the flavor with xi_1 = 0 (so all up to shift)."""
+    n0 = (n + 1) // 2 if flavor == TWISTED else None
+    out = []
+    for steps in itertools.product((-3, -2, -1, 1, 2, 3), repeat=n - 1):
+        vals2 = list(itertools.accumulate(steps, initial=0))
+        try:
+            out.append(HeightFunction(n, flavor, tuple(vals2), n0))
+        except ValueError:
+            continue
+    return out
+
+
+def _assert_preceq_matches_bfs(hf):
+    """Closed form against BFS on every vertex pair of a window two periods tall.
+
+    Non-vertices of the window (wrong parity, rows 0 and n+1) must be
+    unordered, even against themselves and the window's extreme vertices.
+    """
+    k2_lo, k2_hi = min(hf.values2) - 4, max(hf.values2) + 2 * hf.ntilde2()
+    points = [Vertex(i, k2) for i in range(0, hf.n + 2) for k2 in range(k2_lo, k2_hi + 1)]
+    verts = [v for v in points if hf.is_vertex(v)]
+    for v in verts:
+        reach = bfs_reachable(hf, v, k2_hi)
+        for w in verts:
+            assert hf.preceq(v, w) == (w in reach), (hf, v, w)
+            assert hf.prec(v, w) == (w in reach and v != w), (hf, v, w)
+    lowest, highest = min(verts, key=lambda v: v.k2), max(verts, key=lambda v: v.k2)
+    for x in points:
+        if not hf.is_vertex(x):
+            assert not hf.preceq(x, x) and not hf.preceq(x, highest) and not hf.preceq(lowest, x)
+
+
+def test_preceq_closed_form_exhaustive():
+    hfs = [hf for n in range(1, 6) for hf in _all_height_functions(n, UNTWISTED)]
+    hfs += [hf for n0 in (2, 3) for hf in _all_height_functions(2 * n0 - 1, TWISTED)]
+    assert len(hfs) == 1 + 2 + 4 + 8 + 16 + 4 + 16
+    for hf in hfs:
+        _assert_preceq_matches_bfs(hf)
+
+
+def test_preceq_closed_form_random():
+    from snaketsys.verify import random_height_function
+
+    rng = random.Random(5)
+    for n in range(6, 10):
+        hf = random_height_function(n, rng)
+        _assert_preceq_matches_bfs(hf)
+    for n0 in (4, 5):
+        hf = random_height_function(2 * n0 - 1, rng, TWISTED, n0)
+        _assert_preceq_matches_bfs(hf)
+
+
+def test_preceq_rank_one_has_no_arrows():
+    hf = HeightFunction.untwisted([0])
+    assert hf.preceq(Vertex(1, 0), Vertex(1, 0))
+    assert not hf.prec(Vertex(1, 0), Vertex(1, 0))
+    assert not hf.preceq(Vertex(1, 0), Vertex(1, 4))
+    assert not hf.preceq(Vertex(1, 0), Vertex(1, 2))  # not a vertex
 
 
 def test_gamma_window():

@@ -5,7 +5,7 @@ import pytest
 from snaketsys import reineke
 from snaketsys.errors import ParityMismatch
 from snaketsys.lusztig import Carrier, VertexDatum
-from snaketsys.quivers import Vertex
+from snaketsys.quivers import HeightFunction, Vertex
 
 
 def _datum(n, delta, entries):
@@ -22,6 +22,15 @@ def test_omega_boxes_n5():
         (1, 3), (2, 2), (2, 4), (3, 1), (3, 3), (3, 5), (4, 2), (4, 4), (5, 3),
     }
     assert [(v.i, v.k2 // 2) for v in reineke.omega(1, 1).vertices] == [(1, 1)]
+
+
+def test_omega_interval_matches_root_set():
+    # Omega_j is also the set of window vertices whose root contains j
+    for n in range(1, 11):
+        for j in range(1, n + 1):
+            hf = HeightFunction.canonical(n, reineke.bar(j))
+            by_roots = {v for v in hf.gamma_vertices() if hf.phi(v).lo <= j <= hf.phi(v).hi}
+            assert set(reineke.omega(n, j).vertices) == by_roots, (n, j)
 
 
 def test_epsilon_examples():

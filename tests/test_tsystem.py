@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from snaketsys.errors import NotPrimeSnake, TooShort
+from snaketsys.errors import NotPrimeSnake, OutsideWindow, TooShort
 from snaketsys.quivers import HeightFunction, Vertex
 from snaketsys.snakes import random_snake
 from snaketsys.tsystem import (
+    HypothesisCheck,
     check_theorem_hypotheses,
     extended_tsystem,
     flags,
@@ -135,6 +136,63 @@ def test_hypotheses_epsilon_consistent():
             report = check_theorem_hypotheses(xi, pts, via_epsilon=True)
             assert report.all_one and report.consistent
             assert any(c.epsilon == 1 for c in report.checks)
+
+
+def _per_slice_sweep(xi, pts, via_epsilon=False):
+    """Reference oracle: the O(p^3) sweep, one prediction per sub-slice."""
+    checks = []
+    p = len(pts)
+    for a in range(1, p):
+        for b in range(a + 1, p + 1):
+            pred = predicted_tfd_left(xi, pts[a - 1], pts[a:b])
+            eps = None
+            if via_epsilon:
+                try:
+                    eps = tfd_via_epsilon(xi, pts[a - 1], pts[a:b], "left")
+                except (OutsideWindow, AssertionError):
+                    eps = None
+            checks.append(HypothesisCheck("left", a, b, pred, eps))
+            pred = predicted_tfd_right(xi, pts[a - 1:b - 1], pts[b - 1])
+            eps = None
+            if via_epsilon:
+                try:
+                    eps = tfd_via_epsilon(xi, pts[b - 1], pts[a - 1:b - 1], "right")
+                except (OutsideWindow, AssertionError):
+                    eps = None
+            checks.append(HypothesisCheck("right", a, b, pred, eps))
+    return tuple(checks)
+
+
+def _random_snake_case(rng, flavor, prime, max_len):
+    if flavor == "untwisted":
+        xi = random_height_function(rng.randint(2, 7), rng)
+    else:
+        n0 = rng.randint(2, 4)
+        xi = random_height_function(2 * n0 - 1, rng, flavor, n0)
+    return xi, random_snake(xi, rng, rng.randint(2, max_len), prime=prime)
+
+
+def test_sweep_matches_per_slice_oracle():
+    rng = random.Random(12)
+    seen = set()
+    for flavor in ("untwisted", "twisted"):
+        for prime in (True, False):
+            for _ in range(30):
+                xi, pts = _random_snake_case(rng, flavor, prime, 12)
+                report = check_theorem_hypotheses(xi, pts)
+                assert report.checks == _per_slice_sweep(xi, pts)
+                seen.update(c.predicted for c in report.checks)
+    assert seen == {0, 1}
+
+
+def test_sweep_matches_per_slice_oracle_via_epsilon():
+    rng = random.Random(13)
+    for flavor in ("untwisted", "twisted"):
+        for prime in (True, False):
+            for _ in range(4):
+                xi, pts = _random_snake_case(rng, flavor, prime, 4)
+                report = check_theorem_hypotheses(xi, pts, via_epsilon=True)
+                assert report.checks == _per_slice_sweep(xi, pts, via_epsilon=True)
 
 
 def test_bridge_matches_predictions_on_goldens():
