@@ -13,7 +13,7 @@ import sys
 
 from . import realize, reineke, snakes, tsystem, verify
 from .errors import DomainError
-from .lusztig import datum_from_json, datum_to_json, rho
+from .lusztig import VertexDatum, datum_from_json, datum_to_json, rho
 from .quivers import TWISTED, UNTWISTED, HeightFunction, quiver_ascii, quiver_dot
 
 EXIT_OK = 0
@@ -76,6 +76,24 @@ def _read_snake(path: str | None) -> snakes.Snake:
         return snakes.snake_from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad snake JSON: {exc}") from exc
+
+
+def _read_datum(args) -> VertexDatum:
+    """The vertex datum of a rho or reineke command: --n and the JSON input.
+
+    A malformed or negative entry, or an unparsable carrier name, is a parse
+    error; a key outside its carrier and other domain errors stay domain
+    errors (DomainError subclasses ValueError, so it is let through first).
+    """
+    if args.n is None or args.n < 1:
+        raise ConfigError(f"{args.command} needs --n >= 1")
+    obj = _read_json(args.input)
+    try:
+        return datum_from_json(obj, args.n)
+    except DomainError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad datum JSON: {exc}") from exc
 
 
 def _emit(obj) -> None:
@@ -160,13 +178,9 @@ def cmd_tsystem(args) -> int:
 
 
 def cmd_reineke(args) -> int:
-    if args.n is None:
-        raise ConfigError("reineke needs --n")
-    obj = _read_json(args.input)
-    try:
-        datum = datum_from_json(obj, args.n)
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad datum JSON: {exc}") from exc
+    datum = _read_datum(args)
+    if not 1 <= args.j <= args.n:
+        raise ConfigError(f"--j must lie in [1, {args.n}], got {args.j}")
     out = {
         "j": args.j,
         "epsilon": reineke.epsilon_any(args.j, datum),
@@ -180,14 +194,7 @@ def cmd_reineke(args) -> int:
 
 
 def cmd_rho(args) -> int:
-    if args.n is None:
-        raise ConfigError("rho needs --n")
-    obj = _read_json(args.input)
-    try:
-        datum = datum_from_json(obj, args.n)
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad datum JSON: {exc}") from exc
-    _emit(datum_to_json(rho(datum)))
+    _emit(datum_to_json(rho(_read_datum(args))))
     return EXIT_OK
 
 

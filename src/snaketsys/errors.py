@@ -55,3 +55,11 @@ class TooShort(DomainError):
 
 class MissingTableEntry(DomainError):
     pass
+
+
+class InternalError(AssertionError):
+    """A failed internal consistency check: a bug, not bad input.
+
+    Raised explicitly, so that ``python -O`` cannot strip the check; it stays
+    an AssertionError for callers that treat a failed check as one.
+    """

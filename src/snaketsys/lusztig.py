@@ -15,15 +15,21 @@ transform to the triples
 writing the results to (j+1, j+2r-1/2), (j, j+2r), (j+1, j+2r+1/2), shifts
 the two leftover boundary keys of row j by -+1/2, and carries everything
 else by identity.
+
+The steps do not depend on the datum, so each rank has one cached layer
+plan listing the keys every step reads and writes, checked once against
+V<j> and V<j+1> when it is built.  rho copies the counts once and runs the
+plan in place, touching O(n) keys per step and O(n^2) in all; rho_step runs
+one layer of the same plan on a copy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import roots
-from .errors import NotBraidPattern, NotCommuting, NotLongestWord, WrongCarrier
+from .errors import InternalError, NotBraidPattern, NotCommuting, NotLongestWord, WrongCarrier
 from .quivers import HeightFunction, Vertex
 
 GAMMA_THETA = "gamma-theta"    # window of the untwisted staircase theta
@@ -165,7 +171,8 @@ def _carrier_vertices(name: str, n: int) -> frozenset[Vertex]:
     # rows above j keep the big_theta grid (i, i - 1 + 2m), m in [0, n-i]
     for i in range(j + 1, n + 1):
         verts.update(Vertex(i, 2 * i - 2 + 4 * m) for m in range(0, n - i + 1))
-    assert len(verts) == roots.num_positive_roots(n)
+    if len(verts) != roots.num_positive_roots(n):
+        raise InternalError(f"V<{j}> of rank {n} has {len(verts)} vertices, not one per positive root")
     return frozenset(verts)
 
 
@@ -206,6 +213,69 @@ def unit_datum(carrier: Carrier, points: Sequence[Vertex]) -> VertexDatum:
     return VertexDatum(carrier, counts)
 
 
+class _Layer(NamedTuple):
+    """One step rho_<j> as key moves on vertex-keyed counts."""
+
+    triples: tuple[tuple[tuple[Vertex, Vertex, Vertex], tuple[Vertex, Vertex, Vertex]], ...]  # (read, write)
+    moves: tuple[tuple[Vertex, Vertex], ...]  # (source, target) boundary shifts of row j
+
+
+@lru_cache(maxsize=16)
+def _layer_plan(n: int) -> tuple[_Layer, ...]:
+    """The steps rho_<n0>, ..., rho_<n> of rank n, each checked once."""
+    n0 = (n + 1) // 2
+    plan = []
+    for j in range(n0, n + 1):
+        triples = tuple(
+            (
+                (Vertex(j, 2 * j + 4 * r - 1), Vertex(j + 1, 2 * j + 4 * r), Vertex(j, 2 * j + 4 * r + 1)),
+                (Vertex(j + 1, 2 * j + 4 * r - 1), Vertex(j, 2 * j + 4 * r), Vertex(j + 1, 2 * j + 4 * r + 1)),
+            )
+            for r in range(0, n - j)
+        )
+        # leftover boundary keys of row j reshift by -+1/2
+        moves = ((Vertex(j, 2 * j - 3), Vertex(j, 2 * j - 4)),) if j > n0 else ()
+        moves += ((Vertex(j, 4 * n - 2 * j - 1), Vertex(j, 2 * (2 * n - j))),)
+        layer = _Layer(triples, moves)
+        _check_layer(n0, j, layer)
+        plan.append(layer)
+    return tuple(plan)
+
+
+def _check_layer(n0: int, j: int, layer: _Layer) -> None:
+    """Raise InternalError unless running the layer in place maps V<j> onto V<j+1>.
+
+    It must read each key of rows j, j+1 of V<j> once, write each key of
+    rows j, j+1 of V<j+1> once, read no key it writes, and the two carriers
+    must agree on every other row.
+    """
+    reads = [v for r, _ in layer.triples for v in r] + [s for s, _ in layer.moves]
+    writes = [v for _, w in layer.triples for v in w] + [t for _, t in layer.moves]
+    src, dst = vj_carrier(n0, j).vertices(), vj_carrier(n0, j + 1).vertices()
+    src_rows = {v for v in src if v.i in (j, j + 1)}
+    dst_rows = {v for v in dst if v.i in (j, j + 1)}
+    if (
+        len(reads) != len(src_rows) or set(reads) != src_rows
+        or len(writes) != len(dst_rows) or set(writes) != dst_rows
+        or not src_rows.isdisjoint(dst_rows)
+        or src - src_rows != dst - dst_rows
+    ):
+        raise InternalError(f"rho layer {j} of rank {2 * n0 - 1} does not map V<{j}> onto V<{j + 1}>")
+
+
+def _apply_layer(counts: dict[Vertex, int], layer: _Layer) -> None:
+    """Run one layer on nonzero counts in place, storing only nonzero results."""
+    pop = counts.pop
+    for (a, b, c), writes in layer.triples:
+        for v, x in zip(writes, three_move(pop(a, 0), pop(b, 0), pop(c, 0))):
+            if x:
+                counts[v] = x
+    for src, dst in layer.moves:
+        x = pop(src, 0)
+        if x:
+            counts[dst] = x
+
+
 def rho_step(j: int, d: VertexDatum) -> VertexDatum:
     """One 3-move layer rho_<j>: data on V<j> -> data on V<j+1>."""
     n = d.carrier.n
@@ -214,27 +284,9 @@ def rho_step(j: int, d: VertexDatum) -> VertexDatum:
         raise WrongCarrier(f"rho step index {j} outside [n0, n]")
     if d.carrier.vertices() != vj_carrier(n0, j).vertices():
         raise WrongCarrier(f"datum carrier {d.carrier.name} is not V<{j}>")
-    src = d.get
-    out: dict[Vertex, int] = {}
-    for r in range(0, n - j):
-        a, b, c = three_move(
-            src(Vertex(j, 2 * j + 4 * r - 1)),
-            src(Vertex(j + 1, 2 * j + 4 * r)),
-            src(Vertex(j, 2 * j + 4 * r + 1)),
-        )
-        out[Vertex(j + 1, 2 * j + 4 * r - 1)] = a
-        out[Vertex(j, 2 * j + 4 * r)] = b
-        out[Vertex(j + 1, 2 * j + 4 * r + 1)] = c
-    # leftover boundary keys of row j reshift by -+1/2
-    if j > n0:
-        out[Vertex(j, 2 * j - 4)] = src(Vertex(j, 2 * j - 3))
-    out[Vertex(j, 2 * (2 * n - j))] = src(Vertex(j, 4 * n - 2 * j - 1))
-    target = vj_carrier(n0, j + 1)
-    for v in target.vertices():
-        if v.i not in (j, j + 1):
-            out[v] = src(v)
-    assert set(out) == set(target.vertices())
-    return VertexDatum(target, {v: c for v, c in out.items() if c != 0})
+    counts = {v: c for v, c in d.counts.items() if c}
+    _apply_layer(counts, _layer_plan(n)[j - n0])
+    return VertexDatum(vj_carrier(n0, j + 1), counts)
 
 
 def rho(d: VertexDatum) -> VertexDatum:
@@ -244,12 +296,12 @@ def rho(d: VertexDatum) -> VertexDatum:
     theta window; satisfies B^Theta(c) = B^theta(rho(c)).
     """
     n = d.carrier.n
-    n0 = (n + 1) // 2
-    if d.carrier.vertices() != _carrier_vertices(GAMMA_BIG_THETA, n):
+    if d.carrier.vertices() != Carrier(GAMMA_BIG_THETA, n).vertices():
         raise WrongCarrier("rho expects a datum on the big_theta window")
-    for j in range(n0, n + 1):
-        d = rho_step(j, d)
-    return d
+    counts = {v: c for v, c in d.counts.items() if c}
+    for layer in _layer_plan(n):
+        _apply_layer(counts, layer)
+    return VertexDatum(Carrier(GAMMA_THETA, n), counts)
 
 
 # -- JSON round-trip -----------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from . import lusztig
-from .errors import NotPrimeSnake, NotPrimeSnakePair, NotSnake, OutsideWindow
+from .errors import InternalError, NotPrimeSnake, NotPrimeSnakePair, NotSnake, OutsideWindow
 from .quivers import TWISTED, UNTWISTED, HeightFunction, Region, Vertex, big_theta2
 
 
@@ -234,7 +234,7 @@ def translate_twisted(n0: int, points: Sequence[Vertex], validate: bool = False)
     Points left of the middle row are kept; every maximal segment in the
     closed right half is replaced by its X^-/X/X^+ sequence.  The result is
     a snake in the theta window satisfying rho(e(P)) = e(P-dagger); pass
-    validate=True to assert that equality on the spot.
+    validate=True to check that equality on the spot (InternalError if not).
     """
     big = HeightFunction.big_theta(n0)
     theta = HeightFunction.theta(n0)
@@ -269,7 +269,8 @@ def translate_twisted(n0: int, points: Sequence[Vertex], validate: bool = False)
         src = lusztig.unit_datum(lusztig.Carrier(lusztig.GAMMA_BIG_THETA, n), points)
         want = lusztig.unit_datum(lusztig.Carrier(lusztig.GAMMA_THETA, n), result)
         got = lusztig.rho(src)
-        assert got.nonzero() == want.nonzero(), "rho disagrees with translation"
+        if got.nonzero() != want.nonzero():
+            raise InternalError(f"rho disagrees with the translation of {points}")
     return result
 
 

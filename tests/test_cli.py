@@ -151,6 +151,38 @@ def test_reineke_command(capsys, tmp_path):
     assert obj == {"j": 2, "epsilon": 1, "epsilon_star": 0}
 
 
+GOOD_DELTA = {"carrier": "gamma-delta:0", "entries": [{"i": 2, "k2": 2, "c": 1}]}
+
+
+@pytest.mark.parametrize(
+    "argv, datum, want",
+    [
+        (("rho", "--n", "7"), {"carrier": "gamma-THETA", "entries": [{"i": 5, "k2": 8, "c": -1}]}, 4),
+        (("rho", "--n", "7"), {"carrier": "vj:x", "entries": []}, 4),
+        (("rho", "--n", "7"), {"carrier": "gamma-THETA", "entries": [{"i": "a", "k2": 8, "c": 1}]}, 4),
+        (("rho", "--n", "7"), {"carrier": "gamma-THETA", "entries": [{"i": 5, "k2": 1e400, "c": 1}]}, 4),
+        (("rho", "--n", "7"), {"carrier": "gamma-THETA", "entries": [{"i": 1, "k2": 1, "c": 1}]}, 3),
+        (("rho", "--n", "1"), {"carrier": "gamma-delta:0", "entries": []}, 3),
+        (("rho", "--n", "0"), {"carrier": "gamma-delta:0", "entries": []}, 2),
+        (("reineke", "--n", "5", "--j", "1"), {"carrier": "gamma-delta:0", "entries": [{"i": 2, "k2": 2, "c": -1}]}, 4),
+        (("reineke", "--n", "5", "--j", "9"), GOOD_DELTA, 2),
+        (("reineke", "--n", "5", "--j", "0"), GOOD_DELTA, 2),
+    ],
+    ids=[
+        "rho-negative-count", "rho-bad-vj-carrier", "rho-non-integer-row", "rho-infinite-k2",
+        "rho-key-off-carrier", "rho-rank-1", "rho-rank-0",
+        "reineke-negative-count", "reineke-j-above-n", "reineke-j-zero",
+    ],
+)
+def test_datum_input_exit_codes(capsys, tmp_path, argv, datum, want):
+    # malformed or negative entries are parse errors (4), --n and --j out of
+    # range config errors (2), keys or ranks no carrier allows domain errors (3)
+    path = write(tmp_path, "d.json", datum)
+    code, _, err = run(capsys, *argv, path)
+    assert code == want
+    assert "Traceback" not in err and err.strip()
+
+
 def test_verify_exit_zero(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "moves", "--trials", "10", "--seed", "1")
     assert code == 0 and "moves: ok" in out

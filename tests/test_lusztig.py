@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from snaketsys.errors import NotBraidPattern, NotCommuting, NotLongestWord, WrongCarrier
+from snaketsys.errors import InternalError, NotBraidPattern, NotCommuting, NotLongestWord, WrongCarrier
 from snaketsys.lusztig import (
     GAMMA_BIG_THETA,
     GAMMA_THETA,
@@ -128,11 +128,53 @@ def test_rho_golden_n15():
     assert out.nonzero() == want.nonzero()
 
 
+def reference_layer(j, d, rng=None):
+    """rho_<j> rebuilt in full: the reference the in-place layer plan must match.
+
+    Every key of V<j+1> is written, rows other than j and j+1 carried by
+    identity; the 3-move triples run in shuffled order when rng is given.
+    """
+    n = d.carrier.n
+    n0 = (n + 1) // 2
+    triples = list(range(0, n - j))
+    if rng is not None:
+        rng.shuffle(triples)
+    read, out = set(), {}
+    for r in triples:
+        src = (Vertex(j, 2 * j + 4 * r - 1), Vertex(j + 1, 2 * j + 4 * r), Vertex(j, 2 * j + 4 * r + 1))
+        read.update(src)
+        a, b, c = three_move(*(d.get(v) for v in src))
+        out[Vertex(j + 1, 2 * j + 4 * r - 1)] = a
+        out[Vertex(j, 2 * j + 4 * r)] = b
+        out[Vertex(j + 1, 2 * j + 4 * r + 1)] = c
+    if j > n0:
+        read.add(Vertex(j, 2 * j - 3))
+        out[Vertex(j, 2 * j - 4)] = d.get(Vertex(j, 2 * j - 3))
+    read.add(Vertex(j, 4 * n - 2 * j - 1))
+    out[Vertex(j, 2 * (2 * n - j))] = d.get(Vertex(j, 4 * n - 2 * j - 1))
+    target = vj_carrier(n0, j + 1)
+    for v in target.vertices():
+        if v.i not in (j, j + 1):
+            read.add(v)
+            out[v] = d.get(v)
+    assert set(out) == set(target.vertices())
+    assert set(d.nonzero()) <= read, "a nonzero count was dropped"
+    return VertexDatum(target, {v: c for v, c in out.items() if c})
+
+
+def reference_rho(d):
+    """The stages on V<n0+1>, ..., V<n+1> of the chained reference layers."""
+    n = d.carrier.n
+    stages = []
+    for j in range((n + 1) // 2, n + 1):
+        d = reference_layer(j, d)
+        stages.append(d)
+    return stages
+
+
 def test_rho_step_triple_order_independent():
     # the 3-move layers touch pairwise disjoint key triples, so applying
     # them in any order agrees with rho_step
-    from snaketsys.lusztig import three_move as tm
-
     rng = random.Random(5)
     for n0 in (2, 3, 4):
         n = 2 * n0 - 1
@@ -140,27 +182,63 @@ def test_rho_step_triple_order_independent():
             src_carrier = vj_carrier(n0, j)
             counts = {v: rng.randint(0, 3) for v in src_carrier.vertices()}
             d = VertexDatum(src_carrier, counts)
-            want = rho_step(j, d).nonzero()
+            assert reference_layer(j, d, rng).nonzero() == rho_step(j, d).nonzero()
 
-            triples = list(range(0, n - j))
-            rng.shuffle(triples)
-            out = {}
-            for r in triples:
-                a, b, c = tm(
-                    d.get(Vertex(j, 2 * j + 4 * r - 1)),
-                    d.get(Vertex(j + 1, 2 * j + 4 * r)),
-                    d.get(Vertex(j, 2 * j + 4 * r + 1)),
-                )
-                out[Vertex(j + 1, 2 * j + 4 * r - 1)] = a
-                out[Vertex(j, 2 * j + 4 * r)] = b
-                out[Vertex(j + 1, 2 * j + 4 * r + 1)] = c
-            if j > n0:
-                out[Vertex(j, 2 * j - 4)] = d.get(Vertex(j, 2 * j - 3))
-            out[Vertex(j, 2 * (2 * n - j))] = d.get(Vertex(j, 4 * n - 2 * j - 1))
-            for v in vj_carrier(n0, j + 1).vertices():
-                if v.i not in (j, j + 1):
-                    out[v] = d.get(v)
-            assert {v: c for v, c in out.items() if c} == want
+
+def test_rho_matches_reference_layers():
+    # rho and every rho_step stage against the full-rebuild reference, on
+    # sparse, dense and unit (window snake) data up to rank 31; neither may
+    # touch the caller's counts
+    from snaketsys import snakes
+
+    rng = random.Random(31)
+    for n0 in range(2, 17):
+        n = 2 * n0 - 1
+        carrier = Carrier(GAMMA_BIG_THETA, n)
+        verts = sorted(carrier.vertices())
+        big = HeightFunction.big_theta(n0)
+        data = [
+            VertexDatum(carrier, {v: rng.randint(1, 5) for v in verts if rng.random() < 0.1}),
+            VertexDatum(carrier, {v: rng.randint(0, 9) for v in verts}),
+            unit_datum(carrier, snakes.random_snake(big, rng, rng.randint(1, 6), prime=False, in_gamma=True)),
+        ]
+        for d in data:
+            before = dict(d.counts)
+            want = reference_rho(d)
+            out = rho(d)
+            assert out == want[-1]  # same carrier and counts, no zero stored
+            assert d.counts == before
+            stage = d
+            for j, ref in zip(range(n0, n + 1), want):
+                stage_counts = dict(stage.counts)
+                nxt = rho_step(j, stage)
+                assert stage.counts == stage_counts
+                assert nxt == ref
+                stage = nxt
+
+
+def test_layer_plan_is_checked_once():
+    # the cached plan is immutable and bounded; a layer that misses a key,
+    # writes a key twice or reads what it writes is rejected explicitly
+    from snaketsys.lusztig import _check_layer, _Layer, _layer_plan
+
+    assert _layer_plan.cache_info().maxsize is not None
+    plan = _layer_plan(7)
+    assert isinstance(plan, tuple) and all(isinstance(layer.triples, tuple) for layer in plan)
+    assert _layer_plan(7) is plan
+    n0, j = 4, 5
+    layer = plan[j - n0]
+    (reads, writes), rest = layer.triples[0], layer.triples[1:]
+    broken = [
+        _Layer(rest, layer.moves),
+        _Layer(layer.triples, layer.moves[:1]),
+        _Layer(((reads, (writes[0], writes[0], writes[2])),) + rest, layer.moves),
+        _Layer(((reads, reads),) + rest, layer.moves),
+    ]
+    _check_layer(n0, j, layer)
+    for bad in broken:
+        with pytest.raises(InternalError):
+            _check_layer(n0, j, bad)
 
 
 def test_rho_wrong_carrier():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from snaketsys.errors import NotPrimeSnake, NotPrimeSnakePair, NotSnake, OutsideWindow
+from snaketsys.errors import InternalError, NotPrimeSnake, NotPrimeSnakePair, NotSnake, OutsideWindow
 from snaketsys.lusztig import GAMMA_BIG_THETA, GAMMA_THETA, Carrier, rho, unit_datum
 from snaketsys.quivers import HeightFunction, Vertex
 from snaketsys.snakes import (
@@ -151,6 +151,16 @@ def test_translate_goldens():
 def test_translate_left_half_is_identity():
     pts = (V(1, 1), V(1, 3))
     assert translate_twisted(2, pts, validate=True) == pts
+
+
+def test_translate_validate_raises_on_mismatch(monkeypatch):
+    # validate=True is an explicit check, not an assert that python -O strips
+    from snaketsys import lusztig
+
+    monkeypatch.setattr(lusztig, "rho", lambda d: unit_datum(Carrier(GAMMA_THETA, d.carrier.n), ()))
+    with pytest.raises(InternalError):
+        translate_twisted(2, (V(1, 1), V(1, 3)), validate=True)
+    assert translate_twisted(2, (V(1, 1), V(1, 3))) == (V(1, 1), V(1, 3))
 
 
 def test_translate_errors():
