@@ -74,7 +74,7 @@ def _read_snake(path: str | None) -> snakes.Snake:
     obj = _read_json(path)
     try:
         return snakes.snake_from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad snake JSON: {exc}") from exc
 
 

@@ -21,6 +21,11 @@ plan listing the keys every step reads and writes, checked once against
 V<j> and V<j+1> when it is built.  rho copies the counts once and runs the
 plan in place, touching O(n) keys per step and O(n^2) in all; rho_step runs
 one layer of the same plan on a copy.
+
+Only the Gamma windows (gamma-theta, gamma-THETA, gamma-delta:*) are cached,
+in a bounded cache; V<n0> and V<n+1> are the two staircase windows.  The
+intermediate carriers V<j>, n0 < j <= n, are built on demand: the layer
+plan builds each once per rank, and rho_step builds its two per call.
 """
 from __future__ import annotations
 
@@ -30,7 +35,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from . import roots
 from .errors import InternalError, NotBraidPattern, NotCommuting, NotLongestWord, WrongCarrier
-from .quivers import HeightFunction, Vertex
+from .quivers import HeightFunction, Vertex, json_int
 
 GAMMA_THETA = "gamma-theta"    # window of the untwisted staircase theta
 GAMMA_BIG_THETA = "gamma-THETA"  # window of the twisted staircase big_theta
@@ -135,6 +140,9 @@ class Carrier:
         return (self.n + 1) // 2
 
     def vertices(self) -> frozenset[Vertex]:
+        kind, _, arg = self.name.partition(":")
+        if kind == "vj":
+            return _vj_vertices(self.n, int(arg))
         return _carrier_vertices(self.name, self.n)
 
     def height_function(self) -> HeightFunction:
@@ -149,23 +157,20 @@ class Carrier:
         raise WrongCarrier(f"{self.name!r} is not a Gamma carrier")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _carrier_vertices(name: str, n: int) -> frozenset[Vertex]:
-    kind, _, arg = name.partition(":")
+    """The vertices of a Gamma window carrier."""
+    return frozenset(Carrier(name, n).height_function().gamma_vertices())
+
+
+def _vj_vertices(n: int, j: int) -> frozenset[Vertex]:
+    """The vertices of V<j>, built afresh unless j is n0 or n+1 (a window)."""
     n0 = (n + 1) // 2
-    if kind == GAMMA_THETA:
-        return frozenset(HeightFunction.theta(n0).gamma_vertices())
-    if kind == GAMMA_BIG_THETA:
-        return frozenset(HeightFunction.big_theta(n0).gamma_vertices())
-    if kind == "gamma-delta":
-        return frozenset(HeightFunction.canonical(n, int(arg)).gamma_vertices())
-    j = int(arg)
     if j == n0:
         return _carrier_vertices(GAMMA_BIG_THETA, n)
     if j == n + 1:
         return _carrier_vertices(GAMMA_THETA, n)
-    theta = HeightFunction.theta(n0)
-    verts = {v for v in theta.gamma_vertices() if v.i < j}
+    verts = {v for v in _carrier_vertices(GAMMA_THETA, n) if v.i < j}
     # middle row j: half-integer chain (j, j - 3/2 + m), m in [0, 2n-2j+1]
     verts.update(Vertex(j, 2 * j - 3 + 2 * m) for m in range(0, 2 * n - 2 * j + 2))
     # rows above j keep the big_theta grid (i, i - 1 + 2m), m in [0, n-i]
@@ -225,6 +230,7 @@ def _layer_plan(n: int) -> tuple[_Layer, ...]:
     """The steps rho_<n0>, ..., rho_<n> of rank n, each checked once."""
     n0 = (n + 1) // 2
     plan = []
+    src = vj_carrier(n0, n0).vertices()
     for j in range(n0, n + 1):
         triples = tuple(
             (
@@ -237,13 +243,15 @@ def _layer_plan(n: int) -> tuple[_Layer, ...]:
         moves = ((Vertex(j, 2 * j - 3), Vertex(j, 2 * j - 4)),) if j > n0 else ()
         moves += ((Vertex(j, 4 * n - 2 * j - 1), Vertex(j, 2 * (2 * n - j))),)
         layer = _Layer(triples, moves)
-        _check_layer(n0, j, layer)
+        dst = vj_carrier(n0, j + 1).vertices()
+        _check_layer(n0, j, layer, src, dst)
         plan.append(layer)
+        src = dst  # each V<j> is built once per rank
     return tuple(plan)
 
 
-def _check_layer(n0: int, j: int, layer: _Layer) -> None:
-    """Raise InternalError unless running the layer in place maps V<j> onto V<j+1>.
+def _check_layer(n0: int, j: int, layer: _Layer, src: frozenset[Vertex], dst: frozenset[Vertex]) -> None:
+    """Raise InternalError unless running the layer in place maps src = V<j> onto dst = V<j+1>.
 
     It must read each key of rows j, j+1 of V<j> once, write each key of
     rows j, j+1 of V<j+1> once, read no key it writes, and the two carriers
@@ -251,7 +259,6 @@ def _check_layer(n0: int, j: int, layer: _Layer) -> None:
     """
     reads = [v for r, _ in layer.triples for v in r] + [s for s, _ in layer.moves]
     writes = [v for _, w in layer.triples for v in w] + [t for _, t in layer.moves]
-    src, dst = vj_carrier(n0, j).vertices(), vj_carrier(n0, j + 1).vertices()
     src_rows = {v for v in src if v.i in (j, j + 1)}
     dst_rows = {v for v in dst if v.i in (j, j + 1)}
     if (
@@ -316,6 +323,6 @@ def datum_from_json(obj: Mapping, n: int) -> VertexDatum:
     carrier = Carrier(str(obj["carrier"]), n)
     counts: dict[Vertex, int] = {}
     for e in obj["entries"]:
-        v = Vertex(int(e["i"]), int(e["k2"]))
-        counts[v] = counts.get(v, 0) + int(e["c"])
+        v = Vertex(json_int(e["i"]), json_int(e["k2"]))
+        counts[v] = counts.get(v, 0) + json_int(e["c"])
     return VertexDatum(carrier, counts)

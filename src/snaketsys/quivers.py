@@ -13,10 +13,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from . import roots
-from .errors import NotSinkOrSource, OutsideWindow
+from .errors import InternalError, NotSinkOrSource, OutsideWindow
 from .roots import Root
 
 UNTWISTED = "untwisted"
@@ -29,6 +30,13 @@ class Vertex(NamedTuple):
 
     def __str__(self) -> str:
         return f"({self.i},{self.k2 // 2})" if self.k2 % 2 == 0 else f"({self.i},{self.k2}/2)"
+
+
+def json_int(x) -> int:
+    """An integer entry of JSON input, taken as is; a float, bool or string is a TypeError."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
 
 
 class Region(enum.Enum):
@@ -279,15 +287,17 @@ def _gamma_vertices(hf: HeightFunction) -> tuple[Vertex, ...]:
         out.extend(Vertex(i, k2) for k2 in range(lo2, top2 + 1, hf.d2(i)))
     out.sort(key=lambda v: (v.k2, v.i))
     expected = roots.num_positive_roots(hf.n)
-    assert len(out) == expected, f"|Gamma| = {len(out)} != {expected}"
+    if len(out) != expected:
+        raise InternalError(f"|Gamma| = {len(out)} != {expected}")
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def phi_map(hf: HeightFunction) -> dict[Vertex, Root]:
+def phi_map(hf: HeightFunction) -> Mapping[Vertex, Root]:
+    """Window vertex -> positive root, read-only since every caller shares it."""
     order, word = hf.compatible_reading()
     betas = roots.inversion_sequence(hf.n, word)
-    return dict(zip(order, betas))
+    return MappingProxyType(dict(zip(order, betas)))
 
 
 def phi_closed_form(n: int, v: Vertex) -> Root:

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 from . import lusztig
 from .errors import InternalError, NotPrimeSnake, NotPrimeSnakePair, NotSnake, OutsideWindow
-from .quivers import TWISTED, UNTWISTED, HeightFunction, Region, Vertex, big_theta2
+from .quivers import TWISTED, UNTWISTED, HeightFunction, Region, Vertex, big_theta2, json_int
 
 
 class QRPair(NamedTuple):
@@ -340,10 +340,10 @@ def snake_to_json(xi: HeightFunction, points: Sequence[Vertex]) -> dict:
 
 def snake_from_json(obj: dict) -> Snake:
     flavor = obj["flavor"]
-    values2 = [int(x) for x in obj["xi"]]
+    values2 = [json_int(x) for x in obj["xi"]]
     if flavor == TWISTED:
-        xi = HeightFunction.twisted(values2, int(obj["n0"]))
+        xi = HeightFunction.twisted(values2, json_int(obj["n0"]))
     else:
         xi = HeightFunction(len(values2), UNTWISTED, tuple(values2))
-    points = tuple(Vertex(int(p["i"]), int(p["k2"])) for p in obj["points"])
+    points = tuple(Vertex(json_int(p["i"]), json_int(p["k2"])) for p in obj["points"])
     return Snake(xi, points)

@@ -161,6 +161,8 @@ GOOD_DELTA = {"carrier": "gamma-delta:0", "entries": [{"i": 2, "k2": 2, "c": 1}]
         (("rho", "--n", "7"), {"carrier": "vj:x", "entries": []}, 4),
         (("rho", "--n", "7"), {"carrier": "gamma-THETA", "entries": [{"i": "a", "k2": 8, "c": 1}]}, 4),
         (("rho", "--n", "7"), {"carrier": "gamma-THETA", "entries": [{"i": 5, "k2": 1e400, "c": 1}]}, 4),
+        (("rho", "--n", "7"), {"carrier": "gamma-THETA", "entries": [{"i": 5, "k2": 8.9, "c": 1.5}]}, 4),
+        (("rho", "--n", "7"), {"carrier": "gamma-THETA", "entries": [{"i": 5, "k2": 8, "c": True}]}, 4),
         (("rho", "--n", "7"), {"carrier": "gamma-THETA", "entries": [{"i": 1, "k2": 1, "c": 1}]}, 3),
         (("rho", "--n", "1"), {"carrier": "gamma-delta:0", "entries": []}, 3),
         (("rho", "--n", "0"), {"carrier": "gamma-delta:0", "entries": []}, 2),
@@ -170,6 +172,7 @@ GOOD_DELTA = {"carrier": "gamma-delta:0", "entries": [{"i": 2, "k2": 2, "c": 1}]
     ],
     ids=[
         "rho-negative-count", "rho-bad-vj-carrier", "rho-non-integer-row", "rho-infinite-k2",
+        "rho-float-entries", "rho-bool-count",
         "rho-key-off-carrier", "rho-rank-1", "rho-rank-0",
         "reineke-negative-count", "reineke-j-above-n", "reineke-j-zero",
     ],
@@ -180,6 +183,29 @@ def test_datum_input_exit_codes(capsys, tmp_path, argv, datum, want):
     path = write(tmp_path, "d.json", datum)
     code, _, err = run(capsys, *argv, path)
     assert code == want
+    assert "Traceback" not in err and err.strip()
+
+
+def _snake_with(**point):
+    return {**SNAKE_UNTW, "points": [{"i": 2, "k2": 0, **point}]}
+
+
+@pytest.mark.parametrize(
+    "snake",
+    [
+        _snake_with(k2=1e400),
+        _snake_with(k2=4.5),
+        _snake_with(i=2.0),
+        _snake_with(i="a"),
+        _snake_with(i=True, k2=2),
+        {**SNAKE_TW, "n0": 2.0},
+    ],
+    ids=["infinite-k2", "float-k2", "integral-float-row", "string-row", "bool-row", "float-n0"],
+)
+def test_snake_input_exit_codes(capsys, tmp_path, snake):
+    # entries of snake JSON must be integers: anything else is a parse error
+    code, _, err = run(capsys, "snake-check", write(tmp_path, "s.json", snake))
+    assert code == 4
     assert "Traceback" not in err and err.strip()
 
 

@@ -88,6 +88,44 @@ def test_vj_sizes():
             assert len(vj_carrier(n0, j).vertices()) == n * (n + 1) // 2
 
 
+def test_vj_carriers_match_window_reference():
+    # V<j> takes theta's window below row j and big_theta's above it; its
+    # row j is the 2n - 2j + 2 half-integer points strictly inside theta's
+    # row j.  V<n0> and V<n+1> are the two windows themselves.
+    for n0 in range(2, 13):
+        n = 2 * n0 - 1
+        theta = HeightFunction.theta(n0).gamma_vertices()
+        big = HeightFunction.big_theta(n0).gamma_vertices()
+        assert vj_carrier(n0, n0).vertices() == set(big)
+        assert vj_carrier(n0, n + 1).vertices() == set(theta)
+        for j in range(n0 + 1, n + 1):
+            row = [v.k2 for v in theta if v.i == j]
+            middle = {Vertex(j, k2) for k2 in range(min(row) + 1, max(row), 2)}
+            assert len(middle) == 2 * n - 2 * j + 2
+            want = {v for v in theta if v.i < j} | middle | {v for v in big if v.i > j}
+            assert vj_carrier(n0, j).vertices() == want
+
+
+def test_carrier_cache_holds_gamma_windows_only():
+    # rho builds its intermediate carriers once per rank and caches none
+    from snaketsys.lusztig import _carrier_vertices, _layer_plan
+
+    _carrier_vertices.cache_clear()
+    _layer_plan.cache_clear()
+    ranks = (7, 15, 31)
+    for n in ranks:
+        rho(VertexDatum(Carrier(GAMMA_BIG_THETA, n), {}))
+    info = _carrier_vertices.cache_info()
+    assert info.maxsize is not None and info.currsize == 2 * len(ranks)
+    # the cached entries are exactly the two windows of each rank
+    for n in ranks:
+        for name in (GAMMA_BIG_THETA, GAMMA_THETA):
+            _carrier_vertices(name, n)
+    assert _carrier_vertices.cache_info().misses == info.misses
+    with pytest.raises(WrongCarrier):
+        _carrier_vertices("vj:5", 7)
+
+
 def test_carrier_validation():
     with pytest.raises(WrongCarrier):
         Carrier("vj:1", 3)  # below n0
@@ -235,10 +273,11 @@ def test_layer_plan_is_checked_once():
         _Layer(((reads, (writes[0], writes[0], writes[2])),) + rest, layer.moves),
         _Layer(((reads, reads),) + rest, layer.moves),
     ]
-    _check_layer(n0, j, layer)
+    src, dst = vj_carrier(n0, j).vertices(), vj_carrier(n0, j + 1).vertices()
+    _check_layer(n0, j, layer, src, dst)
     for bad in broken:
         with pytest.raises(InternalError):
-            _check_layer(n0, j, bad)
+            _check_layer(n0, j, bad, src, dst)
 
 
 def test_rho_wrong_carrier():

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from snaketsys.errors import NotSinkOrSource, OutsideWindow
+from snaketsys import quivers
+from snaketsys.errors import InternalError, NotSinkOrSource, OutsideWindow
 from snaketsys.quivers import (
     TWISTED,
     UNTWISTED,
@@ -11,6 +12,7 @@ from snaketsys.quivers import (
     Region,
     Vertex,
     phi_closed_form,
+    phi_map,
     quiver_ascii,
     quiver_dot,
 )
@@ -238,6 +240,24 @@ def test_phi_reading_independent():
         phi_a = dict(zip(order_a, roots.inversion_sequence(n, word_a)))
         phi_b = dict(zip(order_b, roots.inversion_sequence(n, word_b)))
         assert phi_a == phi_b
+
+
+def test_phi_map_is_read_only():
+    m = phi_map(XI_DISPLAY)
+    v = next(iter(m))
+    root = m[v]
+    with pytest.raises(TypeError):
+        m[v] = None
+    with pytest.raises(TypeError):
+        del m[v]
+    assert phi_map(XI_DISPLAY) is m and m[v] == root and len(m) == 15
+
+
+def test_gamma_window_size_check_raises(monkeypatch):
+    # an explicit raise, not an assert, so that python -O keeps the check
+    monkeypatch.setattr(quivers.roots, "num_positive_roots", lambda n: -1)
+    with pytest.raises(InternalError):
+        quivers._gamma_vertices.__wrapped__(XI_DISPLAY)
 
 
 def test_phi_outside_window():
