@@ -154,7 +154,13 @@ def _realization_for(args, xi) -> realize.Realization | None:
         return None
     if args.realization == "qdatum":
         return realize.Realization.qdatum_a(xi.n) if xi.flavor == UNTWISTED else realize.Realization.qdatum_b(xi.n0)
-    return realize.realization_from_json(_read_json(args.realization), xi)
+    obj = _read_json(args.realization)
+    try:
+        return realize.realization_from_json(obj, xi)
+    except DomainError:  # a table missing a window vertex stays a domain error
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad realization JSON: {exc}") from exc
 
 
 def cmd_tsystem(args) -> int:

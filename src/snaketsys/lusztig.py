@@ -303,7 +303,8 @@ def rho(d: VertexDatum) -> VertexDatum:
     theta window; satisfies B^Theta(c) = B^theta(rho(c)).
     """
     n = d.carrier.n
-    if d.carrier.vertices() != Carrier(GAMMA_BIG_THETA, n).vertices():
+    have, want = d.carrier.vertices(), Carrier(GAMMA_BIG_THETA, n).vertices()
+    if have is not want and have != want:  # the cached window is not compared with itself
         raise WrongCarrier("rho expects a datum on the big_theta window")
     counts = {v: c for v, c in d.counts.items() if c}
     for layer in _layer_plan(n):

@@ -278,7 +278,7 @@ def big_theta2(n0: int, i: int) -> int:
     return 2 * (i - 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _gamma_vertices(hf: HeightFunction) -> tuple[Vertex, ...]:
     out = []
     for i in range(1, hf.n + 1):
@@ -292,7 +292,7 @@ def _gamma_vertices(hf: HeightFunction) -> tuple[Vertex, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def phi_map(hf: HeightFunction) -> Mapping[Vertex, Root]:
     """Window vertex -> positive root, read-only since every caller shares it."""
     order, word = hf.compatible_reading()

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import roots
-from .errors import MissingTableEntry
-from .quivers import TWISTED, UNTWISTED, HeightFunction, Vertex
+from .errors import InternalError, MissingTableEntry
+from .quivers import TWISTED, UNTWISTED, HeightFunction, Vertex, json_int
 
 QDATUM_A = "qdatum_A"
 QDATUM_B = "qdatum_B"
@@ -98,8 +98,8 @@ class Monomial:
     def from_json(entries) -> "Monomial":
         out = {}
         for f in entries:
-            key = (int(f["node"]), int(f["spectral"]))
-            out[key] = out.get(key, 0) + int(f["exp"])
+            key = (json_int(f["node"]), json_int(f["spectral"]))
+            out[key] = out.get(key, 0) + json_int(f["exp"])
         return Monomial(out)
 
     __repr__ = __str__
@@ -183,7 +183,7 @@ class RelationMonomials:
 
 def relation_monomials(rel, real: Realization) -> RelationMonomials:
     """Monomials of all six terms; the slice identity m(B)m(C) = m(A)m(D)
-    is asserted exactly."""
+    is checked exactly (InternalError if it fails)."""
     xi = rel.xi
     b, eb = snake_monomial(real, xi, rel.term_b)
     c, ec = snake_monomial(real, xi, rel.term_c)
@@ -192,7 +192,8 @@ def relation_monomials(rel, real: Realization) -> RelationMonomials:
     q, eq = snake_monomial(real, xi, rel.first_q)
     r, er = snake_monomial(real, xi, rel.first_r)
     out = RelationMonomials(b, c, a, d, q, r, all([eb, ec, ea, ed, eq, er]))
-    assert out.identity_holds(), "slice multiset identity violated"
+    if not out.identity_holds():
+        raise InternalError("slice multiset identity violated")
     return out
 
 
@@ -227,7 +228,8 @@ def relation_monomials_json(mon: RelationMonomials) -> dict:
 
 
 def table_to_json(real: Realization) -> dict:
-    assert real.mode == CUSTOM and real.table is not None
+    if real.mode != CUSTOM or real.table is None:
+        raise ValueError(f"only a custom realization has a table, got mode {real.mode}")
     entries = [
         {"i": v.i, "k2": v.k2, "monomial": m.to_json()}
         for v, m in sorted(real.table.items(), key=lambda t: (t[0].k2, t[0].i))
@@ -236,12 +238,16 @@ def table_to_json(real: Realization) -> dict:
 
 
 def realization_from_json(obj: Mapping, xi: HeightFunction) -> Realization:
-    """Load a custom table and check it covers the whole window of xi."""
-    h_dual = int(obj["h_dual"])
-    g0_rank = int(obj.get("g0_rank", h_dual - 1))
+    """Load a custom table and check it covers the whole window of xi.
+
+    Every number is a JSON integer (``quivers.json_int``); anything else is a
+    TypeError, a missing key a KeyError.
+    """
+    h_dual = json_int(obj["h_dual"])
+    g0_rank = json_int(obj.get("g0_rank", h_dual - 1))
     table = {}
     for e in obj["entries"]:
-        table[Vertex(int(e["i"]), int(e["k2"]))] = Monomial.from_json(e["monomial"])
+        table[Vertex(json_int(e["i"]), json_int(e["k2"]))] = Monomial.from_json(e["monomial"])
     missing = [v for v in xi.gamma_vertices() if v not in table]
     if missing:
         raise MissingTableEntry(f"table misses window vertices, e.g. {missing[:3]}")

@@ -45,7 +45,7 @@ class OmegaPoset:
         return self.vertices.index(v)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def omega(n: int, j: int) -> OmegaPoset:
     """Omega_j as the interval (j,1) <= v <= (j*, n) of the canonical window.
 

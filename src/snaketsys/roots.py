@@ -82,21 +82,25 @@ def reflect(n: int, i: int, r: Root) -> Root:
 def inversion_sequence(n: int, word: Sequence[int]) -> list[Root]:
     """Roots b_k = s_{i_1}...s_{i_{k-1}}(a_{i_k}) of a reduced word.
 
+    A permutation walk, O(1) per letter: w = s_{i_1}...s_{i_{k-1}} is kept
+    in one-line notation on e_1..e_{n+1}, so b_k = e_{w(i)} - e_{w(i+1)}
+    for the letter i, and appending s_i swaps w(i) and w(i+1).
+
     Raises NotReduced if some b_k comes out negative or repeats.
     """
     betas: list[Root] = []
-    seen: set[tuple[int, int]] = set()
+    seen: set[Root] = set()
+    w = list(range(n + 2))  # one-line notation, w[0] unused
     for k, letter in enumerate(word):
         check_node(n, letter)
-        beta = simple_root(letter)
-        for l in range(k - 1, -1, -1):
-            beta = reflect(n, word[l], beta)
-        if beta.sign < 0:
+        a, b = w[letter], w[letter + 1]
+        if a > b:
             raise NotReduced(f"word {tuple(word)} is not reduced at position {k + 1}")
-        key = (beta.lo, beta.hi)
-        if key in seen:
+        w[letter], w[letter + 1] = b, a
+        beta = Root(a, b - 1, +1)
+        if beta in seen:
             raise NotReduced(f"word {tuple(word)} repeats inversion {beta}")
-        seen.add(key)
+        seen.add(beta)
         betas.append(beta)
     return betas
 

@@ -5,10 +5,14 @@ Library checks raise explicitly (``errors.InternalError`` for a bug, a
 list may only shrink, and a module leaves it with its last assert.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "snaketsys"
-ALLOWED = {"realize.py", "snakes.py", "verify.py"}
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "snaketsys"
+ALLOWED = {"snakes.py", "verify.py"}
 
 
 def _assert_lines(path: Path) -> list[int]:
@@ -20,3 +24,21 @@ def test_no_asserts_outside_allowlist():
     assert found, f"no modules under {SRC}"
     assert {name: lines for name, lines in found.items() if lines and name not in ALLOWED} == {}
     assert sorted(name for name in ALLOWED if not found.get(name)) == []
+
+
+def _verify_stdout(*python_flags: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, *python_flags, "-m", "snaketsys.cli", "verify", "--suite", "all", "--trials", "10", "--seed", "1"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_verify_same_under_python_O():
+    # no behaviour may depend on the asserts that python -O strips
+    plain = _verify_stdout()
+    assert plain.strip()
+    assert _verify_stdout("-O") == plain

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from snaketsys.cli import main
+from snaketsys.quivers import HeightFunction
 
 
 def run(capsys, *argv):
@@ -207,6 +208,41 @@ def test_snake_input_exit_codes(capsys, tmp_path, snake):
     code, _, err = run(capsys, "snake-check", write(tmp_path, "s.json", snake))
     assert code == 4
     assert "Traceback" not in err and err.strip()
+
+
+def _table(**change):
+    """A custom table over the window of SNAKE_UNTW's height function, with
+    the first entry's fields overridden by ``change``."""
+    verts = HeightFunction.untwisted([1, 2, 3]).gamma_vertices()
+    entries = [{"i": v.i, "k2": v.k2, "monomial": [{"node": v.i, "spectral": -v.k2, "exp": 1}]} for v in verts]
+    top = {k: change.pop(k) for k in ("h_dual", "g0_rank") if k in change}
+    entries[0] = {**entries[0], **change}
+    return {"h_dual": 4, **top, "entries": entries}
+
+
+@pytest.mark.parametrize(
+    "table, want",
+    [
+        (_table(), 0),
+        (_table(h_dual="a"), 4),
+        (_table(h_dual=1e400), 4),
+        (_table(h_dual=4.7), 4),
+        (_table(i=2.0), 4),
+        (_table(g0_rank=None), 4),
+        ({"entries": []}, 4),
+        ({"h_dual": 4, "entries": []}, 3),
+    ],
+    ids=["valid", "string-h_dual", "infinite-h_dual", "float-h_dual", "float-row", "null-g0_rank",
+         "no-h_dual", "missing-window-vertex"],
+)
+def test_realization_input_exit_codes(capsys, tmp_path, table, want):
+    # numbers in a custom table must be integers (else a parse error, 4); a
+    # table that misses a window vertex is a domain error (3)
+    snake, real = write(tmp_path, "s.json", SNAKE_UNTW), write(tmp_path, "t.json", table)
+    code, out, err = run(capsys, "tsystem", snake, "--realization", real)
+    assert code == want
+    assert "Traceback" not in err
+    assert ("(formal products; custom table)" in out) if want == 0 else err.strip()
 
 
 def test_verify_exit_zero(capsys):

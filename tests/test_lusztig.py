@@ -287,6 +287,21 @@ def test_rho_wrong_carrier():
         rho_step(4, VertexDatum(Carrier(GAMMA_BIG_THETA, 5), {}))
 
 
+def test_rho_entry_check_accepts_the_same_carriers():
+    # the check skips comparing the cached window with itself; the accepted
+    # carriers are still exactly those with the big_theta window's vertices
+    from snaketsys.lusztig import _carrier_vertices
+
+    pts = (Vertex(5, 8), Vertex(4, 17))
+    want = rho(unit_datum(Carrier(GAMMA_BIG_THETA, 7), pts)).nonzero()
+    alias = unit_datum(Carrier("vj:4", 7), pts)  # V<n0> is the big_theta window
+    assert rho(alias).nonzero() == want
+    _carrier_vertices.cache_clear()  # an equal window that is not the cached object
+    assert rho(alias).nonzero() == want
+    with pytest.raises(WrongCarrier):
+        rho(VertexDatum(Carrier(GAMMA_THETA, 7), {}))
+
+
 def test_datum_json_roundtrip():
     pts = (Vertex(5, 8), Vertex(5, 12), Vertex(5, 8))
     d = unit_datum(Carrier(GAMMA_BIG_THETA, 7), pts)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from snaketsys import quivers
+from snaketsys import quivers, reineke
 from snaketsys.errors import InternalError, NotSinkOrSource, OutsideWindow
 from snaketsys.quivers import (
     TWISTED,
@@ -220,7 +220,7 @@ def test_phi_canonical_figures():
 
 
 def test_phi_closed_form_matches():
-    for n in range(2, 9):
+    for n in (*range(2, 9), 40, 63):
         for delta in (0, 1):
             hf = HeightFunction.canonical(n, delta)
             for v in hf.gamma_vertices():
@@ -258,6 +258,31 @@ def test_gamma_window_size_check_raises(monkeypatch):
     monkeypatch.setattr(quivers.roots, "num_positive_roots", lambda n: -1)
     with pytest.raises(InternalError):
         quivers._gamma_vertices.__wrapped__(XI_DISPLAY)
+
+
+def _shifted_height_functions(count):
+    return [(HeightFunction.untwisted([b, b + 1, b + 2]),) for b in range(count)]
+
+
+def _omega_keys(count):
+    return list(itertools.islice(((n, j) for n in itertools.count(1) for j in range(1, n + 1)), count))
+
+
+@pytest.mark.parametrize(
+    "cached, keys",
+    [
+        (quivers.phi_map, _shifted_height_functions),
+        (quivers._gamma_vertices, _shifted_height_functions),
+        (reineke.omega, _omega_keys),
+    ],
+    ids=["phi_map", "gamma_vertices", "omega"],
+)
+def test_caches_are_bounded(cached, keys):
+    maxsize = cached.cache_info().maxsize
+    assert maxsize is not None
+    for args in keys(maxsize + 20):  # distinct keys, so the cache overfills
+        cached(*args)
+    assert cached.cache_info().currsize == maxsize
 
 
 def test_phi_outside_window():

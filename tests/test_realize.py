@@ -1,10 +1,11 @@
 import pytest
 
-from snaketsys.errors import MissingTableEntry
+from snaketsys.errors import InternalError, MissingTableEntry
 from snaketsys.quivers import HeightFunction, Vertex
 from snaketsys.realize import (
     Monomial,
     Realization,
+    RelationMonomials,
     cuspidal_monomial,
     realization_from_json,
     relation_monomials,
@@ -140,6 +141,16 @@ def test_table_json_roundtrip():
     assert back.table == real.table
     with pytest.raises(MissingTableEntry):
         realization_from_json({"h_dual": 4, "entries": []}, XI3)
+
+
+def test_realize_checks_raise_explicitly(monkeypatch):
+    # explicit raises, not asserts, so that python -O keeps both checks
+    with pytest.raises(ValueError):
+        table_to_json(Realization.qdatum_a(3))
+    rel = extended_tsystem(XI3, (V(2, 0), V(2, 2), V(1, 5)))
+    monkeypatch.setattr(RelationMonomials, "identity_holds", lambda self: False)
+    with pytest.raises(InternalError):
+        relation_monomials(rel, Realization.qdatum_a(3))
 
 
 def test_custom_slide_far_vertex():

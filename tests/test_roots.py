@@ -1,11 +1,45 @@
+import itertools
 import random
 
 import pytest
 
 from snaketsys import roots
 from snaketsys.errors import NotReduced
-from snaketsys.quivers import HeightFunction
+from snaketsys.quivers import TWISTED, HeightFunction
 from snaketsys.roots import Root
+from snaketsys.verify import random_height_function
+
+
+def reference_inversion_sequence(n, word):
+    """b_k by reflecting a_{i_k} back through the prefix: O(N^2 n) for a
+    word of length N, independent of the library's permutation walk."""
+    betas = []
+    seen = set()
+    for k, letter in enumerate(word):
+        roots.check_node(n, letter)
+        beta = roots.simple_root(letter)
+        for l in range(k - 1, -1, -1):
+            beta = roots.reflect(n, word[l], beta)
+        if beta.sign < 0:
+            raise NotReduced(f"word {tuple(word)} is not reduced at position {k + 1}")
+        key = (beta.lo, beta.hi)
+        if key in seen:
+            raise NotReduced(f"word {tuple(word)} repeats inversion {beta}")
+        seen.add(key)
+        betas.append(beta)
+    return betas
+
+
+def _outcome(fn, n, word):
+    try:
+        return fn(n, word)
+    except Exception as exc:  # the type and the message must both agree
+        return type(exc), str(exc)
+
+
+def _assert_walk_matches(n, word):
+    want = _outcome(reference_inversion_sequence, n, word)
+    assert _outcome(roots.inversion_sequence, n, word) == want, (n, word)
 
 
 def test_star_examples():
@@ -49,8 +83,6 @@ def test_not_reduced():
 
 def test_longest_words_hit_every_positive_root():
     rng = random.Random(0)
-    from snaketsys.verify import random_height_function
-
     for n in range(2, 7):
         for _ in range(5):
             xi = random_height_function(n, rng)
@@ -83,3 +115,34 @@ def test_inversion_multiset_invariant_under_moves():
             kind, r = rng.choice([("2", r) for r in twos] + [("3", r) for r in threes])
             d = two_move(d, r) if kind == "2" else apply_three_move(d, r)
             assert sorted(roots.inversion_sequence(n, d.word)) == want
+
+
+def test_walk_matches_reference_on_all_short_words():
+    for n in range(0, 4):
+        for length in range(0, 8):
+            for word in itertools.product(range(n + 2), repeat=length):
+                _assert_walk_matches(n, word)
+
+
+def test_walk_matches_reference_on_readings():
+    rng = random.Random(5)
+    cases = [random_height_function(n, rng) for n in range(1, 13) for _ in range(3)]
+    cases += [random_height_function(2 * n0 - 1, rng, TWISTED, n0) for n0 in range(2, 7) for _ in range(3)]
+    for xi in cases:
+        for reverse_rows in (False, True):
+            _, word = xi.compatible_reading(reverse_rows=reverse_rows)
+            assert roots.inversion_sequence(xi.n, word) == reference_inversion_sequence(xi.n, word)
+
+
+def test_walk_matches_reference_on_random_words():
+    rng = random.Random(6)
+    for _ in range(2000):  # mostly non-reduced, failing early
+        n = rng.randint(1, 7)
+        word = [rng.randint(1, n) for _ in range(rng.randint(1, roots.num_positive_roots(n) + 3))]
+        _assert_walk_matches(n, word)
+    for _ in range(300):  # a longest word with one letter doubled or appended fails late
+        n = rng.randint(1, 9)
+        _, word = random_height_function(n, rng).compatible_reading()
+        k = rng.randrange(len(word))
+        _assert_walk_matches(n, word[: k + 1] + word[k:])
+        _assert_walk_matches(n, word + (rng.randint(1, n),))
