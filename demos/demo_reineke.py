@@ -1,4 +1,4 @@
-"""The epsilon algorithm: diamonds, order ideals and the min-cut twin.
+"""The epsilon algorithm: diamonds, order ideals and the staircase programme.
 
 Run:  python demos/demo_reineke.py
 """
@@ -16,10 +16,13 @@ carrier = Carrier("gamma-delta:0", 5)
 d = VertexDatum(carrier, {Vertex(2, 2): 1, Vertex(2, 6): 1})
 print("epsilon_2 of a two-point datum:", reineke.epsilon(2, d))
 
-# Both solvers always agree; the enumeration is the oracle, the min-cut
-# reduction scales.
+# In the coordinates (k+i, k-i) Omega_j is a full rectangle, so a lower set
+# is a staircase of column heights and epsilon is a linear-time programme
+# over the columns.  Enumerating every order ideal is the oracle.
+for col in om.columns:
+    print("  column, by row:", [(om.vertices[a].i, om.vertices[a].k2 // 2) for a in col])
 print("brute force:", reineke.epsilon_bruteforce(om, d))
-print("min-cut:    ", reineke.epsilon_mincut(om, d))
+print("staircase:  ", reineke.epsilon(2, d))
 
 # On the opposite-parity window the value is just the count at (j, 0).
 d1 = VertexDatum(carrier, {Vertex(1, 0): 3})

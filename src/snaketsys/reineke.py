@@ -2,22 +2,22 @@
 
 On the two canonical 0/1 height functions the value epsilon_j of a datum c
 is the maximum of sum(c_{i,k} - c_{i,k-2}) over lower closed subsets of the
-diamond Omega_j.  That is literally a maximum-weight-closure problem, so it
-is implemented twice: exhaustive enumeration of order ideals (the reference
-oracle for small diamonds) and a min-cut reduction solved by Dinic's
-algorithm.  The production entry point cross-dispatches on size.
+diamond Omega_j.  In the coordinates (k+i, k-i) Omega_j is a full rectangle
+whose arrows are the unit steps, so a lower set is a staircase of column
+heights that never rise to the right, and epsilon is a dynamic programme
+over the columns, linear in |Omega_j|.  Exhaustive enumeration of order
+ideals stays as the reference oracle of the ``verify`` sweep.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from . import roots
-from .errors import ParityMismatch, WrongCarrier
+from .errors import InternalError, ParityMismatch, WrongCarrier
 from .lusztig import Carrier, VertexDatum
 from .quivers import HeightFunction, Vertex
-
-BRUTE_FORCE_LIMIT = 20  # exhaustive ideal enumeration up to this |Omega|
 
 
 def bar(i: int) -> int:
@@ -40,9 +40,7 @@ class OmegaPoset:
     delta: int
     vertices: tuple[Vertex, ...]
     covers: tuple[tuple[int, int], ...]  # (a, b): vertices[a] -> vertices[b] arrow
-
-    def index(self, v: Vertex) -> int:
-        return self.vertices.index(v)
+    columns: tuple[tuple[int, ...], ...]  # vertex indices per column k+i, by row k-i
 
 
 @lru_cache(maxsize=256)
@@ -50,7 +48,7 @@ def omega(n: int, j: int) -> OmegaPoset:
     """Omega_j as the interval (j,1) <= v <= (j*, n) of the canonical window.
 
     The test suite checks it against the root-set description
-    {v : phi(v) contains j}.
+    {v : phi(v) contains j}; its grid layout is checked here, once per (n, j).
     """
     roots.check_node(n, j)
     delta = bar(j)
@@ -64,7 +62,25 @@ def omega(n: int, j: int) -> OmegaPoset:
         for w in hf.arrow_targets(v):
             if w in pos:
                 covers.append((a, pos[w]))
-    return OmegaPoset(n, j, delta, verts, tuple(covers))
+    return OmegaPoset(n, j, delta, verts, tuple(covers), _grid_columns(verts, covers))
+
+
+def _grid_columns(verts: Sequence[Vertex], covers: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """The indices of ``verts`` per column k+i, each ordered by row k-i.
+
+    The epsilon programme is exact only on a full rectangle whose arrows are
+    exactly its unit steps; anything else is a bug in Omega.
+    """
+    col_of = {c: x for x, c in enumerate(sorted({v.k2 + 2 * v.i for v in verts}))}
+    row_of = {r: y for y, r in enumerate(sorted({v.k2 - 2 * v.i for v in verts}))}
+    grid = [[-1] * len(row_of) for _ in col_of]
+    for a, v in enumerate(verts):
+        grid[col_of[v.k2 + 2 * v.i]][row_of[v.k2 - 2 * v.i]] = a
+    steps = {(col[y], col[y + 1]) for col in grid for y in range(len(col) - 1)}
+    steps |= {(left[y], right[y]) for left, right in zip(grid, grid[1:]) for y in range(len(left))}
+    if set(covers) != steps:  # a missing cell leaves a -1 that no arrow meets
+        raise InternalError(f"{len(verts)} vertices and {len(covers)} arrows do not form a grid")
+    return tuple(map(tuple, grid))
 
 
 def _weights(om: OmegaPoset, d: VertexDatum) -> list[int]:
@@ -124,90 +140,26 @@ def epsilon_bruteforce(om: OmegaPoset, d: VertexDatum) -> int:
     return best
 
 
-class _Dinic:
-    def __init__(self, size: int):
-        self.size = size
-        self.adj: list[list[int]] = [[] for _ in range(size)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_edge(self, u: int, v: int, c: int) -> None:
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = [-1] * self.size
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for e in self.adj[u]:
-                    v = self.to[e]
-                    if self.cap[e] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                return flow
-            it = [0] * self.size
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.adj[u]):
-                    e = self.adj[u][it[u]]
-                    v = self.to[e]
-                    if self.cap[e] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[e]))
-                        if got:
-                            self.cap[e] -= got
-                            self.cap[e ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, 1 << 60)
-                if not pushed:
-                    break
-                flow += pushed
-
-
-def epsilon_mincut(om: OmegaPoset, d: VertexDatum) -> int:
-    """Max-weight downward-closed subset via the closure/min-cut reduction.
-
-    Source feeds positive weights, negative weights feed the sink, and each
-    vertex points at its covers' sources (take v => take every u below v)
-    with infinite capacity.  Answer = sum of positives - min cut.
-    """
-    wts = _weights(om, d)
-    m = len(wts)
-    src, snk = m, m + 1
-    g = _Dinic(m + 2)
-    inf = sum(w for w in wts if w > 0) + 1
-    for x, w in enumerate(wts):
-        if w > 0:
-            g.add_edge(src, x, w)
-        elif w < 0:
-            g.add_edge(x, snk, -w)
-    for a, b in om.covers:
-        g.add_edge(b, a, inf)  # membership of b forces membership of a
-    return (inf - 1) - g.max_flow(src, snk)
-
-
 def epsilon(j: int, d: VertexDatum) -> int:
-    """Reineke's epsilon_j; the datum must live on the matching-parity window."""
+    """Reineke's epsilon_j, a staircase programme over the columns of Omega_j.
+
+    The datum must live on the matching-parity window.
+    """
     delta = delta_of_carrier(d.carrier)
     if bar(j) != delta:
         raise ParityMismatch(f"epsilon_{j} needs the parity-{bar(j)} window, got {delta}")
     om = omega(d.carrier.n, j)
-    if len(om.vertices) <= BRUTE_FORCE_LIMIT:
-        return epsilon_bruteforce(om, d)
-    return epsilon_mincut(om, d)
+    wts = _weights(om, d)
+    # best[h]: optimum of the columns right of the current one, given that the
+    # current column has height h (a lower set never rises to the right)
+    best = [0] * (len(om.columns[0]) + 1)
+    for col in reversed(om.columns):
+        total = run = 0
+        for h, a in enumerate(col, 1):
+            total += wts[a]
+            run = max(run, total + best[h])
+            best[h] = run
+    return best[-1]
 
 
 def epsilon_other_parity(j: int, d: VertexDatum) -> int:

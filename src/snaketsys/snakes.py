@@ -89,7 +89,8 @@ def split_prime(xi: HeightFunction, points: Sequence[Vertex]) -> list[tuple[Vert
 
 
 def _exact_div(num: int, den: int) -> int:
-    assert num % den == 0, f"{num} not divisible by {den}"
+    if num % den:
+        raise InternalError(f"{num} not divisible by {den}")
     return num // den
 
 
@@ -105,27 +106,31 @@ def qr_untwisted(xi: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
     if diff2 == 2 * (i + ip):
         q: tuple[Vertex, ...] = ()
     else:
-        assert diff2 < 2 * (i + ip)
+        if diff2 > 2 * (i + ip):
+            raise InternalError(f"Q of a prime pair lies past row 1: {v}, {w}")
         qv = Vertex(_exact_div(2 * (i + ip) - diff2, 4), _exact_div(2 * (i - ip) + k2 + kp2, 2))
         q = (qv,)
     if diff2 == 2 * (2 * n + 2 - i - ip):
         r: tuple[Vertex, ...] = ()
     else:
-        assert diff2 < 2 * (2 * n + 2 - i - ip)
+        if diff2 > 2 * (2 * n + 2 - i - ip):
+            raise InternalError(f"R of a prime pair lies past row {n}: {v}, {w}")
         rv = Vertex(_exact_div(2 * (i + ip) + diff2, 4), _exact_div(2 * (ip - i) + k2 + kp2, 2))
         r = (rv,)
     for u in q + r:
-        assert xi.is_vertex(u), f"{u} fell off the quiver"
+        if not xi.is_vertex(u):
+            raise InternalError(f"{u} fell off the quiver")
     return QRPair(q, r)
 
 
 def twisted_parity_shift2(xi: HeightFunction) -> int:
     """Even doubled shift aligning xi's quiver with big_theta's parity class."""
     s2 = (xi.values2[0] - big_theta2(xi.n0, 1)) % 4
-    assert s2 in (0, 2)
+    if s2 not in (0, 2):
+        raise InternalError(f"odd doubled shift {s2} to big_theta")
     for i in range(1, xi.n + 1):
-        if i != xi.n0:
-            assert (xi.xi2(i) - s2 - big_theta2(xi.n0, i)) % 4 == 0, "twisted quiver parity mismatch"
+        if i != xi.n0 and (xi.xi2(i) - s2 - big_theta2(xi.n0, i)) % 4:
+            raise InternalError("twisted quiver parity mismatch")
     return s2
 
 
@@ -140,7 +145,8 @@ def _qr_twisted_normalized(hf: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
         if diff2 == t_i + t_ip:
             q: tuple[Vertex, ...] = ()
         else:
-            assert diff2 < t_i + t_ip
+            if diff2 > t_i + t_ip:
+                raise InternalError(f"Q of a prime pair lies past row 1: {v}, {w}")
             q = (Vertex(_exact_div(t_i + t_ip - diff2, 4), _exact_div(t_i - t_ip + k2 + kp2, 2)),)
         if i < n0 and ip < n0:
             if diff2 < 2 * (2 * n0 - i - ip):
@@ -166,7 +172,8 @@ def _qr_twisted_normalized(hf: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
             tuple(hf.dualize(u, -1) for u in sub.q),
         )
     for u in pair.q + pair.r:
-        assert hf.is_vertex(u), f"{u} fell off the quiver"
+        if not hf.is_vertex(u):
+            raise InternalError(f"{u} fell off the quiver")
     return pair
 
 
@@ -263,8 +270,10 @@ def translate_twisted(n0: int, points: Sequence[Vertex], validate: bool = False)
         s = e + 1
     result = tuple(out)
     for v in result:
-        assert theta.in_gamma(v), f"translated point {v} left the theta window"
-    assert is_snake(theta, result), "translation did not produce a snake"
+        if not theta.in_gamma(v):
+            raise InternalError(f"translated point {v} left the theta window")
+    if not is_snake(theta, result):
+        raise InternalError("translation did not produce a snake")
     if validate:
         src = lusztig.unit_datum(lusztig.Carrier(lusztig.GAMMA_BIG_THETA, n), points)
         want = lusztig.unit_datum(lusztig.Carrier(lusztig.GAMMA_THETA, n), result)

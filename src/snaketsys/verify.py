@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import reineke, roots, snakes, tsystem
-from .errors import OutsideWindow
+from .errors import DomainError, InternalError, OutsideWindow
 from .lusztig import (
     GAMMA_BIG_THETA,
     GAMMA_THETA,
@@ -62,7 +62,8 @@ def random_height_function(n: int, rng: random.Random, flavor: str = UNTWISTED, 
         for _ in range(n - 1):
             vals.append(vals[-1] + rng.choice((-1, 1)))
         return HeightFunction.untwisted(vals)
-    assert n0 is not None and n == 2 * n0 - 1
+    if n0 is None or n != 2 * n0 - 1:
+        raise DomainError(f"a twisted height function of rank {n} needs n0 with n = 2*n0 - 1, got {n0}")
     left = [rng.randint(-3, 3)]
     for _ in range(n0 - 2):
         left.append(left[-1] + rng.choice((-1, 1)))
@@ -150,7 +151,7 @@ def _random_datum(n: int, delta: int, rng: random.Random) -> VertexDatum:
 
 
 def sweep_reineke_dual(ns=(2, 3, 4, 5, 6), trials_per_n: int = 200, seed: int = 0) -> SweepResult:
-    """Brute-force ideal enumeration against the min-cut solver, every j."""
+    """Brute-force ideal enumeration against the staircase programme ``reineke.epsilon``, every j."""
     res = SweepResult("reineke-dual")
     rng = random.Random(seed)
     for n in ns:
@@ -162,8 +163,8 @@ def sweep_reineke_dual(ns=(2, 3, 4, 5, 6), trials_per_n: int = 200, seed: int = 
                     continue
                 om = reineke.omega(n, j)
                 bf = reineke.epsilon_bruteforce(om, d)
-                mc = reineke.epsilon_mincut(om, d)
-                res.record(bf == mc, f"solvers disagree: n={n} j={j} {bf} != {mc} on {d.nonzero()}")
+                dp = reineke.epsilon(j, d)
+                res.record(bf == dp, f"solvers disagree: n={n} j={j} {bf} != {dp} on {d.nonzero()}")
     return res
 
 
@@ -186,7 +187,8 @@ def sweep_epsilon_star(ns=(2, 3, 4, 5, 6), trials_per_n: int = 200, seed: int = 
             for r, c in enumerate(starred.counts):
                 src = order[len(order) - 1 - r]
                 u = Vertex(roots.star(n, src.i), 2 * n - src.k2)
-                assert starred.word[r] == u.i
+                if starred.word[r] != u.i:
+                    raise InternalError(f"starred letter {starred.word[r]} at {r} is not the row of {u}")
                 if c:
                     counts[u] = c
             via_word = VertexDatum(dual_carrier, counts)

@@ -1,8 +1,8 @@
 """A ratchet on library asserts, which ``python -O`` strips.
 
 Library checks raise explicitly (``errors.InternalError`` for a bug, a
-``DomainError`` for bad input).  The modules below still hold asserts; the
-list may only shrink, and a module leaves it with its last assert.
+``DomainError`` for bad input).  No module may hold an assert, so the
+allowlist below stays empty.
 """
 import ast
 import os
@@ -12,7 +12,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "snaketsys"
-ALLOWED = {"snakes.py", "verify.py"}
+ALLOWED: set[str] = set()
 
 
 def _assert_lines(path: Path) -> list[int]:

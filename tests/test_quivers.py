@@ -4,7 +4,7 @@ import random
 import pytest
 
 from snaketsys import quivers, reineke
-from snaketsys.errors import InternalError, NotSinkOrSource, OutsideWindow
+from snaketsys.errors import DomainError, InternalError, NotSinkOrSource, OutsideWindow
 from snaketsys.quivers import (
     TWISTED,
     UNTWISTED,
@@ -225,6 +225,14 @@ def test_phi_closed_form_matches():
             hf = HeightFunction.canonical(n, delta)
             for v in hf.gamma_vertices():
                 assert hf.phi(v) == phi_closed_form(n, v)
+
+
+def test_random_twisted_height_function_needs_matching_n0():
+    from snaketsys.verify import random_height_function
+
+    for n, n0 in ((5, None), (5, 2), (4, 2)):
+        with pytest.raises(DomainError):
+            random_height_function(n, random.Random(0), TWISTED, n0)
 
 
 def test_phi_reading_independent():

@@ -3,13 +3,93 @@ import random
 import pytest
 
 from snaketsys import reineke
-from snaketsys.errors import ParityMismatch
+from snaketsys.errors import InternalError, ParityMismatch
 from snaketsys.lusztig import Carrier, VertexDatum
 from snaketsys.quivers import HeightFunction, Vertex
 
 
 def _datum(n, delta, entries):
     return VertexDatum(Carrier(f"gamma-delta:{delta}", n), {Vertex(i, 2 * k): c for (i, k), c in entries.items()})
+
+
+def _random_datum(n, delta, rng, density=0.6):
+    carrier = Carrier(f"gamma-delta:{delta}", n)
+    return VertexDatum(carrier, {v: rng.randint(0, 4) for v in carrier.vertices() if rng.random() < density})
+
+
+class _Dinic:
+    def __init__(self, size: int):
+        self.size = size
+        self.adj: list[list[int]] = [[] for _ in range(size)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
+
+    def add_edge(self, u: int, v: int, c: int) -> None:
+        self.adj[u].append(len(self.to))
+        self.to.append(v)
+        self.cap.append(c)
+        self.adj[v].append(len(self.to))
+        self.to.append(u)
+        self.cap.append(0)
+
+    def max_flow(self, s: int, t: int) -> int:
+        flow = 0
+        while True:
+            level = [-1] * self.size
+            level[s] = 0
+            queue = [s]
+            for u in queue:
+                for e in self.adj[u]:
+                    v = self.to[e]
+                    if self.cap[e] > 0 and level[v] < 0:
+                        level[v] = level[u] + 1
+                        queue.append(v)
+            if level[t] < 0:
+                return flow
+            it = [0] * self.size
+
+            def dfs(u: int, pushed: int) -> int:
+                if u == t:
+                    return pushed
+                while it[u] < len(self.adj[u]):
+                    e = self.adj[u][it[u]]
+                    v = self.to[e]
+                    if self.cap[e] > 0 and level[v] == level[u] + 1:
+                        got = dfs(v, min(pushed, self.cap[e]))
+                        if got:
+                            self.cap[e] -= got
+                            self.cap[e ^ 1] += got
+                            return got
+                    it[u] += 1
+                return 0
+
+            while True:
+                pushed = dfs(s, 1 << 60)
+                if not pushed:
+                    break
+                flow += pushed
+
+
+def epsilon_mincut(om, d) -> int:
+    """Oracle for diamonds too large to enumerate: max-weight closure by min-cut.
+
+    Source feeds positive weights, negative weights feed the sink, and each
+    vertex points at its covers' sources (take v => take every u below v)
+    with infinite capacity.  Answer = sum of positives - min cut.
+    """
+    wts = reineke._weights(om, d)
+    m = len(wts)
+    src, snk = m, m + 1
+    g = _Dinic(m + 2)
+    inf = sum(w for w in wts if w > 0) + 1
+    for x, w in enumerate(wts):
+        if w > 0:
+            g.add_edge(src, x, w)
+        elif w < 0:
+            g.add_edge(x, snk, -w)
+    for a, b in om.covers:
+        g.add_edge(b, a, inf)  # membership of b forces membership of a
+    return (inf - 1) - g.max_flow(src, snk)
 
 
 def test_omega_boxes_n5():
@@ -76,7 +156,7 @@ def test_solvers_agree():
                 if j % 2 != delta:
                     continue
                 om = reineke.omega(n, j)
-                assert reineke.epsilon_bruteforce(om, d) == reineke.epsilon_mincut(om, d)
+                assert reineke.epsilon_bruteforce(om, d) == epsilon_mincut(om, d) == reineke.epsilon(j, d)
 
 
 def test_dual_datum():
@@ -119,8 +199,8 @@ def test_epsilon_star_composed_with_dual_is_epsilon():
 
 
 def test_solvers_agree_beyond_dispatch_threshold():
-    # n=9, j=5 has a 25-point diamond: the production path uses the min-cut
-    # solver there; the enumeration oracle still certifies it
+    # n=9, j=5 has a 25-point diamond, a square 5x5 staircase: the
+    # enumeration oracle still certifies both other solvers there
     rng = random.Random(23)
     om = reineke.omega(9, 5)
     assert len(om.vertices) == 25
@@ -128,4 +208,52 @@ def test_solvers_agree_beyond_dispatch_threshold():
     for _ in range(10):
         counts = {v: rng.randint(0, 4) for v in carrier.vertices() if rng.random() < 0.6}
         d = VertexDatum(carrier, counts)
-        assert reineke.epsilon_bruteforce(om, d) == reineke.epsilon_mincut(om, d) == reineke.epsilon(5, d)
+        assert reineke.epsilon_bruteforce(om, d) == epsilon_mincut(om, d) == reineke.epsilon(5, d)
+
+
+def test_staircase_matches_bruteforce_on_small_diamonds():
+    # every Omega of at most 20 vertices, odd and even j (both windows)
+    rng = random.Random(29)
+    seen = set()
+    for n in range(1, 21):
+        for j in range(1, n + 1):
+            om = reineke.omega(n, j)
+            if len(om.vertices) > 20:
+                continue
+            seen.add(j % 2)
+            for _ in range(4):
+                d = _random_datum(n, j % 2, rng)
+                assert reineke.epsilon(j, d) == reineke.epsilon_bruteforce(om, d), (n, j, d.nonzero())
+    assert seen == {0, 1}
+
+
+def test_staircase_matches_mincut_up_to_rank_24():
+    rng = random.Random(31)
+    for n in range(1, 25):
+        for j in range(1, n + 1):
+            d = _random_datum(n, j % 2, rng, density=0.8)
+            assert reineke.epsilon(j, d) == epsilon_mincut(reineke.omega(n, j), d), (n, j, d.nonzero())
+
+
+def test_omega_is_a_grid_up_to_rank_24():
+    # n+1-j columns k+i of j rows k-i each; omega raises InternalError otherwise
+    for n in range(1, 25):
+        for j in range(1, n + 1):
+            om = reineke.omega(n, j)
+            assert [len(col) for col in om.columns] == [j] * (n + 1 - j), (n, j)
+            assert sorted(a for col in om.columns for a in col) == list(range(len(om.vertices)))
+
+
+def test_grid_check_rejects_a_missing_cell_or_arrow():
+    om = reineke.omega(6, 3)
+    m = len(om.vertices)
+    for gone in range(m):
+        pos = {a: a - (a > gone) for a in range(m) if a != gone}
+        verts = tuple(v for a, v in enumerate(om.vertices) if a != gone)
+        covers = tuple((pos[a], pos[b]) for a, b in om.covers if gone not in (a, b))
+        with pytest.raises(InternalError):
+            reineke._grid_columns(verts, covers)
+    for cut in range(len(om.covers)):
+        with pytest.raises(InternalError):
+            reineke._grid_columns(om.vertices, om.covers[:cut] + om.covers[cut + 1:])
+    assert reineke._grid_columns(om.vertices, om.covers) == om.columns
