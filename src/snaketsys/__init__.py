@@ -26,7 +26,7 @@ from .lusztig import (
 from .quivers import HeightFunction, Region, Vertex, phi_closed_form
 from .realize import Monomial, Realization, cuspidal_monomial, relation_monomials, snake_monomial
 from .reineke import epsilon, epsilon_any, epsilon_other_parity, epsilon_star, omega
-from .roots import Root, inversion_sequence, is_reduced, reflect, star
+from .roots import Root, inversion_sequence, is_reduced, star
 from .snakes import (
     QRPair,
     Snake,

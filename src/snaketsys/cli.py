@@ -61,12 +61,13 @@ def _height_function(args) -> HeightFunction:
 
 
 def _read_json(path: str | None):
+    """JSON from a UTF-8 file or stdin; bytes that do not decode, or text that is not JSON, are a parse error."""
     try:
         if path in (None, "-"):
             return json.load(sys.stdin)
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise ParseError(f"cannot read JSON input: {exc}") from exc
 
 

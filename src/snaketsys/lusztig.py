@@ -118,19 +118,22 @@ class Carrier:
 
     name: str
     n: int
+    kind: str = field(init=False, repr=False, compare=False)  # name before ":"
+    arg: int | None = field(init=False, repr=False, compare=False)  # j of vj, delta of gamma-delta
 
     def __post_init__(self):
         kind, _, arg = self.name.partition(":")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "arg", int(arg) if kind in ("vj", "gamma-delta") else None)
         if kind in (GAMMA_THETA, GAMMA_BIG_THETA):
             if arg or self.n % 2 == 0 or self.n < 3:
                 raise WrongCarrier(f"{self.name!r} needs odd n >= 3")
         elif kind == "vj":
-            j = int(arg)
             n0 = (self.n + 1) // 2
-            if self.n % 2 == 0 or not n0 <= j <= self.n + 1:
-                raise WrongCarrier(f"vj carrier needs j in [n0, n+1], got {j}")
+            if self.n % 2 == 0 or not n0 <= self.arg <= self.n + 1:
+                raise WrongCarrier(f"vj carrier needs j in [n0, n+1], got {self.arg}")
         elif kind == "gamma-delta":
-            if int(arg) not in (0, 1):
+            if self.arg not in (0, 1):
                 raise WrongCarrier("gamma-delta carrier needs delta in {0, 1}")
         else:
             raise WrongCarrier(f"unknown carrier {self.name!r}")
@@ -140,20 +143,18 @@ class Carrier:
         return (self.n + 1) // 2
 
     def vertices(self) -> frozenset[Vertex]:
-        kind, _, arg = self.name.partition(":")
-        if kind == "vj":
-            return _vj_vertices(self.n, int(arg))
+        if self.kind == "vj":
+            return _vj_vertices(self.n, self.arg)
         return _carrier_vertices(self.name, self.n)
 
     def height_function(self) -> HeightFunction:
         """The window-defining height function, for Gamma carriers."""
-        kind, _, arg = self.name.partition(":")
-        if kind == GAMMA_THETA:
+        if self.kind == GAMMA_THETA:
             return HeightFunction.theta(self.n0)
-        if kind == GAMMA_BIG_THETA:
+        if self.kind == GAMMA_BIG_THETA:
             return HeightFunction.big_theta(self.n0)
-        if kind == "gamma-delta":
-            return HeightFunction.canonical(self.n, int(arg))
+        if self.kind == "gamma-delta":
+            return HeightFunction.canonical(self.n, self.arg)
         raise WrongCarrier(f"{self.name!r} is not a Gamma carrier")
 
 

@@ -29,7 +29,11 @@ class Vertex(NamedTuple):
     k2: int  # doubled spectral coordinate, k = k2/2
 
     def __str__(self) -> str:
-        return f"({self.i},{self.k2 // 2})" if self.k2 % 2 == 0 else f"({self.i},{self.k2}/2)"
+        return f"({self.i},{_fmt_k2(self.k2)})"
+
+
+def _fmt_k2(k2: int) -> str:
+    return str(k2 // 2) if k2 % 2 == 0 else f"{k2}/2"
 
 
 def json_int(x) -> int:
@@ -130,7 +134,7 @@ class HeightFunction:
 
     def d2(self, i: int) -> int:
         """Doubled translation step of row i (2*d_i is the k2 modulus)."""
-        return 2 if (self.twisted_flavor and i == self.n0) else 4
+        return 2 if i == self.n0 else 4  # n0 is None on untwisted functions
 
     def ntilde2(self) -> int:
         return 2 * self.n if self.twisted_flavor else 2 * (self.n + 1)
@@ -140,6 +144,34 @@ class HeightFunction:
         if p2 % 2:
             raise ValueError("shift must be an integer (even doubled value)")
         return HeightFunction(self.n, self.flavor, tuple(v + p2 for v in self.values2), self.n0)
+
+    def reversed(self) -> "HeightFunction":
+        """The height function of this quiver under reverse_vertex, (i, k) -> (i*, -k).
+
+        The map turns every arrow v -> w into w' -> v', so it reverses preceq
+        and sends a snake, read backwards, to a snake.  Twisted rows keep U and
+        D and swap LT with GT.  The middle value of a twisted function keeps
+        its offset from the lower of its neighbours, so reversing twice gives
+        the function back.
+        """
+        vals2 = [-x for x in reversed(self.values2)]
+        if self.twisted_flavor:
+            m, old = self.n0 - 1, self.values2
+            vals2[m] = min(vals2[m - 1], vals2[m + 1]) + old[m] - min(old[m - 1], old[m + 1])
+        return HeightFunction(self.n, self.flavor, tuple(vals2), self.n0)
+
+    def reverse_vertex(self, v: Vertex) -> Vertex:
+        """(i, k) -> (i*, -k): a vertex of this quiver to one of reversed()."""
+        return Vertex(roots.star(self.n, v.i), -v.k2)
+
+    def vertices_between(self, k2_lo: int, k2_hi: int) -> list[Vertex]:
+        """Every vertex with k2_lo <= k2 <= k2_hi, row by row, k2 ascending in a row."""
+        out = []
+        for i in range(1, self.n + 1):
+            d2 = self.d2(i)
+            start = k2_lo + (self.values2[i - 1] - k2_lo) % d2
+            out.extend(Vertex(i, k2) for k2 in range(start, k2_hi + 1, d2))
+        return out
 
     def is_vertex(self, v: Vertex) -> bool:
         if not 1 <= v.i <= self.n:
@@ -313,10 +345,6 @@ def phi_closed_form(n: int, v: Vertex) -> Root:
 # -- rendering ---------------------------------------------------------
 
 
-def _fmt_k2(k2: int) -> str:
-    return str(k2 // 2) if k2 % 2 == 0 else f"{k2}/2"
-
-
 def quiver_dot(hf: HeightFunction, k2_lo: int, k2_hi: int, phi_labels: bool = False) -> str:
     """DOT of the quiver restricted to a k2 window ("i:k2" vertex labels).
 
@@ -325,11 +353,7 @@ def quiver_dot(hf: HeightFunction, k2_lo: int, k2_hi: int, phi_labels: bool = Fa
     if phi_labels:
         verts = [v for v in hf.gamma_vertices() if k2_lo <= v.k2 <= k2_hi]
     else:
-        verts = []
-        for i in range(1, hf.n + 1):
-            lo2 = hf.xi2(i)
-            start = k2_lo + (lo2 - k2_lo) % hf.d2(i)
-            verts.extend(Vertex(i, k2) for k2 in range(start, k2_hi + 1, hf.d2(i)))
+        verts = hf.vertices_between(k2_lo, k2_hi)
     vset = set(verts)
     lines = ["digraph repetition_quiver {", "  rankdir=LR;"]
     for v in sorted(vset, key=lambda u: (u.k2, u.i)):
@@ -350,12 +374,7 @@ def quiver_ascii(hf: HeightFunction, k2_lo: int, k2_hi: int, phi_labels: bool = 
     if phi_labels:
         cells = {v: str(hf.phi(v)) for v in hf.gamma_vertices() if k2_lo <= v.k2 <= k2_hi}
     else:
-        cells = {}
-        for i in range(1, hf.n + 1):
-            lo2 = hf.xi2(i)
-            start = k2_lo + (lo2 - k2_lo) % hf.d2(i)
-            for k2 in range(start, k2_hi + 1, hf.d2(i)):
-                cells[Vertex(i, k2)] = "*"
+        cells = dict.fromkeys(hf.vertices_between(k2_lo, k2_hi), "*")
     if not cells:
         return "(empty window)"
     cols = sorted({v.k2 for v in cells})

@@ -66,27 +66,17 @@ class Monomial:
     def _sorted(self):
         return sorted(self.factors.items(), key=lambda kv: (-kv[0][0], -kv[0][1]))
 
-    def __str__(self) -> str:
+    def _render(self, exponent: str) -> str:
+        """Factors in _sorted order; exponent formats an exponent other than 1."""
         if not self.factors:
             return "1"
-        parts = []
-        for (j, l), e in self._sorted():
-            s = f"Y_{{{j},{l}}}"
-            if e != 1:
-                s += f"^{e}"
-            parts.append(s)
-        return "".join(parts)
+        return "".join(f"Y_{{{j},{l}}}" + ("" if e == 1 else exponent.format(e)) for (j, l), e in self._sorted())
+
+    def __str__(self) -> str:
+        return self._render("^{}")
 
     def latex(self) -> str:
-        if not self.factors:
-            return "1"
-        parts = []
-        for (j, l), e in self._sorted():
-            s = f"Y_{{{j},{l}}}"
-            if e != 1:
-                s += f"^{{{e}}}"
-            parts.append(s)
-        return "".join(parts)
+        return self._render("^{{{}}}")
 
     def to_json(self) -> list[dict]:
         return [
@@ -197,18 +187,17 @@ def relation_monomials(rel, real: Realization) -> RelationMonomials:
     return out
 
 
+def _render_relation(mon: RelationMonomials, render) -> str:
+    b, c, a, d, q, r = map(render, (mon.b, mon.c, mon.a, mon.d, mon.q, mon.r))
+    return f"[{b}][{c}] = [{a}][{d}] + [{q}][{r}]"
+
+
 def relation_monomials_text(mon: RelationMonomials) -> str:
-    return (
-        f"[{mon.b}][{mon.c}] = [{mon.a}][{mon.d}] + [{mon.q}][{mon.r}]"
-        + ("" if mon.exact else "   (formal products; custom table)")
-    )
+    return _render_relation(mon, str) + ("" if mon.exact else "   (formal products; custom table)")
 
 
 def relation_monomials_latex(mon: RelationMonomials) -> str:
-    return (
-        f"[{mon.b.latex()}][{mon.c.latex()}] = "
-        f"[{mon.a.latex()}][{mon.d.latex()}] + [{mon.q.latex()}][{mon.r.latex()}]"
-    )
+    return _render_relation(mon, Monomial.latex)
 
 
 def relation_monomials_json(mon: RelationMonomials) -> dict:

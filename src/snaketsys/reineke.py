@@ -25,10 +25,9 @@ def bar(i: int) -> int:
 
 
 def delta_of_carrier(carrier: Carrier) -> int:
-    kind, _, arg = carrier.name.partition(":")
-    if kind != "gamma-delta":
+    if carrier.kind != "gamma-delta":
         raise WrongCarrier("epsilon expects a datum on a canonical Gamma window")
-    return int(arg)
+    return carrier.arg
 
 
 @dataclass(frozen=True)

@@ -47,38 +47,6 @@ def all_positive_roots(n: int) -> list[Root]:
     return [Root(lo, hi, +1) for lo in range(1, n + 1) for hi in range(lo, n + 1)]
 
 
-def _coefficients(n: int, r: Root) -> list[int]:
-    v = [0] * (n + 2)  # 1-based with sentinels at 0 and n+1
-    for j in range(r.lo, r.hi + 1):
-        v[j] = r.sign
-    return v
-
-
-def _from_coefficients(n: int, v: Sequence[int]) -> Root:
-    support = [j for j in range(1, n + 1) if v[j] != 0]
-    if not support:
-        raise ValueError("zero vector is not a root")
-    lo, hi = support[0], support[-1]
-    sign = v[lo]
-    if any(v[j] != sign for j in support) or hi - lo + 1 != len(support):
-        raise ValueError(f"vector {list(v[1:n+1])} is not a root of A_{n}")
-    return Root(lo, hi, sign)
-
-
-def reflect(n: int, i: int, r: Root) -> Root:
-    """Simple reflection s_i acting on a (signed interval) root.
-
-    Internally goes through the coefficient vector: s_i subtracts
-    <r, a_i^vee> a_i, with the A_n pairing 2c_i - c_{i-1} - c_{i+1}.
-    """
-    check_node(n, i)
-    check_node(n, r.lo)
-    check_node(n, r.hi)
-    v = _coefficients(n, r)
-    v[i] -= 2 * v[i] - v[i - 1] - v[i + 1]
-    return _from_coefficients(n, v)
-
-
 def inversion_sequence(n: int, word: Sequence[int]) -> list[Root]:
     """Roots b_k = s_{i_1}...s_{i_{k-1}}(a_{i_k}) of a reduced word.
 

@@ -44,11 +44,10 @@ class Snake:
 def in_snake_position(xi: HeightFunction, v: Vertex, w: Vertex) -> bool:
     if not (xi.is_vertex(v) and xi.is_vertex(w)):
         return False
-    if xi.flavor == UNTWISTED:
-        return xi.preceq(Vertex(v.i, v.k2 + 4), w)
-    step = 2 if v.i == xi.n0 else 4
-    if not xi.preceq(Vertex(v.i, v.k2 + step), w):
+    if not xi.preceq(Vertex(v.i, v.k2 + xi.d2(v.i)), w):
         return False
+    if xi.flavor == UNTWISTED:
+        return True
     rv, rw = xi.region(v), xi.region(w)
     if rv in (Region.LT, Region.U):
         return rw in (Region.LT, Region.D)
@@ -286,20 +285,35 @@ def translate_twisted(n0: int, points: Sequence[Vertex], validate: bool = False)
 # -- random generation -----------------------------------------------------
 
 
-def snake_candidates(xi: HeightFunction, v: Vertex, prime: bool, k2_hi: int | None = None) -> list[Vertex]:
-    """Vertices in (prime) snake position w.r.t. v, k2-bounded for sampling."""
-    hi = v.k2 + xi.ntilde2() if prime else (k2_hi if k2_hi is not None else v.k2 + xi.ntilde2())
+def snake_candidates(xi: HeightFunction, v: Vertex, prime: bool) -> list[Vertex]:
+    """Vertices in (prime) snake position w.r.t. v, at most ntilde above it (sampling bound)."""
     pred = in_prime_snake_position if prime else in_snake_position
-    out = []
-    for i in range(1, xi.n + 1):
-        lo2 = xi.xi2(i)
-        d2 = xi.d2(i)
-        start = v.k2 + 1 + (lo2 - v.k2 - 1) % d2
-        for k2 in range(start, hi + 1, d2):
-            w = Vertex(i, k2)
-            if xi.is_vertex(w) and pred(xi, v, w):
-                out.append(w)
-    return out
+    return [w for w in xi.vertices_between(v.k2 + 1, v.k2 + xi.ntilde2()) if pred(xi, v, w)]
+
+
+def random_vertex(xi: HeightFunction, rng: random.Random, k2_lo: int, k2_hi: int) -> Vertex:
+    """A random row, then a height in [k2_lo, k2_hi] rounded down onto it (redrawn below k2_lo)."""
+    while True:
+        i = rng.randint(1, xi.n)
+        k2 = rng.randint(k2_lo, k2_hi)
+        k2 -= (k2 - xi.xi2(i)) % xi.d2(i)
+        if k2 >= k2_lo:
+            return Vertex(i, k2)
+
+
+def grow_snake(
+    xi: HeightFunction, rng: random.Random, first: Vertex, length: int, prime: bool = False, in_gamma: bool = False
+) -> tuple[Vertex, ...]:
+    """Forward-grown random (prime) snake from first; may stop short at a dead end."""
+    points = [first]
+    for _ in range(length - 1):
+        cands = snake_candidates(xi, points[-1], prime)
+        if in_gamma:
+            cands = [w for w in cands if xi.in_gamma(w)]
+        if not cands:
+            break
+        points.append(rng.choice(cands))
+    return tuple(points)
 
 
 def random_snake(
@@ -310,27 +324,12 @@ def random_snake(
     k2_lo: int = 0,
     in_gamma: bool = False,
 ) -> tuple[Vertex, ...]:
-    """Forward-grown random (prime) snake; may stop short at a dead end."""
+    """grow_snake from a random window vertex (in_gamma) or a random vertex at or above k2_lo."""
     if in_gamma:
         first = rng.choice(xi.gamma_vertices())
     else:
-        span = 2 * xi.ntilde2()
-        while True:
-            i = rng.randint(1, xi.n)
-            k2 = rng.randint(k2_lo, k2_lo + span)
-            k2 -= (k2 - xi.xi2(i)) % xi.d2(i)
-            if k2_lo <= k2:
-                first = Vertex(i, k2)
-                break
-    points = [first]
-    for _ in range(length - 1):
-        cands = snake_candidates(xi, points[-1], prime)
-        if in_gamma:
-            cands = [w for w in cands if xi.in_gamma(w)]
-        if not cands:
-            break
-        points.append(rng.choice(cands))
-    return tuple(points)
+        first = random_vertex(xi, rng, k2_lo, k2_lo + 2 * xi.ntilde2())
+    return grow_snake(xi, rng, first, length, prime, in_gamma)
 
 
 # -- JSON ------------------------------------------------------------------
@@ -349,10 +348,8 @@ def snake_to_json(xi: HeightFunction, points: Sequence[Vertex]) -> dict:
 
 def snake_from_json(obj: dict) -> Snake:
     flavor = obj["flavor"]
-    values2 = [json_int(x) for x in obj["xi"]]
-    if flavor == TWISTED:
-        xi = HeightFunction.twisted(values2, json_int(obj["n0"]))
-    else:
-        xi = HeightFunction(len(values2), UNTWISTED, tuple(values2))
+    values2 = tuple(json_int(x) for x in obj["xi"])
+    n0 = json_int(obj["n0"]) if flavor == TWISTED else None
+    xi = HeightFunction(len(values2), flavor, values2, n0)  # rejects an unknown flavor
     points = tuple(Vertex(json_int(p["i"]), json_int(p["k2"])) for p in obj["points"])
     return Snake(xi, points)

@@ -11,7 +11,9 @@ exposes the 0/1 predictions of the snake-position lemmas, plus an exact
 evaluation path through Reineke's epsilon: normalize the probe, translate
 twisted data to the untwisted staircase, and maximize over lower closed
 subsets.  The two paths are independent and are cross-checked in the test
-suite.
+suite.  Both are written for a probe before the snake; the coordinate
+reversal (i, k) -> (i*, -k) of HeightFunction.reversed turns a probe after
+the snake into one before it, except in the twisted normalization search.
 """
 from __future__ import annotations
 
@@ -129,28 +131,15 @@ def predicted_tfd_left(xi: HeightFunction, v: Vertex, points) -> int | None:
 def predicted_tfd_right(xi: HeightFunction, points, v: Vertex) -> int | None:
     """Predicted tfd(S(P), S_v) for a probe strictly after the snake.
 
-    Only the tail of the snake enters.
+    The coordinate reversal makes it a left probe, so only the tail of the
+    snake enters.
     """
-    pts = tuple(points)
-    if not is_snake(xi, pts):
-        return None
-    last = pts[-1]
-    if in_snake_position(xi, last, v):
-        return 1 if xi.preceq(v, xi.dualize(last, -1)) else 0
-    if not xi.prec(last, v):
-        return None
-    if not xi.preceq(v, xi.dualize(last, -1)):
-        return 0
-    if xi.flavor == UNTWISTED:
-        return 0
-    if _on_ray(xi, last, v):
-        return 0
-    rl, rv = xi.region(last), xi.region(v)
-    if rl in (Region.LT, Region.U) and rv == Region.U:
-        return 0
-    if rl in (Region.GT, Region.D) and rv == Region.D:
-        return 0
-    return None
+    return predicted_tfd_left(xi.reversed(), xi.reverse_vertex(v), _reverse(xi, points))
+
+
+def _reverse(xi: HeightFunction, points) -> Points:
+    """A vertex sequence under HeightFunction.reverse_vertex, read backwards."""
+    return tuple(map(xi.reverse_vertex, reversed(tuple(points))))
 
 
 # -- tfd through Reineke's epsilon ----------------------------------------
@@ -177,7 +166,7 @@ def tfd_left_via_epsilon(xi: HeightFunction, v: Vertex, points) -> int:
     the window.
     """
     if xi.flavor != UNTWISTED:
-        raise ValueError("use twisted_tfd_left_via_epsilon for twisted data")
+        raise ValueError("use tfd_via_epsilon for twisted data")
     pts = tuple(points)
     if not is_snake(xi, pts):
         raise NotSnake("epsilon bridge expects a snake")
@@ -196,54 +185,24 @@ def tfd_left_via_epsilon(xi: HeightFunction, v: Vertex, points) -> int:
     return reineke.epsilon(j, unit_datum(carrier, moved))
 
 
-def _reversed_untwisted(xi: HeightFunction) -> HeightFunction:
-    vals2 = tuple(-xi.xi2(roots.star(xi.n, i)) for i in range(1, xi.n + 1))
-    return HeightFunction(xi.n, UNTWISTED, vals2)
+def _untwisted_probe_tfd(theta: HeightFunction, probes: tuple[Vertex, ...], dagger: tuple[Vertex, ...]) -> int:
+    """tfd between the head of the translated probe factors and S(dagger).
 
-
-def _rev(n: int, v: Vertex) -> Vertex:
-    return Vertex(roots.star(n, v.i), -v.k2)
-
-
-def tfd_right_via_epsilon(xi: HeightFunction, points, v: Vertex) -> int:
-    """Exact tfd(S(P), S_v): the coordinate reversal maps it to a left probe."""
-    rev_xi = _reversed_untwisted(xi)
-    rev_pts = tuple(_rev(xi.n, x) for x in reversed(tuple(points)))
-    return tfd_left_via_epsilon(rev_xi, _rev(xi.n, v), rev_pts)
-
-
-def _untwisted_probe_tfd(n0: int, probes: tuple[Vertex, ...], dagger: tuple[Vertex, ...], side: str) -> int:
-    """tfd between S(dagger) and the head of the translated probe factors.
-
-    A single factor goes straight to Reineke (left) or its reversed twin
-    (right).  With two factors, drop whichever strongly commutes with the
-    whole snake; the prime-window clearance points toward the snake, one
-    extra duality step for the factor on the far side of the head.
+    A single factor goes straight to Reineke.  With two factors, drop
+    whichever strongly commutes with the whole snake; the prime-window
+    clearance points toward the snake, one extra duality step for the
+    factor on the far side of the head.
     """
-    theta = HeightFunction.theta(n0)
     if len(probes) == 1:
-        if side == "left":
-            return tfd_left_via_epsilon(theta, probes[0], dagger)
-        return tfd_right_via_epsilon(theta, dagger, probes[0])
+        return tfd_left_via_epsilon(theta, probes[0], dagger)
     c1, c2 = probes
-    if side == "left":
-        ft = dagger[0]
-        drop1 = not theta.preceq(ft, theta.dualize(c1, -1))
-        drop2 = not theta.preceq(ft, theta.dualize(theta.dualize(c2, -1), -1))
-    else:
-        last = dagger[-1]
-        drop1 = not theta.preceq(c1, theta.dualize(theta.dualize(last, -1), -1))
-        drop2 = not theta.preceq(c2, theta.dualize(last, -1))
+    ft = dagger[0]
+    drop1 = not theta.preceq(ft, theta.dualize(c1, -1))
+    drop2 = not theta.preceq(ft, theta.dualize(theta.dualize(c2, -1), -1))
     if drop1 and drop2:
         return 0
-    if drop1:
-        if side == "left":
-            return tfd_left_via_epsilon(theta, c2, dagger)
-        return tfd_right_via_epsilon(theta, dagger, c2)
-    if drop2:
-        if side == "left":
-            return tfd_left_via_epsilon(theta, c1, dagger)
-        return tfd_right_via_epsilon(theta, dagger, c1)
+    if drop1 or drop2:
+        return tfd_left_via_epsilon(theta, c2 if drop1 else c1, dagger)
     raise OutsideWindow("probe translate has two interacting factors")
 
 
@@ -256,6 +215,9 @@ def _truncate_after_window(xi: HeightFunction, pts: Points, v: Vertex) -> Points
 
 
 def _twisted_core(big: HeightFunction, v: Vertex, pts, side: str) -> int:
+    """The normalization search on the big_theta parity class, kept two-sided:
+    on the reversed configuration it moves a few configurations between a
+    value and OutsideWindow, both ways, though the values found agree."""
     n0 = big.n0
     n = big.n
     pts = _truncate_to_window(big, v, pts) if side == "left" else _truncate_after_window(big, pts, v)
@@ -293,7 +255,10 @@ def _twisted_core(big: HeightFunction, v: Vertex, pts, side: str) -> int:
                 probes = translate_twisted(n0, (probe_src,))
                 if steps:
                     probes = tuple(theta.dualize(c, steps) for c in probes)
-                return _untwisted_probe_tfd(n0, probes, dagger, side)
+                if side == "left":
+                    return _untwisted_probe_tfd(theta, probes, dagger)
+                # a right probe on theta is a left probe on the reversed theta
+                return _untwisted_probe_tfd(theta.reversed(), _reverse(theta, probes), _reverse(theta, dagger))
             except OutsideWindow as exc:
                 last_error = exc
                 continue
@@ -301,8 +266,6 @@ def _twisted_core(big: HeightFunction, v: Vertex, pts, side: str) -> int:
 
 
 def _twisted_bridge(xi: HeightFunction, v: Vertex, points, side: str) -> int:
-    if xi.flavor != TWISTED:
-        raise ValueError("use the untwisted bridge for untwisted data")
     pts = tuple(points)
     if not is_snake(xi, pts):
         raise NotSnake("epsilon bridge expects a snake")
@@ -317,35 +280,24 @@ def _twisted_bridge(xi: HeightFunction, v: Vertex, points, side: str) -> int:
         return _twisted_core(big, big.dualize(v), tuple(big.dualize(x) for x in pts), side)
 
 
-def twisted_tfd_left_via_epsilon(xi: HeightFunction, v: Vertex, points) -> int:
-    """Exact tfd(S_v, S(P)) on a twisted quiver, via translation to theta.
-
-    After aligning parity with the staircase window, slides the whole
-    configuration so the snake fits the window, expresses the probe as a
-    translated snake module (directly if its slot is in the window, through
-    one duality step otherwise), and evaluates the surviving untwisted
-    factor by Reineke's epsilon.  Configurations whose probe translate
-    keeps two interacting factors are outside the reduction and raise
-    OutsideWindow.
-    """
-    return _twisted_bridge(xi, v, points, "left")
-
-
-def twisted_tfd_right_via_epsilon(xi: HeightFunction, points, v: Vertex) -> int:
-    """Exact tfd(S(P), S_v): mirror of the left bridge, probe after the snake."""
-    return _twisted_bridge(xi, v, points, "right")
-
-
 def tfd_via_epsilon(xi: HeightFunction, v: Vertex, points, side: str) -> int:
-    if side == "left":
-        if xi.flavor == UNTWISTED:
-            return tfd_left_via_epsilon(xi, v, points)
-        return twisted_tfd_left_via_epsilon(xi, v, points)
+    """Exact tfd(S_v, S(P)) (side "left") or tfd(S(P), S_v) (side "right").
+
+    An untwisted right probe is a left probe of the reversed configuration.
+    Twisted data is aligned with the big_theta parity class and slid until
+    the snake fits the window; the probe becomes a translated snake module
+    (directly if its slot is in the window, through one duality step
+    otherwise), and the surviving untwisted factor is evaluated by
+    Reineke's epsilon.  Configurations whose probe translate keeps two
+    interacting factors are outside the reduction and raise OutsideWindow.
+    """
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    if xi.flavor == TWISTED:
+        return _twisted_bridge(xi, v, points, side)
     if side == "right":
-        if xi.flavor == UNTWISTED:
-            return tfd_right_via_epsilon(xi, points, v)
-        return twisted_tfd_right_via_epsilon(xi, points, v)
-    raise ValueError("side must be 'left' or 'right'")
+        xi, v, points = xi.reversed(), xi.reverse_vertex(v), _reverse(xi, points)
+    return tfd_left_via_epsilon(xi, v, points)
 
 
 # -- hypothesis sweep -------------------------------------------------------
@@ -383,6 +335,11 @@ def _epsilon_or_none(xi: HeightFunction, v: Vertex, points: Points, side: str) -
         return None
 
 
+def _pair_predictions(xi: HeightFunction, pts: Points) -> list[int | None]:
+    """predicted_tfd_left of each point against the snake made of its successor."""
+    return [predicted_tfd_left(xi, pts[s], pts[s + 1:s + 2]) for s in range(len(pts) - 1)]
+
+
 def check_theorem_hypotheses(xi: HeightFunction, points, via_epsilon: bool = False) -> HypothesesReport:
     """Evaluate both exactness hypotheses on every sub-slice of a snake.
 
@@ -399,8 +356,8 @@ def check_theorem_hypotheses(xi: HeightFunction, points, via_epsilon: bool = Fal
     if not is_snake(xi, pts):
         raise NotSnake("hypothesis check expects a snake")
     p = len(pts)
-    left = [predicted_tfd_left(xi, pts[s], pts[s + 1:s + 2]) for s in range(p - 1)]
-    right = [predicted_tfd_right(xi, pts[s:s + 1], pts[s + 1]) for s in range(p - 1)]
+    left = _pair_predictions(xi, pts)
+    right = _pair_predictions(xi.reversed(), _reverse(xi, pts))[::-1]  # reversed once per sweep
     checks = []
     for a in range(1, p):
         for b in range(a + 1, p + 1):
@@ -414,42 +371,21 @@ def check_theorem_hypotheses(xi: HeightFunction, points, via_epsilon: bool = Fal
 # -- rendering ---------------------------------------------------------------
 
 
-def _fmt_vertex(v: Vertex) -> str:
-    return f"({v.i},{v.k2 // 2})" if v.k2 % 2 == 0 else f"({v.i},{v.k2}/2)"
+def _render(rel: TSystemRelation, unit: str, name: str, tensor: str, arrow: str) -> str:
+    """0 -> Q (x) R -> B (x) C -> A (x) D -> 0 with the given unit, module, tensor and arrow symbols."""
+    def term(points: Points) -> str:
+        return unit if not points else f"{name}(" + ",".join(map(str, points)) + ")"
 
-
-def _fmt_term(points: Points) -> str:
-    return "1" if not points else "S(" + ",".join(_fmt_vertex(v) for v in points) + ")"
-
-
-def _latex_term(points: Points) -> str:
-    if not points:
-        return r"\mathbf{1}"
-    factors = []
-    for v in points:
-        k = str(v.k2 // 2) if v.k2 % 2 == 0 else rf"{v.k2}/2"
-        factors.append(rf"({v.i},{k})")
-    return r"\mathbf{S}(" + ",".join(factors) + ")"
+    pairs = ((rel.first_q, rel.first_r), (rel.term_b, rel.term_c), (rel.term_a, rel.term_d))
+    return f"0{arrow}" + arrow.join(term(x) + tensor + term(y) for x, y in pairs) + f"{arrow}0"
 
 
 def relation_text(rel: TSystemRelation) -> str:
-    return (
-        f"0 -> {_fmt_term(rel.first_q)} (x) {_fmt_term(rel.first_r)}"
-        f" -> {_fmt_term(rel.term_b)} (x) {_fmt_term(rel.term_c)}"
-        f" -> {_fmt_term(rel.term_a)} (x) {_fmt_term(rel.term_d)} -> 0"
-    )
+    return _render(rel, "1", "S", " (x) ", " -> ")
 
 
 def relation_latex(rel: TSystemRelation) -> str:
-    return (
-        r"0 \to "
-        + _latex_term(rel.first_q) + r" \otimes " + _latex_term(rel.first_r)
-        + r" \to "
-        + _latex_term(rel.term_b) + r" \otimes " + _latex_term(rel.term_c)
-        + r" \to "
-        + _latex_term(rel.term_a) + r" \otimes " + _latex_term(rel.term_d)
-        + r" \to 0"
-    )
+    return _render(rel, r"\mathbf{1}", r"\mathbf{S}", r" \otimes ", r" \to ")
 
 
 def _points_json(points: Points) -> list[dict]:

@@ -76,15 +76,6 @@ def random_height_function(n: int, rng: random.Random, flavor: str = UNTWISTED, 
     return HeightFunction.twisted(vals2, n0)
 
 
-def random_vertex(xi: HeightFunction, rng: random.Random, k2_lo: int, k2_hi: int) -> Vertex:
-    while True:
-        i = rng.randint(1, xi.n)
-        k2 = rng.randint(k2_lo, k2_hi)
-        k2 -= (k2 - xi.xi2(i)) % xi.d2(i)
-        if k2 >= k2_lo:
-            return Vertex(i, k2)
-
-
 # -- move layer -------------------------------------------------------------
 
 
@@ -202,27 +193,8 @@ def sweep_epsilon_star(ns=(2, 3, 4, 5, 6), trials_per_n: int = 200, seed: int = 
 # -- epsilon predictions -----------------------------------------------------
 
 
-def _grow_from(xi: HeightFunction, rng: random.Random, first: Vertex, length: int, prime: bool):
-    pts = [first]
-    for _ in range(length - 1):
-        cands = snakes.snake_candidates(xi, pts[-1], prime)
-        if not cands:
-            break
-        pts.append(rng.choice(cands))
-    return tuple(pts)
-
-
 def _cone_candidates(xi: HeightFunction, v: Vertex, span2: int) -> list[Vertex]:
-    out = []
-    for i in range(1, xi.n + 1):
-        lo2 = xi.xi2(i)
-        d2 = xi.d2(i)
-        start = v.k2 + 1 + (lo2 - v.k2 - 1) % d2
-        for k2 in range(start, v.k2 + span2 + 1, d2):
-            w = Vertex(i, k2)
-            if xi.is_vertex(w) and xi.prec(v, w):
-                out.append(w)
-    return out
+    return [w for w in xi.vertices_between(v.k2 + 1, v.k2 + span2) if xi.prec(v, w)]
 
 
 def _ray_candidates(xi: HeightFunction, v: Vertex, span2: int) -> list[Vertex]:
@@ -267,7 +239,7 @@ def sweep_epsilon_predictions(flavor: str, trials: int = 500, seed: int = 0) -> 
             n0 = rng.randint(2, 4)
             xi = HeightFunction.big_theta(n0).shifted(2 * rng.randint(-4, 4))
         span2 = 2 * xi.ntilde2()
-        v = random_vertex(xi, rng, -8, 8)
+        v = snakes.random_vertex(xi, rng, -8, 8)
         mode = rng.choice(("prime", "ray", "cone", "cone") + (("break",) if flavor == TWISTED else ()))
         if mode == "prime":
             cands = snakes.snake_candidates(xi, v, prime=True)
@@ -279,7 +251,7 @@ def sweep_epsilon_predictions(flavor: str, trials: int = 500, seed: int = 0) -> 
             cands = _cone_candidates(xi, v, span2)
         if not cands:
             continue
-        pts = _grow_from(xi, rng, rng.choice(cands), rng.randint(1, 4), prime=bool(rng.getrandbits(1)))
+        pts = snakes.grow_snake(xi, rng, rng.choice(cands), rng.randint(1, 4), prime=bool(rng.getrandbits(1)))
         side = rng.choice(("left", "right"))
         if side == "left":
             predicted = tsystem.predicted_tfd_left(xi, v, pts)
@@ -344,17 +316,15 @@ def sweep_qr_being_snake(flavor: str, trials: int = 1000, seed: int = 0) -> Swee
 
 
 def sweep_qr_dual_equivariance(ns=(2, 3, 4, 5, 6), seed: int = 0) -> SweepResult:
-    """Exhaustive untwisted D-equivariance: QR of a dualized pair swaps."""
+    """Exhaustive untwisted D-equivariance: QR of a dualized pair swaps.
+
+    Every prime pair (v, w) of canonical(n, 0) with 0 <= k2(v) <= 4*ntilde
+    is checked.
+    """
     res = SweepResult("qr-dual-equivariance")
     for n in ns:
         xi = HeightFunction.canonical(n, 0)
-        span2 = 4 * xi.ntilde2()
-        verts = []
-        for i in range(1, n + 1):
-            lo2 = xi.xi2(i)
-            start = lo2 + (-lo2) % xi.d2(i)
-            verts.extend(Vertex(i, k2) for k2 in range(start, span2 + 1, xi.d2(i)))
-        for v in verts:
+        for v in xi.vertices_between(0, 4 * xi.ntilde2()):
             for w in snakes.snake_candidates(xi, v, prime=True):
                 pair = snakes.qr_untwisted(xi, v, w)
                 dual = snakes.qr_untwisted(xi, xi.dualize(v), xi.dualize(w))

@@ -13,9 +13,16 @@ def run(capsys, *argv):
 
 
 def write(tmp_path, name, obj):
+    """A JSON file of obj, or obj itself when it is bytes."""
     p = tmp_path / name
-    p.write_text(json.dumps(obj))
+    if isinstance(obj, bytes):
+        p.write_bytes(obj)
+    else:
+        p.write_text(json.dumps(obj))
     return str(p)
+
+
+NOT_UTF8 = b"\xff\xfe{"  # a UTF-16 byte-order mark: the file does not decode as UTF-8
 
 
 SNAKE_UNTW = {
@@ -170,12 +177,13 @@ GOOD_DELTA = {"carrier": "gamma-delta:0", "entries": [{"i": 2, "k2": 2, "c": 1}]
         (("reineke", "--n", "5", "--j", "1"), {"carrier": "gamma-delta:0", "entries": [{"i": 2, "k2": 2, "c": -1}]}, 4),
         (("reineke", "--n", "5", "--j", "9"), GOOD_DELTA, 2),
         (("reineke", "--n", "5", "--j", "0"), GOOD_DELTA, 2),
+        (("rho", "--n", "7"), NOT_UTF8, 4),
     ],
     ids=[
         "rho-negative-count", "rho-bad-vj-carrier", "rho-non-integer-row", "rho-infinite-k2",
         "rho-float-entries", "rho-bool-count",
         "rho-key-off-carrier", "rho-rank-1", "rho-rank-0",
-        "reineke-negative-count", "reineke-j-above-n", "reineke-j-zero",
+        "reineke-negative-count", "reineke-j-above-n", "reineke-j-zero", "rho-not-utf8",
     ],
 )
 def test_datum_input_exit_codes(capsys, tmp_path, argv, datum, want):
@@ -200,11 +208,15 @@ def _snake_with(**point):
         _snake_with(i="a"),
         _snake_with(i=True, k2=2),
         {**SNAKE_TW, "n0": 2.0},
+        {**SNAKE_UNTW, "flavor": "bogus"},
+        NOT_UTF8,
     ],
-    ids=["infinite-k2", "float-k2", "integral-float-row", "string-row", "bool-row", "float-n0"],
+    ids=["infinite-k2", "float-k2", "integral-float-row", "string-row", "bool-row", "float-n0",
+         "unknown-flavor", "not-utf8"],
 )
 def test_snake_input_exit_codes(capsys, tmp_path, snake):
-    # entries of snake JSON must be integers: anything else is a parse error
+    # entries of snake JSON must be integers and the flavor one of the two
+    # known ones; anything else, or a file that is not UTF-8, is a parse error
     code, _, err = run(capsys, "snake-check", write(tmp_path, "s.json", snake))
     assert code == 4
     assert "Traceback" not in err and err.strip()
@@ -232,9 +244,10 @@ def _table(**change):
         ({"entries": []}, 4),
         ({"h_dual": 4, "entries": []}, 3),
         (_table(g0_rank=3, monomial=[{"node": 9, "spectral": -2, "exp": 1}]), 4),
+        (NOT_UTF8, 4),
     ],
     ids=["valid", "string-h_dual", "infinite-h_dual", "float-h_dual", "float-row", "null-g0_rank",
-         "no-h_dual", "missing-window-vertex", "node-above-g0_rank"],
+         "no-h_dual", "missing-window-vertex", "node-above-g0_rank", "not-utf8"],
 )
 def test_realization_input_exit_codes(capsys, tmp_path, table, want):
     # numbers in a custom table must be integers and monomial nodes lie in

@@ -336,3 +336,31 @@ def test_renderers_smoke():
     assert '"2:6"' in dot and "a1,3" in dot
     txt = quiver_ascii(XI_TWISTED, -4, 4)
     assert "i\\k" in txt
+
+
+def _random_quivers(seed):
+    from snaketsys.verify import random_height_function
+
+    rng = random.Random(seed)
+    out = [random_height_function(n, rng) for n in range(1, 7) for _ in range(3)]
+    return out + [random_height_function(2 * n0 - 1, rng, TWISTED, n0) for n0 in (2, 3, 4) for _ in range(4)]
+
+
+def test_vertices_between_is_every_vertex_in_range():
+    for xi in _random_quivers(23):
+        for lo, hi in ((-7, 9), (0, 0), (3, 2), (-1, 12)):
+            grid = [Vertex(i, k2) for i in range(1, xi.n + 1) for k2 in range(lo, hi + 1)]
+            assert xi.vertices_between(lo, hi) == [v for v in grid if xi.is_vertex(v)], (xi, lo, hi)
+
+
+def test_reversal_is_an_involution_that_reverses_arrows():
+    for xi in _random_quivers(22):
+        rev = xi.reversed()
+        assert rev.flavor == xi.flavor and rev.reversed() == xi
+        verts = xi.vertices_between(-6, 10)
+        for v in verts:
+            assert xi.reverse_vertex(v) in rev.vertices_between(-10, 6)
+            for w in verts:
+                rv, rw = xi.reverse_vertex(v), xi.reverse_vertex(w)
+                assert rev.has_arrow(rw, rv) == xi.has_arrow(v, w)
+                assert rev.preceq(rw, rv) == xi.preceq(v, w)

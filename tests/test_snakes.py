@@ -300,3 +300,24 @@ def test_qr_twisted_consistent_with_translation():
                 assert got_q == want.q and got_r == want.r, (v, w)
                 checked += 1
         assert checked >= 3
+
+
+def test_dual_equivariance_sweep_visits_every_prime_pair():
+    # the sweep walks every vertex v of canonical(n, 0) with 0 <= k2 <= 4*ntilde;
+    # count the prime pairs (v, w) independently, testing every (i, k2) of the
+    # range for v and every w up to ntilde past it
+    from snaketsys.verify import sweep_qr_dual_equivariance
+
+    ns = (2, 3, 4, 5, 6)
+    want = 0
+    for n in ns:
+        xi = HeightFunction.canonical(n, 0)
+        top2 = 4 * xi.ntilde2()
+        grid = [Vertex(i, k2) for i in range(1, n + 1) for k2 in range(0, top2 + xi.ntilde2() + 1)]
+        ws = [w for w in grid if xi.is_vertex(w)]
+        for v in ws:
+            if v.k2 <= top2:
+                want += sum(in_prime_snake_position(xi, v, w) for w in ws)
+    res = sweep_qr_dual_equivariance(ns=ns, seed=10)
+    assert res.ok and res.skipped == 0
+    assert res.passed == want

@@ -3,10 +3,11 @@ import random
 import pytest
 
 from snaketsys.errors import NotPrimeSnake, OutsideWindow, TooShort
-from snaketsys.quivers import HeightFunction, Vertex
-from snaketsys.snakes import random_snake
+from snaketsys.quivers import UNTWISTED, HeightFunction, Region, Vertex
+from snaketsys.snakes import in_snake_position, is_snake, random_snake
 from snaketsys.tsystem import (
     HypothesisCheck,
+    _on_ray,
     check_theorem_hypotheses,
     extended_tsystem,
     flags,
@@ -264,3 +265,124 @@ def test_rank_one_degenerates_to_unit_first_term():
     assert rel.first_q == () and rel.first_r == ()
     assert rel.term_d == ()
     assert rel.hypotheses_ok
+
+
+# -- the right side folded onto the left by the coordinate reversal ---------
+
+
+def reference_predicted_tfd_right(xi, points, v):
+    """Predicted tfd(S(P), S_v), written out for the probe after the snake:
+    the reference for predicted_tfd_right, which the library derives from
+    predicted_tfd_left by the coordinate reversal."""
+    pts = tuple(points)
+    if not is_snake(xi, pts):
+        return None
+    last = pts[-1]
+    if in_snake_position(xi, last, v):
+        return 1 if xi.preceq(v, xi.dualize(last, -1)) else 0
+    if not xi.prec(last, v):
+        return None
+    if not xi.preceq(v, xi.dualize(last, -1)):
+        return 0
+    if xi.flavor == UNTWISTED:
+        return 0
+    if _on_ray(xi, last, v):
+        return 0
+    rl, rv = xi.region(last), xi.region(v)
+    if rl in (Region.LT, Region.U) and rv == Region.U:
+        return 0
+    if rl in (Region.GT, Region.D) and rv == Region.D:
+        return 0
+    return None
+
+
+def _window(xi, k2_lo, k2_hi):
+    """The vertices with k2_lo <= k2 <= k2_hi, found by testing every (i, k2)."""
+    return [
+        Vertex(i, k2) for k2 in range(k2_lo, k2_hi + 1) for i in range(1, xi.n + 1) if xi.is_vertex(Vertex(i, k2))
+    ]
+
+
+def _snakes_in(xi, verts, max_len):
+    """Every snake of length <= max_len with its points in verts."""
+    level = [(v,) for v in verts]
+    out = list(level)
+    for _ in range(max_len - 1):
+        level = [s + (w,) for s in level for w in verts if in_snake_position(xi, s[-1], w)]
+        out += level
+    return out
+
+
+def _small_quivers():
+    """Untwisted n <= 4 and twisted n0 <= 3, each unshifted and shifted by one."""
+    for s2 in (0, 2):
+        for n in range(1, 5):
+            for delta in (0, 1):
+                yield HeightFunction.canonical(n, delta).shifted(s2)
+        for n0 in (2, 3):
+            yield HeightFunction.big_theta(n0).shifted(s2)
+
+
+def test_right_prediction_matches_reference_on_small_windows():
+    seen = set()
+    for xi in _small_quivers():
+        verts = _window(xi, 0, 10)
+        for pts in _snakes_in(xi, verts, 3):
+            for v in verts:
+                want = reference_predicted_tfd_right(xi, pts, v)
+                assert predicted_tfd_right(xi, pts, v) == want, (xi, pts, v)
+                seen.add((xi.flavor, want))
+    assert seen == {(f, x) for f in ("untwisted", "twisted") for x in (0, 1, None)}
+
+
+def test_reversal_keeps_u_and_d_and_swaps_lt_with_gt():
+    swap = {Region.LT: Region.GT, Region.GT: Region.LT, Region.U: Region.U, Region.D: Region.D}
+    rng = random.Random(21)
+    cases = [HeightFunction.big_theta(n0).shifted(s2) for n0 in (2, 3, 4) for s2 in (0, 2)]
+    cases += [random_height_function(2 * n0 - 1, rng, "twisted", n0) for n0 in (2, 3, 4) for _ in range(4)]
+    for xi in cases:
+        rev = xi.reversed()
+        regions = set()
+        for v in _window(xi, -8, 16):
+            regions.add(xi.region(v))
+            assert rev.region(xi.reverse_vertex(v)) == swap[xi.region(v)], (xi, v)
+        assert regions == set(Region)
+
+
+# Outcomes of tfd_via_epsilon on the enumerated set of _bridge_census,
+# measured before the right side was derived from the left one.
+BRIDGE_CENSUS = {
+    ("untwisted", "left"): {0: 226, 1: 136, "OutsideWindow": 0},
+    ("untwisted", "right"): {0: 226, 1: 136, "OutsideWindow": 0},
+    ("twisted", "left"): {0: 410, 1: 224, "OutsideWindow": 12},
+    ("twisted", "right"): {0: 418, 1: 224, "OutsideWindow": 4},
+}
+
+
+def _bridge_census():
+    """Every snake of length <= 2 in the k2 window [0, 10] of canonical(n, 0)
+    (n = 2, 3, 4) and big_theta(n0) (n0 = 2, 3), each unshifted and shifted
+    by one, against every window probe strictly before it (left) or after
+    it (right)."""
+    counts = {key: {0: 0, 1: 0, "OutsideWindow": 0} for key in BRIDGE_CENSUS}
+    cases = [HeightFunction.big_theta(n0).shifted(s2) for n0 in (2, 3) for s2 in (0, 2)]
+    cases += [HeightFunction.canonical(n, 0).shifted(s2) for n in (2, 3, 4) for s2 in (0, 2)]
+    for xi in cases:
+        verts = _window(xi, 0, 10)
+        for pts in _snakes_in(xi, verts, 2):
+            for v in verts:
+                for side, probe_first in (("left", xi.prec(v, pts[0])), ("right", xi.prec(pts[-1], v))):
+                    if not probe_first:
+                        continue
+                    try:
+                        got = tfd_via_epsilon(xi, v, pts, side)
+                    except OutsideWindow:
+                        got = "OutsideWindow"
+                    counts[xi.flavor, side][got] += 1
+    return counts
+
+
+def test_bridge_census_is_pinned():
+    # the twisted OutsideWindow sliver is not symmetric under the reversal,
+    # which is why the twisted normalization search keeps both sides
+    assert _bridge_census() == BRIDGE_CENSUS
