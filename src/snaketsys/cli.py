@@ -34,7 +34,8 @@ class ParseError(Exception):
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, help="rank of the type-A root system")
     p.add_argument("--flavor", choices=(UNTWISTED, TWISTED), default=UNTWISTED)
-    p.add_argument("--xi", help="comma-separated doubled height values")
+    p.add_argument("--xi", help="comma-separated doubled height values; write a list that starts with a "
+                   "negative value as --xi=-2,-3,0, since a separate -2,-3,0 reads as an option")
     p.add_argument("--n0", type=int, help="middle node of a twisted height function")
     p.add_argument("--format", choices=("text", "json", "latex", "dot"), default="text")
     p.add_argument("--seed", type=int, default=0)

@@ -16,22 +16,28 @@ writing the results to (j+1, j+2r-1/2), (j, j+2r), (j+1, j+2r+1/2), shifts
 the two leftover boundary keys of row j by -+1/2, and carries everything
 else by identity.
 
+Row i of V<j>, n0 < j <= n+1, is theta's window row if i < j, the
+half-integer chain if i = j, and big_theta's grid if i > j (_vj_row).
+
 The steps do not depend on the datum, so each rank has one cached layer
-plan listing the keys every step reads and writes, checked once against
-V<j> and V<j+1> when it is built.  rho copies the counts once and runs the
+plan listing the keys every step reads and writes, checked once when it is
+built.  The check runs a row-indexed copy of the carrier from the big_theta
+window: each layer is checked on its two rows only, against rows j, j+1 of
+the copy and of V<j+1>, so it costs O(n) per layer and O(n^2) per rank and
+builds no intermediate carrier.  rho copies the counts once and runs the
 plan in place, touching O(n) keys per step and O(n^2) in all; rho_step runs
 one layer of the same plan on a copy.
 
 Only the Gamma windows (gamma-theta, gamma-THETA, gamma-delta:*) are cached,
-in a bounded cache; V<n0> and V<n+1> are the two staircase windows.  The
-intermediate carriers V<j>, n0 < j <= n, are built on demand: the layer
-plan builds each once per rank, and rho_step builds its two per call.
+in a bounded cache; V<n0> and V<n+1> are the two staircase windows.  An
+intermediate carrier V<j>, n0 < j <= n, is built on demand from the row
+rule, once per rho_step call (for the datum it returns).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
 from . import roots
 from .errors import InternalError, NotBraidPattern, NotCommuting, NotLongestWord, WrongCarrier
@@ -164,22 +170,39 @@ def _carrier_vertices(name: str, n: int) -> frozenset[Vertex]:
     return frozenset(Carrier(name, n).height_function().gamma_vertices())
 
 
+def _rows(verts: Iterable[Vertex], n: int) -> list[set[Vertex]]:
+    """verts by row: entry i holds row i of rank n (entries 0 and n+1 stay empty)."""
+    rows: list[set[Vertex]] = [set() for _ in range(n + 2)]
+    for v in verts:
+        rows[v.i].add(v)
+    return rows
+
+
+def _vj_row(theta_rows: Sequence[AbstractSet[Vertex]], n: int, j: int, i: int) -> AbstractSet[Vertex]:
+    """Row i of V<j> of rank n, n0 < j <= n+1; theta_rows[i] is row i of theta's window.
+
+    Rows below j are theta's window, row j is the half-integer chain
+    (j, j - 3/2 + m), m in [0, 2n-2j+1], and rows above j keep the big_theta
+    grid (i, i - 1 + 2m), m in [0, n-i].  Row n+1 is empty.
+    """
+    if i < j:
+        return theta_rows[i]
+    first, last, step = (2 * j - 3, 4 * n - 2 * j - 1, 2) if i == j else (2 * i - 2, 4 * n - 2 * i - 2, 4)
+    return frozenset(Vertex(i, k2) for k2 in range(first, last + 1, step))
+
+
 def _vj_vertices(n: int, j: int) -> frozenset[Vertex]:
-    """The vertices of V<j>, built afresh unless j is n0 or n+1 (a window)."""
+    """The vertices of V<j>, built afresh by the row rule unless j is n0 or n+1 (a window)."""
     n0 = (n + 1) // 2
     if j == n0:
         return _carrier_vertices(GAMMA_BIG_THETA, n)
     if j == n + 1:
         return _carrier_vertices(GAMMA_THETA, n)
-    verts = {v for v in _carrier_vertices(GAMMA_THETA, n) if v.i < j}
-    # middle row j: half-integer chain (j, j - 3/2 + m), m in [0, 2n-2j+1]
-    verts.update(Vertex(j, 2 * j - 3 + 2 * m) for m in range(0, 2 * n - 2 * j + 2))
-    # rows above j keep the big_theta grid (i, i - 1 + 2m), m in [0, n-i]
-    for i in range(j + 1, n + 1):
-        verts.update(Vertex(i, 2 * i - 2 + 4 * m) for m in range(0, n - i + 1))
+    theta_rows = _rows(_carrier_vertices(GAMMA_THETA, n), n)
+    verts = frozenset().union(*(_vj_row(theta_rows, n, j, i) for i in range(1, n + 1)))
     if len(verts) != roots.num_positive_roots(n):
         raise InternalError(f"V<{j}> of rank {n} has {len(verts)} vertices, not one per positive root")
-    return frozenset(verts)
+    return verts
 
 
 def vj_carrier(n0: int, j: int) -> Carrier:
@@ -228,10 +251,21 @@ class _Layer(NamedTuple):
 
 @lru_cache(maxsize=16)
 def _layer_plan(n: int) -> tuple[_Layer, ...]:
-    """The steps rho_<n0>, ..., rho_<n> of rank n, each checked once."""
+    """The steps rho_<n0>, ..., rho_<n> of rank n, each checked once on its two rows.
+
+    A row-indexed copy of the carrier starts from the big_theta window, and
+    each layer replaces its rows j, j+1 with those of V<j+1>.  Rows above
+    n0+1 are read from the window but are big_theta's grid in the row rule,
+    so the two must agree there; rows below n0 are never touched, so the
+    composite must end on the theta window.
+    """
     n0 = (n + 1) // 2
+    theta = _carrier_vertices(GAMMA_THETA, n)
+    theta_rows = _rows(theta, n)
+    rows = _rows(_carrier_vertices(GAMMA_BIG_THETA, n), n)  # V<n0>
+    if any(rows[i] != _vj_row(theta_rows, n, n0 + 1, i) for i in range(n0 + 2, n + 1)):
+        raise InternalError(f"the big_theta window of rank {n} is not the grid of the V<j> row rule")
     plan = []
-    src = vj_carrier(n0, n0).vertices()
     for j in range(n0, n + 1):
         triples = tuple(
             (
@@ -244,29 +278,30 @@ def _layer_plan(n: int) -> tuple[_Layer, ...]:
         moves = ((Vertex(j, 2 * j - 3), Vertex(j, 2 * j - 4)),) if j > n0 else ()
         moves += ((Vertex(j, 4 * n - 2 * j - 1), Vertex(j, 2 * (2 * n - j))),)
         layer = _Layer(triples, moves)
-        dst = vj_carrier(n0, j + 1).vertices()
-        _check_layer(n0, j, layer, src, dst)
+        dst = (_vj_row(theta_rows, n, j + 1, j), _vj_row(theta_rows, n, j + 1, j + 1))
+        _check_layer(n0, j, layer, rows[j] | rows[j + 1], dst[0] | dst[1])
+        rows[j], rows[j + 1] = dst
         plan.append(layer)
-        src = dst  # each V<j> is built once per rank
+    if frozenset().union(*rows) != theta:
+        raise InternalError(f"rho of rank {n} does not end on the theta window")
     return tuple(plan)
 
 
-def _check_layer(n0: int, j: int, layer: _Layer, src: frozenset[Vertex], dst: frozenset[Vertex]) -> None:
-    """Raise InternalError unless running the layer in place maps src = V<j> onto dst = V<j+1>.
+def _check_layer(
+    n0: int, j: int, layer: _Layer, src_rows: AbstractSet[Vertex], dst_rows: AbstractSet[Vertex]
+) -> None:
+    """Raise InternalError unless the layer, run in place, maps src_rows onto dst_rows.
 
-    It must read each key of rows j, j+1 of V<j> once, write each key of
-    rows j, j+1 of V<j+1> once, read no key it writes, and the two carriers
-    must agree on every other row.
+    src_rows and dst_rows are rows j, j+1 of V<j> and of V<j+1>.  The layer
+    must read each key of src_rows once, write each key of dst_rows once and
+    read no key it writes; every other row it carries by identity.
     """
     reads = [v for r, _ in layer.triples for v in r] + [s for s, _ in layer.moves]
     writes = [v for _, w in layer.triples for v in w] + [t for _, t in layer.moves]
-    src_rows = {v for v in src if v.i in (j, j + 1)}
-    dst_rows = {v for v in dst if v.i in (j, j + 1)}
     if (
         len(reads) != len(src_rows) or set(reads) != src_rows
         or len(writes) != len(dst_rows) or set(writes) != dst_rows
         or not src_rows.isdisjoint(dst_rows)
-        or src - src_rows != dst - dst_rows
     ):
         raise InternalError(f"rho layer {j} of rank {2 * n0 - 1} does not map V<{j}> onto V<{j + 1}>")
 
@@ -290,7 +325,8 @@ def rho_step(j: int, d: VertexDatum) -> VertexDatum:
     n0 = (n + 1) // 2
     if not n0 <= j <= n:
         raise WrongCarrier(f"rho step index {j} outside [n0, n]")
-    if d.carrier.vertices() != vj_carrier(n0, j).vertices():
+    carrier = vj_carrier(n0, j)
+    if d.carrier != carrier and d.carrier.vertices() != carrier.vertices():
         raise WrongCarrier(f"datum carrier {d.carrier.name} is not V<{j}>")
     counts = {v: c for v, c in d.counts.items() if c}
     _apply_layer(counts, _layer_plan(n)[j - n0])

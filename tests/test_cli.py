@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from snaketsys.cli import main
 from snaketsys.quivers import HeightFunction
@@ -52,6 +57,16 @@ def test_quiver_dot_window(capsys):
 def test_quiver_config_error(capsys):
     code, _, err = run(capsys, "quiver", "--xi", "2,5,6")
     assert code == 2 and "config error" in err
+
+
+def test_quiver_xi_starting_negative_needs_equals(capsys):
+    # argparse reads a separate "-2,-3,0" as an option: the = form is the way in
+    code, out, _ = run(capsys, "quiver", "--flavor", "twisted", "--n0", "2", "--xi=-2,-3,0")
+    assert code == 0 and "a1,3" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["quiver", "--flavor", "twisted", "--n0", "2", "--xi", "-2,-3,0"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "expected one argument" in err and "Traceback" not in err
 
 
 def test_tsystem_golden_json(capsys, tmp_path):
@@ -272,3 +287,63 @@ def test_quiver_window_figure_labels(capsys):
         assert label in out
     # 15 labelled vertices in the window
     assert sum(out.count(f"a{i}") for i in range(1, 6)) >= 15
+
+
+# -- fuzzing the datum readers ---------------------------------------------
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=True), st.text(max_size=3), st.lists(st.integers(), max_size=2)
+)
+_VALUE = st.one_of(st.integers(-3, 40), _JUNK)
+_GOOD_ENTRY = st.fixed_dictionaries({"i": st.integers(-1, 16), "k2": st.integers(-3, 60), "c": st.integers(-1, 9)})
+_ENTRY = st.one_of(
+    _GOOD_ENTRY,
+    st.dictionaries(st.sampled_from(["i", "k2", "c", "x"]), _VALUE, max_size=4),  # missing keys, wrong types
+    _JUNK,
+)
+_GOOD_CARRIER = st.sampled_from(["gamma-THETA", "gamma-theta", "gamma-delta:0", "gamma-delta:1"])
+_CARRIER = st.one_of(
+    _GOOD_CARRIER,
+    st.sampled_from(["gamma-delta:2", "gamma-delta:x", "vj:", "vj:x", "vj:-1", "bogus", ""]),
+    st.integers(-2, 17).map(lambda j: f"vj:{j}"),
+    _JUNK,
+)
+_DATUM = st.one_of(
+    st.fixed_dictionaries({"carrier": _GOOD_CARRIER, "entries": st.lists(_GOOD_ENTRY, max_size=2)}),
+    st.fixed_dictionaries({"carrier": _CARRIER, "entries": st.lists(_ENTRY, max_size=6)}),
+    st.dictionaries(  # missing keys
+        st.sampled_from(["carrier", "entries"]), st.one_of(_CARRIER, st.lists(_ENTRY, max_size=3)), max_size=2
+    ),
+    _JUNK,
+)
+
+
+@st.composite
+def _datum_argv(draw):
+    command = draw(st.sampled_from(["rho", "reineke"]))
+    n = draw(st.integers(-1, 15))  # a large rank builds an n^2/2-vertex window: keep it small
+    argv = [command, f"--n={n}", "--format", "json", "-"]
+    if command == "reineke":
+        argv.append(f"--j={draw(st.one_of(st.sampled_from([0, 1, n, n + 1]), st.integers(-2, 17)))}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_datum_argv(), datum=_DATUM)
+def test_datum_commands_never_crash(argv, datum):
+    # malformed and boundary data end in a documented exit code with a
+    # message, never a traceback, and a successful run prints JSON
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(datum))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 2, 3, 4), (argv, datum)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == "" and err.getvalue().strip()

@@ -255,6 +255,40 @@ def test_rho_matches_reference_layers():
                 stage = nxt
 
 
+def reference_check_plan(n):
+    """The whole-carrier check of rank n's layer plan: raise InternalError unless it maps V<n0> onto V<n+1>.
+
+    Each layer must read each key of rows j, j+1 of V<j> once, write each
+    key of rows j, j+1 of V<j+1> once, read no key it writes, and the two
+    carriers must agree on every other row.  Every carrier is built in full.
+    """
+    from snaketsys.lusztig import _layer_plan
+
+    n0 = (n + 1) // 2
+    for j, layer in zip(range(n0, n + 1), _layer_plan(n)):
+        src, dst = vj_carrier(n0, j).vertices(), vj_carrier(n0, j + 1).vertices()
+        reads = [v for r, _ in layer.triples for v in r] + [s for s, _ in layer.moves]
+        writes = [v for _, w in layer.triples for v in w] + [t for _, t in layer.moves]
+        src_rows = {v for v in src if v.i in (j, j + 1)}
+        dst_rows = {v for v in dst if v.i in (j, j + 1)}
+        if (
+            len(reads) != len(src_rows) or set(reads) != src_rows
+            or len(writes) != len(dst_rows) or set(writes) != dst_rows
+            or not src_rows.isdisjoint(dst_rows)
+            or src - src_rows != dst - dst_rows
+        ):
+            raise InternalError(f"rho layer {j} of rank {n} does not map V<{j}> onto V<{j + 1}>")
+
+
+def test_layer_plan_passes_whole_carrier_reference_check():
+    for n in range(3, 32, 2):
+        reference_check_plan(n)
+
+
+def _two_rows(verts, j):
+    return {v for v in verts if v.i in (j, j + 1)}
+
+
 def test_layer_plan_is_checked_once():
     # the cached plan is immutable and bounded; a layer that misses a key,
     # writes a key twice or reads what it writes is rejected explicitly
@@ -273,11 +307,101 @@ def test_layer_plan_is_checked_once():
         _Layer(((reads, (writes[0], writes[0], writes[2])),) + rest, layer.moves),
         _Layer(((reads, reads),) + rest, layer.moves),
     ]
-    src, dst = vj_carrier(n0, j).vertices(), vj_carrier(n0, j + 1).vertices()
+    src, dst = _two_rows(vj_carrier(n0, j).vertices(), j), _two_rows(vj_carrier(n0, j + 1).vertices(), j)
     _check_layer(n0, j, layer, src, dst)
     for bad in broken:
         with pytest.raises(InternalError):
             _check_layer(n0, j, bad, src, dst)
+
+
+def test_layer_check_rejects_a_move_outside_its_two_rows():
+    # a layer that also moves a key of row j+2 is rejected, and so is one
+    # whose reads and writes overlap even if they match the rows given
+    from snaketsys.lusztig import _check_layer, _Layer, _layer_plan
+
+    n0, j = 4, 5
+    layer = _layer_plan(7)[j - n0]
+    src, dst = _two_rows(vj_carrier(n0, j).vertices(), j), _two_rows(vj_carrier(n0, j + 1).vertices(), j)
+    far = sorted(v for v in vj_carrier(n0, j).vertices() if v.i == j + 2)[0]
+    with pytest.raises(InternalError):
+        _check_layer(n0, j, _Layer(layer.triples, layer.moves + ((far, Vertex(far.i, far.k2 + 4)),)), src, dst)
+    reads = {v for r, _ in layer.triples for v in r} | {s for s, _ in layer.moves}
+    in_place = _Layer(tuple((r, r) for r, _ in layer.triples), tuple((s, s) for s, _ in layer.moves))
+    with pytest.raises(InternalError):
+        _check_layer(n0, j, in_place, reads, reads)
+
+
+def _shifted_window(name, n, row):
+    """The Gamma window `name` of rank n with the last key of `row` moved two steps right."""
+    from snaketsys.lusztig import _carrier_vertices
+
+    verts = set(_carrier_vertices(name, n))
+    last = max(v for v in verts if v.i == row)
+    return frozenset(verts - {last} | {Vertex(row, last.k2 + 8)})
+
+
+@pytest.mark.parametrize("row", [1, 7])
+def test_layer_plan_rejects_a_window_off_the_row_rule(monkeypatch, row):
+    # no layer reads row 1 (below n0), so only the composite check sees it;
+    # row 7 is off both the grid of the row rule and the reads of layer 6
+    from snaketsys import lusztig
+
+    n = 7
+    bad = _shifted_window(GAMMA_BIG_THETA, n, row)
+    real = lusztig._carrier_vertices
+
+    def patched(name, m):
+        return bad if (name, m) == (GAMMA_BIG_THETA, n) else real(name, m)
+
+    monkeypatch.setattr(lusztig, "_carrier_vertices", patched)
+    lusztig._layer_plan.cache_clear()
+    try:
+        with pytest.raises(InternalError):
+            lusztig._layer_plan(n)
+    finally:
+        lusztig._layer_plan.cache_clear()
+
+
+def test_layer_plan_rejects_a_row_rule_off_the_window(monkeypatch):
+    # the grid rows of V<j> are never written by a layer, so only the
+    # once-per-rank comparison with big_theta's window can catch them
+    from snaketsys import lusztig
+
+    real = lusztig._vj_row
+
+    def shifted_grid(theta_rows, n, j, i):
+        row = real(theta_rows, n, j, i)
+        return frozenset(Vertex(v.i, v.k2 + 4) for v in row) if i > j else row
+
+    monkeypatch.setattr(lusztig, "_vj_row", shifted_grid)
+    lusztig._layer_plan.cache_clear()
+    try:
+        with pytest.raises(InternalError):
+            lusztig._layer_plan(7)
+    finally:
+        lusztig._layer_plan.cache_clear()
+
+
+def test_layer_plan_builds_no_intermediate_carrier(monkeypatch):
+    from snaketsys import lusztig
+
+    calls = []
+    real = lusztig._vj_vertices
+    monkeypatch.setattr(lusztig, "_vj_vertices", lambda n, j: calls.append((n, j)) or real(n, j))
+    lusztig._layer_plan.cache_clear()
+    lusztig._layer_plan(31)
+    assert calls == []
+
+
+def test_rho_step_accepts_the_same_carriers():
+    # rho_step compares vertex sets only when the carrier is not V<j> by name
+    n0, n = 4, 7
+    pts = (Vertex(5, 8), Vertex(4, 17))
+    want = rho_step(n0, unit_datum(Carrier(GAMMA_BIG_THETA, n), pts))
+    assert rho_step(n0, unit_datum(Carrier(f"vj:{n0}", n), pts)) == want
+    for j in range(n0, n + 1):
+        with pytest.raises(WrongCarrier):
+            rho_step(j, VertexDatum(Carrier(f"vj:{j + 1}", n), {}))
 
 
 def test_rho_wrong_carrier():
