@@ -26,7 +26,8 @@ window: each layer is checked on its two rows only, against rows j, j+1 of
 the copy and of V<j+1>, so it costs O(n) per layer and O(n^2) per rank and
 builds no intermediate carrier.  rho copies the counts once and runs the
 plan in place, touching O(n) keys per step and O(n^2) in all; rho_step runs
-one layer of the same plan on a copy.
+one layer of the same plan on a copy.  A triple whose reads are all 0 writes
+nothing; a VertexDatum checks its keys by one C-level subset test.
 
 Only the Gamma windows (gamma-theta, gamma-THETA, gamma-delta:*) are cached,
 in a bounded cache; V<n0> and V<n+1> are the two staircase windows.  An
@@ -221,10 +222,10 @@ class VertexDatum:
 
     def __post_init__(self):
         keys = self.carrier.vertices()
-        bad = [v for v in self.counts if v not in keys]
-        if bad:
+        if not self.counts.keys() <= keys:
+            bad = [v for v in self.counts if v not in keys]
             raise WrongCarrier(f"keys {bad[:3]} outside carrier {self.carrier.name}")
-        if any(c < 0 for c in self.counts.values()):
+        if self.counts and min(self.counts.values()) < 0:
             raise ValueError("counts must be nonnegative")
 
     def get(self, v: Vertex) -> int:
@@ -309,10 +310,16 @@ def _check_layer(
 def _apply_layer(counts: dict[Vertex, int], layer: _Layer) -> None:
     """Run one layer on nonzero counts in place, storing only nonzero results."""
     pop = counts.pop
-    for (a, b, c), writes in layer.triples:
-        for v, x in zip(writes, three_move(pop(a, 0), pop(b, 0), pop(c, 0))):
-            if x:
-                counts[v] = x
+    for (a, b, c), (x, y, z) in layer.triples:
+        ca, cb, cc = pop(a, 0), pop(b, 0), pop(c, 0)
+        if ca or cb or cc:
+            ca, cb, cc = three_move(ca, cb, cc)
+            if ca:
+                counts[x] = ca
+            if cb:
+                counts[y] = cb
+            if cc:
+                counts[z] = cc
     for src, dst in layer.moves:
         x = pop(src, 0)
         if x:

@@ -1,12 +1,14 @@
 import contextlib
 import io
 import json
+import random
 import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from snaketsys import snakes
 from snaketsys.cli import main
 from snaketsys.quivers import HeightFunction
 
@@ -63,10 +65,17 @@ def test_quiver_xi_starting_negative_needs_equals(capsys):
     # argparse reads a separate "-2,-3,0" as an option: the = form is the way in
     code, out, _ = run(capsys, "quiver", "--flavor", "twisted", "--n0", "2", "--xi=-2,-3,0")
     assert code == 0 and "a1,3" in out
-    with pytest.raises(SystemExit) as exc:
-        main(["quiver", "--flavor", "twisted", "--n0", "2", "--xi", "-2,-3,0"])
+    assert main(["quiver", "--flavor", "twisted", "--n0", "2", "--xi", "-2,-3,0"]) == 2
     err = capsys.readouterr().err
-    assert exc.value.code == 2 and "expected one argument" in err and "Traceback" not in err
+    assert "expected one argument" in err and "Traceback" not in err
+
+
+def test_help_and_usage_errors_return_their_codes(capsys):
+    # argparse's exit is turned into main's return value; nothing escapes
+    code, out, _ = run(capsys, "rho", "--help")
+    assert code == 0 and "usage:" in out
+    code, _, err = run(capsys, "no-such-command")
+    assert code == 2 and "invalid choice" in err
 
 
 def test_tsystem_golden_json(capsys, tmp_path):
@@ -328,22 +337,101 @@ def _datum_argv(draw):
     return argv
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
-@given(argv=_datum_argv(), datum=_DATUM)
-def test_datum_commands_never_crash(argv, datum):
-    # malformed and boundary data end in a documented exit code with a
-    # message, never a traceback, and a successful run prints JSON
+def _never_crashes(argv, stdin_obj):
+    """Run main in process on stdin_obj as JSON input; check it ends in a
+    documented exit code with a message, never a traceback, and that a
+    successful run with --format json prints JSON."""
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
-    sys.stdin = io.StringIO(json.dumps(datum))
+    sys.stdin = io.StringIO(json.dumps(stdin_obj))
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     finally:
         sys.stdin = stdin
-    assert code in (0, 2, 3, 4), (argv, datum)
+    assert code in (0, 2, 3, 4), (argv, stdin_obj)
     assert "Traceback" not in err.getvalue()
-    if code == 0:
-        json.loads(out.getvalue())
-    else:
+    if code != 0:
         assert out.getvalue() == "" and err.getvalue().strip()
+    elif "json" in argv:
+        json.loads(out.getvalue())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_datum_argv(), datum=_DATUM)
+def test_datum_commands_never_crash(argv, datum):
+    _never_crashes(argv, datum)
+
+
+# -- fuzzing the snake and realization-table readers -----------------------
+
+_HEIGHTS = (
+    HeightFunction.untwisted([1]),
+    HeightFunction.untwisted([1, 2, 3]),
+    HeightFunction.untwisted([2, 1, 2, 3]),
+    HeightFunction.big_theta(2),
+    HeightFunction.big_theta(3),
+)
+_POINT = st.one_of(
+    st.fixed_dictionaries({"i": st.integers(-1, 7), "k2": st.integers(-4, 24)}),  # mostly off the window
+    st.dictionaries(st.sampled_from(["i", "k2", "x"]), _VALUE, max_size=3),  # missing keys, wrong types
+    _JUNK,
+)
+_FIELD_VALUE = st.one_of(_VALUE, st.lists(_VALUE, max_size=4), st.sampled_from(["untwisted", "twisted", "bogus"]))
+
+
+def _spoil(draw, obj, keys):
+    """obj as is three times in four, else with one of keys dropped or given a junk value."""
+    if draw(st.integers(0, 3)):
+        return obj
+    obj, key = dict(obj), draw(st.sampled_from(keys))
+    if draw(st.booleans()):
+        del obj[key]
+    else:
+        obj[key] = draw(_FIELD_VALUE)
+    return obj
+
+
+@st.composite
+def _snake_argv(draw):
+    """(argv, snake JSON, realization table JSON or None) on one of _HEIGHTS."""
+    xi = draw(st.sampled_from(_HEIGHTS))
+    window = sorted(xi.gamma_vertices())
+    rng = random.Random(draw(st.integers(0, 2**16)))  # a (prime) snake grown from a window vertex, maybe leaving it
+    grown = snakes.grow_snake(xi, rng, draw(st.sampled_from(window)), draw(st.integers(2, 6)),
+                              prime=draw(st.booleans()), in_gamma=draw(st.booleans()))
+    points = [{"i": v.i, "k2": v.k2} for v in grown]
+    if not draw(st.integers(0, 3)):
+        points.insert(draw(st.integers(0, len(points))), draw(_POINT))
+    snake = _spoil(draw, {"flavor": xi.flavor, "xi": list(xi.values2), "n0": xi.n0, "points": points},
+                   ["flavor", "xi", "n0", "points"])
+    command = draw(st.sampled_from(["snake-check", "qr", "tsystem"]))
+    argv = [command, "--format", draw(st.sampled_from(["json", "text"])), "-"]
+    table = None
+    realization = draw(st.sampled_from([None, "qdatum", "table"])) if command == "tsystem" else None
+    if realization == "qdatum":
+        argv += ["--realization", "qdatum"]
+    elif realization == "table":
+        h_dual = draw(st.integers(-1, 8))
+        missing = draw(st.one_of(st.none(), st.none(), st.sampled_from(window)))
+        entries = [
+            {"i": v.i, "k2": v.k2, "monomial": [{"node": v.i, "spectral": -v.k2, "exp": draw(st.integers(-1, 2))}]}
+            for v in window if v != missing
+        ]
+        if entries:
+            entries[-1]["monomial"] = [_spoil(draw, entries[-1]["monomial"][0], ["node", "spectral", "exp"])]
+            entries[0] = _spoil(draw, entries[0], ["i", "k2", "monomial"])
+        table = _spoil(draw, {"h_dual": h_dual, "g0_rank": h_dual - 1, "entries": entries},
+                       ["h_dual", "g0_rank", "entries"])
+    return argv, snake, table
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_snake_argv())
+def test_snake_commands_never_crash(tmp_path_factory, case):
+    argv, snake, table = case
+    if table is not None:
+        path = tmp_path_factory.getbasetemp() / "table.json"
+        path.write_text(json.dumps(table))
+        argv = [*argv, "--realization", str(path)]
+    _never_crashes(argv, snake)

@@ -135,6 +135,25 @@ def test_carrier_validation():
         VertexDatum(Carrier(GAMMA_THETA, 3), {Vertex(1, 1): 1})  # off-carrier key
 
 
+def test_vertex_datum_checks_keys_before_signs():
+    # off-carrier keys are named, the first three in insertion order, before
+    # any count is looked at; a negative count is a ValueError, a zero is kept
+    carrier = Carrier(GAMMA_THETA, 7)
+    inside = sorted(carrier.vertices())[:2]
+    off = [Vertex(2, 99), Vertex(1, 1), Vertex(7, -8), Vertex(3, 0)]
+    counts = {inside[0]: 1, off[0]: 1, off[1]: 2, inside[1]: 0, off[2]: 3, off[3]: 4}
+    with pytest.raises(WrongCarrier) as exc:
+        VertexDatum(carrier, counts)
+    assert str(exc.value) == f"keys {off[:3]} outside carrier {GAMMA_THETA}"
+    with pytest.raises(WrongCarrier):
+        VertexDatum(carrier, {inside[0]: -1, off[0]: -1})
+    with pytest.raises(ValueError, match="counts must be nonnegative") as exc:
+        VertexDatum(carrier, {inside[0]: 0, inside[1]: -1})
+    assert not isinstance(exc.value, WrongCarrier)
+    zeros = VertexDatum(carrier, {v: 0 for v in carrier.vertices()})
+    assert len(zeros.counts) == len(carrier.vertices()) and zeros.nonzero() == {}
+
+
 def test_rho_zero_datum():
     src = Carrier(GAMMA_BIG_THETA, 3)
     out = rho(VertexDatum(src, {}))
@@ -239,6 +258,9 @@ def test_rho_matches_reference_layers():
             VertexDatum(carrier, {v: rng.randint(1, 5) for v in verts if rng.random() < 0.1}),
             VertexDatum(carrier, {v: rng.randint(0, 9) for v in verts}),
             unit_datum(carrier, snakes.random_snake(big, rng, rng.randint(1, 6), prime=False, in_gamma=True)),
+            # every key stored, zeros in every row
+            VertexDatum(carrier, {v: rng.randint(1, 5) if rng.random() < 0.3 else 0 for v in verts}
+                        | {v: 0 for v in {v.i: v for v in verts}.values()}),
         ]
         for d in data:
             before = dict(d.counts)
@@ -253,6 +275,26 @@ def test_rho_matches_reference_layers():
                 assert stage.counts == stage_counts
                 assert nxt == ref
                 stage = nxt
+
+
+def test_rho_moves_a_lone_count_like_the_reference():
+    # a datum whose only nonzero count sits at one read of a layer (one
+    # read of a triple, or a boundary key), next to stored zeros: rho_step
+    # and rho, stage by stage, agree with the reference layers
+    for n0 in range(2, 6):
+        n = 2 * n0 - 1
+        for j in range(n0, n + 1):
+            carrier = vj_carrier(n0, j)
+            for v in sorted(_two_rows(carrier.vertices(), j)):
+                d = VertexDatum(carrier, {w: 0 for w in carrier.vertices()} | {v: 2})
+                assert rho_step(j, d) == reference_layer(j, d)
+        for v in sorted(vj_carrier(n0, n0).vertices()):
+            d = VertexDatum(Carrier(GAMMA_BIG_THETA, n), {v: 3})
+            want = reference_rho(d)
+            assert rho(d) == want[-1]
+            for j, ref in zip(range(n0, n + 1), want):
+                d = rho_step(j, d)
+                assert d == ref
 
 
 def reference_check_plan(n):
