@@ -5,6 +5,7 @@ Run:  python demos/demo_reineke.py
 from snaketsys import reineke
 from snaketsys.lusztig import Carrier, VertexDatum
 from snaketsys.quivers import Vertex
+from snaketsys.verify import epsilon_bruteforce, omega_interval
 
 # epsilon_j of a datum on the matching-parity canonical window maximizes
 # sum(c_{i,k} - c_{i,k-2}) over lower closed subsets of the diamond
@@ -16,12 +17,13 @@ carrier = Carrier("gamma-delta:0", 5)
 d = VertexDatum(carrier, {Vertex(2, 2): 1, Vertex(2, 6): 1})
 print("epsilon_2 of a two-point datum:", reineke.epsilon(2, d))
 
-# In the coordinates (k+i, k-i) Omega_j is a full rectangle, so a lower set
-# is a staircase of column heights and epsilon is a linear-time programme
-# over the columns.  Enumerating every order ideal is the oracle.
+# In the coordinates (k+i, k-i) Omega_j is a full rectangle, written down
+# in closed form, so a lower set is a staircase of column heights and
+# epsilon is a linear-time programme over the columns.  The oracle finds
+# Omega_j as a preceq interval of the window and enumerates its order ideals.
 for col in om.columns:
-    print("  column, by row:", [(om.vertices[a].i, om.vertices[a].k2 // 2) for a in col])
-print("brute force:", reineke.epsilon_bruteforce(om, d))
+    print("  column, by row:", [(v.i, v.k2 // 2) for v in col])
+print("brute force:", epsilon_bruteforce(omega_interval(5, 2), d))
 print("staircase:  ", reineke.epsilon(2, d))
 
 # On the opposite-parity window the value is just the count at (j, 0).

@@ -14,7 +14,7 @@ import sys
 from . import realize, reineke, snakes, tsystem, verify
 from .errors import DomainError
 from .lusztig import VertexDatum, datum_from_json, datum_to_json, rho
-from .quivers import TWISTED, UNTWISTED, HeightFunction, quiver_ascii, quiver_dot
+from .quivers import TWISTED, UNTWISTED, HeightFunction, quiver_ascii, quiver_dot, vertices_json
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -128,7 +128,7 @@ def cmd_snake_check(args) -> int:
     prime = ok and snakes.is_prime_snake(xi, pts)
     out = {"snake": ok, "prime": prime}
     if ok:
-        out["splits"] = [[{"i": v.i, "k2": v.k2} for v in seg] for seg in snakes.split_prime(xi, pts)]
+        out["splits"] = [vertices_json(seg) for seg in snakes.split_prime(xi, pts)]
     if args.format == "json":
         _emit(out)
     else:
@@ -140,8 +140,8 @@ def cmd_qr(args) -> int:
     snake = _read_snake(args.input)
     pair = snakes.qr_sequences(snake.xi, snake.points)
     out = {
-        "Q": [{"i": v.i, "k2": v.k2} for v in pair.q],
-        "R": [{"i": v.i, "k2": v.k2} for v in pair.r],
+        "Q": vertices_json(pair.q),
+        "R": vertices_json(pair.r),
     }
     if args.format == "json":
         _emit(out)

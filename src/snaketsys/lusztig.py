@@ -17,7 +17,7 @@ the two leftover boundary keys of row j by -+1/2, and carries everything
 else by identity.
 
 Row i of V<j>, n0 < j <= n+1, is theta's window row if i < j, the
-half-integer chain if i = j, and big_theta's grid if i > j (_vj_row).
+half-integer chain if i = j (_vj_chain), and big_theta's window row if i > j.
 
 The steps do not depend on the datum, so each rank has one cached layer
 plan listing the keys every step reads and writes, checked once when it is
@@ -179,28 +179,26 @@ def _rows(verts: Iterable[Vertex], n: int) -> list[set[Vertex]]:
     return rows
 
 
-def _vj_row(theta_rows: Sequence[AbstractSet[Vertex]], n: int, j: int, i: int) -> AbstractSet[Vertex]:
-    """Row i of V<j> of rank n, n0 < j <= n+1; theta_rows[i] is row i of theta's window.
+def _vj_chain(n: int, j: int) -> frozenset[Vertex]:
+    """Row j of V<j> of rank n, n0 < j <= n+1: the half-integer chain (j, j - 3/2 + m), m in [0, 2n-2j+1].
 
-    Rows below j are theta's window, row j is the half-integer chain
-    (j, j - 3/2 + m), m in [0, 2n-2j+1], and rows above j keep the big_theta
-    grid (i, i - 1 + 2m), m in [0, n-i].  Row n+1 is empty.
+    It is empty at j = n+1, where V<n+1> is theta's window.
     """
-    if i < j:
-        return theta_rows[i]
-    first, last, step = (2 * j - 3, 4 * n - 2 * j - 1, 2) if i == j else (2 * i - 2, 4 * n - 2 * i - 2, 4)
-    return frozenset(Vertex(i, k2) for k2 in range(first, last + 1, step))
+    return frozenset(Vertex(j, k2) for k2 in range(2 * j - 3, 4 * n - 2 * j, 2))
 
 
 def _vj_vertices(n: int, j: int) -> frozenset[Vertex]:
-    """The vertices of V<j>, built afresh by the row rule unless j is n0 or n+1 (a window)."""
+    """The vertices of V<j>: theta's window rows below j, the chain at j, big_theta's window rows above j.
+
+    Built afresh from the two cached windows unless j is n0 or n+1 (a window).
+    """
     n0 = (n + 1) // 2
     if j == n0:
         return _carrier_vertices(GAMMA_BIG_THETA, n)
     if j == n + 1:
         return _carrier_vertices(GAMMA_THETA, n)
-    theta_rows = _rows(_carrier_vertices(GAMMA_THETA, n), n)
-    verts = frozenset().union(*(_vj_row(theta_rows, n, j, i) for i in range(1, n + 1)))
+    theta, big = _carrier_vertices(GAMMA_THETA, n), _carrier_vertices(GAMMA_BIG_THETA, n)
+    verts = frozenset().union((v for v in theta if v.i < j), _vj_chain(n, j), (v for v in big if v.i > j))
     if len(verts) != roots.num_positive_roots(n):
         raise InternalError(f"V<{j}> of rank {n} has {len(verts)} vertices, not one per positive root")
     return verts
@@ -255,17 +253,13 @@ def _layer_plan(n: int) -> tuple[_Layer, ...]:
     """The steps rho_<n0>, ..., rho_<n> of rank n, each checked once on its two rows.
 
     A row-indexed copy of the carrier starts from the big_theta window, and
-    each layer replaces its rows j, j+1 with those of V<j+1>.  Rows above
-    n0+1 are read from the window but are big_theta's grid in the row rule,
-    so the two must agree there; rows below n0 are never touched, so the
-    composite must end on the theta window.
+    each layer replaces its rows j, j+1 with those of V<j+1>.  Rows below
+    n0 are never touched, so the composite must end on the theta window.
     """
     n0 = (n + 1) // 2
     theta = _carrier_vertices(GAMMA_THETA, n)
     theta_rows = _rows(theta, n)
     rows = _rows(_carrier_vertices(GAMMA_BIG_THETA, n), n)  # V<n0>
-    if any(rows[i] != _vj_row(theta_rows, n, n0 + 1, i) for i in range(n0 + 2, n + 1)):
-        raise InternalError(f"the big_theta window of rank {n} is not the grid of the V<j> row rule")
     plan = []
     for j in range(n0, n + 1):
         triples = tuple(
@@ -279,7 +273,7 @@ def _layer_plan(n: int) -> tuple[_Layer, ...]:
         moves = ((Vertex(j, 2 * j - 3), Vertex(j, 2 * j - 4)),) if j > n0 else ()
         moves += ((Vertex(j, 4 * n - 2 * j - 1), Vertex(j, 2 * (2 * n - j))),)
         layer = _Layer(triples, moves)
-        dst = (_vj_row(theta_rows, n, j + 1, j), _vj_row(theta_rows, n, j + 1, j + 1))
+        dst = (theta_rows[j], _vj_chain(n, j + 1))
         _check_layer(n0, j, layer, rows[j] | rows[j + 1], dst[0] | dst[1])
         rows[j], rows[j + 1] = dst
         plan.append(layer)

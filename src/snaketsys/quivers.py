@@ -32,6 +32,11 @@ class Vertex(NamedTuple):
         return f"({self.i},{_fmt_k2(self.k2)})"
 
 
+def vertices_json(points: Iterable[Vertex]) -> list[dict]:
+    """A vertex sequence as the JSON list of its {"i", "k2"} objects."""
+    return [{"i": v.i, "k2": v.k2} for v in points]
+
+
 def _fmt_k2(k2: int) -> str:
     return str(k2 // 2) if k2 % 2 == 0 else f"{k2}/2"
 
@@ -176,7 +181,7 @@ class HeightFunction:
     def is_vertex(self, v: Vertex) -> bool:
         if not 1 <= v.i <= self.n:
             return False
-        return (v.k2 - self.xi2(v.i)) % self.d2(v.i) == 0
+        return (v.k2 - self.values2[v.i - 1]) % self.d2(v.i) == 0
 
     def _arrow_step2(self, i: int, j: int) -> int:
         # doubled min(d_i, d_j)/2
@@ -276,11 +281,13 @@ class HeightFunction:
         """All N = n(n+1)/2 vertices with xi_i <= k <= n-1+xi_{i*}."""
         return _gamma_vertices(self)
 
+    def gamma_row(self, i: int) -> range:
+        """The doubled heights k2 of row i inside Gamma: xi_i <= k <= n-1+xi_{i*}, step d_i."""
+        top2 = 2 * (self.n - 1) + self.xi2(roots.star(self.n, i))
+        return range(self.xi2(i), top2 + 1, self.d2(i))
+
     def in_gamma(self, v: Vertex) -> bool:
-        if not self.is_vertex(v):
-            return False
-        top2 = 2 * (self.n - 1) + self.xi2(roots.star(self.n, v.i))
-        return self.xi2(v.i) <= v.k2 <= top2
+        return 1 <= v.i <= self.n and v.k2 in self.gamma_row(v.i)
 
     def compatible_reading(self, reverse_rows: bool = False) -> tuple[tuple[Vertex, ...], tuple[int, ...]]:
         """A topological order of Gamma and its node word.
@@ -312,11 +319,7 @@ def big_theta2(n0: int, i: int) -> int:
 
 @lru_cache(maxsize=128)
 def _gamma_vertices(hf: HeightFunction) -> tuple[Vertex, ...]:
-    out = []
-    for i in range(1, hf.n + 1):
-        lo2 = hf.xi2(i)
-        top2 = 2 * (hf.n - 1) + hf.xi2(roots.star(hf.n, i))
-        out.extend(Vertex(i, k2) for k2 in range(lo2, top2 + 1, hf.d2(i)))
+    out = [Vertex(i, k2) for i in range(1, hf.n + 1) for k2 in hf.gamma_row(i)]
     out.sort(key=lambda v: (v.k2, v.i))
     expected = roots.num_positive_roots(hf.n)
     if len(out) != expected:

@@ -52,9 +52,6 @@ class Monomial:
     def __hash__(self):
         return hash(frozenset(self.factors.items()))
 
-    def is_dominant(self) -> bool:
-        return all(e > 0 for e in self.factors.values())
-
     def dual_shift(self, g0_rank: int, h_dual: int, t: int = 1) -> "Monomial":
         """Apply the duality substitution Y_{j,l} -> Y_{j*, l + h_dual} t times."""
         out = {}

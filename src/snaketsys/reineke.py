@@ -3,21 +3,21 @@
 On the two canonical 0/1 height functions the value epsilon_j of a datum c
 is the maximum of sum(c_{i,k} - c_{i,k-2}) over lower closed subsets of the
 diamond Omega_j.  In the coordinates (k+i, k-i) Omega_j is a full rectangle
-whose arrows are the unit steps, so a lower set is a staircase of column
-heights that never rise to the right, and epsilon is a dynamic programme
-over the columns, linear in |Omega_j|.  Exhaustive enumeration of order
-ideals stays as the reference oracle of the ``verify`` sweep.
+whose arrows are the unit steps, so ``omega`` writes it down in closed form,
+a lower set is a staircase of column heights that never rise to the right,
+and epsilon is a dynamic programme over the columns, linear in |Omega_j|.
+The reference oracles live in ``verify``: Omega_j as the preceq interval of
+the window, and epsilon by enumerating that interval's order ideals.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 from . import roots
-from .errors import InternalError, ParityMismatch, WrongCarrier
+from .errors import ParityMismatch, WrongCarrier
 from .lusztig import Carrier, VertexDatum
-from .quivers import HeightFunction, Vertex
+from .quivers import Vertex
 
 
 def bar(i: int) -> int:
@@ -32,54 +32,26 @@ def delta_of_carrier(carrier: Carrier) -> int:
 
 @dataclass(frozen=True)
 class OmegaPoset:
-    """The diamond {v : (j,1) <= v <= (j*, n)} inside the canonical window."""
+    """The diamond {v : (j,1) <= v <= (j*, n)} inside the canonical window, column by column."""
 
     n: int
     j: int
-    delta: int
     vertices: tuple[Vertex, ...]
-    covers: tuple[tuple[int, int], ...]  # (a, b): vertices[a] -> vertices[b] arrow
-    columns: tuple[tuple[int, ...], ...]  # vertex indices per column k+i, by row k-i
+    columns: tuple[tuple[Vertex, ...], ...]  # per column k+i, ascending, each by row k-i
 
 
 @lru_cache(maxsize=256)
 def omega(n: int, j: int) -> OmegaPoset:
-    """Omega_j as the interval (j,1) <= v <= (j*, n) of the canonical window.
+    """Omega_j in closed form: columns c = k+i in {j+1, j+3, ..., 2n+1-j}, rows r = k-i in {1-j, ..., j-1}.
 
-    The test suite checks it against the root-set description
-    {v : phi(v) contains j}; its grid layout is checked here, once per (n, j).
+    The vertex at (c, r) is ((c-r)/2, k2 = c+r).  ``verify`` holds the
+    second description, the interval of the canonical window by preceq.
     """
     roots.check_node(n, j)
-    delta = bar(j)
-    hf = HeightFunction.canonical(n, delta)
-    lo = Vertex(j, 2)
-    hi = Vertex(roots.star(n, j), 2 * n)
-    verts = tuple(v for v in hf.gamma_vertices() if hf.preceq(lo, v) and hf.preceq(v, hi))
-    pos = {v: a for a, v in enumerate(verts)}
-    covers = []
-    for a, v in enumerate(verts):
-        for w in hf.arrow_targets(v):
-            if w in pos:
-                covers.append((a, pos[w]))
-    return OmegaPoset(n, j, delta, verts, tuple(covers), _grid_columns(verts, covers))
-
-
-def _grid_columns(verts: Sequence[Vertex], covers: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
-    """The indices of ``verts`` per column k+i, each ordered by row k-i.
-
-    The epsilon programme is exact only on a full rectangle whose arrows are
-    exactly its unit steps; anything else is a bug in Omega.
-    """
-    col_of = {c: x for x, c in enumerate(sorted({v.k2 + 2 * v.i for v in verts}))}
-    row_of = {r: y for y, r in enumerate(sorted({v.k2 - 2 * v.i for v in verts}))}
-    grid = [[-1] * len(row_of) for _ in col_of]
-    for a, v in enumerate(verts):
-        grid[col_of[v.k2 + 2 * v.i]][row_of[v.k2 - 2 * v.i]] = a
-    steps = {(col[y], col[y + 1]) for col in grid for y in range(len(col) - 1)}
-    steps |= {(left[y], right[y]) for left, right in zip(grid, grid[1:]) for y in range(len(left))}
-    if set(covers) != steps:  # a missing cell leaves a -1 that no arrow meets
-        raise InternalError(f"{len(verts)} vertices and {len(covers)} arrows do not form a grid")
-    return tuple(map(tuple, grid))
+    columns = tuple(
+        tuple(Vertex((c - r) // 2, c + r) for r in range(1 - j, j, 2)) for c in range(j + 1, 2 * n + 2 - j, 2)
+    )
+    return OmegaPoset(n, j, tuple(v for col in columns for v in col), columns)
 
 
 def _weights(om: OmegaPoset, d: VertexDatum) -> list[int]:
@@ -92,53 +64,6 @@ def _weights(om: OmegaPoset, d: VertexDatum) -> list[int]:
     return out
 
 
-def _ideal_masks(om: OmegaPoset):
-    """All lower closed subsets of Omega as bitmasks."""
-    m = len(om.vertices)
-    pred_mask = [0] * m
-    for a, b in om.covers:
-        pred_mask[b] |= 1 << a
-    # saturate: predecessors of predecessors
-    changed = True
-    while changed:
-        changed = False
-        for b in range(m):
-            acc = pred_mask[b]
-            for a in range(m):
-                if acc >> a & 1:
-                    acc |= pred_mask[a]
-            if acc != pred_mask[b]:
-                pred_mask[b] = acc
-                changed = True
-    seen = {0}
-    stack = [0]
-    while stack:
-        mask = stack.pop()
-        yield mask
-        for x in range(m):
-            if not mask >> x & 1 and pred_mask[x] & ~mask == 0:
-                new = mask | 1 << x
-                if new not in seen:
-                    seen.add(new)
-                    stack.append(new)
-
-
-def epsilon_bruteforce(om: OmegaPoset, d: VertexDatum) -> int:
-    """Reference oracle: maximize over explicitly enumerated order ideals."""
-    wts = _weights(om, d)
-    best = 0
-    for mask in _ideal_masks(om):
-        s = 0
-        x = mask
-        while x:
-            b = x & -x
-            s += wts[b.bit_length() - 1]
-            x ^= b
-        if s > best:
-            best = s
-    return best
-
-
 def epsilon(j: int, d: VertexDatum) -> int:
     """Reineke's epsilon_j, a staircase programme over the columns of Omega_j.
 
@@ -147,15 +72,15 @@ def epsilon(j: int, d: VertexDatum) -> int:
     delta = delta_of_carrier(d.carrier)
     if bar(j) != delta:
         raise ParityMismatch(f"epsilon_{j} needs the parity-{bar(j)} window, got {delta}")
-    om = omega(d.carrier.n, j)
-    wts = _weights(om, d)
-    # best[h]: optimum of the columns right of the current one, given that the
-    # current column has height h (a lower set never rises to the right)
-    best = [0] * (len(om.columns[0]) + 1)
-    for col in reversed(om.columns):
+    wts = _weights(omega(d.carrier.n, j), d)
+    # the weights run column by column, j rows each; best[h]: optimum of the
+    # columns right of the current one, given that the current column has
+    # height h (a lower set never rises to the right)
+    best = [0] * (j + 1)
+    for x in reversed(range(0, len(wts), j)):
         total = run = 0
-        for h, a in enumerate(col, 1):
-            total += wts[a]
+        for h, w in enumerate(wts[x:x + j], 1):
+            total += w
             run = max(run, total + best[h])
             best[h] = run
     return best[-1]

@@ -13,9 +13,8 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from . import lusztig
 from .errors import InternalError, NotPrimeSnake, NotPrimeSnakePair, NotSnake, OutsideWindow
-from .quivers import TWISTED, UNTWISTED, HeightFunction, Region, Vertex, big_theta2, json_int
+from .quivers import TWISTED, UNTWISTED, HeightFunction, Region, Vertex, big_theta2, json_int, vertices_json
 
 
 class QRPair(NamedTuple):
@@ -234,13 +233,13 @@ def _x_mid(n0: int, v: Vertex, w: Vertex, region_v: Region) -> Vertex | None:
     return Vertex(_exact_div(t + tp - v.k2 + w.k2, 4), _exact_div(-t + tp + v.k2 + w.k2, 2))
 
 
-def translate_twisted(n0: int, points: Sequence[Vertex], validate: bool = False) -> tuple[Vertex, ...]:
+def translate_twisted(n0: int, points: Sequence[Vertex]) -> tuple[Vertex, ...]:
     """The untwisted shadow P-dagger of a snake in the big_theta window.
 
     Points left of the middle row are kept; every maximal segment in the
     closed right half is replaced by its X^-/X/X^+ sequence.  The result is
-    a snake in the theta window satisfying rho(e(P)) = e(P-dagger); pass
-    validate=True to check that equality on the spot (InternalError if not).
+    a snake in the theta window satisfying rho(e(P)) = e(P-dagger), which
+    the ``verify`` rho sweep checks.
     """
     big = HeightFunction.big_theta(n0)
     theta = HeightFunction.theta(n0)
@@ -273,12 +272,6 @@ def translate_twisted(n0: int, points: Sequence[Vertex], validate: bool = False)
             raise InternalError(f"translated point {v} left the theta window")
     if not is_snake(theta, result):
         raise InternalError("translation did not produce a snake")
-    if validate:
-        src = lusztig.unit_datum(lusztig.Carrier(lusztig.GAMMA_BIG_THETA, n), points)
-        want = lusztig.unit_datum(lusztig.Carrier(lusztig.GAMMA_THETA, n), result)
-        got = lusztig.rho(src)
-        if got.nonzero() != want.nonzero():
-            raise InternalError(f"rho disagrees with the translation of {points}")
     return result
 
 
@@ -339,7 +332,7 @@ def snake_to_json(xi: HeightFunction, points: Sequence[Vertex]) -> dict:
     obj = {
         "flavor": xi.flavor,
         "xi": list(xi.values2),
-        "points": [{"i": v.i, "k2": v.k2} for v in points],
+        "points": vertices_json(points),
     }
     if xi.flavor == TWISTED:
         obj["n0"] = xi.n0

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import reineke, roots
+from . import reineke
 from .errors import NotPrimeSnake, NotSnake, OutsideWindow, TooShort
 from .lusztig import Carrier, unit_datum
-from .quivers import TWISTED, UNTWISTED, HeightFunction, Region, Vertex, big_theta2
+from .quivers import TWISTED, UNTWISTED, HeightFunction, Region, Vertex, big_theta2, vertices_json
 from .snakes import (
     in_snake_position,
     is_prime_snake,
@@ -219,20 +219,14 @@ def _twisted_core(big: HeightFunction, v: Vertex, pts, side: str) -> int:
     on the reversed configuration it moves a few configurations between a
     value and OutsideWindow, both ways, though the values found agree."""
     n0 = big.n0
-    n = big.n
     pts = _truncate_to_window(big, v, pts) if side == "left" else _truncate_after_window(big, pts, v)
     if not pts:
         return 0
-    # even shifts for which the whole snake fits the big_theta window
-    s_lo, s_hi = -(1 << 30), 1 << 30
-    for x in pts:
-        lo2 = big.xi2(x.i)
-        hi2 = 2 * (n - 1) + big.xi2(roots.star(n, x.i))
-        s_lo = max(s_lo, lo2 - x.k2)
-        s_hi = min(s_hi, hi2 - x.k2)
-    # candidate shifts are even integers (multiples of 4 in doubled units)
-    top = s_hi - ((s_hi % 4) + 4) % 4
-    candidates = list(range(top, s_lo - 1, -4))
+    # even shifts (multiples of 4 in doubled units) for which the whole snake fits the big_theta window
+    rows = [(big.gamma_row(x.i), x.k2) for x in pts]
+    s_lo = max(row[0] - k2 for row, k2 in rows)
+    s_hi = min(row[-1] - k2 for row, k2 in rows)
+    candidates = list(range(s_hi - s_hi % 4, s_lo - 1, -4))
     theta = HeightFunction.theta(n0)
     dual_sign = -1 if side == "left" else 1  # off-window probe rewrite direction
     last_error: Exception | None = None
@@ -331,7 +325,7 @@ class HypothesesReport:
 def _epsilon_or_none(xi: HeightFunction, v: Vertex, points: Points, side: str) -> int | None:
     try:
         return tfd_via_epsilon(xi, v, points, side)
-    except (OutsideWindow, AssertionError):
+    except OutsideWindow:
         return None
 
 
@@ -388,20 +382,16 @@ def relation_latex(rel: TSystemRelation) -> str:
     return _render(rel, r"\mathbf{1}", r"\mathbf{S}", r" \otimes ", r" \to ")
 
 
-def _points_json(points: Points) -> list[dict]:
-    return [{"i": v.i, "k2": v.k2} for v in points]
-
-
 def relation_json(rel: TSystemRelation) -> dict:
     return {
         "flavor": rel.flavor,
-        "P": _points_json(rel.p),
-        "B": _points_json(rel.term_b),
-        "C": _points_json(rel.term_c),
-        "A": _points_json(rel.term_a),
-        "D": _points_json(rel.term_d),
-        "Q": _points_json(rel.first_q),
-        "R": _points_json(rel.first_r),
+        "P": vertices_json(rel.p),
+        "B": vertices_json(rel.term_b),
+        "C": vertices_json(rel.term_c),
+        "A": vertices_json(rel.term_a),
+        "D": vertices_json(rel.term_d),
+        "Q": vertices_json(rel.first_q),
+        "R": vertices_json(rel.first_r),
         "flags": {"real": rel.real, "prime": rel.prime},
         "hypotheses_ok": rel.hypotheses_ok,
     }

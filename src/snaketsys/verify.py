@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import reineke, roots, snakes, tsystem
 from .errors import DomainError, InternalError, OutsideWindow
@@ -141,8 +142,64 @@ def _random_datum(n: int, delta: int, rng: random.Random) -> VertexDatum:
     return VertexDatum(carrier, counts)
 
 
+class OmegaInterval(NamedTuple):
+    """Omega_j as the interval (j,1) <= v <= (j*, n) of the canonical window, with its arrows."""
+
+    vertices: tuple[Vertex, ...]
+    covers: tuple[tuple[int, int], ...]  # (a, b): vertices[a] -> vertices[b] arrow
+
+
+def omega_interval(n: int, j: int) -> OmegaInterval:
+    """The second description of ``reineke.omega``: filter the window by preceq, join by arrows."""
+    hf = HeightFunction.canonical(n, reineke.bar(j))
+    lo, hi = Vertex(j, 2), Vertex(roots.star(n, j), 2 * n)
+    verts = tuple(v for v in hf.gamma_vertices() if hf.preceq(lo, v) and hf.preceq(v, hi))
+    pos = {v: a for a, v in enumerate(verts)}
+    covers = tuple((a, pos[w]) for a, v in enumerate(verts) for w in hf.arrow_targets(v) if w in pos)
+    return OmegaInterval(verts, covers)
+
+
+def _ideal_masks(om: OmegaInterval):
+    """All lower closed subsets of Omega as bitmasks.
+
+    A lower set stays lower when it gains a vertex whose arrow sources it
+    already holds, and every lower set is reached that way from the empty one.
+    """
+    m = len(om.vertices)
+    pred_mask = [0] * m
+    for a, b in om.covers:
+        pred_mask[b] |= 1 << a
+    seen = {0}
+    stack = [0]
+    while stack:
+        mask = stack.pop()
+        yield mask
+        for x in range(m):
+            if not mask >> x & 1 and pred_mask[x] & ~mask == 0:
+                new = mask | 1 << x
+                if new not in seen:
+                    seen.add(new)
+                    stack.append(new)
+
+
+def epsilon_bruteforce(om: OmegaInterval, d: VertexDatum) -> int:
+    """Reference oracle for ``reineke.epsilon``: maximize over explicitly enumerated order ideals."""
+    wts = reineke._weights(om, d)
+    best = 0
+    for mask in _ideal_masks(om):
+        s = 0
+        x = mask
+        while x:
+            b = x & -x
+            s += wts[b.bit_length() - 1]
+            x ^= b
+        if s > best:
+            best = s
+    return best
+
+
 def sweep_reineke_dual(ns=(2, 3, 4, 5, 6), trials_per_n: int = 200, seed: int = 0) -> SweepResult:
-    """Brute-force ideal enumeration against the staircase programme ``reineke.epsilon``, every j."""
+    """Brute force on the preceq interval against the staircase programme on the closed form, every j."""
     res = SweepResult("reineke-dual")
     rng = random.Random(seed)
     for n in ns:
@@ -152,8 +209,7 @@ def sweep_reineke_dual(ns=(2, 3, 4, 5, 6), trials_per_n: int = 200, seed: int = 
             for j in range(1, n + 1):
                 if j % 2 != delta:
                     continue
-                om = reineke.omega(n, j)
-                bf = reineke.epsilon_bruteforce(om, d)
+                bf = epsilon_bruteforce(omega_interval(n, j), d)
                 dp = reineke.epsilon(j, d)
                 res.record(bf == dp, f"solvers disagree: n={n} j={j} {bf} != {dp} on {d.nonzero()}")
     return res

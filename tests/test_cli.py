@@ -289,6 +289,26 @@ def test_verify_exit_zero(capsys):
     assert code == 0 and "moves: ok" in out
 
 
+VERIFY_ALL_200_SEED_0 = """\
+moves: ok (1800 passed, 0 failed, 0 skipped)
+rho: ok (800 passed, 0 failed, 0 skipped)
+reineke-dual: ok (400 passed, 0 failed, 0 skipped)
+epsilon-star: ok (800 passed, 0 failed, 0 skipped)
+epsilon-predictions-untwisted: ok (200 passed, 0 failed, 0 skipped)
+epsilon-predictions-twisted: ok (200 passed, 0 failed, 31 skipped)
+qr-being-snake-untwisted: ok (200 passed, 0 failed, 0 skipped)
+qr-being-snake-twisted: ok (200 passed, 0 failed, 0 skipped)
+qr-dual-equivariance: ok (322 passed, 0 failed, 0 skipped)
+"""
+
+
+def test_verify_all_output_is_pinned(capsys):
+    # every count pins the suites' random draw order at seed 0
+    code, out, err = run(capsys, "verify", "--suite", "all", "--trials", "200", "--seed", "0")
+    assert (code, err) == (0, "")
+    assert out == VERIFY_ALL_200_SEED_0
+
+
 def test_quiver_window_figure_labels(capsys):
     code, out, _ = run(capsys, "quiver", "--xi", "4,2,4,6,8")
     assert code == 0

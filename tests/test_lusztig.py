@@ -404,24 +404,23 @@ def test_layer_plan_rejects_a_window_off_the_row_rule(monkeypatch, row):
         lusztig._layer_plan.cache_clear()
 
 
-def test_layer_plan_rejects_a_row_rule_off_the_window(monkeypatch):
-    # the grid rows of V<j> are never written by a layer, so only the
-    # once-per-rank comparison with big_theta's window can catch them
-    from snaketsys import lusztig
+def _vj_by_hand(n, j):
+    """V<j> of rank n, n0 < j <= n, by the hand-written row rule: theta's window
+    below row j, the chain (j, j - 3/2 + m), m in [0, 2n-2j+1], at row j, and
+    the big_theta grid (i, i - 1 + 2m), m in [0, n-i], above it."""
+    theta = HeightFunction.theta((n + 1) // 2).gamma_vertices()
+    chain = {Vertex(j, 2 * j - 3 + 2 * m) for m in range(2 * n - 2 * j + 2)}
+    grid = {Vertex(i, 2 * i - 2 + 4 * m) for i in range(j + 1, n + 1) for m in range(n - i + 1)}
+    return {v for v in theta if v.i < j} | chain | grid
 
-    real = lusztig._vj_row
 
-    def shifted_grid(theta_rows, n, j, i):
-        row = real(theta_rows, n, j, i)
-        return frozenset(Vertex(v.i, v.k2 + 4) for v in row) if i > j else row
+def test_vj_rows_match_the_hand_written_grid():
+    # rows above j are read from big_theta's window; the grid is the oracle
+    from snaketsys.lusztig import _vj_vertices
 
-    monkeypatch.setattr(lusztig, "_vj_row", shifted_grid)
-    lusztig._layer_plan.cache_clear()
-    try:
-        with pytest.raises(InternalError):
-            lusztig._layer_plan(7)
-    finally:
-        lusztig._layer_plan.cache_clear()
+    for n in range(3, 64, 2):
+        for j in range((n + 1) // 2 + 1, n + 1):
+            assert _vj_vertices(n, j) == _vj_by_hand(n, j), (n, j)
 
 
 def test_layer_plan_builds_no_intermediate_carrier(monkeypatch):

@@ -364,3 +364,26 @@ def test_reversal_is_an_involution_that_reverses_arrows():
                 rv, rw = xi.reverse_vertex(v), xi.reverse_vertex(w)
                 assert rev.has_arrow(rw, rv) == xi.has_arrow(v, w)
                 assert rev.preceq(rw, rv) == xi.preceq(v, w)
+
+
+def _in_gamma_by_bounds(xi, v):
+    """The window test written out: a vertex of the quiver with xi_i <= k <= n-1+xi_{i*}."""
+    if not xi.is_vertex(v):
+        return False
+    return xi.xi2(v.i) <= v.k2 <= 2 * (xi.n - 1) + xi.xi2(xi.n + 1 - v.i)
+
+
+def test_gamma_rows_match_the_window_bounds():
+    # both flavors, reversed and shifted: every row, every height near it
+    rng = random.Random(41)
+    for xi in _random_quivers(29):
+        shift2 = 2 * rng.randint(-5, 5)
+        for hf in (xi, xi.reversed(), xi.shifted(shift2), xi.reversed().shifted(-shift2)):
+            span = range(min(hf.values2) - 9, max(hf.values2) + 4 * hf.n + 9)
+            for i in range(0, hf.n + 2):
+                for k2 in span:
+                    assert hf.in_gamma(Vertex(i, k2)) == _in_gamma_by_bounds(hf, Vertex(i, k2)), (hf, i, k2)
+            for i in range(1, hf.n + 1):
+                assert list(hf.gamma_row(i)) == [k2 for k2 in span if _in_gamma_by_bounds(hf, Vertex(i, k2))]
+            window = [v for v in hf.vertices_between(span[0], span[-1]) if _in_gamma_by_bounds(hf, v)]
+            assert sorted(hf.gamma_vertices()) == sorted(window)

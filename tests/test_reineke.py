@@ -3,9 +3,10 @@ import random
 import pytest
 
 from snaketsys import reineke
-from snaketsys.errors import InternalError, ParityMismatch
+from snaketsys.errors import ParityMismatch
 from snaketsys.lusztig import Carrier, VertexDatum
 from snaketsys.quivers import HeightFunction, Vertex
+from snaketsys.verify import epsilon_bruteforce, omega_interval
 
 
 def _datum(n, delta, entries):
@@ -75,7 +76,8 @@ def epsilon_mincut(om, d) -> int:
 
     Source feeds positive weights, negative weights feed the sink, and each
     vertex points at its covers' sources (take v => take every u below v)
-    with infinite capacity.  Answer = sum of positives - min cut.
+    with infinite capacity.  Answer = sum of positives - min cut.  ``om`` is
+    the preceq interval of ``verify``, which carries the arrows.
     """
     wts = reineke._weights(om, d)
     m = len(wts)
@@ -155,8 +157,8 @@ def test_solvers_agree():
             for j in range(1, n + 1):
                 if j % 2 != delta:
                     continue
-                om = reineke.omega(n, j)
-                assert reineke.epsilon_bruteforce(om, d) == epsilon_mincut(om, d) == reineke.epsilon(j, d)
+                om = omega_interval(n, j)
+                assert epsilon_bruteforce(om, d) == epsilon_mincut(om, d) == reineke.epsilon(j, d)
 
 
 def test_dual_datum():
@@ -202,13 +204,13 @@ def test_solvers_agree_beyond_dispatch_threshold():
     # n=9, j=5 has a 25-point diamond, a square 5x5 staircase: the
     # enumeration oracle still certifies both other solvers there
     rng = random.Random(23)
-    om = reineke.omega(9, 5)
+    om = omega_interval(9, 5)
     assert len(om.vertices) == 25
     carrier = Carrier("gamma-delta:1", 9)
     for _ in range(10):
         counts = {v: rng.randint(0, 4) for v in carrier.vertices() if rng.random() < 0.6}
         d = VertexDatum(carrier, counts)
-        assert reineke.epsilon_bruteforce(om, d) == epsilon_mincut(om, d) == reineke.epsilon(5, d)
+        assert epsilon_bruteforce(om, d) == epsilon_mincut(om, d) == reineke.epsilon(5, d)
 
 
 def test_staircase_matches_bruteforce_on_small_diamonds():
@@ -217,13 +219,13 @@ def test_staircase_matches_bruteforce_on_small_diamonds():
     seen = set()
     for n in range(1, 21):
         for j in range(1, n + 1):
-            om = reineke.omega(n, j)
+            om = omega_interval(n, j)
             if len(om.vertices) > 20:
                 continue
             seen.add(j % 2)
             for _ in range(4):
                 d = _random_datum(n, j % 2, rng)
-                assert reineke.epsilon(j, d) == reineke.epsilon_bruteforce(om, d), (n, j, d.nonzero())
+                assert reineke.epsilon(j, d) == epsilon_bruteforce(om, d), (n, j, d.nonzero())
     assert seen == {0, 1}
 
 
@@ -232,28 +234,19 @@ def test_staircase_matches_mincut_up_to_rank_24():
     for n in range(1, 25):
         for j in range(1, n + 1):
             d = _random_datum(n, j % 2, rng, density=0.8)
-            assert reineke.epsilon(j, d) == epsilon_mincut(reineke.omega(n, j), d), (n, j, d.nonzero())
+            assert reineke.epsilon(j, d) == epsilon_mincut(omega_interval(n, j), d), (n, j, d.nonzero())
 
 
-def test_omega_is_a_grid_up_to_rank_24():
-    # n+1-j columns k+i of j rows k-i each; omega raises InternalError otherwise
+def test_closed_form_omega_is_the_preceq_interval_up_to_rank_24():
+    # n+1-j columns k+i of j rows k-i each; the same vertices as the interval,
+    # and the unit steps of the rectangle are exactly the interval's arrows
     for n in range(1, 25):
         for j in range(1, n + 1):
-            om = reineke.omega(n, j)
+            om, ref = reineke.omega(n, j), omega_interval(n, j)
             assert [len(col) for col in om.columns] == [j] * (n + 1 - j), (n, j)
-            assert sorted(a for col in om.columns for a in col) == list(range(len(om.vertices)))
-
-
-def test_grid_check_rejects_a_missing_cell_or_arrow():
-    om = reineke.omega(6, 3)
-    m = len(om.vertices)
-    for gone in range(m):
-        pos = {a: a - (a > gone) for a in range(m) if a != gone}
-        verts = tuple(v for a, v in enumerate(om.vertices) if a != gone)
-        covers = tuple((pos[a], pos[b]) for a, b in om.covers if gone not in (a, b))
-        with pytest.raises(InternalError):
-            reineke._grid_columns(verts, covers)
-    for cut in range(len(om.covers)):
-        with pytest.raises(InternalError):
-            reineke._grid_columns(om.vertices, om.covers[:cut] + om.covers[cut + 1:])
-    assert reineke._grid_columns(om.vertices, om.covers) == om.columns
+            assert om.vertices == tuple(v for col in om.columns for v in col)
+            assert len(set(om.vertices)) == len(om.vertices) == len(ref.vertices)
+            assert set(om.vertices) == set(ref.vertices), (n, j)
+            steps = {(col[y], col[y + 1]) for col in om.columns for y in range(j - 1)}
+            steps |= {(left[y], right[y]) for left, right in zip(om.columns, om.columns[1:]) for y in range(j)}
+            assert steps == {(ref.vertices[a], ref.vertices[b]) for a, b in ref.covers}, (n, j)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from snaketsys.errors import InternalError, NotPrimeSnake, NotPrimeSnakePair, NotSnake, OutsideWindow
+from snaketsys.errors import NotPrimeSnake, NotPrimeSnakePair, NotSnake, OutsideWindow
 from snaketsys.lusztig import GAMMA_BIG_THETA, GAMMA_THETA, Carrier, rho, unit_datum
 from snaketsys.quivers import HeightFunction, Vertex
 from snaketsys.snakes import (
@@ -139,28 +139,25 @@ def test_qr_sequences_goldens():
         qr_sequences(XI3, (V(2, 0), V(2, 6)))
 
 
+def _translate_checked(n0, pts):
+    """translate_twisted, asserting rho(e(P)) = e(P-dagger) on the result."""
+    out = translate_twisted(n0, pts)
+    n = 2 * n0 - 1
+    got = rho(unit_datum(Carrier(GAMMA_BIG_THETA, n), pts))
+    assert got.nonzero() == unit_datum(Carrier(GAMMA_THETA, n), out).nonzero()
+    return out
+
+
 def test_translate_goldens():
-    out = translate_twisted(4, (V(5, 4), V(5, 6), V(4, 8.5), V(4, 9.5)), validate=True)
+    out = _translate_checked(4, (V(5, 4), V(5, 6), V(4, 8.5), V(4, 9.5)))
     assert out == (V(5, 3), V(5, 5), V(5, 7), V(4, 10))
-    out15 = translate_twisted(
-        8, (V(9, 8), V(9, 10), V(8, 12.5), V(7, 15), V(8, 17.5), V(9, 20)), validate=True
-    )
+    out15 = _translate_checked(8, (V(9, 8), V(9, 10), V(8, 12.5), V(7, 15), V(8, 17.5), V(9, 20)))
     assert out15 == (V(9, 7), V(9, 9), V(9, 11), V(7, 15), V(9, 19), V(9, 21))
 
 
 def test_translate_left_half_is_identity():
     pts = (V(1, 1), V(1, 3))
-    assert translate_twisted(2, pts, validate=True) == pts
-
-
-def test_translate_validate_raises_on_mismatch(monkeypatch):
-    # validate=True is an explicit check, not an assert that python -O strips
-    from snaketsys import lusztig
-
-    monkeypatch.setattr(lusztig, "rho", lambda d: unit_datum(Carrier(GAMMA_THETA, d.carrier.n), ()))
-    with pytest.raises(InternalError):
-        translate_twisted(2, (V(1, 1), V(1, 3)), validate=True)
-    assert translate_twisted(2, (V(1, 1), V(1, 3))) == (V(1, 1), V(1, 3))
+    assert _translate_checked(2, pts) == pts
 
 
 def test_translate_errors():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from snaketsys.errors import NotPrimeSnake, OutsideWindow, TooShort
+from snaketsys.errors import InternalError, NotPrimeSnake, OutsideWindow, TooShort
 from snaketsys.quivers import UNTWISTED, HeightFunction, Region, Vertex
 from snaketsys.snakes import in_snake_position, is_snake, random_snake
 from snaketsys.tsystem import (
@@ -194,6 +194,21 @@ def test_sweep_matches_per_slice_oracle_via_epsilon():
                 xi, pts = _random_snake_case(rng, flavor, prime, 4)
                 report = check_theorem_hypotheses(xi, pts, via_epsilon=True)
                 assert report.checks == _per_slice_sweep(xi, pts, via_epsilon=True)
+
+
+def test_bridge_bug_is_not_indeterminate(monkeypatch):
+    # only OutsideWindow reads as "no value"; a library bug in the bridge propagates
+    from snaketsys import tsystem
+
+    pts = (V(2, 0), V(2, 2))
+    assert check_theorem_hypotheses(XI3, pts, via_epsilon=True).consistent
+
+    def broken(*args):
+        raise InternalError("bridge bug")
+
+    monkeypatch.setattr(tsystem, "tfd_via_epsilon", broken)
+    with pytest.raises(InternalError):
+        check_theorem_hypotheses(XI3, pts, via_epsilon=True)
 
 
 def test_bridge_matches_predictions_on_goldens():
