@@ -46,7 +46,6 @@ from .tsystem import (
     TSystemRelation,
     check_theorem_hypotheses,
     extended_tsystem,
-    flags,
     predicted_tfd_left,
     predicted_tfd_right,
     relation_json,

@@ -31,13 +31,14 @@ class ParseError(Exception):
     pass
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
+def _common_flags(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
+    """The shared flags; --format accepts only the formats the command writes, the first by default."""
     p.add_argument("--n", type=int, help="rank of the type-A root system")
     p.add_argument("--flavor", choices=(UNTWISTED, TWISTED), default=UNTWISTED)
     p.add_argument("--xi", help="comma-separated doubled height values; write a list that starts with a "
                    "negative value as --xi=-2,-3,0, since a separate -2,-3,0 reads as an option")
     p.add_argument("--n0", type=int, help="middle node of a twisted height function")
-    p.add_argument("--format", choices=("text", "json", "latex", "dot"), default="text")
+    p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -228,45 +229,45 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("quiver", help="render the repetition quiver or its window")
-    _common_flags(p)
+    _common_flags(p, ("text", "dot"))
     p.add_argument("--window", help="doubled k2 range LO:HI (default: the Gamma window)")
     p.add_argument("--labels", action="store_true", help="attach root labels (Gamma only)")
     p.set_defaults(func=cmd_quiver)
 
     p = sub.add_parser("snake-check", help="validate a snake JSON file")
-    _common_flags(p)
+    _common_flags(p, ("text", "json"))
     p.add_argument("input", nargs="?", help="snake JSON path or - for stdin")
     p.set_defaults(func=cmd_snake_check)
 
     p = sub.add_parser("qr", help="socle position sequences of a prime snake")
-    _common_flags(p)
+    _common_flags(p, ("text", "json"))
     p.add_argument("input", nargs="?")
     p.set_defaults(func=cmd_qr)
 
     p = sub.add_parser("tsystem", help="emit the extended T-system relation")
-    _common_flags(p)
+    _common_flags(p, ("text", "json", "latex"))
     p.add_argument("input", nargs="?")
     p.add_argument("--realization", help="'qdatum' or a custom table JSON path")
     p.set_defaults(func=cmd_tsystem)
 
     p = sub.add_parser("reineke", help="epsilon and epsilon* of a vertex datum")
-    _common_flags(p)
+    _common_flags(p, ("text", "json"))
     p.add_argument("--j", type=int, required=True)
     p.add_argument("input", nargs="?")
     p.set_defaults(func=cmd_reineke)
 
     p = sub.add_parser("rho", help="transport a datum from the twisted to the untwisted window")
-    _common_flags(p)
+    _common_flags(p, ("json",))
     p.add_argument("input", nargs="?")
     p.set_defaults(func=cmd_rho)
 
     p = sub.add_parser("translate", help="untwisted shadow of a twisted window snake")
-    _common_flags(p)
+    _common_flags(p, ("json",))
     p.add_argument("input", nargs="?")
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("verify", help="run a randomized verification suite")
-    _common_flags(p)
+    _common_flags(p, ("text",))
     p.add_argument("--suite", choices=("moves", "rho", "reineke", "qr", "all"), default="all")
     p.add_argument("--trials", type=int, default=100)
     p.set_defaults(func=cmd_verify)

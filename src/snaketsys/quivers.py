@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from . import roots
-from .errors import InternalError, NotSinkOrSource, OutsideWindow
+from .errors import InternalError, OutsideWindow
 from .roots import Root
 
 UNTWISTED = "untwisted"
@@ -241,17 +241,6 @@ class HeightFunction:
             if all(self.xi2(i) - self.d2(i) > self.xi2(j) - self.d2(j) for j in nbrs):
                 out.add(i)
         return out
-
-    def reflect_height(self, i: int) -> "HeightFunction":
-        """s_i xi: raise a sink / lower a source by its step d_i."""
-        vals = list(self.values2)
-        if i in self.sinks():
-            vals[i - 1] = self.values2[i - 1] + self.d2(i)
-        elif i in self.sources():
-            vals[i - 1] = self.values2[i - 1] - self.d2(i)
-        else:
-            raise NotSinkOrSource(f"node {i} is neither a sink nor a source")
-        return HeightFunction(self.n, self.flavor, tuple(vals), self.n0)
 
     # -- duality and regions ------------------------------------------
 

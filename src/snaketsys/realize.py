@@ -146,12 +146,14 @@ def snake_monomial(real: Realization, xi: HeightFunction, points: Sequence[Verte
 
     Exact (equal to the highest monomial of the snake module) in the qdatum
     modes, where spectral parameters decrease along the snake; a formal
-    product only in custom mode.
+    product only in custom mode.  The exponents are summed in one dict, in
+    O(len(points)) for monomials of bounded size.
     """
-    m = Monomial.one()
+    factors: dict[tuple[int, int], int] = {}
     for v in points:
-        m = m * cuspidal_monomial(real, xi, v)
-    return m, real.mode != CUSTOM
+        for key, e in cuspidal_monomial(real, xi, v).factors.items():
+            factors[key] = factors.get(key, 0) + e
+    return Monomial(factors), real.mode != CUSTOM
 
 
 @dataclass(frozen=True)
@@ -211,16 +213,6 @@ def relation_monomials_json(mon: RelationMonomials) -> dict:
 
 
 # -- custom table file format ---------------------------------------------
-
-
-def table_to_json(real: Realization) -> dict:
-    if real.mode != CUSTOM or real.table is None:
-        raise ValueError(f"only a custom realization has a table, got mode {real.mode}")
-    entries = [
-        {"i": v.i, "k2": v.k2, "monomial": m.to_json()}
-        for v, m in sorted(real.table.items(), key=lambda t: (t[0].k2, t[0].i))
-    ]
-    return {"h_dual": real.h_dual, "g0_rank": real.g0_rank, "entries": entries}
 
 
 def realization_from_json(obj: Mapping, xi: HeightFunction) -> Realization:

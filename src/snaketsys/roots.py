@@ -24,10 +24,6 @@ class Root(NamedTuple):
         return body if self.sign > 0 else "-" + body
 
 
-def simple_root(i: int) -> Root:
-    return Root(i, i, +1)
-
-
 def check_node(n: int, i: int) -> None:
     if not 1 <= i <= n:
         raise ValueError(f"node index {i} outside [1, {n}]")
@@ -41,10 +37,6 @@ def star(n: int, i: int) -> int:
 
 def num_positive_roots(n: int) -> int:
     return n * (n + 1) // 2
-
-
-def all_positive_roots(n: int) -> list[Root]:
-    return [Root(lo, hi, +1) for lo in range(1, n + 1) for hi in range(lo, n + 1)]
 
 
 def inversion_sequence(n: int, word: Sequence[int]) -> list[Root]:

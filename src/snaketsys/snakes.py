@@ -98,6 +98,11 @@ def qr_untwisted(xi: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
         raise NotPrimeSnakePair("qr_untwisted needs an untwisted height function")
     if not in_prime_snake_position(xi, v, w):
         raise NotPrimeSnakePair(f"{w} is not in prime snake position w.r.t. {v}")
+    return _qr_untwisted(xi, v, w)
+
+
+def _qr_untwisted(xi: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
+    """qr_untwisted on a pair already known to be prime."""
     n = xi.n
     (i, k2), (ip, kp2) = v, w
     diff2 = kp2 - k2
@@ -181,6 +186,11 @@ def qr_twisted(xi: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
         raise NotPrimeSnakePair("qr_twisted needs a twisted height function")
     if not in_prime_snake_position(xi, v, w):
         raise NotPrimeSnakePair(f"{w} is not in prime snake position w.r.t. {v}")
+    return _qr_twisted(xi, v, w)
+
+
+def _qr_twisted(xi: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
+    """qr_twisted on a pair already known to be prime."""
     s2 = twisted_parity_shift2(xi)
     hf = HeightFunction.big_theta(xi.n0)
     pair = _qr_twisted_normalized(hf, Vertex(v.i, v.k2 - s2), Vertex(w.i, w.k2 - s2))
@@ -190,20 +200,22 @@ def qr_twisted(xi: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
     )
 
 
-def qr_pair(xi: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
-    return qr_untwisted(xi, v, w) if xi.flavor == UNTWISTED else qr_twisted(xi, v, w)
-
-
 def qr_sequences(xi: HeightFunction, points: Sequence[Vertex]) -> QRPair:
     """Concatenated pairwise Q/R outputs of a prime snake, empties dropped."""
     if len(points) < 2:
         raise NotPrimeSnake("qr_sequences needs a prime snake of length >= 2")
     if not is_prime_snake(xi, points):
         raise NotPrimeSnake("qr_sequences expects a prime snake")
+    return _qr_concat(xi, points)
+
+
+def _qr_concat(xi: HeightFunction, points: Sequence[Vertex]) -> QRPair:
+    """qr_sequences on a sequence already known to be a prime snake of length >= 2."""
+    kernel = _qr_untwisted if xi.flavor == UNTWISTED else _qr_twisted
     qs: list[Vertex] = []
     rs: list[Vertex] = []
     for s in range(len(points) - 1):
-        pair = qr_pair(xi, points[s], points[s + 1])
+        pair = kernel(xi, points[s], points[s + 1])
         qs.extend(pair.q)
         rs.extend(pair.r)
     return QRPair(tuple(qs), tuple(rs))

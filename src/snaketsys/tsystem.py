@@ -24,10 +24,10 @@ from .errors import NotPrimeSnake, NotSnake, OutsideWindow, TooShort
 from .lusztig import Carrier, unit_datum
 from .quivers import TWISTED, UNTWISTED, HeightFunction, Region, Vertex, big_theta2, vertices_json
 from .snakes import (
+    _qr_concat,
     in_snake_position,
     is_prime_snake,
     is_snake,
-    qr_sequences,
     split_prime,
     translate_twisted,
     twisted_parity_shift2,
@@ -55,14 +55,8 @@ class TSystemRelation:
         return self.xi.flavor
 
 
-def flags(xi: HeightFunction, points) -> dict:
-    """Reality always holds for snake heads; primality is combinatorial."""
-    if not is_snake(xi, points):
-        raise NotSnake("flags expects a snake")
-    return {"real": True, "prime": is_prime_snake(xi, points)}
-
-
 def extended_tsystem(xi: HeightFunction, points) -> TSystemRelation:
+    """The relation of a prime snake; the snake is checked once, here."""
     pts = tuple(points)
     if len(pts) < 2:
         raise TooShort("extended T-system needs a snake of length >= 2")
@@ -70,8 +64,8 @@ def extended_tsystem(xi: HeightFunction, points) -> TSystemRelation:
         if is_snake(xi, pts):
             raise NotPrimeSnake(f"snake is not prime; prime segments: {split_prime(xi, pts)}")
         raise NotPrimeSnake("input is not a snake")
-    qr = qr_sequences(xi, pts)
-    report = check_theorem_hypotheses(xi, pts)
+    qr = _qr_concat(xi, pts)
+    report = _sweep(xi, pts, False)
     return TSystemRelation(
         xi=xi,
         p=pts,
@@ -308,11 +302,33 @@ class HypothesisCheck:
 
 @dataclass(frozen=True)
 class HypothesesReport:
-    checks: tuple[HypothesisCheck, ...]
+    """The sweep over a snake of length p, stored as its 2(p-1) predictions.
+
+    With 0-based points, left[s] is predicted_tfd_left of the probe pts[s]
+    against the snake (pts[s+1],) and right[s] is predicted_tfd_right of the
+    snake (pts[s],) against the probe pts[s+1]; the left check of slice
+    [a, b] reads left[a-1] and the right check right[b-2].  epsilons, when
+    the bridge ran, holds one exact value per check in the order of checks.
+    """
+
+    left: tuple[int | None, ...]
+    right: tuple[int | None, ...]
+    epsilons: tuple[int | None, ...] | None = None
+
+    @property
+    def checks(self) -> tuple[HypothesisCheck, ...]:
+        """The left and then the right check of every slice, in _slices order."""
+        eps = iter(self.epsilons or ())
+        return tuple(
+            HypothesisCheck(side, a, b, predicted, next(eps, None))
+            for a, b in _slices(len(self.left) + 1)
+            for side, predicted in (("left", self.left[a - 1]), ("right", self.right[b - 2]))
+        )
 
     @property
     def all_one(self) -> bool:
-        return all(c.predicted == 1 for c in self.checks)
+        """Every check predicts 1: each prediction fills at least one check."""
+        return all(x == 1 for x in self.left) and all(x == 1 for x in self.right)
 
     @property
     def consistent(self) -> bool:
@@ -322,6 +338,11 @@ class HypothesesReport:
         )
 
 
+def _slices(p: int) -> list[tuple[int, int]]:
+    """The 1-based bounds (a, b), a < b, of the sub-slices of a length-p snake."""
+    return [(a, b) for a in range(1, p) for b in range(a + 1, p + 1)]
+
+
 def _epsilon_or_none(xi: HeightFunction, v: Vertex, points: Points, side: str) -> int | None:
     try:
         return tfd_via_epsilon(xi, v, points, side)
@@ -329,9 +350,9 @@ def _epsilon_or_none(xi: HeightFunction, v: Vertex, points: Points, side: str) -
         return None
 
 
-def _pair_predictions(xi: HeightFunction, pts: Points) -> list[int | None]:
+def _pair_predictions(xi: HeightFunction, pts: Points) -> tuple[int | None, ...]:
     """predicted_tfd_left of each point against the snake made of its successor."""
-    return [predicted_tfd_left(xi, pts[s], pts[s + 1:s + 2]) for s in range(len(pts) - 1)]
+    return tuple(predicted_tfd_left(xi, pts[s], pts[s + 1:s + 2]) for s in range(len(pts) - 1))
 
 
 def check_theorem_hypotheses(xi: HeightFunction, points, via_epsilon: bool = False) -> HypothesesReport:
@@ -349,17 +370,21 @@ def check_theorem_hypotheses(xi: HeightFunction, points, via_epsilon: bool = Fal
     pts = tuple(points)
     if not is_snake(xi, pts):
         raise NotSnake("hypothesis check expects a snake")
-    p = len(pts)
+    return _sweep(xi, pts, via_epsilon)
+
+
+def _sweep(xi: HeightFunction, pts: Points, via_epsilon: bool) -> HypothesesReport:
+    """check_theorem_hypotheses on a tuple already known to be a snake."""
     left = _pair_predictions(xi, pts)
     right = _pair_predictions(xi.reversed(), _reverse(xi, pts))[::-1]  # reversed once per sweep
-    checks = []
-    for a in range(1, p):
-        for b in range(a + 1, p + 1):
-            eps = _epsilon_or_none(xi, pts[a - 1], pts[a:b], "left") if via_epsilon else None
-            checks.append(HypothesisCheck("left", a, b, left[a - 1], eps))
-            eps = _epsilon_or_none(xi, pts[b - 1], pts[a - 1:b - 1], "right") if via_epsilon else None
-            checks.append(HypothesisCheck("right", a, b, right[b - 2], eps))
-    return HypothesesReport(tuple(checks))
+    if not via_epsilon:
+        return HypothesesReport(left, right)
+    eps = tuple(
+        _epsilon_or_none(xi, v, snake, side)
+        for a, b in _slices(len(pts))
+        for v, snake, side in ((pts[a - 1], pts[a:b], "left"), (pts[b - 1], pts[a - 1:b - 1], "right"))
+    )
+    return HypothesesReport(left, right, eps)
 
 
 # -- rendering ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import pathlib
 import random
 import sys
 
@@ -96,6 +97,43 @@ def test_tsystem_twisted_golden(capsys, tmp_path):
     assert code == 0
     assert obj["Q"] == [{"i": 2, "k2": 5}, {"i": 1, "k2": 10}]
     assert obj["R"] == []
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("flavor", ["untwisted", "twisted"])
+@pytest.mark.parametrize(
+    "argv, suffix", [(("--format", "json", "--realization", "qdatum"), "qdatum.json"), (("--format", "text"), "text.txt")]
+)
+def test_tsystem_p40_golden(capsys, flavor, argv, suffix):
+    # one prime snake of length 40 (n = 4, n0 = 2); the expected stdout was
+    # written by the O(p^2) relation path that the O(p) one replaced
+    stem = f"tsystem_p40_{flavor}"
+    code, out, err = run(capsys, "tsystem", str(GOLDEN / f"{stem}.snake.json"), *argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{stem}.{suffix}").read_text()
+
+
+# every format the shared flag once accepted, minus the ones the command writes
+UNSUPPORTED_FORMATS = [
+    ("quiver", "json"), ("quiver", "latex"),
+    ("snake-check", "latex"), ("snake-check", "dot"),
+    ("qr", "latex"), ("qr", "dot"),
+    ("tsystem", "dot"),
+    ("reineke", "latex"), ("reineke", "dot"),
+    ("rho", "text"), ("rho", "latex"), ("rho", "dot"),
+    ("translate", "text"), ("translate", "latex"), ("translate", "dot"),
+    ("verify", "json"), ("verify", "latex"), ("verify", "dot"),
+]
+
+
+@pytest.mark.parametrize("command, fmt", UNSUPPORTED_FORMATS)
+def test_unsupported_format_is_a_usage_error(capsys, command, fmt):
+    extra = ["--j", "1"] if command == "reineke" else []
+    code, out, err = run(capsys, command, "--format", fmt, *extra)
+    assert code == 2 and out == ""
+    assert f"invalid choice: '{fmt}'" in err and "Traceback" not in err
 
 
 def test_tsystem_with_qdatum(capsys, tmp_path):

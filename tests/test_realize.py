@@ -3,6 +3,7 @@ import pytest
 from snaketsys.errors import InternalError, MissingTableEntry
 from snaketsys.quivers import HeightFunction, Vertex
 from snaketsys.realize import (
+    CUSTOM,
     Monomial,
     Realization,
     RelationMonomials,
@@ -13,7 +14,6 @@ from snaketsys.realize import (
     relation_monomials_latex,
     relation_monomials_text,
     snake_monomial,
-    table_to_json,
 )
 from snaketsys.tsystem import extended_tsystem
 
@@ -94,6 +94,40 @@ def test_snake_monomial():
     assert m == Y((3, 9), (3, 7), (1, 3), (1, 1))
 
 
+def _pairwise_snake_monomial(real, xi, points):
+    """Reference oracle: the product folded one factor at a time by Monomial.__mul__."""
+    m = Monomial.one()
+    for v in points:
+        m = m * cuspidal_monomial(real, xi, v)
+    return m, real.mode != CUSTOM
+
+
+def test_snake_monomial_matches_pairwise_fold():
+    import random
+
+    from snaketsys.snakes import random_snake
+    from snaketsys.verify import random_height_function
+
+    rng = random.Random(16)
+    big = HeightFunction.big_theta(2)
+    # a shared factor Y_{1,0} with exponent +-1, so that factors cancel along the snake
+    signed = Realization.custom(4, {
+        v: Monomial({(1, 0): 1 if v.i % 2 else -1, (v.i, v.k2): -2}) for v in big.gamma_vertices()
+    })
+    cases = [(custom_table(), XI3), (signed, big), (Realization.qdatum_b(2), big)]
+    cases += [(Realization.qdatum_a(n), random_height_function(n, rng)) for n in (3, 5, 8)]
+    cancelled = False
+    for real, xi in cases:
+        for _ in range(20):
+            pts = random_snake(xi, rng, rng.randint(1, 12), prime=rng.random() < 0.5)
+            got = snake_monomial(real, xi, pts)
+            want = _pairwise_snake_monomial(real, xi, pts)
+            assert got == want and str(got[0]) == str(want[0])
+            factors = [cuspidal_monomial(real, xi, v).factors for v in pts]
+            cancelled |= len(got[0].factors) < len(set().union(*factors))
+    assert cancelled
+
+
 def test_relation_monomials_golden():
     rel = extended_tsystem(XI3, (V(2, 0), V(2, 2), V(1, 5)))
     mon = relation_monomials(rel, Realization.qdatum_a(3))
@@ -131,6 +165,17 @@ def test_custom_mode_in_relation_is_formal():
     mon = relation_monomials(rel, custom_table())
     assert not mon.exact
     assert mon.identity_holds()
+
+
+def table_to_json(real):
+    """The inverse of realization_from_json on a custom table."""
+    if real.mode != CUSTOM or real.table is None:
+        raise ValueError(f"only a custom realization has a table, got mode {real.mode}")
+    entries = [
+        {"i": v.i, "k2": v.k2, "monomial": m.to_json()}
+        for v, m in sorted(real.table.items(), key=lambda t: (t[0].k2, t[0].i))
+    ]
+    return {"h_dual": real.h_dual, "g0_rank": real.g0_rank, "entries": entries}
 
 
 def test_table_json_roundtrip():

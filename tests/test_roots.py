@@ -10,6 +10,10 @@ from snaketsys.roots import Root
 from snaketsys.verify import random_height_function
 
 
+def all_positive_roots(n):
+    return [Root(lo, hi, +1) for lo in range(1, n + 1) for hi in range(lo, n + 1)]
+
+
 def _coefficients(n, r):
     v = [0] * (n + 2)  # 1-based with sentinels at 0 and n+1
     for j in range(r.lo, r.hi + 1):
@@ -49,7 +53,7 @@ def reference_inversion_sequence(n, word):
     seen = set()
     for k, letter in enumerate(word):
         roots.check_node(n, letter)
-        beta = roots.simple_root(letter)
+        beta = Root(letter, letter, +1)
         for l in range(k - 1, -1, -1):
             beta = reflect(n, word[l], beta)
         if beta.sign < 0:
@@ -96,7 +100,7 @@ def test_reflect_examples():
 def test_reflect_involution():
     for n in range(1, 6):
         for i in range(1, n + 1):
-            for r in roots.all_positive_roots(n):
+            for r in all_positive_roots(n):
                 assert reflect(n, i, reflect(n, i, r)) == r
 
 
@@ -120,7 +124,7 @@ def test_longest_words_hit_every_positive_root():
             xi = random_height_function(n, rng)
             _, word = xi.compatible_reading()
             betas = roots.inversion_sequence(n, word)
-            assert sorted(betas) == sorted(roots.all_positive_roots(n))
+            assert sorted(betas) == sorted(all_positive_roots(n))
             assert roots.is_longest_word(n, word)
 
 

@@ -4,13 +4,12 @@ import pytest
 
 from snaketsys.errors import InternalError, NotPrimeSnake, OutsideWindow, TooShort
 from snaketsys.quivers import UNTWISTED, HeightFunction, Region, Vertex
-from snaketsys.snakes import in_snake_position, is_snake, random_snake
+from snaketsys.snakes import in_snake_position, is_prime_snake, is_snake, random_snake
 from snaketsys.tsystem import (
     HypothesisCheck,
     _on_ray,
     check_theorem_hypotheses,
     extended_tsystem,
-    flags,
     predicted_tfd_left,
     predicted_tfd_right,
     relation_json,
@@ -80,10 +79,14 @@ def test_slice_multiset_identity():
         assert left == right
 
 
-def test_flags():
-    assert flags(XI3, (V(2, 0), V(2, 2), V(1, 5))) == {"real": True, "prime": True}
-    assert flags(XI3, (V(2, 0), V(2, 6))) == {"real": True, "prime": False}
-    assert flags(XI3, (V(2, 0),)) == {"real": True, "prime": True}
+def test_relation_flags():
+    # reality always holds for snake heads; primality is combinatorial
+    rel = extended_tsystem(XI3, (V(2, 0), V(2, 2), V(1, 5)))
+    assert relation_json(rel)["flags"] == {"real": True, "prime": True}
+    assert is_snake(XI3, (V(2, 0), V(2, 6))) and not is_prime_snake(XI3, (V(2, 0), V(2, 6)))
+    with pytest.raises(NotPrimeSnake):
+        extended_tsystem(XI3, (V(2, 0), V(2, 6)))
+    assert is_prime_snake(XI3, (V(2, 0),))
 
 
 def test_predicted_tfd_examples():
@@ -194,6 +197,54 @@ def test_sweep_matches_per_slice_oracle_via_epsilon():
                 xi, pts = _random_snake_case(rng, flavor, prime, 4)
                 report = check_theorem_hypotheses(xi, pts, via_epsilon=True)
                 assert report.checks == _per_slice_sweep(xi, pts, via_epsilon=True)
+
+
+def test_all_one_matches_the_checks():
+    # the report's O(p) all_one agrees with the p(p-1) checks it stands for
+    rng = random.Random(14)
+    seen = set()
+    for flavor in ("untwisted", "twisted"):
+        for prime in (True, False):
+            for t in range(30):
+                xi, pts = _random_snake_case(rng, flavor, prime, 8 if t % 5 else 4)
+                for via_epsilon in (False, True) if len(pts) <= 4 else (False,):
+                    report = check_theorem_hypotheses(xi, pts, via_epsilon)
+                    assert report.all_one == all(c.predicted == 1 for c in report.checks)
+                    seen.add(report.all_one)
+    assert seen == {True, False}
+
+
+def test_relation_validates_once_and_builds_no_checks(monkeypatch):
+    from snaketsys import snakes, tsystem
+
+    calls = {"is_prime_snake": 0, "is_snake": 0, "HypothesisCheck": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            # is_snake also checks each single-point snake of a prediction; count only longer ones
+            if name != "is_snake" or len(args[1]) > 1:
+                calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("is_prime_snake", "is_snake"):
+        wrapper = counted(name, getattr(snakes, name))
+        monkeypatch.setattr(snakes, name, wrapper)
+        monkeypatch.setattr(tsystem, name, wrapper)
+    monkeypatch.setattr(tsystem, "HypothesisCheck", counted("HypothesisCheck", HypothesisCheck))
+    rng = random.Random(15)
+    for xi in (HeightFunction.canonical(4, 0), BIG2):
+        while True:
+            pts = random_snake(xi, rng, 12, prime=True)
+            if len(pts) == 12:
+                break
+        calls.update(is_prime_snake=0, is_snake=0, HypothesisCheck=0)
+        rel = extended_tsystem(xi, pts)
+        assert rel.hypotheses_ok
+        assert calls == {"is_prime_snake": 1, "is_snake": 0, "HypothesisCheck": 0}
+        # the counters see the public paths, which still validate and build
+        assert len(check_theorem_hypotheses(xi, pts).checks) == 12 * 11
+        assert calls["HypothesisCheck"] == 12 * 11
 
 
 def test_bridge_bug_is_not_indeterminate(monkeypatch):
