@@ -218,6 +218,8 @@ def cmd_translate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     results = verify.run_suite(args.suite, args.trials, args.seed)
     for r in results:
         print(r.summary())

@@ -212,8 +212,10 @@ class HeightFunction:
         necessary; tests/test_quivers.py checks that it is sufficient
         against breadth-first search over arrow_targets.
         """
-        if not (self.is_vertex(v) and self.is_vertex(w)):
-            return False
+        return self.is_vertex(v) and self.is_vertex(w) and self._reaches(v, w)
+
+    def _reaches(self, v: Vertex, w: Vertex) -> bool:
+        """preceq on two vertices already known to lie on this quiver."""
         gap2 = w.k2 - v.k2
         if self.twisted_flavor:
             return gap2 >= abs(big_theta2(self.n0, w.i) - big_theta2(self.n0, v.i))
@@ -255,14 +257,17 @@ class HeightFunction:
             raise ValueError("regions exist only for twisted height functions")
         if not self.is_vertex(v):
             raise ValueError(f"{v} is not a vertex of this quiver")
+        return self._region(v)
+
+    def _region(self, v: Vertex) -> Region:
+        """region of a vertex already known to lie on this twisted quiver."""
         n0 = self.n0
         if v.i < n0:
             return Region.LT
         if v.i > n0:
             return Region.GT
-        if self.has_arrow(v, Vertex(n0 + 1, v.k2 + 1)):
-            return Region.D
-        return Region.U
+        # the arrow (n0, k) -> (n0 + 1, k + 1/2) exists iff its head lies on row n0 + 1
+        return Region.D if (v.k2 + 1 - self.values2[n0]) % 4 == 0 else Region.U
 
     # -- the finite window Gamma --------------------------------------
 

@@ -10,7 +10,8 @@ Only relative spectral parameters matter, so they are bare integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
 from . import roots
 from .errors import InternalError, MissingTableEntry
@@ -149,11 +150,15 @@ def snake_monomial(real: Realization, xi: HeightFunction, points: Sequence[Verte
     product only in custom mode.  The exponents are summed in one dict, in
     O(len(points)) for monomials of bounded size.
     """
+    return _product(cuspidal_monomial(real, xi, v) for v in points), real.mode != CUSTOM
+
+
+def _product(monomials: Iterable[Monomial]) -> Monomial:
     factors: dict[tuple[int, int], int] = {}
-    for v in points:
-        for key, e in cuspidal_monomial(real, xi, v).factors.items():
+    for m in monomials:
+        for key, e in m.factors.items():
             factors[key] = factors.get(key, 0) + e
-    return Monomial(factors), real.mode != CUSTOM
+    return Monomial(factors)
 
 
 @dataclass(frozen=True)
@@ -171,16 +176,12 @@ class RelationMonomials:
 
 
 def relation_monomials(rel, real: Realization) -> RelationMonomials:
-    """Monomials of all six terms; the slice identity m(B)m(C) = m(A)m(D)
-    is checked exactly (InternalError if it fails)."""
-    xi = rel.xi
-    b, eb = snake_monomial(real, xi, rel.term_b)
-    c, ec = snake_monomial(real, xi, rel.term_c)
-    a, ea = snake_monomial(real, xi, rel.term_a)
-    d, ed = snake_monomial(real, xi, rel.term_d)
-    q, eq = snake_monomial(real, xi, rel.first_q)
-    r, er = snake_monomial(real, xi, rel.first_r)
-    out = RelationMonomials(b, c, a, d, q, r, all([eb, ec, ea, ed, eq, er]))
+    """Monomials of all six terms, each the snake_monomial of its points; the
+    slice identity m(B)m(C) = m(A)m(D) is checked exactly (InternalError if
+    it fails).  Each distinct point's cuspidal monomial is found once."""
+    terms = (rel.term_b, rel.term_c, rel.term_a, rel.term_d, rel.first_q, rel.first_r)
+    cusp = {v: cuspidal_monomial(real, rel.xi, v) for v in dict.fromkeys(chain(*terms))}
+    out = RelationMonomials(*(_product(map(cusp.__getitem__, t)) for t in terms), real.mode != CUSTOM)
     if not out.identity_holds():
         raise InternalError("slice multiset identity violated")
     return out

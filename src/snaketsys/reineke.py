@@ -107,14 +107,8 @@ def dual_vertex_datum(d: VertexDatum) -> VertexDatum:
     exchanges exactly the two canonical windows).
     """
     n = d.carrier.n
-    delta = delta_of_carrier(d.carrier)
-    dual = Carrier(f"gamma-delta:{1 - delta}", n)
-    counts = {}
-    for v in dual.vertices():
-        c = d.get(Vertex(roots.star(n, v.i), 2 * n - v.k2))
-        if c:
-            counts[v] = c
-    return VertexDatum(dual, counts)
+    dual = Carrier(f"gamma-delta:{1 - delta_of_carrier(d.carrier)}", n)
+    return VertexDatum(dual, {Vertex(roots.star(n, v.i), 2 * n - v.k2): c for v, c in d.counts.items() if c})
 
 
 def epsilon_star(j: int, d: VertexDatum) -> int:

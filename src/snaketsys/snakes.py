@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Sequence
 
 from .errors import InternalError, NotPrimeSnake, NotPrimeSnakePair, NotSnake, OutsideWindow
@@ -41,32 +42,43 @@ class Snake:
 
 
 def in_snake_position(xi: HeightFunction, v: Vertex, w: Vertex) -> bool:
-    if not (xi.is_vertex(v) and xi.is_vertex(w)):
-        return False
-    if not xi.preceq(Vertex(v.i, v.k2 + xi.d2(v.i)), w):
+    return xi.is_vertex(v) and xi.is_vertex(w) and _snake_position(xi, v, w)
+
+
+def _snake_position(xi: HeightFunction, v: Vertex, w: Vertex) -> bool:
+    """in_snake_position on two vertices already known to lie on the quiver."""
+    if not xi._reaches(Vertex(v.i, v.k2 + xi.d2(v.i)), w):
         return False
     if xi.flavor == UNTWISTED:
         return True
-    rv, rw = xi.region(v), xi.region(w)
+    rv, rw = xi._region(v), xi._region(w)
     if rv in (Region.LT, Region.U):
         return rw in (Region.LT, Region.D)
     return rw in (Region.GT, Region.U)
 
 
 def in_prime_snake_position(xi: HeightFunction, v: Vertex, w: Vertex) -> bool:
-    return in_snake_position(xi, v, w) and xi.preceq(w, xi.dualize(v, -1))
+    return xi.is_vertex(v) and xi.is_vertex(w) and _prime_position(xi, v, w)
+
+
+def _prime_position(xi: HeightFunction, v: Vertex, w: Vertex) -> bool:
+    """in_prime_snake_position on two vertices already known to lie on the quiver.
+
+    D maps vertices to vertices, so D^-1(v) needs no check either.
+    """
+    return _snake_position(xi, v, w) and xi._reaches(w, xi.dualize(v, -1))
 
 
 def is_snake(xi: HeightFunction, points: Sequence[Vertex]) -> bool:
     if not points or not all(xi.is_vertex(v) for v in points):
         return False
-    return all(in_snake_position(xi, points[s], points[s + 1]) for s in range(len(points) - 1))
+    return all(_snake_position(xi, points[s], points[s + 1]) for s in range(len(points) - 1))
 
 
 def is_prime_snake(xi: HeightFunction, points: Sequence[Vertex]) -> bool:
     if not points or not all(xi.is_vertex(v) for v in points):
         return False
-    return all(in_prime_snake_position(xi, points[s], points[s + 1]) for s in range(len(points) - 1))
+    return all(_prime_position(xi, points[s], points[s + 1]) for s in range(len(points) - 1))
 
 
 def split_prime(xi: HeightFunction, points: Sequence[Vertex]) -> list[tuple[Vertex, ...]]:
@@ -76,7 +88,7 @@ def split_prime(xi: HeightFunction, points: Sequence[Vertex]) -> list[tuple[Vert
     out: list[tuple[Vertex, ...]] = []
     start = 0
     for s in range(len(points) - 1):
-        if not in_prime_snake_position(xi, points[s], points[s + 1]):
+        if not _prime_position(xi, points[s], points[s + 1]):
             out.append(tuple(points[start:s + 1]))
             start = s + 1
     out.append(tuple(points[start:]))
@@ -166,7 +178,7 @@ def _qr_twisted_normalized(hf: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
             r = ()
         return QRPair(q, r)
 
-    if hf.region(v) in (Region.LT, Region.U):
+    if hf._region(v) in (Region.LT, Region.U):
         pair = direct(v, w)
     else:
         sub = direct(hf.dualize(v), hf.dualize(w))
@@ -186,13 +198,12 @@ def qr_twisted(xi: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
         raise NotPrimeSnakePair("qr_twisted needs a twisted height function")
     if not in_prime_snake_position(xi, v, w):
         raise NotPrimeSnakePair(f"{w} is not in prime snake position w.r.t. {v}")
-    return _qr_twisted(xi, v, w)
+    return _qr_twisted(twisted_parity_shift2(xi), HeightFunction.big_theta(xi.n0), v, w)
 
 
-def _qr_twisted(xi: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
-    """qr_twisted on a pair already known to be prime."""
-    s2 = twisted_parity_shift2(xi)
-    hf = HeightFunction.big_theta(xi.n0)
+def _qr_twisted(s2: int, hf: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
+    """qr_twisted on a pair already known to be prime, given its quiver's
+    twisted_parity_shift2 s2 and the big_theta function hf of its rank."""
     pair = _qr_twisted_normalized(hf, Vertex(v.i, v.k2 - s2), Vertex(w.i, w.k2 - s2))
     return QRPair(
         tuple(Vertex(u.i, u.k2 + s2) for u in pair.q),
@@ -210,12 +221,18 @@ def qr_sequences(xi: HeightFunction, points: Sequence[Vertex]) -> QRPair:
 
 
 def _qr_concat(xi: HeightFunction, points: Sequence[Vertex]) -> QRPair:
-    """qr_sequences on a sequence already known to be a prime snake of length >= 2."""
-    kernel = _qr_untwisted if xi.flavor == UNTWISTED else _qr_twisted
+    """qr_sequences on a sequence already known to be a prime snake of length >= 2.
+
+    The twisted parity shift and big_theta are found once per snake, not once per pair.
+    """
+    if xi.flavor == UNTWISTED:
+        kernel = partial(_qr_untwisted, xi)
+    else:
+        kernel = partial(_qr_twisted, twisted_parity_shift2(xi), HeightFunction.big_theta(xi.n0))
     qs: list[Vertex] = []
     rs: list[Vertex] = []
     for s in range(len(points) - 1):
-        pair = kernel(xi, points[s], points[s + 1])
+        pair = kernel(points[s], points[s + 1])
         qs.extend(pair.q)
         rs.extend(pair.r)
     return QRPair(tuple(qs), tuple(rs))

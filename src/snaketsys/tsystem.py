@@ -25,7 +25,7 @@ from .lusztig import Carrier, unit_datum
 from .quivers import TWISTED, UNTWISTED, HeightFunction, Region, Vertex, big_theta2, vertices_json
 from .snakes import (
     _qr_concat,
-    in_snake_position,
+    _snake_position,
     is_prime_snake,
     is_snake,
     split_prime,
@@ -85,12 +85,12 @@ def extended_tsystem(xi: HeightFunction, points) -> TSystemRelation:
 
 
 def _on_ray(xi: HeightFunction, v: Vertex, w: Vertex) -> bool:
-    """w strictly after v but on the boundary of its snake cone."""
+    """w strictly after v but on the boundary of its snake cone (v, w vertices of xi)."""
     if xi.flavor == UNTWISTED:
         r = w.k2 - v.k2
         return r > 0 and abs(w.i - v.i) * 2 == r
     r2 = w.k2 - v.k2
-    return r2 > 0 and abs(big_theta2(xi.n0, w.i) - big_theta2(xi.n0, v.i)) == r2 and xi.prec(v, w)
+    return r2 > 0 and abs(big_theta2(xi.n0, w.i) - big_theta2(xi.n0, v.i)) == r2 and xi._reaches(v, w)
 
 
 def predicted_tfd_left(xi: HeightFunction, v: Vertex, points) -> int | None:
@@ -100,21 +100,26 @@ def predicted_tfd_left(xi: HeightFunction, v: Vertex, points) -> int | None:
     None (indeterminate) outside them.  Only the head of the snake enters.
     """
     pts = tuple(points)
-    if not is_snake(xi, pts):
+    if not is_snake(xi, pts) or not xi.is_vertex(v):
         return None
-    first = pts[0]
-    if in_snake_position(xi, v, first):
+    return _predict_left(xi, v, pts[0])
+
+
+def _predict_left(xi: HeightFunction, v: Vertex, first: Vertex) -> int | None:
+    """predicted_tfd_left of a probe and a snake head already known to lie on the quiver."""
+    bound = xi.dualize(v, -1)
+    if _snake_position(xi, v, first):
         # within the prime window, snake position is automatically prime
-        return 1 if xi.preceq(first, xi.dualize(v, -1)) else 0
-    if not xi.prec(v, first):
+        return 1 if xi._reaches(first, bound) else 0
+    if v == first or not xi._reaches(v, first):
         return None
-    if not xi.preceq(first, xi.dualize(v, -1)):
+    if not xi._reaches(first, bound):
         return 0  # the whole snake sits outside the prime window of v
     if xi.flavor == UNTWISTED:
         return 0  # off the snake cone but inside the window: boundary rays
     if _on_ray(xi, v, first):
         return 0
-    rv, rf = xi.region(v), xi.region(first)
+    rv, rf = xi._region(v), xi._region(first)
     if rv == Region.U and rf in (Region.GT, Region.U):
         return 0
     if rv == Region.D and rf in (Region.LT, Region.D):
@@ -352,7 +357,7 @@ def _epsilon_or_none(xi: HeightFunction, v: Vertex, points: Points, side: str) -
 
 def _pair_predictions(xi: HeightFunction, pts: Points) -> tuple[int | None, ...]:
     """predicted_tfd_left of each point against the snake made of its successor."""
-    return tuple(predicted_tfd_left(xi, pts[s], pts[s + 1:s + 2]) for s in range(len(pts) - 1))
+    return tuple(_predict_left(xi, v, w) for v, w in zip(pts, pts[1:]))
 
 
 def check_theorem_hypotheses(xi: HeightFunction, points, via_epsilon: bool = False) -> HypothesesReport:

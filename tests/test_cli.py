@@ -327,6 +327,14 @@ def test_verify_exit_zero(capsys):
     assert code == 0 and "moves: ok" in out
 
 
+@pytest.mark.parametrize("trials", ["-5", "0"])
+def test_verify_needs_at_least_one_trial(capsys, trials):
+    # no vacuous "ok (0 passed, ...)" line: a trial count below 1 is a config error
+    code, out, err = run(capsys, "verify", "--suite", "rho", "--trials", trials)
+    assert (code, out) == (2, "")
+    assert err == f"config error: --trials must be >= 1, got {trials}\n"
+
+
 VERIFY_ALL_200_SEED_0 = """\
 moves: ok (1800 passed, 0 failed, 0 skipped)
 rho: ok (800 passed, 0 failed, 0 skipped)

@@ -128,6 +128,41 @@ def test_snake_monomial_matches_pairwise_fold():
     assert cancelled
 
 
+def test_relation_monomials_are_the_snake_monomials_of_the_terms():
+    # one cuspidal monomial per point, summed into the six terms, must give
+    # what snake_monomial gives on each term by itself
+    import random
+
+    from snaketsys.snakes import random_snake
+    from snaketsys.verify import random_height_function
+
+    rng = random.Random(23)
+
+    def signed(xi):
+        # exponents +-1 on a shared factor, so that factors cancel within a term
+        return Realization.custom(xi.n + 1, {
+            v: Monomial({(1, 0): 1 if v.i % 2 else -1, (v.i, v.k2): -1}) for v in xi.gamma_vertices()
+        })
+
+    cases = []
+    for n in (3, 4, 6):
+        xi = random_height_function(n, rng)
+        cases += [(Realization.qdatum_a(n), xi), (signed(xi), xi)]
+    for n0 in (2, 3):
+        xi = random_height_function(2 * n0 - 1, rng, "twisted", n0)
+        cases += [(Realization.qdatum_b(n0), xi), (signed(xi), xi)]
+    for real, xi in cases:
+        for _ in range(15):
+            pts = random_snake(xi, rng, rng.randint(2, 12), prime=True)
+            if len(pts) < 2:
+                continue
+            rel = extended_tsystem(xi, pts)
+            mon = relation_monomials(rel, real)
+            terms = (rel.term_b, rel.term_c, rel.term_a, rel.term_d, rel.first_q, rel.first_r)
+            for got, points in zip((mon.b, mon.c, mon.a, mon.d, mon.q, mon.r), terms):
+                assert (got, mon.exact) == snake_monomial(real, xi, points)
+
+
 def test_relation_monomials_golden():
     rel = extended_tsystem(XI3, (V(2, 0), V(2, 2), V(1, 5)))
     mon = relation_monomials(rel, Realization.qdatum_a(3))

@@ -1,13 +1,23 @@
 import random
+import re
 
 import pytest
 
 from snaketsys.errors import InternalError, NotPrimeSnake, OutsideWindow, TooShort
 from snaketsys.quivers import UNTWISTED, HeightFunction, Region, Vertex
-from snaketsys.snakes import in_snake_position, is_prime_snake, is_snake, random_snake
+from snaketsys.snakes import (
+    _prime_position,
+    _snake_position,
+    in_prime_snake_position,
+    in_snake_position,
+    is_prime_snake,
+    is_snake,
+    random_snake,
+)
 from snaketsys.tsystem import (
     HypothesisCheck,
     _on_ray,
+    _predict_left,
     check_theorem_hypotheses,
     extended_tsystem,
     predicted_tfd_left,
@@ -399,6 +409,91 @@ def test_right_prediction_matches_reference_on_small_windows():
                 assert predicted_tfd_right(xi, pts, v) == want, (xi, pts, v)
                 seen.add((xi.flavor, want))
     assert seen == {(f, x) for f in ("untwisted", "twisted") for x in (0, 1, None)}
+
+
+def _trusted_quivers():
+    """Untwisted n <= 5 and twisted n0 <= 3, the staircases and a random shape
+    of each rank: plain, shifted by one and reversed."""
+    rng = random.Random(22)
+    base = [HeightFunction.canonical(n, delta) for n in range(1, 6) for delta in (0, 1)]
+    base += [random_height_function(n, rng) for n in range(2, 6)]
+    base += [HeightFunction.big_theta(n0) for n0 in (2, 3)]
+    base += [random_height_function(2 * n0 - 1, rng, "twisted", n0) for n0 in (2, 3)]
+    for xi in base:
+        for s2 in (0, 2):
+            yield xi.shifted(s2)
+        yield xi.reversed()
+
+
+def _trusted_window(xi):
+    """Two duality periods above the lowest height, so that prime pairs occur."""
+    return min(xi.values2) - 2, max(xi.values2) + 2 * xi.ntilde2()
+
+
+def test_trusted_forms_match_the_public_ones():
+    seen = set()
+    for xi in _trusted_quivers():
+        verts = _window(xi, *_trusted_window(xi))
+        for v in verts:
+            assert xi.is_vertex(xi.dualize(v, -1))  # the trusted prime test relies on D keeping vertices
+            if xi.twisted_flavor:
+                assert xi._region(v) == xi.region(v), (xi, v)
+            for w in verts:
+                assert xi._reaches(v, w) == xi.preceq(v, w), (xi, v, w)
+                assert _snake_position(xi, v, w) == in_snake_position(xi, v, w), (xi, v, w)
+                assert _prime_position(xi, v, w) == in_prime_snake_position(xi, v, w), (xi, v, w)
+                got = _predict_left(xi, v, w)
+                assert got == predicted_tfd_left(xi, v, (w,)), (xi, v, w)
+                seen.add((xi.flavor, got))
+    assert seen == {(f, x) for f in ("untwisted", "twisted") for x in (0, 1, None)}
+
+
+def test_public_forms_reject_off_quiver_inputs():
+    for xi in _trusted_quivers():
+        k2_lo, k2_hi = _trusted_window(xi)
+        verts = _window(xi, k2_lo, k2_hi)
+        ends = (verts[0], verts[len(verts) // 2], verts[-1])
+        for x in (Vertex(i, k2) for i in range(0, xi.n + 2) for k2 in range(k2_lo, k2_hi + 1)):
+            if xi.is_vertex(x):
+                continue
+            for v in ends + (x,):
+                for a, b in ((x, v), (v, x)):
+                    assert xi.preceq(a, b) is False
+                    assert in_snake_position(xi, a, b) is False
+                    assert in_prime_snake_position(xi, a, b) is False
+                    assert predicted_tfd_left(xi, a, (b,)) is None
+            if xi.twisted_flavor:
+                with pytest.raises(ValueError, match=re.escape(f"{x} is not a vertex of this quiver")):
+                    xi.region(x)
+            else:
+                with pytest.raises(ValueError, match="regions exist only for twisted height functions"):
+                    xi.region(x)
+
+
+def test_relation_checks_each_point_once(monkeypatch):
+    # is_prime_snake checks each point once; the pair tests, the predictions
+    # and Q/R then trust them, and only Q/R's "fell off the quiver" checks
+    # (one per Q or R vertex) test a vertex again
+    rng = random.Random(16)
+    cases = []
+    for xi in (HeightFunction.canonical(4, 0), BIG2):
+        while True:
+            pts = random_snake(xi, rng, 40, prime=True)
+            if len(pts) == 40:
+                break
+        cases.append((xi, pts))
+    calls = [0]
+    is_vertex = HeightFunction.is_vertex
+
+    def counted(self, v):
+        calls[0] += 1
+        return is_vertex(self, v)
+
+    monkeypatch.setattr(HeightFunction, "is_vertex", counted)
+    for xi, pts in cases:
+        calls[0] = 0
+        assert extended_tsystem(xi, pts).hypotheses_ok
+        assert len(pts) <= calls[0] <= 3 * len(pts), xi.flavor
 
 
 def test_reversal_keeps_u_and_d_and_swaps_lt_with_gt():
