@@ -19,25 +19,28 @@ else by identity.
 Row i of V<j>, n0 < j <= n+1, is theta's window row if i < j, the
 half-integer chain if i = j (_vj_chain), and big_theta's window row if i > j.
 
-The steps do not depend on the datum, so each rank has one cached layer
-plan listing the keys every step reads and writes, checked once when it is
-built.  The check runs a row-indexed copy of the carrier from the big_theta
-window: each layer is checked on its two rows only, against rows j, j+1 of
-the copy and of V<j+1>, so it costs O(n) per layer and O(n^2) per rank and
-builds no intermediate carrier.  rho copies the counts once and runs the
-plan in place, touching O(n) keys per step and O(n^2) in all; rho_step runs
-one layer of the same plan on a copy.  A triple whose reads are all 0 writes
-nothing; a VertexDatum checks its keys by one C-level subset test.
+The steps do not depend on the datum, so each rank has one cached plan that
+numbers each vertex of V<n0>, ..., V<n+1> once (its slot) and lists the
+slots every step reads and writes, checked once when it is built.  The check
+runs a row-indexed copy of the carrier from the big_theta window: each layer
+is checked on its two rows only, so it costs O(n) per layer and O(n^2) per
+rank and builds no intermediate carrier.  rho and rho_step share one kernel:
+scatter the stored counts into zeroed slots, run the layers in place, and
+read the nonzero counts off the target carrier's slots.  The check proves
+those are V<j+1>'s keys and 3-moves keep counts nonnegative, so the result
+is not checked again; only the input's carrier is checked per call.
 
 Only the Gamma windows (gamma-theta, gamma-THETA, gamma-delta:*) are cached,
 in a bounded cache; V<n0> and V<n+1> are the two staircase windows.  An
-intermediate carrier V<j>, n0 < j <= n, is built on demand from the row
-rule, once per rho_step call (for the datum it returns).
+intermediate carrier V<j>, n0 < j <= n, is built from the row rule only by
+Carrier.vertices().
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress, count
+from types import MappingProxyType
 from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
 from . import roots
@@ -226,6 +229,13 @@ class VertexDatum:
         if self.counts and min(self.counts.values()) < 0:
             raise ValueError("counts must be nonnegative")
 
+    @classmethod
+    def _trusted(cls, carrier: Carrier, counts: dict[Vertex, int]) -> "VertexDatum":
+        """A datum whose keys lie in the carrier and whose counts are >= 0 by construction: no check."""
+        d = object.__new__(cls)
+        d.__dict__.update(carrier=carrier, counts=counts)
+        return d
+
     def get(self, v: Vertex) -> int:
         return self.counts.get(v, 0)
 
@@ -242,57 +252,86 @@ def unit_datum(carrier: Carrier, points: Sequence[Vertex]) -> VertexDatum:
 
 
 class _Layer(NamedTuple):
-    """One step rho_<j> as key moves on vertex-keyed counts."""
+    """One step rho_<j> on slots: it reads V<j>'s rows j, j+1 and writes V<j+1>'s."""
 
-    triples: tuple[tuple[tuple[Vertex, Vertex, Vertex], tuple[Vertex, Vertex, Vertex]], ...]  # (read, write)
-    moves: tuple[tuple[Vertex, Vertex], ...]  # (source, target) boundary shifts of row j
+    triples: tuple[tuple[int, int, int, int, int, int], ...]  # 3-moves (a, b, c) -> (x, y, z)
+    moves: tuple[tuple[int, int], ...]  # (source, target) boundary shifts of row j
+    target: tuple[slice, ...]  # the slots of V<j+1>
+
+
+class _Plan(NamedTuple):
+    keys: tuple[Vertex, ...]  # the vertex of each slot
+    slots: Mapping[Vertex, int]  # read-only inverse of keys
+    layers: tuple[_Layer, ...]  # rho_<n0>, ..., rho_<n>
 
 
 @lru_cache(maxsize=16)
-def _layer_plan(n: int) -> tuple[_Layer, ...]:
-    """The steps rho_<n0>, ..., rho_<n> of rank n, each checked once on its two rows.
+def _layer_plan(n: int) -> _Plan:
+    """The steps rho_<n0>, ..., rho_<n> of rank n on slots, each checked once on its two rows.
 
-    A row-indexed copy of the carrier starts from the big_theta window, and
-    each layer replaces its rows j, j+1 with those of V<j+1>.  Rows below
-    n0 are never touched, so the composite must end on the theta window.
+    Each row of each carrier is a run of slots: theta's window row by row,
+    big_theta's rows from n0 up, then each chain as its layer is met.  The
+    carrier's rows start as big_theta's, and each layer replaces rows j, j+1
+    with those of V<j+1>.
     """
     n0 = (n + 1) // 2
-    theta = _carrier_vertices(GAMMA_THETA, n)
-    theta_rows = _rows(theta, n)
-    rows = _rows(_carrier_vertices(GAMMA_BIG_THETA, n), n)  # V<n0>
-    plan = []
+    theta_rows = _rows(_carrier_vertices(GAMMA_THETA, n), n)
+    big_rows = _rows(_carrier_vertices(GAMMA_BIG_THETA, n), n)
+    if big_rows[:n0] != theta_rows[:n0]:  # no layer touches these rows
+        raise InternalError(f"the windows of rank {n} differ below row {n0}")
+    slots: dict[Vertex, int] = {}
+
+    def number(verts: AbstractSet[Vertex]) -> range:
+        lo = len(slots)
+        slots.update(zip(verts, count(lo)))
+        if len(slots) != lo + len(verts):
+            raise InternalError(f"rho of rank {n} numbers a vertex twice")
+        return range(lo, len(slots))
+
+    theta_span = [number(row) for row in theta_rows]
+    span = theta_span[:n0] + [number(row) for row in big_rows[n0:]]  # V<n0>
+    at = slots.get  # slot of the vertex (i, k2) by plain tuple; None off the numbered rows fails the check
+    layers = []
     for j in range(n0, n + 1):
+        src = {*span[j], *span[j + 1]}
+        span[j], span[j + 1] = theta_span[j], number(_vj_chain(n, j + 1))
         triples = tuple(
             (
-                (Vertex(j, 2 * j + 4 * r - 1), Vertex(j + 1, 2 * j + 4 * r), Vertex(j, 2 * j + 4 * r + 1)),
-                (Vertex(j + 1, 2 * j + 4 * r - 1), Vertex(j, 2 * j + 4 * r), Vertex(j + 1, 2 * j + 4 * r + 1)),
+                at((j, 2 * j + 4 * r - 1)), at((j + 1, 2 * j + 4 * r)), at((j, 2 * j + 4 * r + 1)),
+                at((j + 1, 2 * j + 4 * r - 1)), at((j, 2 * j + 4 * r)), at((j + 1, 2 * j + 4 * r + 1)),
             )
             for r in range(0, n - j)
         )
         # leftover boundary keys of row j reshift by -+1/2
-        moves = ((Vertex(j, 2 * j - 3), Vertex(j, 2 * j - 4)),) if j > n0 else ()
-        moves += ((Vertex(j, 4 * n - 2 * j - 1), Vertex(j, 2 * (2 * n - j))),)
-        layer = _Layer(triples, moves)
-        dst = (theta_rows[j], _vj_chain(n, j + 1))
-        _check_layer(n0, j, layer, rows[j] | rows[j + 1], dst[0] | dst[1])
-        rows[j], rows[j + 1] = dst
-        plan.append(layer)
-    if frozenset().union(*rows) != theta:
-        raise InternalError(f"rho of rank {n} does not end on the theta window")
-    return tuple(plan)
+        moves = ((at((j, 2 * j - 3)), at((j, 2 * j - 4))),) if j > n0 else ()
+        moves += ((at((j, 4 * n - 2 * j - 1)), at((j, 2 * (2 * n - j)))),)
+        layer = _Layer(triples, moves, _runs(span))
+        _check_layer(n0, j, layer, src, {*span[j], *span[j + 1]})
+        layers.append(layer)
+    return _Plan(tuple(slots), MappingProxyType(slots), tuple(layers))
 
 
-def _check_layer(
-    n0: int, j: int, layer: _Layer, src_rows: AbstractSet[Vertex], dst_rows: AbstractSet[Vertex]
-) -> None:
+def _runs(spans: Iterable[range]) -> tuple[slice, ...]:
+    """The nonempty ranges as slices, adjacent ones merged."""
+    runs: list[slice] = []
+    for r in filter(None, spans):
+        if runs and runs[-1].stop == r.start:
+            runs[-1] = slice(runs[-1].start, r.stop)
+        else:
+            runs.append(slice(r.start, r.stop))
+    return tuple(runs)
+
+
+def _check_layer(n0: int, j: int, layer: _Layer, src_rows: AbstractSet[int], dst_rows: AbstractSet[int]) -> None:
     """Raise InternalError unless the layer, run in place, maps src_rows onto dst_rows.
 
-    src_rows and dst_rows are rows j, j+1 of V<j> and of V<j+1>.  The layer
-    must read each key of src_rows once, write each key of dst_rows once and
-    read no key it writes; every other row it carries by identity.
+    src_rows and dst_rows are the slots of rows j, j+1 of V<j> and of
+    V<j+1>.  The layer must read each slot of src_rows once, write each slot
+    of dst_rows once and read no slot it writes; every other row it carries
+    by identity.
     """
-    reads = [v for r, _ in layer.triples for v in r] + [s for s, _ in layer.moves]
-    writes = [v for _, w in layer.triples for v in w] + [t for _, t in layer.moves]
+    reads = [s for t in layer.triples for s in t[:3]] + [s for s, _ in layer.moves]
+    writes = [s for t in layer.triples for s in t[3:]] + [t for _, t in layer.moves]
     if (
         len(reads) != len(src_rows) or set(reads) != src_rows
         or len(writes) != len(dst_rows) or set(writes) != dst_rows
@@ -301,23 +340,28 @@ def _check_layer(
         raise InternalError(f"rho layer {j} of rank {2 * n0 - 1} does not map V<{j}> onto V<{j + 1}>")
 
 
-def _apply_layer(counts: dict[Vertex, int], layer: _Layer) -> None:
-    """Run one layer on nonzero counts in place, storing only nonzero results."""
-    pop = counts.pop
-    for (a, b, c), (x, y, z) in layer.triples:
-        ca, cb, cc = pop(a, 0), pop(b, 0), pop(c, 0)
-        if ca or cb or cc:
-            ca, cb, cc = three_move(ca, cb, cc)
-            if ca:
-                counts[x] = ca
-            if cb:
-                counts[y] = cb
-            if cc:
-                counts[z] = cc
-    for src, dst in layer.moves:
-        x = pop(src, 0)
-        if x:
-            counts[dst] = x
+def _transport(plan: _Plan, layers: Sequence[_Layer], d: VertexDatum) -> dict[Vertex, int]:
+    """Run the layers in place on d's counts in slots; the nonzero counts on the last target.
+
+    A triple whose reads are all 0 writes nothing; read slots keep stale counts, outside the target.
+    """
+    vals = [0] * len(plan.keys)
+    slots = plan.slots
+    for v, k in d.counts.items():
+        vals[slots[v]] = k
+    for layer in layers:
+        for a, b, c, x, y, z in layer.triples:
+            ca, cb, cc = vals[a], vals[b], vals[c]
+            if ca or cb or cc:
+                m = ca if ca < cc else cc  # three_move, inlined
+                vals[x], vals[y], vals[z] = cb + cc - m, m, ca + cb - m
+        for s, t in layer.moves:
+            vals[t] = vals[s]
+    keys, counts = plan.keys, {}
+    for run in layers[-1].target:
+        got = vals[run]
+        counts.update(compress(zip(keys[run], got), got))
+    return counts
 
 
 def rho_step(j: int, d: VertexDatum) -> VertexDatum:
@@ -329,9 +373,8 @@ def rho_step(j: int, d: VertexDatum) -> VertexDatum:
     carrier = vj_carrier(n0, j)
     if d.carrier != carrier and d.carrier.vertices() != carrier.vertices():
         raise WrongCarrier(f"datum carrier {d.carrier.name} is not V<{j}>")
-    counts = {v: c for v, c in d.counts.items() if c}
-    _apply_layer(counts, _layer_plan(n)[j - n0])
-    return VertexDatum(vj_carrier(n0, j + 1), counts)
+    plan = _layer_plan(n)
+    return VertexDatum._trusted(vj_carrier(n0, j + 1), _transport(plan, plan.layers[j - n0:j - n0 + 1], d))
 
 
 def rho(d: VertexDatum) -> VertexDatum:
@@ -344,10 +387,8 @@ def rho(d: VertexDatum) -> VertexDatum:
     have, want = d.carrier.vertices(), Carrier(GAMMA_BIG_THETA, n).vertices()
     if have is not want and have != want:  # the cached window is not compared with itself
         raise WrongCarrier("rho expects a datum on the big_theta window")
-    counts = {v: c for v, c in d.counts.items() if c}
-    for layer in _layer_plan(n):
-        _apply_layer(counts, layer)
-    return VertexDatum(Carrier(GAMMA_THETA, n), counts)
+    plan = _layer_plan(n)
+    return VertexDatum._trusted(Carrier(GAMMA_THETA, n), _transport(plan, plan.layers, d))
 
 
 # -- JSON round-trip -----------------------------------------------------

@@ -252,6 +252,10 @@ class HeightFunction:
             raise ValueError("sign must be +1 or -1")
         return Vertex(roots.star(self.n, v.i), v.k2 - sign * self.ntilde2())
 
+    def _undualize(self, v: Vertex) -> Vertex:
+        """D^-1 (i,k) = (i*, k + ntilde) of a vertex already known to lie on this quiver."""
+        return Vertex(self.n + 1 - v.i, v.k2 + self.ntilde2())
+
     def region(self, v: Vertex) -> Region:
         if not self.twisted_flavor:
             raise ValueError("regions exist only for twisted height functions")

@@ -66,7 +66,7 @@ def _prime_position(xi: HeightFunction, v: Vertex, w: Vertex) -> bool:
 
     D maps vertices to vertices, so D^-1(v) needs no check either.
     """
-    return _snake_position(xi, v, w) and xi._reaches(w, xi.dualize(v, -1))
+    return _snake_position(xi, v, w) and xi._reaches(w, xi._undualize(v))
 
 
 def is_snake(xi: HeightFunction, points: Sequence[Vertex]) -> bool:

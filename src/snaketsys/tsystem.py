@@ -107,7 +107,7 @@ def predicted_tfd_left(xi: HeightFunction, v: Vertex, points) -> int | None:
 
 def _predict_left(xi: HeightFunction, v: Vertex, first: Vertex) -> int | None:
     """predicted_tfd_left of a probe and a snake head already known to lie on the quiver."""
-    bound = xi.dualize(v, -1)
+    bound = xi._undualize(v)
     if _snake_position(xi, v, first):
         # within the prime window, snake position is automatically prime
         return 1 if xi._reaches(first, bound) else 0

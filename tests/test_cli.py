@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -170,6 +171,18 @@ def test_qr_command(capsys, tmp_path):
     obj = json.loads(out)
     assert code == 0
     assert obj["Q"] == [{"i": 2, "k2": 5}, {"i": 1, "k2": 10}]
+
+
+def test_rho_n95_output_is_pinned(capsys, tmp_path):
+    # a seeded dense datum on the whole big_theta window of rank 95; the
+    # sha256 of stdout was written down before the slot-indexed rho kernel
+    rng = random.Random(95)
+    verts = sorted(HeightFunction.big_theta(48).gamma_vertices())
+    entries = [{"i": v.i, "k2": v.k2, "c": rng.randint(0, 9)} for v in verts]
+    path = write(tmp_path, "d.json", {"carrier": "gamma-THETA", "entries": entries})
+    code, out, err = run(capsys, "rho", "--n", "95", path)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == "d99f6e8ff024d1036638c81b9f26d21f8bd95c382fa687ada17a1f1b43920032"
 
 
 def test_rho_golden(capsys, tmp_path):

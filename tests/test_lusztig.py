@@ -244,12 +244,12 @@ def test_rho_step_triple_order_independent():
 
 def test_rho_matches_reference_layers():
     # rho and every rho_step stage against the full-rebuild reference, on
-    # sparse, dense and unit (window snake) data up to rank 31; neither may
-    # touch the caller's counts
+    # sparse, dense and unit (window snake) data up to rank 31, and on one
+    # dense datum at ranks 63 and 95; neither may touch the caller's counts
     from snaketsys import snakes
 
     rng = random.Random(31)
-    for n0 in range(2, 17):
+    for n0 in (*range(2, 17), 32, 48):
         n = 2 * n0 - 1
         carrier = Carrier(GAMMA_BIG_THETA, n)
         verts = sorted(carrier.vertices())
@@ -262,7 +262,7 @@ def test_rho_matches_reference_layers():
             VertexDatum(carrier, {v: rng.randint(1, 5) if rng.random() < 0.3 else 0 for v in verts}
                         | {v: 0 for v in {v.i: v for v in verts}.values()}),
         ]
-        for d in data:
+        for d in data if n0 <= 16 else data[1:2]:
             before = dict(d.counts)
             want = reference_rho(d)
             out = rho(d)
@@ -275,6 +275,33 @@ def test_rho_matches_reference_layers():
                 assert stage.counts == stage_counts
                 assert nxt == ref
                 stage = nxt
+
+
+def test_rho_results_pass_the_public_datum_check():
+    # rho and rho_step build their results unchecked; the plan check and the
+    # 3-move's sign rule are what make them valid, so check every result here
+    from snaketsys import snakes
+
+    rng = random.Random(17)
+    for n0 in range(2, 17):
+        n = 2 * n0 - 1
+        carrier = Carrier(GAMMA_BIG_THETA, n)
+        verts = sorted(carrier.vertices())
+        data = [
+            VertexDatum(carrier, {}),
+            VertexDatum(carrier, {v: rng.randint(0, 9) for v in verts}),
+            VertexDatum(carrier, {v: rng.randint(0, 2) if rng.random() < 0.2 else 0 for v in verts}),
+            unit_datum(carrier, snakes.random_snake(HeightFunction.big_theta(n0), rng, 4, prime=False, in_gamma=True)),
+        ]
+        for d in data:
+            results = [rho(d)]
+            for j in range(n0, n + 1):
+                d = rho_step(j, d)
+                assert d.carrier == vj_carrier(n0, j + 1)
+                results.append(d)
+            assert results[0].carrier == Carrier(GAMMA_THETA, n) and results[0] == d
+            for out in results:  # the public constructor checks keys and signs
+                assert VertexDatum(out.carrier, dict(out.counts)) == out and 0 not in out.counts.values()
 
 
 def test_rho_moves_a_lone_count_like_the_reference():
@@ -302,15 +329,21 @@ def reference_check_plan(n):
 
     Each layer must read each key of rows j, j+1 of V<j> once, write each
     key of rows j, j+1 of V<j+1> once, read no key it writes, and the two
-    carriers must agree on every other row.  Every carrier is built in full.
+    carriers must agree on every other row; its target slots must hold each
+    key of V<j+1> once.  Every carrier is built in full.
     """
     from snaketsys.lusztig import _layer_plan
 
     n0 = (n + 1) // 2
-    for j, layer in zip(range(n0, n + 1), _layer_plan(n)):
+    plan = _layer_plan(n)
+    if len(set(plan.keys)) != len(plan.keys) or any(plan.slots[v] != s for s, v in enumerate(plan.keys)):
+        raise InternalError(f"the slots of rank {n} do not number each vertex once")
+    key = plan.keys.__getitem__
+    for j, layer in zip(range(n0, n + 1), plan.layers):
         src, dst = vj_carrier(n0, j).vertices(), vj_carrier(n0, j + 1).vertices()
-        reads = [v for r, _ in layer.triples for v in r] + [s for s, _ in layer.moves]
-        writes = [v for _, w in layer.triples for v in w] + [t for _, t in layer.moves]
+        reads = [key(s) for t in layer.triples for s in t[:3]] + [key(s) for s, _ in layer.moves]
+        writes = [key(s) for t in layer.triples for s in t[3:]] + [key(t) for _, t in layer.moves]
+        target = [v for run in layer.target for v in plan.keys[run]]
         src_rows = {v for v in src if v.i in (j, j + 1)}
         dst_rows = {v for v in dst if v.i in (j, j + 1)}
         if (
@@ -318,6 +351,7 @@ def reference_check_plan(n):
             or len(writes) != len(dst_rows) or set(writes) != dst_rows
             or not src_rows.isdisjoint(dst_rows)
             or src - src_rows != dst - dst_rows
+            or len(target) != len(dst) or set(target) != dst
         ):
             raise InternalError(f"rho layer {j} of rank {n} does not map V<{j}> onto V<{j + 1}>")
 
@@ -331,25 +365,30 @@ def _two_rows(verts, j):
     return {v for v in verts if v.i in (j, j + 1)}
 
 
+def _slots(plan, verts):
+    return {plan.slots[v] for v in verts}
+
+
 def test_layer_plan_is_checked_once():
-    # the cached plan is immutable and bounded; a layer that misses a key,
-    # writes a key twice or reads what it writes is rejected explicitly
-    from snaketsys.lusztig import _check_layer, _Layer, _layer_plan
+    # the cached plan is immutable and bounded; a layer that misses a slot,
+    # writes a slot twice or reads what it writes is rejected explicitly
+    from snaketsys.lusztig import _check_layer, _layer_plan
 
     assert _layer_plan.cache_info().maxsize is not None
     plan = _layer_plan(7)
-    assert isinstance(plan, tuple) and all(isinstance(layer.triples, tuple) for layer in plan)
+    assert isinstance(plan.layers, tuple) and all(isinstance(layer.triples, tuple) for layer in plan.layers)
     assert _layer_plan(7) is plan
     n0, j = 4, 5
-    layer = plan[j - n0]
-    (reads, writes), rest = layer.triples[0], layer.triples[1:]
+    layer = plan.layers[j - n0]
+    (a, b, c, x, y, z), rest = layer.triples[0], layer.triples[1:]
     broken = [
-        _Layer(rest, layer.moves),
-        _Layer(layer.triples, layer.moves[:1]),
-        _Layer(((reads, (writes[0], writes[0], writes[2])),) + rest, layer.moves),
-        _Layer(((reads, reads),) + rest, layer.moves),
+        layer._replace(triples=rest),
+        layer._replace(moves=layer.moves[:1]),
+        layer._replace(triples=((a, b, c, x, x, z),) + rest),
+        layer._replace(triples=((a, b, c, a, b, c),) + rest),
     ]
-    src, dst = _two_rows(vj_carrier(n0, j).vertices(), j), _two_rows(vj_carrier(n0, j + 1).vertices(), j)
+    src = _slots(plan, _two_rows(vj_carrier(n0, j).vertices(), j))
+    dst = _slots(plan, _two_rows(vj_carrier(n0, j + 1).vertices(), j))
     _check_layer(n0, j, layer, src, dst)
     for bad in broken:
         with pytest.raises(InternalError):
@@ -357,20 +396,47 @@ def test_layer_plan_is_checked_once():
 
 
 def test_layer_check_rejects_a_move_outside_its_two_rows():
-    # a layer that also moves a key of row j+2 is rejected, and so is one
+    # a layer that also moves a slot of row j+2 is rejected, and so is one
     # whose reads and writes overlap even if they match the rows given
-    from snaketsys.lusztig import _check_layer, _Layer, _layer_plan
+    from snaketsys.lusztig import _check_layer, _layer_plan
 
     n0, j = 4, 5
-    layer = _layer_plan(7)[j - n0]
-    src, dst = _two_rows(vj_carrier(n0, j).vertices(), j), _two_rows(vj_carrier(n0, j + 1).vertices(), j)
-    far = sorted(v for v in vj_carrier(n0, j).vertices() if v.i == j + 2)[0]
+    plan = _layer_plan(7)
+    layer = plan.layers[j - n0]
+    src = _slots(plan, _two_rows(vj_carrier(n0, j).vertices(), j))
+    dst = _slots(plan, _two_rows(vj_carrier(n0, j + 1).vertices(), j))
+    far = min(_slots(plan, (v for v in vj_carrier(n0, j).vertices() if v.i == j + 2)))
     with pytest.raises(InternalError):
-        _check_layer(n0, j, _Layer(layer.triples, layer.moves + ((far, Vertex(far.i, far.k2 + 4)),)), src, dst)
-    reads = {v for r, _ in layer.triples for v in r} | {s for s, _ in layer.moves}
-    in_place = _Layer(tuple((r, r) for r, _ in layer.triples), tuple((s, s) for s, _ in layer.moves))
+        _check_layer(n0, j, layer._replace(moves=layer.moves + ((far, far),)), src, dst)
+    reads = {s for t in layer.triples for s in t[:3]} | {s for s, _ in layer.moves}
+    in_place = layer._replace(triples=tuple(t[:3] * 2 for t in layer.triples), moves=tuple((s, s) for s, _ in layer.moves))
     with pytest.raises(InternalError):
         _check_layer(n0, j, in_place, reads, reads)
+
+
+def test_slot_plan_cache_is_bounded_and_holds_only_tuples():
+    # the cached plans are tuples of tuples of ints and vertices, and the
+    # slot map is read-only, so no caller can change a plan another reads
+    from types import MappingProxyType
+
+    from snaketsys.lusztig import _layer_plan
+
+    _layer_plan.cache_clear()
+    for n in (3, 7, 15, 31):
+        _layer_plan(n)
+    info = _layer_plan.cache_info()
+    assert info.maxsize is not None and info.currsize == 4
+    plan = _layer_plan(7)
+    assert type(plan.keys) is tuple and all(type(v) is Vertex for v in plan.keys)
+    assert type(plan.slots) is MappingProxyType and len(plan.slots) == len(plan.keys)
+    with pytest.raises(TypeError):
+        plan.slots[plan.keys[0]] = 1
+    assert type(plan.layers) is tuple
+    for layer in plan.layers:
+        for part in (layer.triples, layer.moves):
+            assert type(part) is tuple
+            assert all(type(t) is tuple and all(type(s) is int for s in t) for t in part)
+        assert type(layer.target) is tuple and all(type(run) is slice for run in layer.target)
 
 
 def _shifted_window(name, n, row):

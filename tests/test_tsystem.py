@@ -436,6 +436,7 @@ def test_trusted_forms_match_the_public_ones():
         verts = _window(xi, *_trusted_window(xi))
         for v in verts:
             assert xi.is_vertex(xi.dualize(v, -1))  # the trusted prime test relies on D keeping vertices
+            assert xi._undualize(v) == xi.dualize(v, -1), (xi, v)
             if xi.twisted_flavor:
                 assert xi._region(v) == xi.region(v), (xi, v)
             for w in verts:
