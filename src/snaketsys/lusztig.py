@@ -2,8 +2,9 @@
 
 A LusztigDatum binds a reduced word to its tuple of nonnegative counts so the
 two cannot fall out of sync.  A VertexDatum keys the counts by quiver
-vertices instead; on vertex-keyed data 2-moves act trivially, so rho is a
-pure composition of 3-moves located by vertex coordinates.
+vertices instead, in a read-only copy of the caller's mapping; on
+vertex-keyed data 2-moves act trivially, so rho is a pure composition of
+3-moves located by vertex coordinates.
 
 The chain of carriers V<n0>, ..., V<n+1> interpolates between the window of
 the twisted staircase big_theta (V<n0>) and that of its untwisted companion
@@ -24,11 +25,13 @@ numbers each vertex of V<n0>, ..., V<n+1> once (its slot) and lists the
 slots every step reads and writes, checked once when it is built.  The check
 runs a row-indexed copy of the carrier from the big_theta window: each layer
 is checked on its two rows only, so it costs O(n) per layer and O(n^2) per
-rank and builds no intermediate carrier.  rho and rho_step share one kernel:
-scatter the stored counts into zeroed slots, run the layers in place, and
-read the nonzero counts off the target carrier's slots.  The check proves
-those are V<j+1>'s keys and 3-moves keep counts nonnegative, so the result
-is not checked again; only the input's carrier is checked per call.
+rank and builds no intermediate carrier.  rho and rho_step share one kernel
+that moves only the rows its layers touch (rows j, j+1 for rho_<j>, rows
+>= n0 for rho): it copies the input's counts with their stored hashes, pops
+the moved rows into slots, runs the layers in place and adds their nonzero
+results, so rho_step does O(n) Python work.  The check proves the keys of
+the rows written and 3-moves keep counts nonnegative, so the result is not
+checked again; only the input's carrier is checked per call.
 
 Only the Gamma windows (gamma-theta, gamma-THETA, gamma-delta:*) are cached,
 in a bounded cache; V<n0> and V<n+1> are the two staircase windows.  An
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress, count
+from itertools import compress, count, repeat
 from types import MappingProxyType
 from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
@@ -68,6 +71,13 @@ class LusztigDatum:
         for i in self.word:
             roots.check_node(self.n, i)
 
+    @classmethod
+    def _trusted(cls, n: int, word: tuple[int, ...], counts: tuple[int, ...]) -> "LusztigDatum":
+        """A datum without the checks, for the moves: they permute checked letters and keep counts >= 0."""
+        d = object.__new__(cls)
+        d.__dict__.update(n=n, word=word, counts=counts)
+        return d
+
 
 def three_move(a: int, b: int, c: int) -> tuple[int, int, int]:
     """Piecewise-linear transform (a,b,c) -> (b+c-m, m, a+b-m), m = min(a,c)."""
@@ -84,7 +94,7 @@ def two_move(d: LusztigDatum, r: int) -> LusztigDatum:
         raise NotCommuting(f"letters {w[r]}, {w[r+1]} do not commute")
     w2 = w[:r] + (w[r + 1], w[r]) + w[r + 2:]
     c2 = c[:r] + (c[r + 1], c[r]) + c[r + 2:]
-    return LusztigDatum(d.n, w2, c2)
+    return LusztigDatum._trusted(d.n, w2, c2)
 
 
 def apply_three_move(d: LusztigDatum, r: int) -> LusztigDatum:
@@ -98,7 +108,7 @@ def apply_three_move(d: LusztigDatum, r: int) -> LusztigDatum:
     a, b, cc = three_move(c[r - 1], c[r], c[r + 1])
     w2 = w[:r - 1] + (j, i, j) + w[r + 2:]
     c2 = c[:r - 1] + (a, b, cc) + c[r + 2:]
-    return LusztigDatum(d.n, w2, c2)
+    return LusztigDatum._trusted(d.n, w2, c2)
 
 
 def star_datum(d: LusztigDatum) -> LusztigDatum:
@@ -219,21 +229,22 @@ def vj_carrier(n0: int, j: int) -> Carrier:
 @dataclass(frozen=True)
 class VertexDatum:
     carrier: Carrier
-    counts: dict[Vertex, int] = field(default_factory=dict)
+    counts: Mapping[Vertex, int] = field(default_factory=dict)  # kept as a read-only copy
 
     def __post_init__(self):
-        keys = self.carrier.vertices()
-        if not self.counts.keys() <= keys:
-            bad = [v for v in self.counts if v not in keys]
+        counts, keys = dict(self.counts), self.carrier.vertices()
+        if not counts.keys() <= keys:
+            bad = [v for v in counts if v not in keys]
             raise WrongCarrier(f"keys {bad[:3]} outside carrier {self.carrier.name}")
-        if self.counts and min(self.counts.values()) < 0:
+        if counts and min(counts.values()) < 0:
             raise ValueError("counts must be nonnegative")
+        object.__setattr__(self, "counts", MappingProxyType(counts))
 
     @classmethod
     def _trusted(cls, carrier: Carrier, counts: dict[Vertex, int]) -> "VertexDatum":
-        """A datum whose keys lie in the carrier and whose counts are >= 0 by construction: no check."""
+        """A datum on a fresh dict no one else holds, with keys in the carrier and counts >= 0: no check."""
         d = object.__new__(cls)
-        d.__dict__.update(carrier=carrier, counts=counts)
+        d.__dict__.update(carrier=carrier, counts=MappingProxyType(counts))
         return d
 
     def get(self, v: Vertex) -> int:
@@ -256,13 +267,17 @@ class _Layer(NamedTuple):
 
     triples: tuple[tuple[int, int, int, int, int, int], ...]  # 3-moves (a, b, c) -> (x, y, z)
     moves: tuple[tuple[int, int], ...]  # (source, target) boundary shifts of row j
-    target: tuple[slice, ...]  # the slots of V<j+1>
+    entry: tuple[slice, ...]  # the slots of rows j, j+1 of V<j>
+    exit: tuple[slice, ...]  # the slots of rows j, j+1 of V<j+1>
 
 
 class _Plan(NamedTuple):
     keys: tuple[Vertex, ...]  # the vertex of each slot
-    slots: Mapping[Vertex, int]  # read-only inverse of keys
     layers: tuple[_Layer, ...]  # rho_<n0>, ..., rho_<n>
+    entry: tuple[slice, ...]  # the slots of big_theta's rows >= n0, read by the composite
+    exit: tuple[slice, ...]  # the slots of theta's rows >= n0, written by the composite
+    big_theta: Carrier  # V<n0>
+    theta: Carrier  # V<n+1>
 
 
 @lru_cache(maxsize=16)
@@ -275,8 +290,8 @@ def _layer_plan(n: int) -> _Plan:
     with those of V<j+1>.
     """
     n0 = (n + 1) // 2
-    theta_rows = _rows(_carrier_vertices(GAMMA_THETA, n), n)
-    big_rows = _rows(_carrier_vertices(GAMMA_BIG_THETA, n), n)
+    big, theta = Carrier(GAMMA_BIG_THETA, n), Carrier(GAMMA_THETA, n)
+    theta_rows, big_rows = _rows(theta.vertices(), n), _rows(big.vertices(), n)
     if big_rows[:n0] != theta_rows[:n0]:  # no layer touches these rows
         raise InternalError(f"the windows of rank {n} differ below row {n0}")
     slots: dict[Vertex, int] = {}
@@ -291,9 +306,9 @@ def _layer_plan(n: int) -> _Plan:
     theta_span = [number(row) for row in theta_rows]
     span = theta_span[:n0] + [number(row) for row in big_rows[n0:]]  # V<n0>
     at = slots.get  # slot of the vertex (i, k2) by plain tuple; None off the numbered rows fails the check
-    layers = []
+    entry, layers = _runs(span[n0:]), []
     for j in range(n0, n + 1):
-        src = {*span[j], *span[j + 1]}
+        src, src_runs = {*span[j], *span[j + 1]}, _runs(span[j:j + 2])
         span[j], span[j + 1] = theta_span[j], number(_vj_chain(n, j + 1))
         triples = tuple(
             (
@@ -305,10 +320,10 @@ def _layer_plan(n: int) -> _Plan:
         # leftover boundary keys of row j reshift by -+1/2
         moves = ((at((j, 2 * j - 3)), at((j, 2 * j - 4))),) if j > n0 else ()
         moves += ((at((j, 4 * n - 2 * j - 1)), at((j, 2 * (2 * n - j)))),)
-        layer = _Layer(triples, moves, _runs(span))
+        layer = _Layer(triples, moves, src_runs, _runs(span[j:j + 2]))
         _check_layer(n0, j, layer, src, {*span[j], *span[j + 1]})
         layers.append(layer)
-    return _Plan(tuple(slots), MappingProxyType(slots), tuple(layers))
+    return _Plan(tuple(slots), tuple(layers), entry, _runs(span[n0:]), big, theta)
 
 
 def _runs(spans: Iterable[range]) -> tuple[slice, ...]:
@@ -340,15 +355,18 @@ def _check_layer(n0: int, j: int, layer: _Layer, src_rows: AbstractSet[int], dst
         raise InternalError(f"rho layer {j} of rank {2 * n0 - 1} does not map V<{j}> onto V<{j + 1}>")
 
 
-def _transport(plan: _Plan, layers: Sequence[_Layer], d: VertexDatum) -> dict[Vertex, int]:
-    """Run the layers in place on d's counts in slots; the nonzero counts on the last target.
+def _transport(keys: Sequence[Vertex], layers: Sequence[_Layer], entry: Sequence[slice], exit: Sequence[slice],
+               d: VertexDatum) -> dict[Vertex, int]:
+    """d's nonzero counts, the entry slots' rows run through the layers onto the exit slots' rows.
 
-    A triple whose reads are all 0 writes nothing; read slots keep stale counts, outside the target.
+    Only the moved rows' keys are hashed; the rest keep the copy's stored
+    hashes.  A triple whose reads are all 0 writes nothing; read slots keep
+    stale counts, outside the exit.
     """
-    vals = [0] * len(plan.keys)
-    slots = plan.slots
-    for v, k in d.counts.items():
-        vals[slots[v]] = k
+    out = d.counts.copy()
+    vals = [0] * len(keys)
+    for run in entry:
+        vals[run] = map(out.pop, keys[run], repeat(0))
     for layer in layers:
         for a, b, c, x, y, z in layer.triples:
             ca, cb, cc = vals[a], vals[b], vals[c]
@@ -357,11 +375,13 @@ def _transport(plan: _Plan, layers: Sequence[_Layer], d: VertexDatum) -> dict[Ve
                 vals[x], vals[y], vals[z] = cb + cc - m, m, ca + cb - m
         for s, t in layer.moves:
             vals[t] = vals[s]
-    keys, counts = plan.keys, {}
-    for run in layers[-1].target:
+    if not all(out.values()):  # stored zeros in the copied rows
+        for v in [v for v, c in out.items() if not c]:
+            del out[v]
+    for run in exit:
         got = vals[run]
-        counts.update(compress(zip(keys[run], got), got))
-    return counts
+        out.update(compress(zip(keys[run], got), got))
+    return out
 
 
 def rho_step(j: int, d: VertexDatum) -> VertexDatum:
@@ -374,7 +394,8 @@ def rho_step(j: int, d: VertexDatum) -> VertexDatum:
     if d.carrier != carrier and d.carrier.vertices() != carrier.vertices():
         raise WrongCarrier(f"datum carrier {d.carrier.name} is not V<{j}>")
     plan = _layer_plan(n)
-    return VertexDatum._trusted(vj_carrier(n0, j + 1), _transport(plan, plan.layers[j - n0:j - n0 + 1], d))
+    layer = plan.layers[j - n0]
+    return VertexDatum._trusted(vj_carrier(n0, j + 1), _transport(plan.keys, (layer,), layer.entry, layer.exit, d))
 
 
 def rho(d: VertexDatum) -> VertexDatum:
@@ -383,12 +404,11 @@ def rho(d: VertexDatum) -> VertexDatum:
     Composite rho_<n> o ... o rho_<n0> from the big_theta window to the
     theta window; satisfies B^Theta(c) = B^theta(rho(c)).
     """
-    n = d.carrier.n
-    have, want = d.carrier.vertices(), Carrier(GAMMA_BIG_THETA, n).vertices()
+    have, plan = d.carrier.vertices(), _layer_plan(d.carrier.n)
+    want = plan.big_theta.vertices()
     if have is not want and have != want:  # the cached window is not compared with itself
         raise WrongCarrier("rho expects a datum on the big_theta window")
-    plan = _layer_plan(n)
-    return VertexDatum._trusted(Carrier(GAMMA_THETA, n), _transport(plan, plan.layers, d))
+    return VertexDatum._trusted(plan.theta, _transport(plan.keys, plan.layers, plan.entry, plan.exit, d))
 
 
 # -- JSON round-trip -----------------------------------------------------

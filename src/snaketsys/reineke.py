@@ -55,11 +55,11 @@ def omega(n: int, j: int) -> OmegaPoset:
 
 
 def _weights(om: OmegaPoset, d: VertexDatum) -> list[int]:
-    out = []
+    get, out = d.counts.get, []
     for v in om.vertices:
-        w = d.get(v)
+        w = get(v, 0)
         if v.k2 - 4 >= 0:
-            w -= d.get(Vertex(v.i, v.k2 - 4))
+            w -= get(Vertex(v.i, v.k2 - 4), 0)
         out.append(w)
     return out
 

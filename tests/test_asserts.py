@@ -1,8 +1,10 @@
-"""A ratchet on library asserts, which ``python -O`` strips.
+"""Ratchets on library asserts, which ``python -O`` strips, and on unchecked constructors.
 
 Library checks raise explicitly (``errors.InternalError`` for a bug, a
 ``DomainError`` for bad input).  No module may hold an assert, so the
-allowlist below stays empty.
+allowlist below stays empty.  The ``_trusted`` constructors skip the datum
+checks, so only the lusztig kernels whose plan check or move rule proves
+their results valid may use them.
 """
 import ast
 import os
@@ -13,6 +15,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "snaketsys"
 ALLOWED: set[str] = set()
+TRUSTED_USES = {"lusztig.py": 4}  # two_move, apply_three_move, rho_step, rho
 
 
 def _assert_lines(path: Path) -> list[int]:
@@ -24,6 +27,19 @@ def test_no_asserts_outside_allowlist():
     assert found, f"no modules under {SRC}"
     assert {name: lines for name, lines in found.items() if lines and name not in ALLOWED} == {}
     assert sorted(name for name in ALLOWED if not found.get(name)) == []
+
+
+def _trusted_lines(path: Path) -> list[int]:
+    return [
+        node.lineno for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "_trusted"
+        or isinstance(node, ast.Name) and node.id == "_trusted"
+    ]
+
+
+def test_trusted_constructors_used_only_in_lusztig():
+    found = {path.name: _trusted_lines(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name: len(lines) for name, lines in found.items() if lines} == TRUSTED_USES, found
 
 
 def _verify_stdout(*python_flags: str) -> str:

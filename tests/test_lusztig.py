@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -58,18 +60,38 @@ def test_apply_three_move():
         apply_three_move(LusztigDatum(3, (1, 2, 3), (0, 0, 0)), 1)
 
 
+def _random_move(d, rng):
+    """A random 2- or 3-move of d."""
+    twos = [r for r in range(len(d.word) - 1) if abs(d.word[r] - d.word[r + 1]) >= 2]
+    threes = [r for r in range(1, len(d.word) - 1)
+              if d.word[r - 1] == d.word[r + 1] and abs(d.word[r] - d.word[r - 1]) == 1]
+    kind, r = rng.choice([("2", r) for r in twos] + [("3", r) for r in threes])
+    return two_move(d, r) if kind == "2" else apply_three_move(d, r)
+
+
 def test_weight_conserved_on_walk():
     rng = random.Random(3)
     _, word = HeightFunction.canonical(4, 0).compatible_reading()
     d = LusztigDatum(4, word, tuple(rng.randint(0, 5) for _ in word))
     w0 = weight(d)
     for _ in range(100):
-        twos = [r for r in range(len(d.word) - 1) if abs(d.word[r] - d.word[r + 1]) >= 2]
-        threes = [r for r in range(1, len(d.word) - 1)
-                  if d.word[r - 1] == d.word[r + 1] and abs(d.word[r] - d.word[r - 1]) == 1]
-        kind, r = rng.choice([("2", r) for r in twos] + [("3", r) for r in threes])
-        d = two_move(d, r) if kind == "2" else apply_three_move(d, r)
+        d = _random_move(d, rng)
     assert weight(d) == w0
+
+
+def test_move_results_pass_the_public_datum_check():
+    # the moves build their results unchecked (a move permutes checked
+    # letters, a 3-move keeps counts nonnegative): rebuild each through the
+    # checking constructor, on sparse and dense counts
+    rng = random.Random(9)
+    for n in (2, 3, 4, 5, 6):
+        _, word = HeightFunction.canonical(n, n % 2).compatible_reading()
+        for hi in (1, 9):
+            d = LusztigDatum(n, word, tuple(rng.randint(0, hi) for _ in word))
+            for _ in range(150):
+                d = _random_move(d, rng)
+                assert LusztigDatum(d.n, d.word, d.counts) == d
+                assert type(d.word) is tuple and type(d.counts) is tuple
 
 
 def test_star_datum():
@@ -152,6 +174,24 @@ def test_vertex_datum_checks_keys_before_signs():
     assert not isinstance(exc.value, WrongCarrier)
     zeros = VertexDatum(carrier, {v: 0 for v in carrier.vertices()})
     assert len(zeros.counts) == len(carrier.vertices()) and zeros.nonzero() == {}
+
+
+def test_vertex_datum_counts_are_a_read_only_copy():
+    # the constructor checks a copy of the caller's counts and stores it
+    # read-only, so no one can change a checked datum; rho and rho_step
+    # return read-only counts too
+    carrier = Carrier(GAMMA_BIG_THETA, 7)
+    v, w = sorted(carrier.vertices())[:2]
+    counts = {v: 2}
+    d = VertexDatum(carrier, counts)
+    counts[v], counts[Vertex(1, 1)] = -3, 1
+    assert dict(d.counts) == {v: 2} and d.get(v) == 2
+    for datum in (d, rho(d), rho_step(4, d)):
+        with pytest.raises(TypeError):
+            datum.counts[w] = 1
+        with pytest.raises(TypeError):
+            del datum.counts[next(iter(datum.counts))]
+    assert rho(d) == rho(VertexDatum(carrier, {v: 2}))
 
 
 def test_rho_zero_datum():
@@ -277,28 +317,42 @@ def test_rho_matches_reference_layers():
                 stage = nxt
 
 
-def test_rho_results_pass_the_public_datum_check():
-    # rho and rho_step build their results unchecked; the plan check and the
-    # 3-move's sign rule are what make them valid, so check every result here
+def _seeded_data(rng):
+    """(n0, data) for n0 = 2..16: empty, unit, dense, and stored zeros in every row (below n0 and moved)."""
     from snaketsys import snakes
 
-    rng = random.Random(17)
     for n0 in range(2, 17):
-        n = 2 * n0 - 1
-        carrier = Carrier(GAMMA_BIG_THETA, n)
+        carrier = Carrier(GAMMA_BIG_THETA, 2 * n0 - 1)
         verts = sorted(carrier.vertices())
-        data = [
+        snake = snakes.random_snake(HeightFunction.big_theta(n0), rng, rng.randint(1, 6), prime=False, in_gamma=True)
+        yield n0, [
             VertexDatum(carrier, {}),
+            unit_datum(carrier, snake),
             VertexDatum(carrier, {v: rng.randint(0, 9) for v in verts}),
-            VertexDatum(carrier, {v: rng.randint(0, 2) if rng.random() < 0.2 else 0 for v in verts}),
-            unit_datum(carrier, snakes.random_snake(HeightFunction.big_theta(n0), rng, 4, prime=False, in_gamma=True)),
+            VertexDatum(carrier, {v: rng.randint(1, 5) if rng.random() < 0.3 else 0 for v in verts}
+                        | {v: 0 for v in {v.i: v for v in verts}.values()}),
         ]
+
+
+def test_rho_results_pass_the_public_datum_check():
+    # rho and rho_step build their results unchecked; the plan check and the
+    # 3-move's sign rule are what make them valid, so check every result
+    # here.  Both copy the rows they do not move: rows other than j, j+1 of
+    # rho_step(j, d), and the rows below n0 of rho(d), are d's nonzero counts
+    def rows(d, keep):
+        return {v: c for v, c in d.nonzero().items() if keep(v.i)}
+
+    for n0, data in _seeded_data(random.Random(17)):
+        n = 2 * n0 - 1
         for d in data:
             results = [rho(d)]
+            assert rows(results[0], lambda i: i < n0) == rows(d, lambda i: i < n0)
             for j in range(n0, n + 1):
-                d = rho_step(j, d)
-                assert d.carrier == vj_carrier(n0, j + 1)
-                results.append(d)
+                out = rho_step(j, d)
+                assert out.carrier == vj_carrier(n0, j + 1)
+                assert rows(out, lambda i: i not in (j, j + 1)) == rows(d, lambda i: i not in (j, j + 1))
+                results.append(out)
+                d = out
             assert results[0].carrier == Carrier(GAMMA_THETA, n) and results[0] == d
             for out in results:  # the public constructor checks keys and signs
                 assert VertexDatum(out.carrier, dict(out.counts)) == out and 0 not in out.counts.values()
@@ -324,36 +378,65 @@ def test_rho_moves_a_lone_count_like_the_reference():
                 assert d == ref
 
 
+def test_rho_and_rho_step_outputs_are_pinned():
+    # the sha256 of datum_to_json for rho and for every rho_step stage, on
+    # seeded data; the digest was written down before rho copied the rows
+    # it does not move
+    lines = []
+    for n0, data in _seeded_data(random.Random(15)):
+        for d in data:
+            lines.append(json.dumps(datum_to_json(rho(d))))
+            for j in range(n0, 2 * n0):
+                d = rho_step(j, d)
+                lines.append(json.dumps(datum_to_json(d)))
+    assert len(lines) == 4 * sum(n0 + 1 for n0 in range(2, 17))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == "4b4b6745f3244078085b7af331cf35ba6f50ce9d8ceabb608c295bd258c7eb86"
+
+
 def reference_check_plan(n):
     """The whole-carrier check of rank n's layer plan: raise InternalError unless it maps V<n0> onto V<n+1>.
 
     Each layer must read each key of rows j, j+1 of V<j> once, write each
     key of rows j, j+1 of V<j+1> once, read no key it writes, and the two
-    carriers must agree on every other row; its target slots must hold each
-    key of V<j+1> once.  Every carrier is built in full.
+    carriers must agree on every other row; its entry and exit slots must
+    hold each key of those rows of V<j> and of V<j+1> once.  The composite's
+    entry and exit must hold the two windows' rows >= n0, and the windows
+    must agree below n0.  Every carrier is built in full.
     """
     from snaketsys.lusztig import _layer_plan
 
+    def keys(runs):
+        return [v for run in runs for v in plan.keys[run]]
+
+    def once(got, want):
+        return len(got) == len(want) and set(got) == want
+
     n0 = (n + 1) // 2
     plan = _layer_plan(n)
-    if len(set(plan.keys)) != len(plan.keys) or any(plan.slots[v] != s for s, v in enumerate(plan.keys)):
+    if len(set(plan.keys)) != len(plan.keys):
         raise InternalError(f"the slots of rank {n} do not number each vertex once")
     key = plan.keys.__getitem__
     for j, layer in zip(range(n0, n + 1), plan.layers):
         src, dst = vj_carrier(n0, j).vertices(), vj_carrier(n0, j + 1).vertices()
         reads = [key(s) for t in layer.triples for s in t[:3]] + [key(s) for s, _ in layer.moves]
         writes = [key(s) for t in layer.triples for s in t[3:]] + [key(t) for _, t in layer.moves]
-        target = [v for run in layer.target for v in plan.keys[run]]
         src_rows = {v for v in src if v.i in (j, j + 1)}
         dst_rows = {v for v in dst if v.i in (j, j + 1)}
         if (
-            len(reads) != len(src_rows) or set(reads) != src_rows
-            or len(writes) != len(dst_rows) or set(writes) != dst_rows
+            not once(reads, src_rows) or not once(writes, dst_rows)
             or not src_rows.isdisjoint(dst_rows)
             or src - src_rows != dst - dst_rows
-            or len(target) != len(dst) or set(target) != dst
+            or not once(keys(layer.entry), src_rows) or not once(keys(layer.exit), dst_rows)
         ):
             raise InternalError(f"rho layer {j} of rank {n} does not map V<{j}> onto V<{j + 1}>")
+    big, theta = plan.big_theta.vertices(), plan.theta.vertices()
+    if (
+        (plan.big_theta, plan.theta) != (Carrier(GAMMA_BIG_THETA, n), Carrier(GAMMA_THETA, n))
+        or not once(keys(plan.entry), {v for v in big if v.i >= n0})
+        or not once(keys(plan.exit), {v for v in theta if v.i >= n0})
+        or {v for v in big if v.i < n0} != {v for v in theta if v.i < n0}
+    ):
+        raise InternalError(f"rho of rank {n} does not map the big_theta window onto the theta window")
 
 
 def test_layer_plan_passes_whole_carrier_reference_check():
@@ -366,7 +449,8 @@ def _two_rows(verts, j):
 
 
 def _slots(plan, verts):
-    return {plan.slots[v] for v in verts}
+    slot = {v: s for s, v in enumerate(plan.keys)}
+    return {slot[v] for v in verts}
 
 
 def test_layer_plan_is_checked_once():
@@ -415,11 +499,14 @@ def test_layer_check_rejects_a_move_outside_its_two_rows():
 
 
 def test_slot_plan_cache_is_bounded_and_holds_only_tuples():
-    # the cached plans are tuples of tuples of ints and vertices, and the
-    # slot map is read-only, so no caller can change a plan another reads
-    from types import MappingProxyType
+    # the cached plans are tuples of tuples of ints, slices and vertices,
+    # and two frozen carriers, so no caller can change a plan another reads
+    from dataclasses import FrozenInstanceError
 
     from snaketsys.lusztig import _layer_plan
+
+    def runs(part):
+        return type(part) is tuple and all(type(run) is slice for run in part)
 
     _layer_plan.cache_clear()
     for n in (3, 7, 15, 31):
@@ -428,15 +515,16 @@ def test_slot_plan_cache_is_bounded_and_holds_only_tuples():
     assert info.maxsize is not None and info.currsize == 4
     plan = _layer_plan(7)
     assert type(plan.keys) is tuple and all(type(v) is Vertex for v in plan.keys)
-    assert type(plan.slots) is MappingProxyType and len(plan.slots) == len(plan.keys)
-    with pytest.raises(TypeError):
-        plan.slots[plan.keys[0]] = 1
+    assert runs(plan.entry) and runs(plan.exit) and len(plan.entry) == len(plan.exit) == 1
+    assert type(plan.big_theta) is type(plan.theta) is Carrier
+    with pytest.raises(FrozenInstanceError):
+        plan.theta.name = GAMMA_BIG_THETA
     assert type(plan.layers) is tuple
     for layer in plan.layers:
         for part in (layer.triples, layer.moves):
             assert type(part) is tuple
             assert all(type(t) is tuple and all(type(s) is int for s in t) for t in part)
-        assert type(layer.target) is tuple and all(type(run) is slice for run in layer.target)
+        assert runs(layer.entry) and runs(layer.exit)
 
 
 def _shifted_window(name, n, row):
