@@ -5,13 +5,15 @@ Y_{i,-k}; qdatum_B (twisted quivers) as Y_{min(i,i*),-2k}; custom mode reads
 a finite table over the window Gamma and extends it to the whole quiver by
 the duality shift Y_{j,l} -> Y_{j*, l +- h_dual} per application of D.
 
-Only relative spectral parameters matter, so they are bare integers.
+Only relative spectral parameters matter, so they are bare integers.  The
+mode is resolved once per call (a relation, a snake or a point), and each
+distinct point is realized once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import roots
 from .errors import InternalError, MissingTableEntry
@@ -38,11 +40,21 @@ class Monomial:
     def y(node: int, spectral: int, exp: int = 1) -> "Monomial":
         return Monomial({(node, spectral): exp})
 
+    @staticmethod
+    def _wrap(factors: dict[tuple[int, int], int]) -> "Monomial":
+        """A monomial that takes over a dict no one else holds, its zero exponents dropped in place."""
+        if 0 in factors.values():
+            for k in [k for k, e in factors.items() if e == 0]:
+                del factors[k]
+        m = object.__new__(Monomial)
+        m.factors = factors
+        return m
+
     def __mul__(self, other: "Monomial") -> "Monomial":
         out = dict(self.factors)
         for k, e in other.factors.items():
             out[k] = out.get(k, 0) + e
-        return Monomial(out)
+        return Monomial._wrap(out)
 
     def __pow__(self, e: int) -> "Monomial":
         return Monomial({k: v * e for k, v in self.factors.items()})
@@ -116,18 +128,32 @@ class Realization:
 
 def cuspidal_monomial(real: Realization, xi: HeightFunction, v: Vertex) -> Monomial:
     """Highest dominant monomial of the cuspidal module at a quiver vertex."""
-    if not xi.is_vertex(v):
-        raise MissingTableEntry(f"{v} is not a vertex of the quiver")
+    return _monomials(real, xi, ((v,),))[0]
+
+
+def _factor_items(real: Realization, xi: HeightFunction) -> Callable[[Vertex], Iterable[tuple[tuple[int, int], int]]]:
+    """The cuspidal monomial of a vertex of xi, as its (key, exponent) items.
+
+    The mode and its preconditions are resolved here, once per caller: a
+    vertex becomes Y_{i,-k} (qdatum_A), Y_{min(i,i*),-2k} (qdatum_B) or
+    its custom table entry (custom).
+    """
     if real.mode == QDATUM_A:
         if xi.flavor != UNTWISTED:
             raise ValueError("qdatum_A realizes untwisted quivers")
-        return Monomial.y(v.i, -v.k2 // 2)
+        return lambda v: (((v.i, -v.k2 // 2), 1),)
     if real.mode == QDATUM_B:
         if xi.flavor != TWISTED:
             raise ValueError("qdatum_B realizes twisted quivers")
-        return Monomial.y(min(v.i, roots.star(xi.n, v.i)), -v.k2)
+        top = xi.n + 1  # i* = n + 1 - i on a vertex
+        return lambda v: (((min(v.i, top - v.i), -v.k2), 1),)
     if real.table is None:
         raise MissingTableEntry("custom realization has no table")
+    return lambda v: _table_entry(real, xi, v).factors.items()
+
+
+def _table_entry(real: Realization, xi: HeightFunction, v: Vertex) -> Monomial:
+    """The custom table's monomial at a vertex of xi, slid into the window along D."""
     if v in real.table:
         return real.table[v]
     # slide v into the window along D and shift the table entry back
@@ -142,6 +168,28 @@ def cuspidal_monomial(real: Realization, xi: HeightFunction, v: Vertex) -> Monom
     raise MissingTableEntry(f"could not slide {v} into the window")
 
 
+def _monomials(real: Realization, xi: HeightFunction, terms: Sequence[Sequence[Vertex]]) -> list[Monomial]:
+    """The formal product of cuspidal monomials along each vertex sequence of terms.
+
+    Each distinct point is checked to be a vertex and realized once, the
+    mode is resolved once (only if there is a point), and each term's
+    exponents are summed straight into the dict its Monomial keeps.
+    """
+    points = dict.fromkeys(chain.from_iterable(terms))
+    for v in points:
+        if not xi.is_vertex(v):
+            raise MissingTableEntry(f"{v} is not a vertex of the quiver")
+    cusp = dict(zip(points, map(_factor_items(real, xi), points))) if points else {}
+    out = []
+    for term in terms:
+        factors: dict[tuple[int, int], int] = {}
+        for v in term:
+            for key, e in cusp[v]:
+                factors[key] = factors.get(key, 0) + e
+        out.append(Monomial._wrap(factors))
+    return out
+
+
 def snake_monomial(real: Realization, xi: HeightFunction, points: Sequence[Vertex]) -> tuple[Monomial, bool]:
     """Formal product of cuspidal monomials along a snake.
 
@@ -150,15 +198,7 @@ def snake_monomial(real: Realization, xi: HeightFunction, points: Sequence[Verte
     product only in custom mode.  The exponents are summed in one dict, in
     O(len(points)) for monomials of bounded size.
     """
-    return _product(cuspidal_monomial(real, xi, v) for v in points), real.mode != CUSTOM
-
-
-def _product(monomials: Iterable[Monomial]) -> Monomial:
-    factors: dict[tuple[int, int], int] = {}
-    for m in monomials:
-        for key, e in m.factors.items():
-            factors[key] = factors.get(key, 0) + e
-    return Monomial(factors)
+    return _monomials(real, xi, (tuple(points),))[0], real.mode != CUSTOM
 
 
 @dataclass(frozen=True)
@@ -178,10 +218,10 @@ class RelationMonomials:
 def relation_monomials(rel, real: Realization) -> RelationMonomials:
     """Monomials of all six terms, each the snake_monomial of its points; the
     slice identity m(B)m(C) = m(A)m(D) is checked exactly (InternalError if
-    it fails).  Each distinct point's cuspidal monomial is found once."""
+    it fails).  The realization's mode is resolved once per relation, and
+    each distinct point is checked and realized once."""
     terms = (rel.term_b, rel.term_c, rel.term_a, rel.term_d, rel.first_q, rel.first_r)
-    cusp = {v: cuspidal_monomial(real, rel.xi, v) for v in dict.fromkeys(chain(*terms))}
-    out = RelationMonomials(*(_product(map(cusp.__getitem__, t)) for t in terms), real.mode != CUSTOM)
+    out = RelationMonomials(*_monomials(real, rel.xi, terms), real.mode != CUSTOM)
     if not out.identity_holds():
         raise InternalError("slice multiset identity violated")
     return out

@@ -88,6 +88,7 @@ def epsilon(j: int, d: VertexDatum) -> int:
 
 def epsilon_other_parity(j: int, d: VertexDatum) -> int:
     """First-letter shortcut: on the opposite-parity window epsilon_j = c_{j,0}."""
+    roots.check_node(d.carrier.n, j)
     delta = delta_of_carrier(d.carrier)
     if bar(j) == delta:
         raise ParityMismatch(f"node {j} has the carrier parity; use epsilon")
@@ -95,6 +96,7 @@ def epsilon_other_parity(j: int, d: VertexDatum) -> int:
 
 
 def epsilon_any(j: int, d: VertexDatum) -> int:
+    roots.check_node(d.carrier.n, j)
     if bar(j) == delta_of_carrier(d.carrier):
         return epsilon(j, d)
     return epsilon_other_parity(j, d)

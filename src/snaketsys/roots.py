@@ -16,9 +16,6 @@ class Root(NamedTuple):
     hi: int
     sign: int  # +1 or -1
 
-    def __neg__(self) -> "Root":
-        return Root(self.lo, self.hi, -self.sign)
-
     def __str__(self) -> str:
         body = f"a{self.lo}" if self.lo == self.hi else f"a{self.lo},{self.hi}"
         return body if self.sign > 0 else "-" + body

@@ -2,16 +2,15 @@
 
 All operations take the governing height function explicitly.  The twisted
 Q/R formulas and the twisted-to-untwisted translation are stated on the
-staircase pair (big_theta, theta); data on a parity-shifted twisted quiver
-is aligned internally by an integer shift and shifted back, so callers may
-use any twisted height function whose quiver matches one of the two parity
-classes.
+staircase pair (big_theta, theta).  The Q/R formulas commute with integer
+shifts, so they run on any twisted quiver as is; the tfd bridge aligns its
+data with big_theta's parity class by an integer shift
+(twisted_parity_shift2) before it translates.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple, Sequence
 
 from .errors import InternalError, NotPrimeSnake, NotPrimeSnakePair, NotSnake, OutsideWindow
@@ -149,47 +148,31 @@ def twisted_parity_shift2(xi: HeightFunction) -> int:
     return s2
 
 
-def _qr_twisted_normalized(hf: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
-    """Q/R on the big_theta parity class; v, w already a prime pair."""
-    n0 = hf.n0
-
-    def direct(v: Vertex, w: Vertex) -> QRPair:
-        (i, k2), (ip, kp2) = v, w
-        t_i, t_ip = big_theta2(n0, i), big_theta2(n0, ip)
-        diff2 = kp2 - k2
-        if diff2 == t_i + t_ip:
-            q: tuple[Vertex, ...] = ()
-        else:
-            if diff2 > t_i + t_ip:
-                raise InternalError(f"Q of a prime pair lies past row 1: {v}, {w}")
-            q = (Vertex(_exact_div(t_i + t_ip - diff2, 4), _exact_div(t_i - t_ip + k2 + kp2, 2)),)
-        if i < n0 and ip < n0:
-            if diff2 < 2 * (2 * n0 - i - ip):
-                r: tuple[Vertex, ...] = (
-                    Vertex(_exact_div(2 * (i + ip) + diff2, 4), _exact_div(2 * (ip - i) + k2 + kp2, 2)),
-                )
-            else:
-                r = (Vertex(n0, 2 * n0 - 2 * i + k2 - 1), Vertex(n0, 2 * ip + kp2 - 2 * n0 + 1))
-        elif i < n0 and ip == n0:
-            r = (Vertex(n0, 2 * n0 - 2 * i + k2 - 1),)
-        elif i == n0 and ip < n0:
-            r = (Vertex(n0, 2 * ip + kp2 - 2 * n0 + 1),)
-        else:
-            r = ()
-        return QRPair(q, r)
-
-    if hf._region(v) in (Region.LT, Region.U):
-        pair = direct(v, w)
+def _qr_direct(n0: int, v: Vertex, w: Vertex) -> QRPair:
+    """Q/R of a prime pair whose first point is in region LT or U."""
+    (i, k2), (ip, kp2) = v, w
+    t_i, t_ip = big_theta2(n0, i), big_theta2(n0, ip)
+    diff2 = kp2 - k2
+    if diff2 == t_i + t_ip:
+        q: tuple[Vertex, ...] = ()
     else:
-        sub = direct(hf.dualize(v), hf.dualize(w))
-        pair = QRPair(
-            tuple(hf.dualize(u, -1) for u in sub.r),
-            tuple(hf.dualize(u, -1) for u in sub.q),
-        )
-    for u in pair.q + pair.r:
-        if not hf.is_vertex(u):
-            raise InternalError(f"{u} fell off the quiver")
-    return pair
+        if diff2 > t_i + t_ip:
+            raise InternalError(f"Q of a prime pair lies past row 1: {v}, {w}")
+        q = (Vertex(_exact_div(t_i + t_ip - diff2, 4), _exact_div(t_i - t_ip + k2 + kp2, 2)),)
+    if i < n0 and ip < n0:
+        if diff2 < 2 * (2 * n0 - i - ip):
+            r: tuple[Vertex, ...] = (
+                Vertex(_exact_div(2 * (i + ip) + diff2, 4), _exact_div(2 * (ip - i) + k2 + kp2, 2)),
+            )
+        else:
+            r = (Vertex(n0, 2 * n0 - 2 * i + k2 - 1), Vertex(n0, 2 * ip + kp2 - 2 * n0 + 1))
+    elif i < n0 and ip == n0:
+        r = (Vertex(n0, 2 * n0 - 2 * i + k2 - 1),)
+    elif i == n0 and ip < n0:
+        r = (Vertex(n0, 2 * ip + kp2 - 2 * n0 + 1),)
+    else:
+        r = ()
+    return QRPair(q, r)
 
 
 def qr_twisted(xi: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
@@ -198,17 +181,26 @@ def qr_twisted(xi: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
         raise NotPrimeSnakePair("qr_twisted needs a twisted height function")
     if not in_prime_snake_position(xi, v, w):
         raise NotPrimeSnakePair(f"{w} is not in prime snake position w.r.t. {v}")
-    return _qr_twisted(twisted_parity_shift2(xi), HeightFunction.big_theta(xi.n0), v, w)
+    return _qr_twisted(xi, v, w)
 
 
-def _qr_twisted(s2: int, hf: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
-    """qr_twisted on a pair already known to be prime, given its quiver's
-    twisted_parity_shift2 s2 and the big_theta function hf of its rank."""
-    pair = _qr_twisted_normalized(hf, Vertex(v.i, v.k2 - s2), Vertex(w.i, w.k2 - s2))
-    return QRPair(
-        tuple(Vertex(u.i, u.k2 + s2) for u in pair.q),
-        tuple(Vertex(u.i, u.k2 + s2) for u in pair.r),
-    )
+def _qr_twisted(xi: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
+    """qr_twisted on a pair already known to be prime.
+
+    The formulas are stated on big_theta's parity class, but every one of
+    them moves with an integer shift of both points (their k2 terms have
+    total weight 1), and so do regions, D and the quiver's lattice; so they
+    run on any twisted quiver as is.
+    """
+    if xi._region(v) in (Region.LT, Region.U):
+        pair = _qr_direct(xi.n0, v, w)
+    else:
+        sub = _qr_direct(xi.n0, xi.dualize(v), xi.dualize(w))
+        pair = QRPair(tuple(map(xi._undualize, sub.r)), tuple(map(xi._undualize, sub.q)))
+    for u in pair.q + pair.r:
+        if not xi.is_vertex(u):
+            raise InternalError(f"{u} fell off the quiver")
+    return pair
 
 
 def qr_sequences(xi: HeightFunction, points: Sequence[Vertex]) -> QRPair:
@@ -221,20 +213,14 @@ def qr_sequences(xi: HeightFunction, points: Sequence[Vertex]) -> QRPair:
 
 
 def _qr_concat(xi: HeightFunction, points: Sequence[Vertex]) -> QRPair:
-    """qr_sequences on a sequence already known to be a prime snake of length >= 2.
-
-    The twisted parity shift and big_theta are found once per snake, not once per pair.
-    """
-    if xi.flavor == UNTWISTED:
-        kernel = partial(_qr_untwisted, xi)
-    else:
-        kernel = partial(_qr_twisted, twisted_parity_shift2(xi), HeightFunction.big_theta(xi.n0))
+    """qr_sequences on a sequence already known to be a prime snake of length >= 2."""
+    kernel = _qr_untwisted if xi.flavor == UNTWISTED else _qr_twisted
     qs: list[Vertex] = []
     rs: list[Vertex] = []
-    for s in range(len(points) - 1):
-        pair = kernel(points[s], points[s + 1])
-        qs.extend(pair.q)
-        rs.extend(pair.r)
+    for v, w in zip(points, points[1:]):
+        q, r = kernel(xi, v, w)
+        qs += q
+        rs += r
     return QRPair(tuple(qs), tuple(rs))
 
 

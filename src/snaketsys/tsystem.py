@@ -5,15 +5,17 @@ For a prime snake P of length p >= 2 the relation has the shape
     0 -> S(Q) (x) S(R) -> S(P_[1,p-1]) (x) S(P_[2,p])
                        -> S(P) (x) S(P_[2,p-1]) -> 0,
 
-with (Q, R) the concatenated socle positions.  The invariant tfd between a
-cuspidal probe and a snake head is never computed categorically; this module
-exposes the 0/1 predictions of the snake-position lemmas, plus an exact
-evaluation path through Reineke's epsilon: normalize the probe, translate
-twisted data to the untwisted staircase, and maximize over lower closed
-subsets.  The two paths are independent and are cross-checked in the test
-suite.  Both are written for a probe before the snake; the coordinate
-reversal (i, k) -> (i*, -k) of HeightFunction.reversed turns a probe after
-the snake into one before it, except in the twisted normalization search.
+with (Q, R) the concatenated socle positions; its primality check is the
+left half of the hypothesis sweep (see extended_tsystem).  The invariant
+tfd between a cuspidal probe and a snake head is never computed
+categorically; this module exposes the 0/1 predictions of the
+snake-position lemmas, plus an exact evaluation path through Reineke's
+epsilon: normalize the probe, translate twisted data to the untwisted
+staircase, and maximize over lower closed subsets.  The two paths are
+independent and are cross-checked in the test suite.  Both are written for
+a probe before the snake; the coordinate reversal (i, k) -> (i*, -k) of
+HeightFunction.reversed turns a probe after the snake into one before it,
+except in the twisted normalization search.
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ from .quivers import TWISTED, UNTWISTED, HeightFunction, Region, Vertex, big_the
 from .snakes import (
     _qr_concat,
     _snake_position,
-    is_prime_snake,
     is_snake,
     split_prime,
     translate_twisted,
@@ -56,16 +57,25 @@ class TSystemRelation:
 
 
 def extended_tsystem(xi: HeightFunction, points) -> TSystemRelation:
-    """The relation of a prime snake; the snake is checked once, here."""
+    """The relation of a prime snake; the snake is checked once, here.
+
+    Each point is checked to be a vertex, and then primality is read from
+    the left predictions of the hypothesis sweep: _predict_left returns 1
+    exactly on a pair in prime snake position, so the snake is prime iff
+    every left prediction is 1.  The right predictions are computed on the
+    reversed configuration, as in check_theorem_hypotheses.
+    """
     pts = tuple(points)
     if len(pts) < 2:
         raise TooShort("extended T-system needs a snake of length >= 2")
-    if not is_prime_snake(xi, pts):
+    if not all(map(xi.is_vertex, pts)):
+        raise NotPrimeSnake("input is not a snake")
+    left = _pair_predictions(xi, pts)
+    if left.count(1) != len(left):
         if is_snake(xi, pts):
             raise NotPrimeSnake(f"snake is not prime; prime segments: {split_prime(xi, pts)}")
         raise NotPrimeSnake("input is not a snake")
     qr = _qr_concat(xi, pts)
-    report = _sweep(xi, pts, False)
     return TSystemRelation(
         xi=xi,
         p=pts,
@@ -77,7 +87,7 @@ def extended_tsystem(xi: HeightFunction, points) -> TSystemRelation:
         first_r=qr.r,
         real=True,
         prime=True,
-        hypotheses_ok=report.all_one,
+        hypotheses_ok=HypothesesReport(left, _right_predictions(xi, pts)).all_one,
     )
 
 
@@ -85,10 +95,7 @@ def extended_tsystem(xi: HeightFunction, points) -> TSystemRelation:
 
 
 def _on_ray(xi: HeightFunction, v: Vertex, w: Vertex) -> bool:
-    """w strictly after v but on the boundary of its snake cone (v, w vertices of xi)."""
-    if xi.flavor == UNTWISTED:
-        r = w.k2 - v.k2
-        return r > 0 and abs(w.i - v.i) * 2 == r
+    """w strictly after v but on the boundary of its snake cone (v, w vertices of twisted xi)."""
     r2 = w.k2 - v.k2
     return r2 > 0 and abs(big_theta2(xi.n0, w.i) - big_theta2(xi.n0, v.i)) == r2 and xi._reaches(v, w)
 
@@ -360,6 +367,11 @@ def _pair_predictions(xi: HeightFunction, pts: Points) -> tuple[int | None, ...]
     return tuple(_predict_left(xi, v, w) for v, w in zip(pts, pts[1:]))
 
 
+def _right_predictions(xi: HeightFunction, pts: Points) -> tuple[int | None, ...]:
+    """predicted_tfd_right of each point's snake against its successor, on the configuration reversed once."""
+    return _pair_predictions(xi.reversed(), _reverse(xi, pts))[::-1]
+
+
 def check_theorem_hypotheses(xi: HeightFunction, points, via_epsilon: bool = False) -> HypothesesReport:
     """Evaluate both exactness hypotheses on every sub-slice of a snake.
 
@@ -375,13 +387,8 @@ def check_theorem_hypotheses(xi: HeightFunction, points, via_epsilon: bool = Fal
     pts = tuple(points)
     if not is_snake(xi, pts):
         raise NotSnake("hypothesis check expects a snake")
-    return _sweep(xi, pts, via_epsilon)
-
-
-def _sweep(xi: HeightFunction, pts: Points, via_epsilon: bool) -> HypothesesReport:
-    """check_theorem_hypotheses on a tuple already known to be a snake."""
     left = _pair_predictions(xi, pts)
-    right = _pair_predictions(xi.reversed(), _reverse(xi, pts))[::-1]  # reversed once per sweep
+    right = _right_predictions(xi, pts)
     if not via_epsilon:
         return HypothesesReport(left, right)
     eps = tuple(

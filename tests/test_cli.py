@@ -340,6 +340,18 @@ def test_verify_exit_zero(capsys):
     assert code == 0 and "moves: ok" in out
 
 
+def test_verify_reports_a_wrong_move_and_exits_one(capsys, monkeypatch):
+    # the failure path: a wrong 3-move formula must be caught, reported with
+    # its first counterexample, and turn the exit code to 1
+    from snaketsys import lusztig
+
+    monkeypatch.setattr(lusztig, "three_move", lambda a, b, c: (b + c - min(a, c), min(a, c), a + b))
+    code, out, err = run(capsys, "verify", "--suite", "moves", "--trials", "5", "--seed", "0")
+    assert (code, err) == (1, "")
+    assert out.startswith("moves: FAIL (")
+    assert "\n  first counterexample: " in out
+
+
 @pytest.mark.parametrize("trials", ["-5", "0"])
 def test_verify_needs_at_least_one_trial(capsys, trials):
     # no vacuous "ok (0 passed, ...)" line: a trial count below 1 is a config error

@@ -128,9 +128,29 @@ def test_snake_monomial_matches_pairwise_fold():
     assert cancelled
 
 
+def _reference_cuspidal(real, xi, v):
+    """The cuspidal monomial of each mode written out from the module docstring.
+
+    Custom mode finds the one power D^t with D^t(v) in the window by
+    scanning every t in a range, and shifts that window entry back.
+    """
+    if real.mode == "qdatum_A":
+        return Monomial.y(v.i, -v.k2 // 2)
+    if real.mode == "qdatum_B":
+        return Monomial.y(min(v.i, xi.n + 1 - v.i), -v.k2)
+    hits = []
+    for t in range(-40, 41):
+        u = Vertex(v.i if t % 2 == 0 else xi.n + 1 - v.i, v.k2 + t * xi.ntilde2())
+        if xi.in_gamma(u):
+            hits.append(real.table[u].dual_shift(real.g0_rank, real.h_dual, t))
+    assert len(hits) == 1, (v, hits)
+    return hits[0]
+
+
 def test_relation_monomials_are_the_snake_monomials_of_the_terms():
     # one cuspidal monomial per point, summed into the six terms, must give
-    # what snake_monomial gives on each term by itself
+    # what snake_monomial gives on each term by itself, and the product of
+    # the written-out cuspidal monomials folded by Monomial.__mul__
     import random
 
     from snaketsys.snakes import random_snake
@@ -151,7 +171,10 @@ def test_relation_monomials_are_the_snake_monomials_of_the_terms():
     for n0 in (2, 3):
         xi = random_height_function(2 * n0 - 1, rng, "twisted", n0)
         cases += [(Realization.qdatum_b(n0), xi), (signed(xi), xi)]
+    cases += [(custom_table(), XI3), twisted_table()[::-1]]
+    modes = set()
     for real, xi in cases:
+        modes.add(real.mode)
         for _ in range(15):
             pts = random_snake(xi, rng, rng.randint(2, 12), prime=True)
             if len(pts) < 2:
@@ -161,6 +184,11 @@ def test_relation_monomials_are_the_snake_monomials_of_the_terms():
             terms = (rel.term_b, rel.term_c, rel.term_a, rel.term_d, rel.first_q, rel.first_r)
             for got, points in zip((mon.b, mon.c, mon.a, mon.d, mon.q, mon.r), terms):
                 assert (got, mon.exact) == snake_monomial(real, xi, points)
+                want = Monomial.one()
+                for v in points:
+                    want = want * _reference_cuspidal(real, xi, v)
+                assert got == want and str(got) == str(want), (real.mode, xi, points)
+    assert modes == {"qdatum_A", "qdatum_B", CUSTOM}
 
 
 def test_relation_monomials_golden():

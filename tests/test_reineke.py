@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -134,6 +135,17 @@ def test_parity_dispatch():
     with pytest.raises(ParityMismatch):
         reineke.epsilon_other_parity(2, _datum(5, 0, {}))
     assert reineke.epsilon_any(1, _datum(5, 0, {(1, 0): 2})) == 2
+
+
+def test_off_range_node_is_rejected_on_both_windows():
+    # every j outside [1, n] raises, whichever parity branch it would take
+    for delta in (0, 1):
+        d = _datum(4, delta, {(1, delta): 1})
+        for j in (-1, 0, 5, 6):
+            msg = re.escape(f"node index {j} outside [1, 4]")
+            for fn in (reineke.epsilon_any, reineke.epsilon_other_parity, reineke.epsilon_star):
+                with pytest.raises(ValueError, match=msg):
+                    fn(j, d)
 
 
 def test_single_vertex_epsilon_is_01():

@@ -299,6 +299,37 @@ def test_qr_twisted_consistent_with_translation():
         assert checked >= 3
 
 
+def test_qr_twisted_commutes_with_integer_shifts():
+    # the twisted Q/R formulas run on any twisted quiver as is: on a quiver
+    # that is big_theta's moved by s2, Q/R of a prime pair is Q/R of the
+    # pair moved back onto big_theta, moved by s2 again
+    from snaketsys.snakes import twisted_parity_shift2
+    from snaketsys.verify import random_height_function
+
+    def moved(pts, s2):
+        return tuple(Vertex(u.i, u.k2 + s2) for u in pts)
+
+    rng = random.Random(25)
+    pairs = 0
+    for n0 in (2, 3, 4):
+        big = HeightFunction.big_theta(n0)
+        quivers = [big.shifted(s2) for s2 in (2, -4, 6)]
+        quivers += [random_height_function(2 * n0 - 1, rng, "twisted", n0) for _ in range(4)]
+        for xi in quivers:
+            s2 = twisted_parity_shift2(xi)
+            verts = xi.vertices_between(min(xi.values2) - 4, max(xi.values2) + 2 * xi.ntilde2())
+            for v in verts:
+                for w in verts:
+                    if not in_prime_snake_position(xi, v, w):
+                        continue
+                    (v0, w0) = moved((v, w), -s2)
+                    assert in_prime_snake_position(big, v0, w0)
+                    want = qr_twisted(big, v0, w0)
+                    assert qr_twisted(xi, v, w) == QRPair(moved(want.q, s2), moved(want.r, s2)), (xi, v, w)
+                    pairs += 1
+    assert pairs > 1000
+
+
 def test_dual_equivariance_sweep_visits_every_prime_pair():
     # the sweep walks every vertex v of canonical(n, 0) with 0 <= k2 <= 4*ntilde;
     # count the prime pairs (v, w) independently, testing every (i, k2) of the

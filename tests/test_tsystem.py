@@ -5,6 +5,7 @@ import pytest
 
 from snaketsys.errors import InternalError, NotPrimeSnake, OutsideWindow, TooShort
 from snaketsys.quivers import UNTWISTED, HeightFunction, Region, Vertex
+from snaketsys.realize import Realization, relation_monomials
 from snaketsys.snakes import (
     _prime_position,
     _snake_position,
@@ -13,6 +14,7 @@ from snaketsys.snakes import (
     is_prime_snake,
     is_snake,
     random_snake,
+    split_prime,
 )
 from snaketsys.tsystem import (
     HypothesisCheck,
@@ -63,6 +65,37 @@ def test_relation_errors():
         extended_tsystem(XI3, (V(2, 0), V(2, 6)))
     with pytest.raises(NotPrimeSnake):
         extended_tsystem(XI3, (V(2, 0), V(3, 1)))
+
+
+def test_relation_rejects_exactly_the_non_prime_inputs():
+    # primality read off the left predictions agrees with is_prime_snake, and
+    # the error names a snake's prime segments or says it is no snake
+    rng = random.Random(26)
+    kinds = {"prime": 0, "mixed": 0, "no prime pair": 0, "not a snake": 0}
+    quivers = [HeightFunction.canonical(4, 0), random_height_function(5, rng)]
+    quivers += [BIG2, random_height_function(5, rng, "twisted", 3)]
+    for xi in quivers:
+        for _ in range(80):
+            pts = list(random_snake(xi, rng, rng.randint(2, 8), prime=rng.random() < 0.3))
+            if len(pts) < 2:
+                continue
+            if rng.random() < 0.3:
+                rng.shuffle(pts)
+            pts = tuple(pts)
+            if is_prime_snake(xi, pts):
+                assert extended_tsystem(xi, pts).term_a == pts
+                kinds["prime"] += 1
+                continue
+            if is_snake(xi, pts):
+                want = f"snake is not prime; prime segments: {split_prime(xi, pts)}"
+                primes = any(_prime_position(xi, v, w) for v, w in zip(pts, pts[1:]))
+                kinds["mixed" if primes else "no prime pair"] += 1
+            else:
+                want = "input is not a snake"
+                kinds["not a snake"] += 1
+            with pytest.raises(NotPrimeSnake, match=f"^{re.escape(want)}$"):
+                extended_tsystem(xi, pts)
+    assert min(kinds.values()) > 0, kinds
 
 
 def test_length_two_relation_has_unit_middle():
@@ -225,36 +258,65 @@ def test_all_one_matches_the_checks():
 
 
 def test_relation_validates_once_and_builds_no_checks(monkeypatch):
-    from snaketsys import snakes, tsystem
+    # one vertex check per point, primality read off the p-1 left predictions,
+    # p-1 right predictions, and no snake predicate or HypothesisCheck at all
+    from collections import Counter
 
-    calls = {"is_prime_snake": 0, "is_snake": 0, "HypothesisCheck": 0}
+    from snaketsys import realize, snakes, tsystem
+
+    calls = Counter()
+    seen = Counter()  # vertices passed to is_vertex
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            # is_snake also checks each single-point snake of a prediction; count only longer ones
-            if name != "is_snake" or len(args[1]) > 1:
-                calls[name] += 1
+            calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
     for name in ("is_prime_snake", "is_snake"):
         wrapper = counted(name, getattr(snakes, name))
         monkeypatch.setattr(snakes, name, wrapper)
-        monkeypatch.setattr(tsystem, name, wrapper)
+        if hasattr(tsystem, name):
+            monkeypatch.setattr(tsystem, name, wrapper)
     monkeypatch.setattr(tsystem, "HypothesisCheck", counted("HypothesisCheck", HypothesisCheck))
+    monkeypatch.setattr(realize, "_factor_items", counted("_factor_items", realize._factor_items))
+    predict_left, is_vertex = tsystem._predict_left, HeightFunction.is_vertex
+
+    def predict(xi, v, w):
+        calls[f"predict:{xi.values2}"] += 1  # left on xi, right on xi.reversed()
+        return predict_left(xi, v, w)
+
+    def vertex_check(xi, v):
+        seen[v] += 1
+        return is_vertex(xi, v)
+
+    monkeypatch.setattr(tsystem, "_predict_left", predict)
+    monkeypatch.setattr(HeightFunction, "is_vertex", vertex_check)
     rng = random.Random(15)
     for xi in (HeightFunction.canonical(4, 0), BIG2):
         while True:
             pts = random_snake(xi, rng, 12, prime=True)
             if len(pts) == 12:
                 break
-        calls.update(is_prime_snake=0, is_snake=0, HypothesisCheck=0)
+        calls.clear()
+        seen.clear()
         rel = extended_tsystem(xi, pts)
         assert rel.hypotheses_ok
-        assert calls == {"is_prime_snake": 1, "is_snake": 0, "HypothesisCheck": 0}
+        left, right = f"predict:{xi.values2}", f"predict:{xi.reversed().values2}"
+        assert left != right
+        assert calls == {left: 11, right: 11}
+        # the snake's points once each, then each Q/R point once (the kernels' guard)
+        assert sum(seen.values()) == 12 + len(rel.first_q) + len(rel.first_r)
+        assert all(seen[v] == 1 for v in pts)
+        calls.clear()
+        seen.clear()
+        real = Realization.qdatum_a(4) if xi.flavor == UNTWISTED else Realization.qdatum_b(2)
+        relation_monomials(rel, real)
+        assert calls == {"_factor_items": 1}
+        assert seen == dict.fromkeys(pts + rel.first_q + rel.first_r, 1)
         # the counters see the public paths, which still validate and build
         assert len(check_theorem_hypotheses(xi, pts).checks) == 12 * 11
-        assert calls["HypothesisCheck"] == 12 * 11
+        assert calls["HypothesisCheck"] == 12 * 11 and calls["is_snake"] == 1
 
 
 def test_bridge_bug_is_not_indeterminate(monkeypatch):
@@ -449,6 +511,26 @@ def test_trusted_forms_match_the_public_ones():
     assert seen == {(f, x) for f in ("untwisted", "twisted") for x in (0, 1, None)}
 
 
+def test_left_prediction_is_one_exactly_on_prime_pairs():
+    # extended_tsystem reads primality off the left predictions: on every
+    # vertex pair, _predict_left is 1 iff the pair is in prime snake position
+    rng = random.Random(24)
+    quivers = [HeightFunction.canonical(n, delta) for n in range(1, 7) for delta in (0, 1)]
+    quivers += [HeightFunction.theta(n0) for n0 in (2, 3)]
+    quivers += [random_height_function(n, rng) for n in range(2, 7) for _ in range(2)]
+    quivers += [HeightFunction.big_theta(n0) for n0 in (2, 3, 4)]
+    quivers += [random_height_function(2 * n0 - 1, rng, "twisted", n0) for n0 in (2, 3, 4) for _ in range(2)]
+    for xi in quivers:
+        verts = _window(xi, *_trusted_window(xi))
+        prime = 0
+        for v in verts:
+            for w in verts:
+                is_prime = _prime_position(xi, v, w)
+                assert (_predict_left(xi, v, w) == 1) == is_prime, (xi, v, w)
+                prime += is_prime
+        assert prime, xi
+
+
 def test_public_forms_reject_off_quiver_inputs():
     for xi in _trusted_quivers():
         k2_lo, k2_hi = _trusted_window(xi)
@@ -472,9 +554,9 @@ def test_public_forms_reject_off_quiver_inputs():
 
 
 def test_relation_checks_each_point_once(monkeypatch):
-    # is_prime_snake checks each point once; the pair tests, the predictions
-    # and Q/R then trust them, and only Q/R's "fell off the quiver" checks
-    # (one per Q or R vertex) test a vertex again
+    # extended_tsystem checks each point once; the predictions and Q/R then
+    # trust them, and only Q/R's "fell off the quiver" checks (one per Q or
+    # R vertex) test a vertex again
     rng = random.Random(16)
     cases = []
     for xi in (HeightFunction.canonical(4, 0), BIG2):
