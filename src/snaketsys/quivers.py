@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -30,6 +30,13 @@ class Vertex(NamedTuple):
 
     def __str__(self) -> str:
         return f"({self.i},{_fmt_k2(self.k2)})"
+
+
+# Vertex((i, k2)) without NamedTuple's Python-level __new__: the same tuple
+# subclass, hash and str.  It takes the pair as one tuple and checks nothing,
+# so it is only for vertices that trusted code derives from vertices already
+# known to lie on a quiver: duality, the coordinate reversal and Q/R.
+_vertex = partial(tuple.__new__, Vertex)
 
 
 def vertices_json(points: Iterable[Vertex]) -> list[dict]:
@@ -116,13 +123,19 @@ class HeightFunction:
             raise ValueError("delta must be 0 or 1")
         return HeightFunction.untwisted([(i + 1 + delta) % 2 for i in range(1, n + 1)])
 
+    # The two staircases are built once per rank and shared (a bounded
+    # cache): the tfd bridge asks for them several times per call, and a
+    # shared instance is validated once and keeps its row heights.
+
     @staticmethod
+    @lru_cache(maxsize=32)
     def theta(n0: int) -> "HeightFunction":
         """Untwisted companion of big_theta: i on [1,n0], i-2 above."""
         n = 2 * n0 - 1
         return HeightFunction.untwisted([i if i <= n0 else i - 2 for i in range(1, n + 1)])
 
     @staticmethod
+    @lru_cache(maxsize=32)
     def big_theta(n0: int) -> "HeightFunction":
         """Twisted i, n0-1/2, i-1 staircase on [1, 2*n0-1]."""
         return HeightFunction.twisted([big_theta2(n0, i) for i in range(1, 2 * n0)], n0)
@@ -141,8 +154,13 @@ class HeightFunction:
         """Doubled translation step of row i (2*d_i is the k2 modulus)."""
         return 2 if i == self.n0 else 4  # n0 is None on untwisted functions
 
+    @cached_property
+    def _rows(self) -> tuple[int, ...] | None:
+        """The doubled row heights T of _reaches, indexed by row; None on untwisted n = 1."""
+        return _row_heights(self.n, self.n0)
+
     def ntilde2(self) -> int:
-        return 2 * self.n if self.twisted_flavor else 2 * (self.n + 1)
+        return 2 * self.n if self.n0 is not None else 2 * (self.n + 1)  # n0 is set on twisted functions only
 
     def shifted(self, p2: int) -> "HeightFunction":
         """Add the integer p = p2/2 to every height (p2 must be even)."""
@@ -157,13 +175,23 @@ class HeightFunction:
         and sends a snake, read backwards, to a snake.  Twisted rows keep U and
         D and swap LT with GT.  The middle value of a twisted function keeps
         its offset from the lower of its neighbours, so reversing twice gives
-        the function back.
+        the function back.  The result is validated like any new function;
+        _reversed builds the same function without the check.
         """
+        rev = self._reversed()
+        return HeightFunction(rev.n, rev.flavor, rev.values2, rev.n0)
+
+    def _reversed(self) -> "HeightFunction":
+        """reversed() without __post_init__: reversal is an involution, so the
+        reversal of a valid function is valid.  It shares this function's row
+        heights, which depend only on the shape."""
         vals2 = [-x for x in reversed(self.values2)]
-        if self.twisted_flavor:
+        if self.n0 is not None:
             m, old = self.n0 - 1, self.values2
             vals2[m] = min(vals2[m - 1], vals2[m + 1]) + old[m] - min(old[m - 1], old[m + 1])
-        return HeightFunction(self.n, self.flavor, tuple(vals2), self.n0)
+        rev = object.__new__(HeightFunction)
+        rev.__dict__.update(n=self.n, flavor=self.flavor, values2=tuple(vals2), n0=self.n0, _rows=self._rows)
+        return rev
 
     def reverse_vertex(self, v: Vertex) -> Vertex:
         """(i, k) -> (i*, -k): a vertex of this quiver to one of reversed()."""
@@ -179,9 +207,10 @@ class HeightFunction:
         return out
 
     def is_vertex(self, v: Vertex) -> bool:
-        if not 1 <= v.i <= self.n:
+        i = v.i
+        if not 1 <= i <= self.n:
             return False
-        return (v.k2 - self.values2[v.i - 1]) % self.d2(v.i) == 0
+        return (v.k2 - self.values2[i - 1]) % (2 if i == self.n0 else 4) == 0  # the modulus d2(i)
 
     def _arrow_step2(self, i: int, j: int) -> int:
         # doubled min(d_i, d_j)/2
@@ -204,11 +233,11 @@ class HeightFunction:
     def preceq(self, v: Vertex, w: Vertex) -> bool:
         """Oriented-path reachability v -> ... -> w (reflexive), in O(1).
 
-        With the doubled gap g = w.k2 - v.k2, v reaches w iff
-        g >= 2|i - i'| (untwisted, n >= 2), g >= |Theta_i' - Theta_i| with
-        Theta the doubled big_theta heights (twisted), v == w (untwisted
-        n = 1, which has no arrows).  Every arrow raises k2 by exactly the
-        change it makes to the row term (2i, or Theta_i), so the bound is
+        One formula for both flavors: with the doubled gap g = w.k2 - v.k2,
+        v reaches w iff g >= |T_i' - T_i|, where the row height T_i is 2i
+        (untwisted) or the doubled big_theta height (twisted).  Untwisted
+        n = 1 has no arrows, so there v reaches only itself.  Every arrow
+        raises k2 by exactly the change it makes to T, so the bound is
         necessary; tests/test_quivers.py checks that it is sufficient
         against breadth-first search over arrow_targets.
         """
@@ -216,12 +245,12 @@ class HeightFunction:
 
     def _reaches(self, v: Vertex, w: Vertex) -> bool:
         """preceq on two vertices already known to lie on this quiver."""
-        gap2 = w.k2 - v.k2
-        if self.twisted_flavor:
-            return gap2 >= abs(big_theta2(self.n0, w.i) - big_theta2(self.n0, v.i))
-        if self.n == 1:
-            return v == w
-        return gap2 >= 2 * abs(w.i - v.i)
+        return self._climbs(v.i, w.i, w.k2 - v.k2)
+
+    def _climbs(self, i: int, j: int, gap2: int) -> bool:
+        """A vertex of this quiver on row i reaches the one gap2 (doubled) above it on row j."""
+        t = self._rows
+        return gap2 >= abs(t[j] - t[i]) if t else gap2 == 0
 
     def prec(self, v: Vertex, w: Vertex) -> bool:
         return v != w and self.preceq(v, w)
@@ -229,20 +258,16 @@ class HeightFunction:
     # -- sinks, sources, reflections ----------------------------------
 
     def sinks(self) -> set[int]:
-        out = set()
-        for i in range(1, self.n + 1):
-            nbrs = [j for j in (i - 1, i + 1) if 1 <= j <= self.n]
-            if all(self.xi2(i) < self.xi2(j) for j in nbrs):
-                out.add(i)
-        return out
+        """The rows i with xi_i below xi_j on every neighbouring row j."""
+        return self._below_neighbours(self.xi2)
 
     def sources(self) -> set[int]:
-        out = set()
-        for i in range(1, self.n + 1):
-            nbrs = [j for j in (i - 1, i + 1) if 1 <= j <= self.n]
-            if all(self.xi2(i) - self.d2(i) > self.xi2(j) - self.d2(j) for j in nbrs):
-                out.add(i)
-        return out
+        """The rows i with xi_i - d_i above xi_j - d_j on every neighbouring row j."""
+        return self._below_neighbours(lambda i: self.d2(i) - self.xi2(i))
+
+    def _below_neighbours(self, key) -> set[int]:
+        n = self.n
+        return {i for i in range(1, n + 1) if all(key(i) < key(j) for j in (i - 1, i + 1) if 1 <= j <= n)}
 
     # -- duality and regions ------------------------------------------
 
@@ -254,7 +279,7 @@ class HeightFunction:
 
     def _undualize(self, v: Vertex) -> Vertex:
         """D^-1 (i,k) = (i*, k + ntilde) of a vertex already known to lie on this quiver."""
-        return Vertex(self.n + 1 - v.i, v.k2 + self.ntilde2())
+        return _vertex((self.n + 1 - v.i, v.k2 + self.ntilde2()))
 
     def region(self, v: Vertex) -> Region:
         if not self.twisted_flavor:
@@ -313,6 +338,14 @@ def big_theta2(n0: int, i: int) -> int:
     if i == n0:
         return 2 * n0 - 1
     return 2 * (i - 1)
+
+
+@lru_cache(maxsize=128)
+def _row_heights(n: int, n0: int | None) -> tuple[int, ...] | None:
+    """T[i] for i in [0, n] (T[0] unused): 2i untwisted, big_theta2 twisted; None on untwisted n = 1."""
+    if n0 is not None:
+        return tuple(big_theta2(n0, i) for i in range(n + 1))
+    return tuple(range(0, 2 * n + 1, 2)) if n > 1 else None
 
 
 @lru_cache(maxsize=128)

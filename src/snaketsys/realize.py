@@ -62,9 +62,6 @@ class Monomial:
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.factors == other.factors
 
-    def __hash__(self):
-        return hash(frozenset(self.factors.items()))
-
     def dual_shift(self, g0_rank: int, h_dual: int, t: int = 1) -> "Monomial":
         """Apply the duality substitution Y_{j,l} -> Y_{j*, l + h_dual} t times."""
         out = {}
@@ -214,6 +211,15 @@ class RelationMonomials:
     def identity_holds(self) -> bool:
         return self.b * self.c == self.a * self.d
 
+    @classmethod
+    def _new(cls, b, c, a, d, q, r, exact) -> "RelationMonomials":
+        """The record of these fields, built without the frozen-dataclass
+        __init__ (one object.__setattr__ per field).  The class has no
+        __post_init__, so no check is skipped."""
+        mon = object.__new__(cls)
+        mon.__dict__.update(b=b, c=c, a=a, d=d, q=q, r=r, exact=exact)
+        return mon
+
 
 def relation_monomials(rel, real: Realization) -> RelationMonomials:
     """Monomials of all six terms, each the snake_monomial of its points; the
@@ -221,7 +227,7 @@ def relation_monomials(rel, real: Realization) -> RelationMonomials:
     it fails).  The realization's mode is resolved once per relation, and
     each distinct point is checked and realized once."""
     terms = (rel.term_b, rel.term_c, rel.term_a, rel.term_d, rel.first_q, rel.first_r)
-    out = RelationMonomials(*_monomials(real, rel.xi, terms), real.mode != CUSTOM)
+    out = RelationMonomials._new(*_monomials(real, rel.xi, terms), real.mode != CUSTOM)
     if not out.identity_holds():
         raise InternalError("slice multiset identity violated")
     return out

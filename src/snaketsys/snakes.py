@@ -14,10 +14,15 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import InternalError, NotPrimeSnake, NotPrimeSnakePair, NotSnake, OutsideWindow
-from .quivers import TWISTED, UNTWISTED, HeightFunction, Region, Vertex, big_theta2, json_int, vertices_json
+from .quivers import TWISTED, UNTWISTED, HeightFunction, Region, Vertex, _vertex, big_theta2, json_int, vertices_json
+
+
+Points = tuple[Vertex, ...]
 
 
 class QRPair(NamedTuple):
+    """The public Q/R result; the trusted kernels return the plain (q, r) tuple."""
+
     q: tuple[Vertex, ...]
     r: tuple[Vertex, ...]
 
@@ -45,10 +50,12 @@ def in_snake_position(xi: HeightFunction, v: Vertex, w: Vertex) -> bool:
 
 
 def _snake_position(xi: HeightFunction, v: Vertex, w: Vertex) -> bool:
-    """in_snake_position on two vertices already known to lie on the quiver."""
-    if not xi._reaches(Vertex(v.i, v.k2 + xi.d2(v.i)), w):
+    """in_snake_position on two vertices already known to lie on the quiver:
+    v shifted by one step d2(v.i) along its row reaches w."""
+    i = v.i
+    if not xi._climbs(i, w.i, w.k2 - v.k2 - (2 if i == xi.n0 else 4)):
         return False
-    if xi.flavor == UNTWISTED:
+    if xi.n0 is None:  # untwisted
         return True
     rv, rw = xi._region(v), xi._region(w)
     if rv in (Region.LT, Region.U):
@@ -61,11 +68,16 @@ def in_prime_snake_position(xi: HeightFunction, v: Vertex, w: Vertex) -> bool:
 
 
 def _prime_position(xi: HeightFunction, v: Vertex, w: Vertex) -> bool:
-    """in_prime_snake_position on two vertices already known to lie on the quiver.
+    """in_prime_snake_position on two vertices already known to lie on the quiver."""
+    return _snake_position(xi, v, w) and _in_prime_window(xi, v, w)
 
-    D maps vertices to vertices, so D^-1(v) needs no check either.
+
+def _in_prime_window(xi: HeightFunction, v: Vertex, w: Vertex) -> bool:
+    """w reaches D^-1(v) = (v.i*, v.k2 + ntilde2), for two vertices already known to lie on the quiver.
+
+    D maps vertices to vertices, so D^-1(v) needs no check; it is not built either.
     """
-    return _snake_position(xi, v, w) and xi._reaches(w, xi._undualize(v))
+    return xi._climbs(w.i, xi.n + 1 - v.i, v.k2 + xi.ntilde2() - w.k2)
 
 
 def is_snake(xi: HeightFunction, points: Sequence[Vertex]) -> bool:
@@ -109,10 +121,10 @@ def qr_untwisted(xi: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
         raise NotPrimeSnakePair("qr_untwisted needs an untwisted height function")
     if not in_prime_snake_position(xi, v, w):
         raise NotPrimeSnakePair(f"{w} is not in prime snake position w.r.t. {v}")
-    return _qr_untwisted(xi, v, w)
+    return QRPair(*_qr_untwisted(xi, v, w))
 
 
-def _qr_untwisted(xi: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
+def _qr_untwisted(xi: HeightFunction, v: Vertex, w: Vertex) -> tuple[Points, Points]:
     """qr_untwisted on a pair already known to be prime."""
     n = xi.n
     (i, k2), (ip, kp2) = v, w
@@ -122,19 +134,17 @@ def _qr_untwisted(xi: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
     else:
         if diff2 > 2 * (i + ip):
             raise InternalError(f"Q of a prime pair lies past row 1: {v}, {w}")
-        qv = Vertex(_exact_div(2 * (i + ip) - diff2, 4), _exact_div(2 * (i - ip) + k2 + kp2, 2))
-        q = (qv,)
+        q = (_vertex((_exact_div(2 * (i + ip) - diff2, 4), _exact_div(2 * (i - ip) + k2 + kp2, 2))),)
     if diff2 == 2 * (2 * n + 2 - i - ip):
         r: tuple[Vertex, ...] = ()
     else:
         if diff2 > 2 * (2 * n + 2 - i - ip):
             raise InternalError(f"R of a prime pair lies past row {n}: {v}, {w}")
-        rv = Vertex(_exact_div(2 * (i + ip) + diff2, 4), _exact_div(2 * (ip - i) + k2 + kp2, 2))
-        r = (rv,)
+        r = (_vertex((_exact_div(2 * (i + ip) + diff2, 4), _exact_div(2 * (ip - i) + k2 + kp2, 2))),)
     for u in q + r:
         if not xi.is_vertex(u):
             raise InternalError(f"{u} fell off the quiver")
-    return QRPair(q, r)
+    return q, r
 
 
 def twisted_parity_shift2(xi: HeightFunction) -> int:
@@ -148,7 +158,7 @@ def twisted_parity_shift2(xi: HeightFunction) -> int:
     return s2
 
 
-def _qr_direct(n0: int, v: Vertex, w: Vertex) -> QRPair:
+def _qr_direct(n0: int, v: Vertex, w: Vertex) -> tuple[Points, Points]:
     """Q/R of a prime pair whose first point is in region LT or U."""
     (i, k2), (ip, kp2) = v, w
     t_i, t_ip = big_theta2(n0, i), big_theta2(n0, ip)
@@ -158,21 +168,21 @@ def _qr_direct(n0: int, v: Vertex, w: Vertex) -> QRPair:
     else:
         if diff2 > t_i + t_ip:
             raise InternalError(f"Q of a prime pair lies past row 1: {v}, {w}")
-        q = (Vertex(_exact_div(t_i + t_ip - diff2, 4), _exact_div(t_i - t_ip + k2 + kp2, 2)),)
+        q = (_vertex((_exact_div(t_i + t_ip - diff2, 4), _exact_div(t_i - t_ip + k2 + kp2, 2))),)
     if i < n0 and ip < n0:
         if diff2 < 2 * (2 * n0 - i - ip):
             r: tuple[Vertex, ...] = (
-                Vertex(_exact_div(2 * (i + ip) + diff2, 4), _exact_div(2 * (ip - i) + k2 + kp2, 2)),
+                _vertex((_exact_div(2 * (i + ip) + diff2, 4), _exact_div(2 * (ip - i) + k2 + kp2, 2))),
             )
         else:
-            r = (Vertex(n0, 2 * n0 - 2 * i + k2 - 1), Vertex(n0, 2 * ip + kp2 - 2 * n0 + 1))
+            r = (_vertex((n0, 2 * n0 - 2 * i + k2 - 1)), _vertex((n0, 2 * ip + kp2 - 2 * n0 + 1)))
     elif i < n0 and ip == n0:
-        r = (Vertex(n0, 2 * n0 - 2 * i + k2 - 1),)
+        r = (_vertex((n0, 2 * n0 - 2 * i + k2 - 1)),)
     elif i == n0 and ip < n0:
-        r = (Vertex(n0, 2 * ip + kp2 - 2 * n0 + 1),)
+        r = (_vertex((n0, 2 * ip + kp2 - 2 * n0 + 1)),)
     else:
         r = ()
-    return QRPair(q, r)
+    return q, r
 
 
 def qr_twisted(xi: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
@@ -181,10 +191,10 @@ def qr_twisted(xi: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
         raise NotPrimeSnakePair("qr_twisted needs a twisted height function")
     if not in_prime_snake_position(xi, v, w):
         raise NotPrimeSnakePair(f"{w} is not in prime snake position w.r.t. {v}")
-    return _qr_twisted(xi, v, w)
+    return QRPair(*_qr_twisted(xi, v, w))
 
 
-def _qr_twisted(xi: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
+def _qr_twisted(xi: HeightFunction, v: Vertex, w: Vertex) -> tuple[Points, Points]:
     """qr_twisted on a pair already known to be prime.
 
     The formulas are stated on big_theta's parity class, but every one of
@@ -193,14 +203,14 @@ def _qr_twisted(xi: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
     run on any twisted quiver as is.
     """
     if xi._region(v) in (Region.LT, Region.U):
-        pair = _qr_direct(xi.n0, v, w)
+        q, r = _qr_direct(xi.n0, v, w)
     else:
-        sub = _qr_direct(xi.n0, xi.dualize(v), xi.dualize(w))
-        pair = QRPair(tuple(map(xi._undualize, sub.r)), tuple(map(xi._undualize, sub.q)))
-    for u in pair.q + pair.r:
+        dq, dr = _qr_direct(xi.n0, xi.dualize(v), xi.dualize(w))
+        q, r = tuple(map(xi._undualize, dr)), tuple(map(xi._undualize, dq))
+    for u in q + r:
         if not xi.is_vertex(u):
             raise InternalError(f"{u} fell off the quiver")
-    return pair
+    return q, r
 
 
 def qr_sequences(xi: HeightFunction, points: Sequence[Vertex]) -> QRPair:
@@ -209,10 +219,10 @@ def qr_sequences(xi: HeightFunction, points: Sequence[Vertex]) -> QRPair:
         raise NotPrimeSnake("qr_sequences needs a prime snake of length >= 2")
     if not is_prime_snake(xi, points):
         raise NotPrimeSnake("qr_sequences expects a prime snake")
-    return _qr_concat(xi, points)
+    return QRPair(*_qr_concat(xi, points))
 
 
-def _qr_concat(xi: HeightFunction, points: Sequence[Vertex]) -> QRPair:
+def _qr_concat(xi: HeightFunction, points: Sequence[Vertex]) -> tuple[Points, Points]:
     """qr_sequences on a sequence already known to be a prime snake of length >= 2."""
     kernel = _qr_untwisted if xi.flavor == UNTWISTED else _qr_twisted
     qs: list[Vertex] = []
@@ -221,7 +231,7 @@ def _qr_concat(xi: HeightFunction, points: Sequence[Vertex]) -> QRPair:
         q, r = kernel(xi, v, w)
         qs += q
         rs += r
-    return QRPair(tuple(qs), tuple(rs))
+    return tuple(qs), tuple(rs)
 
 
 # -- twisted -> untwisted translation -------------------------------------

@@ -20,12 +20,15 @@ except in the twisted normalization search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from . import reineke
 from .errors import NotPrimeSnake, NotSnake, OutsideWindow, TooShort
 from .lusztig import Carrier, unit_datum
-from .quivers import TWISTED, UNTWISTED, HeightFunction, Region, Vertex, big_theta2, vertices_json
+from .quivers import TWISTED, UNTWISTED, HeightFunction, Region, Vertex, _vertex, vertices_json
 from .snakes import (
+    Points,
+    _in_prime_window,
     _qr_concat,
     _snake_position,
     is_snake,
@@ -33,8 +36,6 @@ from .snakes import (
     translate_twisted,
     twisted_parity_shift2,
 )
-
-Points = tuple[Vertex, ...]
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,15 @@ class TSystemRelation:
     def flavor(self) -> str:
         return self.xi.flavor
 
+    @classmethod
+    def _new(cls, **fields) -> "TSystemRelation":
+        """The record of these fields, built without the frozen-dataclass
+        __init__ (one object.__setattr__ per field).  The class has no
+        __post_init__, so no check is skipped."""
+        rel = object.__new__(cls)
+        rel.__dict__.update(fields)
+        return rel
+
 
 def extended_tsystem(xi: HeightFunction, points) -> TSystemRelation:
     """The relation of a prime snake; the snake is checked once, here.
@@ -63,7 +73,8 @@ def extended_tsystem(xi: HeightFunction, points) -> TSystemRelation:
     the left predictions of the hypothesis sweep: _predict_left returns 1
     exactly on a pair in prime snake position, so the snake is prime iff
     every left prediction is 1.  The right predictions are computed on the
-    reversed configuration, as in check_theorem_hypotheses.
+    reversed configuration, as in check_theorem_hypotheses, and the
+    relation's hypotheses hold iff they are all 1 too.
     """
     pts = tuple(points)
     if len(pts) < 2:
@@ -75,19 +86,20 @@ def extended_tsystem(xi: HeightFunction, points) -> TSystemRelation:
         if is_snake(xi, pts):
             raise NotPrimeSnake(f"snake is not prime; prime segments: {split_prime(xi, pts)}")
         raise NotPrimeSnake("input is not a snake")
-    qr = _qr_concat(xi, pts)
-    return TSystemRelation(
+    first_q, first_r = _qr_concat(xi, pts)
+    right = _right_predictions(xi, pts)
+    return TSystemRelation._new(
         xi=xi,
         p=pts,
         term_b=pts[:-1],
         term_c=pts[1:],
         term_a=pts,
         term_d=pts[1:-1],
-        first_q=qr.q,
-        first_r=qr.r,
+        first_q=first_q,
+        first_r=first_r,
         real=True,
         prime=True,
-        hypotheses_ok=HypothesesReport(left, _right_predictions(xi, pts)).all_one,
+        hypotheses_ok=right.count(1) == len(right),
     )
 
 
@@ -96,8 +108,8 @@ def extended_tsystem(xi: HeightFunction, points) -> TSystemRelation:
 
 def _on_ray(xi: HeightFunction, v: Vertex, w: Vertex) -> bool:
     """w strictly after v but on the boundary of its snake cone (v, w vertices of twisted xi)."""
-    r2 = w.k2 - v.k2
-    return r2 > 0 and abs(big_theta2(xi.n0, w.i) - big_theta2(xi.n0, v.i)) == r2 and xi._reaches(v, w)
+    r2, t = w.k2 - v.k2, xi._rows
+    return r2 > 0 and abs(t[w.i] - t[v.i]) == r2
 
 
 def predicted_tfd_left(xi: HeightFunction, v: Vertex, points) -> int | None:
@@ -114,13 +126,12 @@ def predicted_tfd_left(xi: HeightFunction, v: Vertex, points) -> int | None:
 
 def _predict_left(xi: HeightFunction, v: Vertex, first: Vertex) -> int | None:
     """predicted_tfd_left of a probe and a snake head already known to lie on the quiver."""
-    bound = xi._undualize(v)
     if _snake_position(xi, v, first):
         # within the prime window, snake position is automatically prime
-        return 1 if xi._reaches(first, bound) else 0
+        return 1 if _in_prime_window(xi, v, first) else 0
     if v == first or not xi._reaches(v, first):
         return None
-    if not xi._reaches(first, bound):
+    if not _in_prime_window(xi, v, first):
         return 0  # the whole snake sits outside the prime window of v
     if xi.flavor == UNTWISTED:
         return 0  # off the snake cone but inside the window: boundary rays
@@ -138,14 +149,20 @@ def predicted_tfd_right(xi: HeightFunction, points, v: Vertex) -> int | None:
     """Predicted tfd(S(P), S_v) for a probe strictly after the snake.
 
     The coordinate reversal makes it a left probe, so only the tail of the
-    snake enters.
+    snake enters.  The configuration is checked before it is reversed, so
+    off-quiver input gives None, as on the left.
     """
-    return predicted_tfd_left(xi.reversed(), xi.reverse_vertex(v), _reverse(xi, points))
+    pts = tuple(points)
+    if not is_snake(xi, pts) or not xi.is_vertex(v):
+        return None
+    return _predict_left(xi._reversed(), *_reverse(xi, (pts[-1], v)))
 
 
 def _reverse(xi: HeightFunction, points) -> Points:
-    """A vertex sequence under HeightFunction.reverse_vertex, read backwards."""
-    return tuple(map(xi.reverse_vertex, reversed(tuple(points))))
+    """Vertices of xi's rows under the reversal (i, k) -> (i*, -k) of
+    HeightFunction.reverse_vertex, read backwards; rows are not checked."""
+    top = xi.n + 1
+    return tuple([_vertex((top - i, -k2)) for i, k2 in reversed(tuple(points))])
 
 
 # -- tfd through Reineke's epsilon ----------------------------------------
@@ -258,7 +275,7 @@ def _twisted_core(big: HeightFunction, v: Vertex, pts, side: str) -> int:
                 if side == "left":
                     return _untwisted_probe_tfd(theta, probes, dagger)
                 # a right probe on theta is a left probe on the reversed theta
-                return _untwisted_probe_tfd(theta.reversed(), _reverse(theta, probes), _reverse(theta, dagger))
+                return _untwisted_probe_tfd(theta._reversed(), _reverse(theta, probes), _reverse(theta, dagger))
             except OutsideWindow as exc:
                 last_error = exc
                 continue
@@ -296,7 +313,7 @@ def tfd_via_epsilon(xi: HeightFunction, v: Vertex, points, side: str) -> int:
     if xi.flavor == TWISTED:
         return _twisted_bridge(xi, v, points, side)
     if side == "right":
-        xi, v, points = xi.reversed(), xi.reverse_vertex(v), _reverse(xi, points)
+        xi, v, points = xi._reversed(), xi.reverse_vertex(v), _reverse(xi, points)
     return tfd_left_via_epsilon(xi, v, points)
 
 
@@ -364,12 +381,12 @@ def _epsilon_or_none(xi: HeightFunction, v: Vertex, points: Points, side: str) -
 
 def _pair_predictions(xi: HeightFunction, pts: Points) -> tuple[int | None, ...]:
     """predicted_tfd_left of each point against the snake made of its successor."""
-    return tuple(_predict_left(xi, v, w) for v, w in zip(pts, pts[1:]))
+    return tuple(map(_predict_left, repeat(xi), pts, pts[1:]))
 
 
 def _right_predictions(xi: HeightFunction, pts: Points) -> tuple[int | None, ...]:
     """predicted_tfd_right of each point's snake against its successor, on the configuration reversed once."""
-    return _pair_predictions(xi.reversed(), _reverse(xi, pts))[::-1]
+    return _pair_predictions(xi._reversed(), _reverse(xi, pts))[::-1]
 
 
 def check_theorem_hypotheses(xi: HeightFunction, points, via_epsilon: bool = False) -> HypothesesReport:

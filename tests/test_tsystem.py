@@ -4,9 +4,10 @@ import re
 import pytest
 
 from snaketsys.errors import InternalError, NotPrimeSnake, OutsideWindow, TooShort
-from snaketsys.quivers import UNTWISTED, HeightFunction, Region, Vertex
-from snaketsys.realize import Realization, relation_monomials
+from snaketsys.quivers import UNTWISTED, HeightFunction, Region, Vertex, _vertex, big_theta2
+from snaketsys.realize import Realization, RelationMonomials, relation_monomials
 from snaketsys.snakes import (
+    _in_prime_window,
     _prime_position,
     _snake_position,
     in_prime_snake_position,
@@ -17,7 +18,9 @@ from snaketsys.snakes import (
     split_prime,
 )
 from snaketsys.tsystem import (
+    HypothesesReport,
     HypothesisCheck,
+    TSystemRelation,
     _on_ray,
     _predict_left,
     check_theorem_hypotheses,
@@ -259,7 +262,8 @@ def test_all_one_matches_the_checks():
 
 def test_relation_validates_once_and_builds_no_checks(monkeypatch):
     # one vertex check per point, primality read off the p-1 left predictions,
-    # p-1 right predictions, and no snake predicate or HypothesisCheck at all
+    # p-1 right predictions, and no snake predicate, HypothesisCheck,
+    # HypothesesReport or validated HeightFunction at all
     from collections import Counter
 
     from snaketsys import realize, snakes, tsystem
@@ -279,6 +283,8 @@ def test_relation_validates_once_and_builds_no_checks(monkeypatch):
         if hasattr(tsystem, name):
             monkeypatch.setattr(tsystem, name, wrapper)
     monkeypatch.setattr(tsystem, "HypothesisCheck", counted("HypothesisCheck", HypothesisCheck))
+    monkeypatch.setattr(tsystem, "HypothesesReport", counted("HypothesesReport", HypothesesReport))
+    monkeypatch.setattr(HeightFunction, "__post_init__", counted("validate", HeightFunction.__post_init__))
     monkeypatch.setattr(realize, "_factor_items", counted("_factor_items", realize._factor_items))
     predict_left, is_vertex = tsystem._predict_left, HeightFunction.is_vertex
 
@@ -298,12 +304,12 @@ def test_relation_validates_once_and_builds_no_checks(monkeypatch):
             pts = random_snake(xi, rng, 12, prime=True)
             if len(pts) == 12:
                 break
+        left, right = f"predict:{xi.values2}", f"predict:{xi.reversed().values2}"
+        assert left != right
         calls.clear()
         seen.clear()
         rel = extended_tsystem(xi, pts)
         assert rel.hypotheses_ok
-        left, right = f"predict:{xi.values2}", f"predict:{xi.reversed().values2}"
-        assert left != right
         assert calls == {left: 11, right: 11}
         # the snake's points once each, then each Q/R point once (the kernels' guard)
         assert sum(seen.values()) == 12 + len(rel.first_q) + len(rel.first_r)
@@ -317,6 +323,8 @@ def test_relation_validates_once_and_builds_no_checks(monkeypatch):
         # the counters see the public paths, which still validate and build
         assert len(check_theorem_hypotheses(xi, pts).checks) == 12 * 11
         assert calls["HypothesisCheck"] == 12 * 11 and calls["is_snake"] == 1
+        assert calls["HypothesesReport"] == 1 and calls["validate"] == 0
+        assert xi.reversed() == xi._reversed() and calls["validate"] == 1
 
 
 def test_bridge_bug_is_not_indeterminate(monkeypatch):
@@ -492,17 +500,32 @@ def _trusted_window(xi):
     return min(xi.values2) - 2, max(xi.values2) + 2 * xi.ntilde2()
 
 
+def _reference_reaches(xi, v, w):
+    """preceq written out per flavor: 2|i - i'| untwisted, big_theta heights twisted, v == w on untwisted n = 1."""
+    gap2 = w.k2 - v.k2
+    if xi.twisted_flavor:
+        return gap2 >= abs(big_theta2(xi.n0, w.i) - big_theta2(xi.n0, v.i))
+    return v == w if xi.n == 1 else gap2 >= 2 * abs(w.i - v.i)
+
+
 def test_trusted_forms_match_the_public_ones():
     seen = set()
     for xi in _trusted_quivers():
+        rev = xi._reversed()
+        assert type(rev) is HeightFunction and rev == xi.reversed() and hash(rev) == hash(xi.reversed())
+        assert rev._reversed() == xi and rev._rows == xi._rows  # an involution; the row heights depend on the shape
         verts = _window(xi, *_trusted_window(xi))
         for v in verts:
             assert xi.is_vertex(xi.dualize(v, -1))  # the trusted prime test relies on D keeping vertices
             assert xi._undualize(v) == xi.dualize(v, -1), (xi, v)
+            made = _vertex((v.i, v.k2))
+            assert type(made) is Vertex and made == v and str(made) == str(v) and hash(made) == hash(v)
+            assert _vertex((xi.n + 1 - v.i, -v.k2)) == xi.reverse_vertex(v)
             if xi.twisted_flavor:
                 assert xi._region(v) == xi.region(v), (xi, v)
             for w in verts:
-                assert xi._reaches(v, w) == xi.preceq(v, w), (xi, v, w)
+                assert xi._reaches(v, w) == xi.preceq(v, w) == _reference_reaches(xi, v, w), (xi, v, w)
+                assert _in_prime_window(xi, v, w) == xi.preceq(w, xi.dualize(v, -1)), (xi, v, w)
                 assert _snake_position(xi, v, w) == in_snake_position(xi, v, w), (xi, v, w)
                 assert _prime_position(xi, v, w) == in_prime_snake_position(xi, v, w), (xi, v, w)
                 got = _predict_left(xi, v, w)
@@ -545,6 +568,7 @@ def test_public_forms_reject_off_quiver_inputs():
                     assert in_snake_position(xi, a, b) is False
                     assert in_prime_snake_position(xi, a, b) is False
                     assert predicted_tfd_left(xi, a, (b,)) is None
+                    assert predicted_tfd_right(xi, (a,), b) is None  # checked before the reversal, rows 0 and n+1 too
             if xi.twisted_flavor:
                 with pytest.raises(ValueError, match=re.escape(f"{x} is not a vertex of this quiver")):
                     xi.region(x)
@@ -630,3 +654,76 @@ def test_bridge_census_is_pinned():
     # the twisted OutsideWindow sliver is not symmetric under the reversal,
     # which is why the twisted normalization search keeps both sides
     assert _bridge_census() == BRIDGE_CENSUS
+
+
+def _pinned_relation_lines():
+    """relation_json and relation_monomials_json of seeded prime snakes of
+    both flavors, each under its q-datum and a signed custom table, then the
+    error messages of seeded non-prime snakes and non-snakes."""
+    import json
+
+    from snaketsys.realize import Monomial, relation_monomials_json
+
+    def signed(xi):
+        return Realization.custom(xi.n + 1, {
+            v: Monomial({(1, 0): 1 if v.i % 2 else -1, (v.i, v.k2): -1}) for v in xi.gamma_vertices()
+        })
+
+    rng = random.Random(26)
+    lines = []
+    for flavor in ("untwisted", "twisted"):
+        for t in range(40):
+            if flavor == "untwisted":
+                xi = random_height_function(1 + t % 7, rng)
+                qdatum = Realization.qdatum_a(xi.n)
+            else:
+                n0 = 2 + t % 3
+                xi = random_height_function(2 * n0 - 1, rng, flavor, n0)
+                qdatum = Realization.qdatum_b(n0)
+            pts = random_snake(xi, rng, rng.randint(2, 12), prime=True)
+            if len(pts) < 2:
+                continue
+            rel = extended_tsystem(xi, pts)
+            lines.append(json.dumps(relation_json(rel)))
+            for real in (qdatum, signed(xi)):
+                lines.append(json.dumps(relation_monomials_json(relation_monomials(rel, real))))
+    for flavor in ("untwisted", "twisted"):
+        for prime in (False, None):
+            for _ in range(20):
+                xi, pts = _random_snake_case(rng, flavor, prime is None, 8)
+                if prime is None:  # a non-snake: a snake with a point moved off its place
+                    s = rng.randrange(len(pts))
+                    i = rng.randint(0, xi.n + 1)
+                    pts = pts[:s] + (Vertex(i, pts[s].k2 + rng.choice((-4, -2, 2, 4))),) + pts[s + 1:]
+                try:
+                    rel = extended_tsystem(xi, pts)
+                except (NotPrimeSnake, TooShort) as exc:
+                    lines.append(f"{type(exc).__name__}: {exc}")
+                else:
+                    lines.append(json.dumps(relation_json(rel)))
+    for pts in ((), (Vertex(1, 0),)):
+        with pytest.raises(TooShort) as exc:
+            extended_tsystem(XI3, pts)
+        lines.append(f"TooShort: {exc.value}")
+    return lines
+
+
+def test_relation_outputs_are_pinned():
+    # the sha256 of relation_json, both relation_monomials_json and the
+    # error messages on seeded inputs; the digest was written down before
+    # the trusted path stopped building throwaway vertices and records
+    import hashlib
+
+    lines = _pinned_relation_lines()
+    assert len(lines) == 322
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == "c1d37745c6f66495222e0cc9abfeb7fb72ca4bcf9f12bb44d040acb7a9f82bf1"
+
+
+def test_records_built_without_init_equal_the_dataclass_ones():
+    rel = extended_tsystem(XI3, (V(2, 0), V(2, 2), V(1, 5)))
+    fields = dict(vars(rel))
+    assert TSystemRelation(**fields) == rel and type(rel) is TSystemRelation
+    mon = relation_monomials(rel, Realization.qdatum_a(3))
+    assert RelationMonomials(**vars(mon)) == mon and type(mon) is RelationMonomials
+    assert set(vars(mon)) == set(RelationMonomials.__dataclass_fields__)
+    assert set(fields) == set(TSystemRelation.__dataclass_fields__)
