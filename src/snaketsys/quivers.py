@@ -116,16 +116,23 @@ class HeightFunction:
         vals2 = tuple(values2)
         return HeightFunction(len(vals2), TWISTED, vals2, n0)
 
+    # The canonical functions and the two staircases are built once per
+    # rank and shared (a bounded cache): the tfd bridge asks for them
+    # several times per call, and a shared instance is validated once and
+    # keeps its row heights.
+
     @staticmethod
     def canonical(n: int, delta: int) -> "HeightFunction":
         """The 0/1-valued untwisted function with xi_1 = delta."""
-        if delta not in (0, 1):
+        # checked before the cache, which would also answer 0.0 with the instance of 0
+        if type(delta) is not int or delta not in (0, 1):
             raise ValueError("delta must be 0 or 1")
-        return HeightFunction.untwisted([(i + 1 + delta) % 2 for i in range(1, n + 1)])
+        return HeightFunction._canonical(n, delta)
 
-    # The two staircases are built once per rank and shared (a bounded
-    # cache): the tfd bridge asks for them several times per call, and a
-    # shared instance is validated once and keeps its row heights.
+    @staticmethod
+    @lru_cache(maxsize=64)
+    def _canonical(n: int, delta: int) -> "HeightFunction":
+        return HeightFunction.untwisted([(i + 1 + delta) % 2 for i in range(1, n + 1)])
 
     @staticmethod
     @lru_cache(maxsize=32)

@@ -16,7 +16,7 @@ from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import roots
-from .errors import InternalError, MissingTableEntry
+from .errors import MissingTableEntry
 from .quivers import TWISTED, UNTWISTED, HeightFunction, Vertex, json_int
 
 QDATUM_A = "qdatum_A"
@@ -166,25 +166,29 @@ def _table_entry(real: Realization, xi: HeightFunction, v: Vertex) -> Monomial:
 
 
 def _monomials(real: Realization, xi: HeightFunction, terms: Sequence[Sequence[Vertex]]) -> list[Monomial]:
-    """The formal product of cuspidal monomials along each vertex sequence of terms.
+    """The formal product of cuspidal monomials along each vertex sequence of terms."""
+    cusp = _realized(real, xi, chain.from_iterable(terms))
+    return [_product(cusp, term) for term in terms]
 
-    Each distinct point is checked to be a vertex and realized once, the
-    mode is resolved once (only if there is a point), and each term's
-    exponents are summed straight into the dict its Monomial keeps.
-    """
-    points = dict.fromkeys(chain.from_iterable(terms))
+
+def _realized(real: Realization, xi: HeightFunction, points: Iterable[Vertex]) -> dict:
+    """The cuspidal (key, exponent) items of each distinct point, each checked to
+    be a vertex and realized once; the mode is resolved once, if there is a point."""
+    points = dict.fromkeys(points)
     for v in points:
         if not xi.is_vertex(v):
             raise MissingTableEntry(f"{v} is not a vertex of the quiver")
-    cusp = dict(zip(points, map(_factor_items(real, xi), points))) if points else {}
-    out = []
-    for term in terms:
-        factors: dict[tuple[int, int], int] = {}
-        for v in term:
-            for key, e in cusp[v]:
-                factors[key] = factors.get(key, 0) + e
-        out.append(Monomial._wrap(factors))
-    return out
+    return dict(zip(points, map(_factor_items(real, xi), points))) if points else {}
+
+
+def _product(cusp: dict, term: Sequence[Vertex], factors: dict | None = None, sign: int = 1) -> Monomial:
+    """factors (empty by default) times the product along term, or over it
+    with sign -1, summed straight into the dict the Monomial keeps."""
+    factors = {} if factors is None else factors
+    for v in term:
+        for key, e in cusp[v]:
+            factors[key] = factors.get(key, 0) + sign * e
+    return Monomial._wrap(factors)
 
 
 def snake_monomial(real: Realization, xi: HeightFunction, points: Sequence[Vertex]) -> tuple[Monomial, bool]:
@@ -222,15 +226,18 @@ class RelationMonomials:
 
 
 def relation_monomials(rel, real: Realization) -> RelationMonomials:
-    """Monomials of all six terms, each the snake_monomial of its points; the
-    slice identity m(B)m(C) = m(A)m(D) is checked exactly (InternalError if
-    it fails).  The realization's mode is resolved once per relation, and
-    each distinct point is checked and realized once."""
-    terms = (rel.term_b, rel.term_c, rel.term_a, rel.term_d, rel.first_q, rel.first_r)
-    out = RelationMonomials._new(*_monomials(real, rel.xi, terms), real.mode != CUSTOM)
-    if not out.identity_holds():
-        raise InternalError("slice multiset identity violated")
-    return out
+    """Monomials of all six terms, each equal to the snake_monomial of its points.
+
+    The mode is resolved once per relation, and each distinct point is
+    checked and realized once.  A, Q and R are products; B, C and D are A
+    over the monomial of its last point, its first or both, so m(B)m(C) =
+    m(A)m(D) holds by construction (identity_holds recomputes it).
+    """
+    pts = rel.term_a
+    cusp = _realized(real, rel.xi, chain(pts, rel.first_q, rel.first_r))
+    a, q, r = (_product(cusp, term) for term in (pts, rel.first_q, rel.first_r))
+    b, c, d = (_product(cusp, ends, dict(a.factors), -1) for ends in ((pts[-1],), (pts[0],), (pts[0], pts[-1])))
+    return RelationMonomials._new(b, c, a, d, q, r, real.mode != CUSTOM)
 
 
 def _render_relation(mon: RelationMonomials, render) -> str:

@@ -6,8 +6,9 @@ For a prime snake P of length p >= 2 the relation has the shape
                        -> S(P) (x) S(P_[2,p-1]) -> 0,
 
 with (Q, R) the concatenated socle positions; its primality check is the
-left half of the hypothesis sweep (see extended_tsystem).  The invariant
-tfd between a cuspidal probe and a snake head is never computed
+left half of the hypothesis sweep, and the right half, all 1 on a prime
+snake, is left to check_theorem_hypotheses (see extended_tsystem).  The
+invariant tfd between a cuspidal probe and a snake head is never computed
 categorically; this module exposes the 0/1 predictions of the
 snake-position lemmas, plus an exact evaluation path through Reineke's
 epsilon: normalize the probe, translate twisted data to the untwisted
@@ -72,9 +73,10 @@ def extended_tsystem(xi: HeightFunction, points) -> TSystemRelation:
     Each point is checked to be a vertex, and then primality is read from
     the left predictions of the hypothesis sweep: _predict_left returns 1
     exactly on a pair in prime snake position, so the snake is prime iff
-    every left prediction is 1.  The right predictions are computed on the
-    reversed configuration, as in check_theorem_hypotheses, and the
-    relation's hypotheses hold iff they are all 1 too.
+    every left prediction is 1.  On a prime snake every right prediction
+    is 1 too, so hypotheses_ok is True without computing them;
+    check_theorem_hypotheses still runs the whole sweep, and the tests
+    hold it to this.
     """
     pts = tuple(points)
     if len(pts) < 2:
@@ -87,7 +89,6 @@ def extended_tsystem(xi: HeightFunction, points) -> TSystemRelation:
             raise NotPrimeSnake(f"snake is not prime; prime segments: {split_prime(xi, pts)}")
         raise NotPrimeSnake("input is not a snake")
     first_q, first_r = _qr_concat(xi, pts)
-    right = _right_predictions(xi, pts)
     return TSystemRelation._new(
         xi=xi,
         p=pts,
@@ -99,7 +100,7 @@ def extended_tsystem(xi: HeightFunction, points) -> TSystemRelation:
         first_r=first_r,
         real=True,
         prime=True,
-        hypotheses_ok=right.count(1) == len(right),
+        hypotheses_ok=True,
     )
 
 
@@ -384,11 +385,6 @@ def _pair_predictions(xi: HeightFunction, pts: Points) -> tuple[int | None, ...]
     return tuple(map(_predict_left, repeat(xi), pts, pts[1:]))
 
 
-def _right_predictions(xi: HeightFunction, pts: Points) -> tuple[int | None, ...]:
-    """predicted_tfd_right of each point's snake against its successor, on the configuration reversed once."""
-    return _pair_predictions(xi._reversed(), _reverse(xi, pts))[::-1]
-
-
 def check_theorem_hypotheses(xi: HeightFunction, points, via_epsilon: bool = False) -> HypothesesReport:
     """Evaluate both exactness hypotheses on every sub-slice of a snake.
 
@@ -405,7 +401,8 @@ def check_theorem_hypotheses(xi: HeightFunction, points, via_epsilon: bool = Fal
     if not is_snake(xi, pts):
         raise NotSnake("hypothesis check expects a snake")
     left = _pair_predictions(xi, pts)
-    right = _right_predictions(xi, pts)
+    # predicted_tfd_right of each point's snake against its successor, on the configuration reversed once
+    right = _pair_predictions(xi._reversed(), _reverse(xi, pts))[::-1]
     if not via_epsilon:
         return HypothesesReport(left, right)
     eps = tuple(

@@ -40,6 +40,17 @@ def test_named_constructors():
     assert HeightFunction.big_theta(4).values2 == (2, 4, 6, 7, 8, 10, 12)
 
 
+def test_canonical_is_shared_and_takes_int_delta_only():
+    # a float or bool delta is rejected before the cache, which would hand
+    # canonical(3, 0) the float heights built for canonical(3, 0.0)
+    for delta in (0.0, 1.0, True, False, 2, -1):
+        with pytest.raises(ValueError, match="delta must be 0 or 1"):
+            HeightFunction.canonical(3, delta)
+    hf = HeightFunction.canonical(3, 0)
+    assert hf.values2 == (0, 2, 0) and all(type(x) is int for x in hf.values2)
+    assert HeightFunction.canonical(3, 0) is hf and HeightFunction.canonical(3, 1) is not hf
+
+
 def test_is_vertex():
     assert XI_DISPLAY.is_vertex(Vertex(2, 2))       # (2,1)
     assert not XI_DISPLAY.is_vertex(Vertex(2, 4))   # (2,2) wrong parity

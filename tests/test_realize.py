@@ -1,12 +1,11 @@
 import pytest
 
-from snaketsys.errors import InternalError, MissingTableEntry
+from snaketsys.errors import MissingTableEntry
 from snaketsys.quivers import HeightFunction, Vertex
 from snaketsys.realize import (
     CUSTOM,
     Monomial,
     Realization,
-    RelationMonomials,
     cuspidal_monomial,
     realization_from_json,
     relation_monomials,
@@ -147,40 +146,43 @@ def _reference_cuspidal(real, xi, v):
     return hits[0]
 
 
+def signed_table(xi):
+    """A custom table with exponents +-1 on a shared factor, so that factors cancel within a term."""
+    return Realization.custom(xi.n + 1, {
+        v: Monomial({(1, 0): 1 if v.i % 2 else -1, (v.i, v.k2): -1}) for v in xi.gamma_vertices()
+    })
+
+
 def test_relation_monomials_are_the_snake_monomials_of_the_terms():
-    # one cuspidal monomial per point, summed into the six terms, must give
-    # what snake_monomial gives on each term by itself, and the product of
-    # the written-out cuspidal monomials folded by Monomial.__mul__
+    # A, Q and R are sums over their points and B, C and D are A over the
+    # monomials of its last point, its first or both; each must give what
+    # snake_monomial gives on the term by itself, and the product of the
+    # written-out cuspidal monomials folded by Monomial.__mul__, also where
+    # a key of A cancels to 0 and where D is the unit (p = 2)
     import random
 
     from snaketsys.snakes import random_snake
     from snaketsys.verify import random_height_function
 
     rng = random.Random(23)
-
-    def signed(xi):
-        # exponents +-1 on a shared factor, so that factors cancel within a term
-        return Realization.custom(xi.n + 1, {
-            v: Monomial({(1, 0): 1 if v.i % 2 else -1, (v.i, v.k2): -1}) for v in xi.gamma_vertices()
-        })
-
     cases = []
     for n in (3, 4, 6):
         xi = random_height_function(n, rng)
-        cases += [(Realization.qdatum_a(n), xi), (signed(xi), xi)]
-    for n0 in (2, 3):
+        cases += [(Realization.qdatum_a(n), xi), (signed_table(xi), xi)]
+    for n0 in (2, 3, 4):
         xi = random_height_function(2 * n0 - 1, rng, "twisted", n0)
-        cases += [(Realization.qdatum_b(n0), xi), (signed(xi), xi)]
+        cases += [(Realization.qdatum_b(n0), xi), (signed_table(xi), xi)]
     cases += [(custom_table(), XI3), twisted_table()[::-1]]
-    modes = set()
+    seen = set()
     for real, xi in cases:
-        modes.add(real.mode)
-        for _ in range(15):
-            pts = random_snake(xi, rng, rng.randint(2, 12), prime=True)
+        seen.add(real.mode)
+        for t in range(15):
+            pts = random_snake(xi, rng, 2 if t % 3 == 0 else rng.randint(3, 12), prime=True)
             if len(pts) < 2:
                 continue
             rel = extended_tsystem(xi, pts)
             mon = relation_monomials(rel, real)
+            assert mon.identity_holds()
             terms = (rel.term_b, rel.term_c, rel.term_a, rel.term_d, rel.first_q, rel.first_r)
             for got, points in zip((mon.b, mon.c, mon.a, mon.d, mon.q, mon.r), terms):
                 assert (got, mon.exact) == snake_monomial(real, xi, points)
@@ -188,7 +190,17 @@ def test_relation_monomials_are_the_snake_monomials_of_the_terms():
                 for v in points:
                     want = want * _reference_cuspidal(real, xi, v)
                 assert got == want and str(got) == str(want), (real.mode, xi, points)
-    assert modes == {"qdatum_A", "qdatum_B", CUSTOM}
+            ends = [_reference_cuspidal(real, xi, v).factors for v in (pts[0], pts[-1])]
+            if any(k not in mon.a.factors for m in ends for k in m):
+                seen.add("cancelled")  # B, C or D starts from a key that A no longer holds
+            if len(pts) == 2:
+                assert mon.d == Monomial.one()
+                seen.add("p=2")
+            if real.mode != CUSTOM:
+                # rows i and i* of a twisted quiver lie in opposite k2 classes mod 4, so
+                # no two points share a q-datum key; shared keys come from the tables
+                assert len({k for v in pts for k in _reference_cuspidal(real, xi, v).factors}) == len(pts)
+    assert seen == {"qdatum_A", "qdatum_B", CUSTOM, "cancelled", "p=2"}
 
 
 def test_relation_monomials_golden():
@@ -251,14 +263,10 @@ def test_table_json_roundtrip():
         realization_from_json({"h_dual": 4, "entries": []}, XI3)
 
 
-def test_realize_checks_raise_explicitly(monkeypatch):
-    # explicit raises, not asserts, so that python -O keeps both checks
+def test_realize_checks_raise_explicitly():
+    # an explicit raise, not an assert, so that python -O keeps the check
     with pytest.raises(ValueError):
         table_to_json(Realization.qdatum_a(3))
-    rel = extended_tsystem(XI3, (V(2, 0), V(2, 2), V(1, 5)))
-    monkeypatch.setattr(RelationMonomials, "identity_holds", lambda self: False)
-    with pytest.raises(InternalError):
-        relation_monomials(rel, Realization.qdatum_a(3))
 
 
 def test_custom_slide_far_vertex():

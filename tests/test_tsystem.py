@@ -262,7 +262,7 @@ def test_all_one_matches_the_checks():
 
 def test_relation_validates_once_and_builds_no_checks(monkeypatch):
     # one vertex check per point, primality read off the p-1 left predictions,
-    # p-1 right predictions, and no snake predicate, HypothesisCheck,
+    # no right prediction, and no snake predicate, HypothesisCheck,
     # HypothesesReport or validated HeightFunction at all
     from collections import Counter
 
@@ -310,7 +310,7 @@ def test_relation_validates_once_and_builds_no_checks(monkeypatch):
         seen.clear()
         rel = extended_tsystem(xi, pts)
         assert rel.hypotheses_ok
-        assert calls == {left: 11, right: 11}
+        assert calls == {left: 11}
         # the snake's points once each, then each Q/R point once (the kernels' guard)
         assert sum(seen.values()) == 12 + len(rel.first_q) + len(rel.first_r)
         assert all(seen[v] == 1 for v in pts)
@@ -552,6 +552,39 @@ def test_left_prediction_is_one_exactly_on_prime_pairs():
                 assert (_predict_left(xi, v, w) == 1) == is_prime, (xi, v, w)
                 prime += is_prime
         assert prime, xi
+
+
+def _every_untwisted(n):
+    """Every untwisted height function of rank n with xi_1 = 0, one per choice of steps."""
+    for steps in range(2 ** (n - 1)):
+        vals = [0]
+        for b in range(n - 1):
+            vals.append(vals[-1] + (1 if steps >> b & 1 else -1))
+        yield HeightFunction.untwisted(vals)
+
+
+def test_right_predictions_are_one_on_prime_pairs():
+    # extended_tsystem sets hypotheses_ok without the right sweep: on every
+    # prime pair the right prediction, computed by check_theorem_hypotheses
+    # on the reversed configuration, is 1, and on prime snakes the public
+    # sweep agrees with the relation's flag
+    base = [xi for n in range(1, 7) for xi in _every_untwisted(n)]
+    base += [HeightFunction.big_theta(n0) for n0 in (2, 3, 4)]
+    pairs = 0
+    for xi in (q for b in base for q in (b, b.shifted(2), b._reversed())):
+        verts = _window(xi, -12, 12)
+        for v in verts:
+            for w in verts:
+                if _prime_position(xi, v, w):  # _predict_left is 1 exactly here
+                    assert check_theorem_hypotheses(xi, (v, w)).right == (1,), (xi, v, w)
+                    pairs += 1
+    assert pairs > 30_000
+    rng = random.Random(18)
+    for _ in range(40):
+        for xi in (random_height_function(rng.randint(2, 7), rng), random_height_function(5, rng, "twisted", 3)):
+            pts = random_snake(xi, rng, rng.randint(2, 10), prime=True)
+            if len(pts) >= 2:
+                assert extended_tsystem(xi, pts).hypotheses_ok == check_theorem_hypotheses(xi, pts).all_one, (xi, pts)
 
 
 def test_public_forms_reject_off_quiver_inputs():
