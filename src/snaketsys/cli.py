@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: quiver, snake-check, qr, tsystem, reineke, rho, translate,
-verify.  Snake/datum/table JSON is read from a file argument or standard
-input.  Exit codes: 0 ok, 1 verification failure, 2 config error, 3 domain
-precondition failure, 4 parse error.
+verify.  Each takes only the options it reads (the COMMANDS table) and
+--format with the formats it writes.  Snake/datum/table JSON is read from a
+file argument or standard input.  Exit codes: 0 ok, 1 verification failure,
+2 config error, 3 domain precondition failure (a snake point off the
+quiver, a datum key off its carrier, ...), 4 parse error (not JSON, or an
+entry of the wrong type or shape).
 """
 from __future__ import annotations
 
@@ -31,72 +34,61 @@ class ParseError(Exception):
     pass
 
 
-def _common_flags(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
-    """The shared flags; --format accepts only the formats the command writes, the first by default."""
-    p.add_argument("--n", type=int, help="rank of the type-A root system")
-    p.add_argument("--flavor", choices=(UNTWISTED, TWISTED), default=UNTWISTED)
-    p.add_argument("--xi", help="comma-separated doubled height values; write a list that starts with a "
-                   "negative value as --xi=-2,-3,0, since a separate -2,-3,0 reads as an option")
-    p.add_argument("--n0", type=int, help="middle node of a twisted height function")
-    p.add_argument("--format", choices=formats, default=formats[0])
-    p.add_argument("--seed", type=int, default=0)
-
-
 def _height_function(args) -> HeightFunction:
+    """The height function of --xi, else of --n0 (twisted) or --n.
+
+    An --n other than its rank, or an --n0 on an untwisted one, is a config
+    error rather than ignored.
+    """
+    twisted = args.flavor == TWISTED
+    if twisted and args.n0 is None:
+        raise ConfigError("twisted height functions need --n0")
+    if not twisted and args.n0 is not None:
+        raise ConfigError("--n0 applies to twisted height functions only")
+    if not args.xi and not twisted and args.n is None:
+        raise ConfigError("--n (or --xi) is required")
     try:
         if args.xi:
             values2 = tuple(int(x) for x in args.xi.split(","))
-            if args.flavor == TWISTED:
-                if args.n0 is None:
-                    raise ConfigError("twisted height functions need --n0")
-                return HeightFunction.twisted(values2, args.n0)
-            return HeightFunction(len(values2), UNTWISTED, values2)
-        if args.flavor == TWISTED:
-            if args.n0 is None:
-                raise ConfigError("--n0 (or --xi) is required for twisted")
-            return HeightFunction.big_theta(args.n0)
-        if args.n is None:
-            raise ConfigError("--n (or --xi) is required")
-        return HeightFunction.canonical(args.n, 0)
+            xi = HeightFunction(len(values2), args.flavor, values2, args.n0)
+        else:
+            xi = HeightFunction.big_theta(args.n0) if twisted else HeightFunction.canonical(args.n, 0)
     except (ValueError, DomainError) as exc:
         raise ConfigError(str(exc)) from exc
+    if args.n is not None and args.n != xi.n:
+        raise ConfigError(f"--n {args.n} differs from the rank {xi.n} of the height function")
+    return xi
 
 
-def _read_json(path: str | None):
-    """JSON from a UTF-8 file or stdin; bytes that do not decode, or text that is not JSON, are a parse error."""
+def _read(path: str | None, parse, what: str):
+    """parse(the JSON of a UTF-8 file, or of stdin for None or -).
+
+    Bytes that do not decode, text that is not JSON, and a KeyError,
+    TypeError, ValueError or OverflowError of parse are a parse error; a
+    DomainError (a ValueError subclass, so it is let through first) stays a
+    domain error.
+    """
     try:
         if path in (None, "-"):
-            return json.load(sys.stdin)
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(sys.stdin)
+        else:
+            with open(path, encoding="utf-8") as fh:
+                obj = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise ParseError(f"cannot read JSON input: {exc}") from exc
-
-
-def _read_snake(path: str | None) -> snakes.Snake:
-    obj = _read_json(path)
     try:
-        return snakes.snake_from_json(obj)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"bad snake JSON: {exc}") from exc
-
-
-def _read_datum(args) -> VertexDatum:
-    """The vertex datum of a rho or reineke command: --n and the JSON input.
-
-    A malformed or negative entry, or an unparsable carrier name, is a parse
-    error; a key outside its carrier and other domain errors stay domain
-    errors (DomainError subclasses ValueError, so it is let through first).
-    """
-    if args.n is None or args.n < 1:
-        raise ConfigError(f"{args.command} needs --n >= 1")
-    obj = _read_json(args.input)
-    try:
-        return datum_from_json(obj, args.n)
+        return parse(obj)
     except DomainError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"bad datum JSON: {exc}") from exc
+        raise ParseError(f"bad {what} JSON: {exc}") from exc
+
+
+def _read_datum(args) -> VertexDatum:
+    """The vertex datum of a rho or reineke command: --n and the JSON input."""
+    if args.n is None or args.n < 1:
+        raise ConfigError(f"{args.command} needs --n >= 1")
+    return _read(args.input, lambda obj: datum_from_json(obj, args.n), "datum")
 
 
 def _emit(obj) -> None:
@@ -123,7 +115,7 @@ def cmd_quiver(args) -> int:
 
 
 def cmd_snake_check(args) -> int:
-    snake = _read_snake(args.input)
+    snake = _read(args.input, snakes.snake_from_json, "snake")
     xi, pts = snake.xi, snake.points
     ok = snakes.is_snake(xi, pts)
     prime = ok and snakes.is_prime_snake(xi, pts)
@@ -138,7 +130,7 @@ def cmd_snake_check(args) -> int:
 
 
 def cmd_qr(args) -> int:
-    snake = _read_snake(args.input)
+    snake = _read(args.input, snakes.snake_from_json, "snake")
     pair = snakes.qr_sequences(snake.xi, snake.points)
     out = {
         "Q": vertices_json(pair.q),
@@ -157,17 +149,11 @@ def _realization_for(args, xi) -> realize.Realization | None:
         return None
     if args.realization == "qdatum":
         return realize.Realization.qdatum_a(xi.n) if xi.flavor == UNTWISTED else realize.Realization.qdatum_b(xi.n0)
-    obj = _read_json(args.realization)
-    try:
-        return realize.realization_from_json(obj, xi)
-    except DomainError:  # a table missing a window vertex stays a domain error
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"bad realization JSON: {exc}") from exc
+    return _read(args.realization, lambda obj: realize.realization_from_json(obj, xi), "realization")
 
 
 def cmd_tsystem(args) -> int:
-    snake = _read_snake(args.input)
+    snake = _read(args.input, snakes.snake_from_json, "snake")
     rel = tsystem.extended_tsystem(snake.xi, snake.points)
     real = _realization_for(args, snake.xi)
     if args.format == "json":
@@ -208,7 +194,7 @@ def cmd_rho(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    snake = _read_snake(args.input)
+    snake = _read(args.input, snakes.snake_from_json, "snake")
     if snake.xi.flavor != TWISTED:
         raise ConfigError("translate expects a twisted snake")
     out = snakes.translate_twisted(snake.xi.n0, snake.points)
@@ -226,54 +212,47 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.ok for r in results) else EXIT_VERIFY
 
 
+# every option a command can take; each row of COMMANDS names the ones its handler reads
+OPTIONS = {
+    "--n": dict(type=int, help="rank of the type-A root system"),
+    "--flavor": dict(choices=(UNTWISTED, TWISTED), default=UNTWISTED),
+    "--xi": dict(help="comma-separated doubled height values; write a list that starts with a "
+                 "negative value as --xi=-2,-3,0, since a separate -2,-3,0 reads as an option"),
+    "--n0": dict(type=int, help="middle node of a twisted height function"),
+    "--window": dict(help="doubled k2 range LO:HI (default: the Gamma window); a negative LO needs --window=LO:HI"),
+    "--labels": dict(action="store_true", help="attach root labels (Gamma only)"),
+    "input": dict(nargs="?", help="JSON input path, or - (the default) for stdin"),
+    "--realization": dict(help="'qdatum' or a custom table JSON path"),
+    "--j": dict(type=int, required=True),
+    "--suite": dict(choices=(*dict.fromkeys(suite for suite, _, _ in verify.SUITES), "all"), default="all"),
+    "--trials": dict(type=int, default=100),
+    "--seed": dict(type=int, default=0),
+}
+
+# name, handler, help, --format choices (the first is the default), options
+COMMANDS = (
+    ("quiver", cmd_quiver, "render the repetition quiver or its window", ("text", "dot"),
+     ("--n", "--flavor", "--xi", "--n0", "--window", "--labels")),
+    ("snake-check", cmd_snake_check, "validate a snake JSON file", ("text", "json"), ("input",)),
+    ("qr", cmd_qr, "socle position sequences of a prime snake", ("text", "json"), ("input",)),
+    ("tsystem", cmd_tsystem, "emit the extended T-system relation", ("text", "json", "latex"),
+     ("input", "--realization")),
+    ("reineke", cmd_reineke, "epsilon and epsilon* of a vertex datum", ("text", "json"), ("--n", "--j", "input")),
+    ("rho", cmd_rho, "transport a datum from the twisted to the untwisted window", ("json",), ("--n", "input")),
+    ("translate", cmd_translate, "untwisted shadow of a twisted window snake", ("json",), ("input",)),
+    ("verify", cmd_verify, "run a randomized verification suite", ("text",), ("--suite", "--trials", "--seed")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="snaketsys", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("quiver", help="render the repetition quiver or its window")
-    _common_flags(p, ("text", "dot"))
-    p.add_argument("--window", help="doubled k2 range LO:HI (default: the Gamma window)")
-    p.add_argument("--labels", action="store_true", help="attach root labels (Gamma only)")
-    p.set_defaults(func=cmd_quiver)
-
-    p = sub.add_parser("snake-check", help="validate a snake JSON file")
-    _common_flags(p, ("text", "json"))
-    p.add_argument("input", nargs="?", help="snake JSON path or - for stdin")
-    p.set_defaults(func=cmd_snake_check)
-
-    p = sub.add_parser("qr", help="socle position sequences of a prime snake")
-    _common_flags(p, ("text", "json"))
-    p.add_argument("input", nargs="?")
-    p.set_defaults(func=cmd_qr)
-
-    p = sub.add_parser("tsystem", help="emit the extended T-system relation")
-    _common_flags(p, ("text", "json", "latex"))
-    p.add_argument("input", nargs="?")
-    p.add_argument("--realization", help="'qdatum' or a custom table JSON path")
-    p.set_defaults(func=cmd_tsystem)
-
-    p = sub.add_parser("reineke", help="epsilon and epsilon* of a vertex datum")
-    _common_flags(p, ("text", "json"))
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("input", nargs="?")
-    p.set_defaults(func=cmd_reineke)
-
-    p = sub.add_parser("rho", help="transport a datum from the twisted to the untwisted window")
-    _common_flags(p, ("json",))
-    p.add_argument("input", nargs="?")
-    p.set_defaults(func=cmd_rho)
-
-    p = sub.add_parser("translate", help="untwisted shadow of a twisted window snake")
-    _common_flags(p, ("json",))
-    p.add_argument("input", nargs="?")
-    p.set_defaults(func=cmd_translate)
-
-    p = sub.add_parser("verify", help="run a randomized verification suite")
-    _common_flags(p, ("text",))
-    p.add_argument("--suite", choices=("moves", "rho", "reineke", "qr", "all"), default="all")
-    p.add_argument("--trials", type=int, default=100)
-    p.set_defaults(func=cmd_verify)
-
+    for name, func, help_, formats, options in COMMANDS:
+        p = sub.add_parser(name, help=help_)
+        for option in options:
+            p.add_argument(option, **OPTIONS[option])
+        p.add_argument("--format", choices=formats, default=formats[0])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -49,9 +49,9 @@ class TSystemRelation:
     term_d: Points       # P_[2, p-1], () denotes the unit
     first_q: Points
     first_r: Points
-    real: bool
-    prime: bool
-    hypotheses_ok: bool
+    # class constants, not fields: extended_tsystem raises on every snake
+    # for which one of them would be False
+    real = prime = hypotheses_ok = True
 
     @property
     def flavor(self) -> str:
@@ -98,9 +98,6 @@ def extended_tsystem(xi: HeightFunction, points) -> TSystemRelation:
         term_d=pts[1:-1],
         first_q=first_q,
         first_r=first_r,
-        real=True,
-        prime=True,
-        hypotheses_ok=True,
     )
 
 

@@ -7,6 +7,7 @@ failure and the test suite can assert emptiness.  All sweeps are seeded.
 from __future__ import annotations
 
 import random
+import traceback
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -396,21 +397,42 @@ def sweep_qr_dual_equivariance(ns=(2, 3, 4, 5, 6), seed: int = 0) -> SweepResult
 # -- suite runner ------------------------------------------------------------
 
 
+# (suite, result name, sweep of (trials, seed)), in report order; "all" runs every row
+SUITES = (
+    ("moves", "moves", lambda trials, seed: sweep_moves(walks_per_n=max(1, trials // 5), seed=seed)),
+    ("rho", "rho", lambda trials, seed: sweep_rho(trials_per_n0=trials, seed=seed)),
+    ("reineke", "reineke-dual",
+     lambda trials, seed: sweep_reineke_dual(trials_per_n=max(1, trials // 5), seed=seed)),
+    ("reineke", "epsilon-star",
+     lambda trials, seed: sweep_epsilon_star(trials_per_n=max(1, trials // 5), seed=seed)),
+    ("reineke", f"epsilon-predictions-{UNTWISTED}",
+     lambda trials, seed: sweep_epsilon_predictions(UNTWISTED, trials=trials, seed=seed)),
+    ("reineke", f"epsilon-predictions-{TWISTED}",
+     lambda trials, seed: sweep_epsilon_predictions(TWISTED, trials=trials, seed=seed)),
+    ("qr", f"qr-being-snake-{UNTWISTED}",
+     lambda trials, seed: sweep_qr_being_snake(UNTWISTED, trials=trials, seed=seed)),
+    ("qr", f"qr-being-snake-{TWISTED}",
+     lambda trials, seed: sweep_qr_being_snake(TWISTED, trials=trials, seed=seed)),
+    ("qr", "qr-dual-equivariance", lambda trials, seed: sweep_qr_dual_equivariance(ns=(2, 3, 4), seed=seed)),
+)
+
+
 def run_suite(suite: str, trials: int, seed: int) -> list[SweepResult]:
+    """The sweeps of a suite, in SUITES order.
+
+    A sweep that raises becomes a failed result whose first counterexample
+    names the exception (the traceback is kept in its details), and the
+    later sweeps still run.
+    """
     out: list[SweepResult] = []
-    if suite in ("moves", "all"):
-        out.append(sweep_moves(walks_per_n=max(1, trials // 5), seed=seed))
-    if suite in ("rho", "all"):
-        out.append(sweep_rho(trials_per_n0=trials, seed=seed))
-    if suite in ("reineke", "all"):
-        out.append(sweep_reineke_dual(trials_per_n=max(1, trials // 5), seed=seed))
-        out.append(sweep_epsilon_star(ns=(2, 3, 4, 5, 6), trials_per_n=max(1, trials // 5), seed=seed))
-        out.append(sweep_epsilon_predictions(UNTWISTED, trials=trials, seed=seed))
-        out.append(sweep_epsilon_predictions(TWISTED, trials=trials, seed=seed))
-    if suite in ("qr", "all"):
-        out.append(sweep_qr_being_snake(UNTWISTED, trials=trials, seed=seed))
-        out.append(sweep_qr_being_snake(TWISTED, trials=trials, seed=seed))
-        out.append(sweep_qr_dual_equivariance(ns=(2, 3, 4), seed=seed))
+    for group, name, sweep in SUITES:
+        if suite not in (group, "all"):
+            continue
+        try:
+            out.append(sweep(trials, seed))
+        except Exception as exc:
+            failure = f"{type(exc).__name__}: {exc}"
+            out.append(SweepResult(name, failed=1, first_failure=failure, details={"traceback": traceback.format_exc()}))
     if not out:
         raise ValueError(f"unknown suite {suite!r}")
     return out

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from snaketsys import snakes
-from snaketsys.cli import main
+from snaketsys.cli import build_parser, main
 from snaketsys.quivers import HeightFunction
 
 
@@ -61,6 +62,31 @@ def test_quiver_dot_window(capsys):
 def test_quiver_config_error(capsys):
     code, _, err = run(capsys, "quiver", "--xi", "2,5,6")
     assert code == 2 and "config error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--n", "3", "--xi", "4,2,4,6,8"),
+        ("--n", "4", "--flavor", "twisted", "--n0", "2"),
+        ("--n", "5", "--flavor", "twisted", "--n0", "2", "--xi=2,3,4"),
+        ("--n0", "2", "--xi", "2,4,6"),
+        ("--n", "3", "--n0", "2"),
+    ],
+    ids=["n-vs-xi", "n-vs-twisted-n0", "n-vs-twisted-xi", "n0-on-untwisted-xi", "n0-on-untwisted-n"],
+)
+def test_quiver_rejects_options_it_would_ignore(capsys, argv):
+    # an --n that is not the rank of the height function, or an --n0 on an
+    # untwisted one, was once dropped silently; now it is a config error
+    code, out, err = run(capsys, "quiver", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: ") and "Traceback" not in err
+
+
+def test_quiver_n_that_agrees_is_accepted(capsys):
+    assert run(capsys, "quiver", "--n", "5", "--xi", "4,2,4,6,8") == run(capsys, "quiver", "--xi", "4,2,4,6,8")
+    twisted = ("quiver", "--flavor", "twisted", "--n0", "2", "--format", "dot")
+    assert run(capsys, *twisted, "--n", "3") == run(capsys, *twisted)
 
 
 def test_quiver_xi_starting_negative_needs_equals(capsys):
@@ -114,6 +140,48 @@ def test_tsystem_p40_golden(capsys, flavor, argv, suffix):
     code, out, err = run(capsys, "tsystem", str(GOLDEN / f"{stem}.snake.json"), *argv)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / f"{stem}.{suffix}").read_text()
+
+
+# -- the command table: each subcommand takes only the options it reads -------
+
+OPTIONS = {
+    "quiver": ["--flavor", "--format", "--labels", "--n", "--n0", "--window", "--xi"],
+    "snake-check": ["--format", "input"],
+    "qr": ["--format", "input"],
+    "tsystem": ["--format", "--realization", "input"],
+    "reineke": ["--format", "--j", "--n", "input"],
+    "rho": ["--format", "--n", "input"],
+    "translate": ["--format", "input"],
+    "verify": ["--format", "--seed", "--suite", "--trials"],
+}
+# the six options every subcommand once took, 48 in all; 15 are left
+ONCE_SHARED = {"--n", "--flavor", "--xi", "--n0", "--format", "--seed"}
+
+
+def _subcommand_options() -> dict:
+    """Each subcommand's option strings (without -h/--help) and positionals, walked off build_parser()."""
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: sorted(s for a in p._actions for s in (a.option_strings or [a.dest]) if s not in ("-h", "--help"))
+        for name, p in subparsers.choices.items()
+    }
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    found = _subcommand_options()
+    assert found == OPTIONS
+    assert sum(len(ONCE_SHARED.intersection(opts)) for opts in found.values()) == 15
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("tsystem", "--seed", "1"), ("rho", "--xi", "2,4"), ("verify", "--n", "3"), ("snake-check", "--flavor", "twisted")],
+    ids=["tsystem-seed", "rho-xi", "verify-n", "snake-check-flavor"],
+)
+def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments" in err and "Traceback" not in err
 
 
 # every format the shared flag once accepted, minus the ones the command writes
@@ -297,6 +365,17 @@ def test_snake_input_exit_codes(capsys, tmp_path, snake):
     assert "Traceback" not in err and err.strip()
 
 
+@pytest.mark.parametrize("points", [[{"i": 4, "k2": 0}], []], ids=["off-quiver", "empty"])
+@pytest.mark.parametrize("command", ["snake-check", "qr", "tsystem", "translate"])
+def test_well_formed_snake_off_the_quiver_is_a_domain_error(capsys, tmp_path, command, points):
+    # the JSON parses, but the points are no snake on the quiver: exit 3, as
+    # for a datum key off its carrier
+    snake = {**(SNAKE_TW if command == "translate" else SNAKE_UNTW), "points": points}
+    code, out, err = run(capsys, command, write(tmp_path, "s.json", snake))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def _table(**change):
     """A custom table over the window of SNAKE_UNTW's height function, with
     the first entry's fields overridden by ``change``."""
@@ -350,6 +429,26 @@ def test_verify_reports_a_wrong_move_and_exits_one(capsys, monkeypatch):
     assert (code, err) == (1, "")
     assert out.startswith("moves: FAIL (")
     assert "\n  first counterexample: " in out
+
+
+def test_verify_reports_a_crashing_sweep_and_runs_the_rest(capsys, monkeypatch):
+    # an exception in a sweep is that sweep's failure, not a traceback: the
+    # untwisted Q/R kernel raising fails the two sweeps that reach it only
+    def broken(*args):
+        raise RuntimeError("broken kernel")
+
+    monkeypatch.setattr(snakes, "_qr_untwisted", broken)
+    code, out, err = run(capsys, "verify", "--suite", "all", "--trials", "10", "--seed", "0")
+    assert (code, err) == (1, "")
+    names = [line.split(":")[0] for line in out.splitlines() if not line.startswith(" ")]
+    assert names == [line.split(":")[0] for line in VERIFY_ALL_200_SEED_0.splitlines()]
+    failed = [line.split(":")[0] for line in out.splitlines() if ": FAIL (" in line]
+    assert failed == ["qr-being-snake-untwisted", "qr-dual-equivariance"]
+    assert out.count("\n  first counterexample: RuntimeError: broken kernel\n") == 2
+    assert "Traceback" not in out
+    from snaketsys import verify
+
+    assert "RuntimeError: broken kernel" in verify.run_suite("qr", 10, 0)[0].details["traceback"]
 
 
 @pytest.mark.parametrize("trials", ["-5", "0"])

@@ -50,7 +50,9 @@ def test_untwisted_golden_relation():
     assert rel.term_d == (V(2, 2),)
     assert rel.first_q == (V(1, 1),)
     assert rel.first_r == (V(3, 1), V(3, 3))
-    assert rel.real and rel.prime and rel.hypotheses_ok
+    assert rel.real is rel.prime is rel.hypotheses_ok is True
+    # constants of the class, not stored per record
+    assert not {"real", "prime", "hypotheses_ok"} & set(vars(rel))
 
 
 def test_twisted_golden_relation():
