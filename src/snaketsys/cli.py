@@ -5,8 +5,8 @@ verify.  Each takes only the options it reads (the COMMANDS table) and
 --format with the formats it writes.  Snake/datum/table JSON is read from a
 file argument or standard input.  Exit codes: 0 ok, 1 verification failure,
 2 config error, 3 domain precondition failure (a snake point off the
-quiver, a datum key off its carrier, ...), 4 parse error (not JSON, or an
-entry of the wrong type or shape).
+quiver, heights that are no height function, a datum key off its carrier,
+...), 4 parse error (not JSON, or an entry of the wrong type or shape).
 """
 from __future__ import annotations
 

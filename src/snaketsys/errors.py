@@ -57,6 +57,14 @@ class MissingTableEntry(DomainError):
     pass
 
 
+class NotAnInteger(DomainError):
+    """A count that is not an int (a float, a bool, a Fraction, ...)."""
+
+
+class NotHeightFunction(DomainError):
+    """Values that break the height rule of their flavor."""
+
+
 class InternalError(AssertionError):
     """A failed internal consistency check: a bug, not bad input.
 

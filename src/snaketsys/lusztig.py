@@ -2,9 +2,12 @@
 
 A LusztigDatum binds a reduced word to its tuple of nonnegative counts so the
 two cannot fall out of sync.  A VertexDatum keys the counts by quiver
-vertices instead, in a read-only copy of the caller's mapping; on
-vertex-keyed data 2-moves act trivially, so rho is a pure composition of
-3-moves located by vertex coordinates.
+vertices instead, in a read-only copy of the caller's mapping keyed by the
+carrier's own Vertex objects (one shared {v: v} index per Gamma window), so
+data on one window share their keys and a plain (i, k2) key is stored as
+the carrier's Vertex; its counts are ints, never bools.  On vertex-keyed
+data 2-moves act trivially, so rho is a pure composition of 3-moves located
+by vertex coordinates.
 
 The chain of carriers V<n0>, ..., V<n+1> interpolates between the window of
 the twisted staircase big_theta (V<n0>) and that of its untwisted companion
@@ -47,7 +50,7 @@ from types import MappingProxyType
 from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
 from . import roots
-from .errors import InternalError, NotBraidPattern, NotCommuting, NotLongestWord, WrongCarrier
+from .errors import InternalError, NotAnInteger, NotBraidPattern, NotCommuting, NotLongestWord, WrongCarrier
 from .quivers import HeightFunction, Vertex, json_int
 
 GAMMA_THETA = "gamma-theta"    # window of the untwisted staircase theta
@@ -184,6 +187,12 @@ def _carrier_vertices(name: str, n: int) -> frozenset[Vertex]:
     return frozenset(Carrier(name, n).height_function().gamma_vertices())
 
 
+@lru_cache(maxsize=64)
+def _carrier_index(name: str, n: int) -> Mapping[Vertex, Vertex]:
+    """The vertices of a Gamma window carrier, each keyed by itself."""
+    return MappingProxyType({v: v for v in _carrier_vertices(name, n)})
+
+
 def _rows(verts: Iterable[Vertex], n: int) -> list[set[Vertex]]:
     """verts by row: entry i holds row i of rank n (entries 0 and n+1 stay empty)."""
     rows: list[set[Vertex]] = [set() for _ in range(n + 2)]
@@ -229,16 +238,22 @@ def vj_carrier(n0: int, j: int) -> Carrier:
 @dataclass(frozen=True)
 class VertexDatum:
     carrier: Carrier
-    counts: Mapping[Vertex, int] = field(default_factory=dict)  # kept as a read-only copy
+    counts: Mapping[Vertex, int] = field(default_factory=dict)  # a read-only copy on the carrier's own keys
 
     def __post_init__(self):
-        counts, keys = dict(self.counts), self.carrier.vertices()
-        if not counts.keys() <= keys:
-            bad = [v for v in counts if v not in keys]
-            raise WrongCarrier(f"keys {bad[:3]} outside carrier {self.carrier.name}")
+        carrier, counts = self.carrier, dict(self.counts)
+        # each vertex keyed by itself: shared per Gamma window, built afresh for a V<j> (as its vertices are)
+        index = {v: v for v in carrier.vertices()} if carrier.kind == "vj" else _carrier_index(carrier.name, carrier.n)
+        if not counts.keys() <= index.keys():
+            bad = [v for v in counts if v not in index]
+            raise WrongCarrier(f"keys {bad[:3]} outside carrier {carrier.name}")
+        if not set(map(type, counts.values())) <= {int}:
+            bad = next(c for c in counts.values() if type(c) is not int)
+            raise NotAnInteger(f"counts must be integers, got {bad!r}")
         if counts and min(counts.values()) < 0:
             raise ValueError("counts must be nonnegative")
-        object.__setattr__(self, "counts", MappingProxyType(counts))
+        keys = map(index.__getitem__, counts)
+        object.__setattr__(self, "counts", MappingProxyType(dict(zip(keys, counts.values()))))
 
     @classmethod
     def _trusted(cls, carrier: Carrier, counts: dict[Vertex, int]) -> "VertexDatum":

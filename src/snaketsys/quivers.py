@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from . import roots
-from .errors import InternalError, OutsideWindow
+from .errors import InternalError, NotHeightFunction, OutsideWindow
 from .roots import Root
 
 UNTWISTED = "untwisted"
@@ -72,37 +72,38 @@ class HeightFunction:
     n0: int | None = None
 
     def __post_init__(self):
+        # checked first: an unknown flavor is a plain ValueError whatever the values
+        if self.flavor not in (UNTWISTED, TWISTED):
+            raise ValueError(f"unknown flavor {self.flavor!r}")
         if self.n < 1 or len(self.values2) != self.n:
-            raise ValueError("values must assign one height per node")
+            raise NotHeightFunction("values must assign one height per node")
         if self.flavor == UNTWISTED:
             if self.n0 is not None:
-                raise ValueError("untwisted height function takes no n0")
+                raise NotHeightFunction("untwisted height function takes no n0")
             if any(v % 2 for v in self.values2):
-                raise ValueError("untwisted heights must be integers")
+                raise NotHeightFunction("untwisted heights must be integers")
             for i in range(1, self.n):
                 if abs(self.values2[i] - self.values2[i - 1]) != 2:
-                    raise ValueError(f"|xi_{i} - xi_{i+1}| != 1")
-        elif self.flavor == TWISTED:
+                    raise NotHeightFunction(f"|xi_{i} - xi_{i+1}| != 1")
+        else:
             n0 = self.n0
             if n0 is None or n0 < 2 or self.n != 2 * n0 - 1:
-                raise ValueError("twisted height function needs n = 2*n0 - 1, n0 >= 2")
+                raise NotHeightFunction("twisted height function needs n = 2*n0 - 1, n0 >= 2")
             for i in range(1, self.n + 1):
                 if i != n0 and self.values2[i - 1] % 2:
-                    raise ValueError(f"xi_{i} must be an integer")
+                    raise NotHeightFunction(f"xi_{i} must be an integer")
             if self.values2[n0 - 1] % 2 == 0:
-                raise ValueError("xi_n0 must be a half-integer")
+                raise NotHeightFunction("xi_n0 must be a half-integer")
             for i in range(1, self.n):
                 if i in (n0 - 1, n0):
                     continue
                 if abs(self.values2[i] - self.values2[i - 1]) != 2:
-                    raise ValueError(f"|xi_{i} - xi_{i+1}| != 1")
+                    raise NotHeightFunction(f"|xi_{i} - xi_{i+1}| != 1")
             lo = min(self.values2[n0 - 2], self.values2[n0])
             if abs(self.values2[n0 - 2] - self.values2[n0]) != 2:
-                raise ValueError("|xi_{n0-1} - xi_{n0+1}| != 1")
+                raise NotHeightFunction("|xi_{n0-1} - xi_{n0+1}| != 1")
             if abs(self.values2[n0 - 1] - lo) != 1:
-                raise ValueError("|xi_n0 - min(xi_{n0-1}, xi_{n0+1})| != 1/2")
-        else:
-            raise ValueError(f"unknown flavor {self.flavor!r}")
+                raise NotHeightFunction("|xi_n0 - min(xi_{n0-1}, xi_{n0+1})| != 1/2")
 
     # -- constructors -------------------------------------------------
 

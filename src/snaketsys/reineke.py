@@ -6,8 +6,12 @@ diamond Omega_j.  In the coordinates (k+i, k-i) Omega_j is a full rectangle
 whose arrows are the unit steps, so ``omega`` writes it down in closed form,
 a lower set is a staircase of column heights that never rise to the right,
 and epsilon is a dynamic programme over the columns, linear in |Omega_j|.
-The reference oracles live in ``verify``: Omega_j as the preceq interval of
-the window, and epsilon by enumerating that interval's order ideals.
+epsilon*_j is epsilon_j of the dual datum cv_{(i,k)} = c_{(i*, n-k)} on
+the other window, which is never built: the weights are read off c through
+the duality map (i, k2) -> (n+1-i, 2n-k2), so epsilon* costs what epsilon
+does.  The reference oracles live in ``verify``: Omega_j as the preceq
+interval of the window, epsilon by enumerating that interval's order
+ideals, and the dual datum itself.
 """
 from __future__ import annotations
 
@@ -55,27 +59,25 @@ def omega(n: int, j: int) -> OmegaPoset:
 
 
 def _weights(om: OmegaPoset, d: VertexDatum) -> list[int]:
-    get, out = d.counts.get, []
-    for v in om.vertices:
-        w = get(v, 0)
-        if v.k2 - 4 >= 0:
-            w -= get(Vertex(v.i, v.k2 - 4), 0)
-        out.append(w)
-    return out
+    """The weight c_{i,k} - c_{i,k-2} of each vertex of om in turn.
 
-
-def epsilon(j: int, d: VertexDatum) -> int:
-    """Reineke's epsilon_j, a staircase programme over the columns of Omega_j.
-
-    The datum must live on the matching-parity window.
+    The key below a vertex is a plain (i, k2) tuple, which hashes and
+    compares as the Vertex keys do.
     """
-    delta = delta_of_carrier(d.carrier)
-    if bar(j) != delta:
-        raise ParityMismatch(f"epsilon_{j} needs the parity-{bar(j)} window, got {delta}")
-    wts = _weights(omega(d.carrier.n, j), d)
-    # the weights run column by column, j rows each; best[h]: optimum of the
-    # columns right of the current one, given that the current column has
-    # height h (a lower set never rises to the right)
+    get = d.counts.get
+    return [get(v, 0) - get((v.i, v.k2 - 4), 0) for v in om.vertices]
+
+
+def _dual_weights(om: OmegaPoset, d: VertexDatum) -> list[int]:
+    """The weights of d's dual datum, whose count at (i, k2) is d's at (n+1-i, 2n-k2)."""
+    get, m, t = d.counts.get, d.carrier.n + 1, 2 * d.carrier.n
+    return [get((m - i, t - k2), 0) - get((m - i, t - k2 + 4), 0) for i, k2 in om.vertices]
+
+
+def _staircase(j: int, wts: list[int]) -> int:
+    """The best lower set of Omega_j under the weights, which run column by column, j rows each."""
+    # best[h]: optimum of the columns right of the current one, given that
+    # the current column has height h (a lower set never rises to the right)
     best = [0] * (j + 1)
     for x in reversed(range(0, len(wts), j)):
         total = run = 0
@@ -86,13 +88,24 @@ def epsilon(j: int, d: VertexDatum) -> int:
     return best[-1]
 
 
+def epsilon(j: int, d: VertexDatum) -> int:
+    """Reineke's epsilon_j, a staircase programme over the columns of Omega_j.
+
+    The datum must live on the matching-parity window.
+    """
+    delta = delta_of_carrier(d.carrier)
+    if bar(j) != delta:
+        raise ParityMismatch(f"epsilon_{j} needs the parity-{bar(j)} window, got {delta}")
+    return _staircase(j, _weights(omega(d.carrier.n, j), d))
+
+
 def epsilon_other_parity(j: int, d: VertexDatum) -> int:
     """First-letter shortcut: on the opposite-parity window epsilon_j = c_{j,0}."""
     roots.check_node(d.carrier.n, j)
     delta = delta_of_carrier(d.carrier)
     if bar(j) == delta:
         raise ParityMismatch(f"node {j} has the carrier parity; use epsilon")
-    return d.get(Vertex(j, 0))
+    return d.counts.get((j, 0), 0)
 
 
 def epsilon_any(j: int, d: VertexDatum) -> int:
@@ -102,17 +115,15 @@ def epsilon_any(j: int, d: VertexDatum) -> int:
     return epsilon_other_parity(j, d)
 
 
-def dual_vertex_datum(d: VertexDatum) -> VertexDatum:
-    """c-dual on the complementary window: cv_{(i,k)} = c_{(i*, n-k)}.
-
-    The carrier flips delta -> 1 - delta (the vertex map (i,k) -> (i*, n-k)
-    exchanges exactly the two canonical windows).
-    """
-    n = d.carrier.n
-    dual = Carrier(f"gamma-delta:{1 - delta_of_carrier(d.carrier)}", n)
-    return VertexDatum(dual, {Vertex(roots.star(n, v.i), 2 * n - v.k2): c for v, c in d.counts.items() if c})
-
-
 def epsilon_star(j: int, d: VertexDatum) -> int:
-    """epsilon*_j computed as epsilon_j of the dual datum."""
-    return epsilon_any(j, dual_vertex_datum(d))
+    """epsilon*_j: epsilon_j of the dual datum on the other window, read off d through the duality map.
+
+    When j has the other window's parity this is the staircase on the dual
+    weights; otherwise it is the dual's first letter, cv_{(j,0)} = c_{(j*, n)}.
+    """
+    delta = delta_of_carrier(d.carrier)
+    n = d.carrier.n
+    roots.check_node(n, j)
+    if bar(j) == delta:
+        return d.counts.get((roots.star(n, j), 2 * n), 0)
+    return _staircase(j, _dual_weights(omega(n, j), d))

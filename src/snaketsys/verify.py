@@ -199,6 +199,18 @@ def epsilon_bruteforce(om: OmegaInterval, d: VertexDatum) -> int:
     return best
 
 
+def dual_vertex_datum(d: VertexDatum) -> VertexDatum:
+    """The c-dual datum, built: cv_{(i,k)} = c_{(i*, n-k)} on the complementary window.
+
+    The carrier flips delta -> 1 - delta (the vertex map (i,k) -> (i*, n-k)
+    exchanges exactly the two canonical windows).  ``reineke.epsilon_star``
+    reads this datum through the map without building it.
+    """
+    n = d.carrier.n
+    dual = Carrier(f"gamma-delta:{1 - reineke.delta_of_carrier(d.carrier)}", n)
+    return VertexDatum(dual, {Vertex(roots.star(n, v.i), 2 * n - v.k2): c for v, c in d.counts.items() if c})
+
+
 def sweep_reineke_dual(ns=(2, 3, 4, 5, 6), trials_per_n: int = 200, seed: int = 0) -> SweepResult:
     """Brute force on the preceq interval against the staircase programme on the closed form, every j."""
     res = SweepResult("reineke-dual")
@@ -217,7 +229,7 @@ def sweep_reineke_dual(ns=(2, 3, 4, 5, 6), trials_per_n: int = 200, seed: int = 
 
 
 def sweep_epsilon_star(ns=(2, 3, 4, 5, 6), trials_per_n: int = 200, seed: int = 0) -> SweepResult:
-    """epsilon* via the dual-datum formula against the word-level star route."""
+    """epsilon* read through the duality map against the word-level star route."""
     res = SweepResult("epsilon-star")
     rng = random.Random(seed)
     for n in ns:

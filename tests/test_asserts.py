@@ -4,7 +4,8 @@ Library checks raise explicitly (``errors.InternalError`` for a bug, a
 ``DomainError`` for bad input).  No module may hold an assert, so the
 allowlist below stays empty.  The ``_trusted`` constructors skip the datum
 checks, so only the lusztig kernels whose plan check or move rule proves
-their results valid may use them.
+their results valid may use them, and the reference oracles stay in
+``verify``, off the production path.
 """
 import ast
 import os
@@ -16,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "snaketsys"
 ALLOWED: set[str] = set()
 TRUSTED_USES = {"lusztig.py": 4}  # two_move, apply_three_move, rho_step, rho
+ORACLES = {"dual_vertex_datum", "epsilon_bruteforce", "omega_interval"}  # verify's own
 
 
 def _assert_lines(path: Path) -> list[int]:
@@ -40,6 +42,23 @@ def _trusted_lines(path: Path) -> list[int]:
 def test_trusted_constructors_used_only_in_lusztig():
     found = {path.name: _trusted_lines(path) for path in sorted(SRC.glob("*.py"))}
     assert {name: len(lines) for name, lines in found.items() if lines} == TRUSTED_USES, found
+
+
+def _oracle_lines(path: Path) -> list[int]:
+    """The lines of path that name an oracle: as a name, an attribute, an import or a definition."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and node.id in ORACLES
+        or isinstance(node, ast.Attribute) and node.attr in ORACLES
+        or isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)) and node.name in ORACLES
+    ]
+
+
+def test_reference_oracles_stay_in_verify():
+    # the dual datum, Omega_j as a preceq interval and the order-ideal
+    # enumeration are oracles: no production module may name them
+    found = {path.name: _oracle_lines(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name for name, lines in found.items() if lines} == {"verify.py"}, found
 
 
 def _verify_stdout(*python_flags: str) -> str:

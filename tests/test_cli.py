@@ -365,6 +365,31 @@ def test_snake_input_exit_codes(capsys, tmp_path, snake):
     assert "Traceback" not in err and err.strip()
 
 
+@pytest.mark.parametrize(
+    "snake, want",
+    [
+        ({**SNAKE_UNTW, "xi": [2, 5, 6]}, 3),
+        ({**SNAKE_UNTW, "xi": [2, 4, 8]}, 3),
+        ({**SNAKE_UNTW, "xi": []}, 3),
+        ({**SNAKE_TW, "n0": 3}, 3),
+        ({**SNAKE_TW, "xi": [2, 4, 6]}, 3),
+        ({**SNAKE_UNTW, "flavor": "bogus", "xi": []}, 4),
+        ({**SNAKE_UNTW, "flavor": "bogus", "xi": [2, 5, 6]}, 4),
+    ],
+    ids=["half-integer", "step-of-two", "no-heights", "n-vs-n0", "integer-middle", "bogus-no-heights",
+         "bogus-half-integer"],
+)
+def test_snake_heights_off_the_height_rule_are_a_domain_error(capsys, tmp_path, snake, want):
+    # an xi of JSON integers that is no height function of its flavor is a
+    # domain error (exit 3), as a point off the quiver is; an unknown flavor
+    # stays a parse error (exit 4) whatever the heights
+    code, out, err = run(capsys, "snake-check", write(tmp_path, "s.json", snake))
+    assert (code, out) == (want, "")
+    assert err.strip() and "Traceback" not in err
+    assert err.startswith("error: ") == (want == 3)
+    assert run(capsys, "quiver", "--xi", "2,5,6")[0] == 2  # on the command line it is a config error
+
+
 @pytest.mark.parametrize("points", [[{"i": 4, "k2": 0}], []], ids=["off-quiver", "empty"])
 @pytest.mark.parametrize("command", ["snake-check", "qr", "tsystem", "translate"])
 def test_well_formed_snake_off_the_quiver_is_a_domain_error(capsys, tmp_path, command, points):

@@ -1,10 +1,21 @@
 import hashlib
 import json
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
-from snaketsys.errors import InternalError, NotBraidPattern, NotCommuting, NotLongestWord, WrongCarrier
+from snaketsys import reineke
+from snaketsys.errors import (
+    DomainError,
+    InternalError,
+    NotAnInteger,
+    NotBraidPattern,
+    NotCommuting,
+    NotLongestWord,
+    WrongCarrier,
+)
 from snaketsys.lusztig import (
     GAMMA_BIG_THETA,
     GAMMA_THETA,
@@ -192,6 +203,52 @@ def test_vertex_datum_counts_are_a_read_only_copy():
         with pytest.raises(TypeError):
             del datum.counts[next(iter(datum.counts))]
     assert rho(d) == rho(VertexDatum(carrier, {v: 2}))
+
+
+def test_vertex_datum_keys_are_the_carriers_own_vertices():
+    # the stored keys are the carrier's Vertex objects, whatever the caller
+    # passed: two data on one window share them, and a plain (i, k2) key is
+    # stored as a Vertex, so JSON output and epsilon* read it
+    for carrier in (Carrier("gamma-delta:0", 3), Carrier(GAMMA_BIG_THETA, 7), Carrier(GAMMA_THETA, 7)):
+        own = {v: v for v in carrier.vertices()}
+        a = VertexDatum(carrier, {Vertex(*v): 1 for v in own})
+        b = VertexDatum(carrier, {tuple(v): 2 for v in own})
+        assert len(a.counts) == len(b.counts) == len(own)
+        for ka, kb in zip(sorted(a.counts), sorted(b.counts)):
+            assert ka is kb is own[ka] and type(kb) is Vertex
+        assert unit_datum(carrier, [Vertex(*v) for v in own]) == a
+    d = VertexDatum(Carrier("gamma-delta:0", 3), {(1, 4): 3, (2, 2): 1})
+    assert d.counts == {Vertex(1, 4): 3, Vertex(2, 2): 1} and {type(v) for v in d.counts} == {Vertex}
+    entries = [{"i": 2, "k2": 2, "c": 1}, {"i": 1, "k2": 4, "c": 3}]
+    assert datum_to_json(d) == {"carrier": "gamma-delta:0", "entries": entries}
+    assert [reineke.epsilon_star(j, d) for j in (1, 2, 3)] == [1, 0, 4]  # epsilon_j of the built dual datum
+    assert datum_from_json(datum_to_json(d), 3) == d
+
+
+def test_vj_datum_keys_are_vertices_of_its_carrier():
+    # a V<j> carrier builds its vertices, and its key index, per call
+    carrier = Carrier("vj:5", 7)
+    verts = carrier.vertices()
+    d = VertexDatum(carrier, {tuple(v): 1 for v in verts})
+    assert d.counts.keys() == verts and {type(v) for v in d.counts} == {Vertex}
+    assert rho_step(5, d) == rho_step(5, VertexDatum(carrier, {v: 1 for v in verts}))
+
+
+@pytest.mark.parametrize(
+    "bad", [1.5, 2.0, True, False, Fraction(1), Fraction(3, 2), "1", None],
+    ids=["float", "integral-float", "true", "false", "integral-fraction", "fraction", "string", "none"],
+)
+def test_vertex_datum_counts_must_be_ints(bad):
+    # floats, bools and Fractions are no counts, even when integral; the
+    # error is a DomainError (so a ValueError) naming the value
+    carrier = Carrier(GAMMA_BIG_THETA, 7)
+    v, w = sorted(carrier.vertices())[:2]
+    with pytest.raises(NotAnInteger, match=f"counts must be integers, got {re.escape(repr(bad))}") as exc:
+        VertexDatum(carrier, {v: 1, w: bad})
+    assert isinstance(exc.value, DomainError) and isinstance(exc.value, ValueError)
+    with pytest.raises(WrongCarrier):  # keys are checked first
+        VertexDatum(carrier, {Vertex(1, 1): bad})
+    assert VertexDatum(carrier, {v: 10**30, w: 0}).counts == {v: 10**30, w: 0}
 
 
 def test_rho_zero_datum():

@@ -1,13 +1,16 @@
+import hashlib
+import json
 import random
 import re
 
 import pytest
 
 from snaketsys import reineke
+from snaketsys.cli import main
 from snaketsys.errors import ParityMismatch
-from snaketsys.lusztig import Carrier, VertexDatum
+from snaketsys.lusztig import Carrier, VertexDatum, datum_to_json
 from snaketsys.quivers import HeightFunction, Vertex
-from snaketsys.verify import epsilon_bruteforce, omega_interval
+from snaketsys.verify import dual_vertex_datum, epsilon_bruteforce, omega_interval
 
 
 def _datum(n, delta, entries):
@@ -175,12 +178,12 @@ def test_solvers_agree():
 
 def test_dual_datum():
     d = _datum(5, 0, {(2, 1): 3})
-    dual = reineke.dual_vertex_datum(d)
+    dual = dual_vertex_datum(d)
     assert reineke.delta_of_carrier(dual.carrier) == 1
     # cv_{(i,k)} = c_{(i*, n-k)}: the count lands at (4,4)
     assert dual.nonzero() == {Vertex(4, 8): 3}
     # dualizing twice restores the datum
-    assert reineke.dual_vertex_datum(dual).nonzero() == d.nonzero()
+    assert dual_vertex_datum(dual).nonzero() == d.nonzero()
 
 
 def test_epsilon_star_examples():
@@ -209,7 +212,7 @@ def test_epsilon_star_composed_with_dual_is_epsilon():
             counts = {v: rng.randint(0, 3) for v in carrier.vertices() if rng.random() < 0.5}
             d = VertexDatum(carrier, counts)
             for j in range(1, n + 1):
-                assert reineke.epsilon_star(j, reineke.dual_vertex_datum(d)) == reineke.epsilon_any(j, d)
+                assert reineke.epsilon_star(j, dual_vertex_datum(d)) == reineke.epsilon_any(j, d)
 
 
 def test_solvers_agree_beyond_dispatch_threshold():
@@ -262,3 +265,62 @@ def test_closed_form_omega_is_the_preceq_interval_up_to_rank_24():
             steps = {(col[y], col[y + 1]) for col in om.columns for y in range(j - 1)}
             steps |= {(left[y], right[y]) for left, right in zip(om.columns, om.columns[1:]) for y in range(j)}
             assert steps == {(ref.vertices[a], ref.vertices[b]) for a, b in ref.covers}, (n, j)
+
+
+def _seeded_canonical_data(rng):
+    """Seeded data on both canonical windows of each rank: empty, dense, sparse, and sparse with stored zeros."""
+    for n in (*range(1, 9), 12, 24):
+        for delta in (0, 1):
+            carrier = Carrier(f"gamma-delta:{delta}", n)
+            verts = sorted(carrier.vertices())
+            yield n, [
+                VertexDatum(carrier, {}),
+                VertexDatum(carrier, {v: rng.randint(0, 9) for v in verts}),
+                VertexDatum(carrier, {v: rng.randint(1, 5) for v in verts if rng.random() < 0.15}),
+                VertexDatum(carrier, {v: rng.randint(1, 5) if rng.random() < 0.3 else 0 for v in verts}),
+            ]
+
+
+def test_epsilon_and_epsilon_star_are_pinned(capsys, tmp_path):
+    # epsilon_j and epsilon*_j for every j of seeded data, then the stdout of
+    # `reineke --format json` on the same data; the digest was written down
+    # while epsilon* still built the dual datum
+    lines, out = [], []
+    for n, data in _seeded_canonical_data(random.Random(20)):
+        for d in data:
+            lines.append(" ".join(f"{reineke.epsilon_any(j, d)},{reineke.epsilon_star(j, d)}" for j in range(1, n + 1)))
+            path = tmp_path / "d.json"
+            path.write_text(json.dumps(datum_to_json(d)))
+            for j in range(1, n + 1):
+                assert main(["reineke", "--n", str(n), "--j", str(j), str(path), "--format", "json"]) == 0
+                out.append(capsys.readouterr().out)
+    assert len(lines) == 4 * 2 * 10 and len(out) == 4 * 2 * (36 + 12 + 24)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == "c087ddc176298f320507e8e86cbd4e3acfd5fcbd15f1af4a8014b9dae00db464"
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == "a5321ff76acb0122254c3c1d60d2c571eb2c35884757e99e6e8d78f9e53ff6e9"
+
+
+def test_epsilon_star_is_epsilon_of_the_built_dual_datum():
+    for n, data in _seeded_canonical_data(random.Random(20)):
+        for d in data:
+            dual = dual_vertex_datum(d)
+            for j in range(1, n + 1):
+                assert reineke.epsilon_star(j, d) == reineke.epsilon_any(j, dual), (n, j, d.nonzero())
+
+
+def test_epsilon_star_builds_no_datum_and_no_vertex(monkeypatch):
+    # epsilon* reads the counts through the duality map: no dual VertexDatum
+    # (checked or trusted) and no Vertex is built once omega is cached
+    built = []
+    post_init, trusted, new = VertexDatum.__post_init__, VertexDatum._trusted.__func__, Vertex.__new__
+    data = [d for _, ds in _seeded_canonical_data(random.Random(20)) for d in ds]
+    for d in data:
+        for j in range(1, d.carrier.n + 1):
+            reineke.omega(d.carrier.n, j)
+    monkeypatch.setattr(VertexDatum, "__post_init__", lambda self: (built.append(self), post_init(self))[1])
+    monkeypatch.setattr(VertexDatum, "_trusted", classmethod(lambda cls, *a: (built.append(a), trusted(cls, *a))[1]))
+    monkeypatch.setattr(Vertex, "__new__", staticmethod(lambda cls, *a: (built.append(a), new(cls, *a))[1]))
+    values = [reineke.epsilon_star(j, d) for d in data for j in range(1, d.carrier.n + 1)]
+    assert len(values) == 4 * 2 * (36 + 12 + 24) and built == []
+    VertexDatum(data[0].carrier, {})
+    Vertex(1, 0)
+    assert len(built) == 2  # the counters see a construction
