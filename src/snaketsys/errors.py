@@ -9,10 +9,6 @@ class NotReduced(DomainError):
     pass
 
 
-class NotSinkOrSource(DomainError):
-    pass
-
-
 class OutsideWindow(DomainError):
     pass
 
@@ -58,7 +54,7 @@ class MissingTableEntry(DomainError):
 
 
 class NotAnInteger(DomainError):
-    """A count that is not an int (a float, a bool, a Fraction, ...)."""
+    """A count, letter, height or rank that is not an int (a float, a bool, a Fraction, ...)."""
 
 
 class NotHeightFunction(DomainError):

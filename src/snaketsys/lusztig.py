@@ -2,12 +2,12 @@
 
 A LusztigDatum binds a reduced word to its tuple of nonnegative counts so the
 two cannot fall out of sync.  A VertexDatum keys the counts by quiver
-vertices instead, in a read-only copy of the caller's mapping keyed by the
-carrier's own Vertex objects (one shared {v: v} index per Gamma window), so
-data on one window share their keys and a plain (i, k2) key is stored as
-the carrier's Vertex; its counts are ints, never bools.  On vertex-keyed
-data 2-moves act trivially, so rho is a pure composition of 3-moves located
-by vertex coordinates.
+vertices instead, in a read-only copy of the caller's support (its nonzero
+counts) keyed by the carrier's own Vertex objects (one shared {v: v} index
+per Gamma window), so data on one window share their keys and a plain
+(i, k2) key is stored as the carrier's Vertex; its counts are ints, never
+bools.  On vertex-keyed data 2-moves act trivially, so rho is a pure
+composition of 3-moves located by vertex coordinates.
 
 The chain of carriers V<n0>, ..., V<n+1> interpolates between the window of
 the twisted staircase big_theta (V<n0>) and that of its untwisted companion
@@ -32,9 +32,9 @@ rank and builds no intermediate carrier.  rho and rho_step share one kernel
 that moves only the rows its layers touch (rows j, j+1 for rho_<j>, rows
 >= n0 for rho): it copies the input's counts with their stored hashes, pops
 the moved rows into slots, runs the layers in place and adds their nonzero
-results, so rho_step does O(n) Python work.  The check proves the keys of
-the rows written and 3-moves keep counts nonnegative, so the result is not
-checked again; only the input's carrier is checked per call.
+results, so rho_step does O(n) Python work and one C-level dict copy.  The
+check proves the keys of the rows written and 3-moves keep counts
+nonnegative, so results are not checked again, only the input's carrier.
 
 Only the Gamma windows (gamma-theta, gamma-THETA, gamma-delta:*) are cached,
 in a bounded cache; V<n0> and V<n+1> are the two staircase windows.  An
@@ -50,8 +50,8 @@ from types import MappingProxyType
 from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
 from . import roots
-from .errors import InternalError, NotAnInteger, NotBraidPattern, NotCommuting, NotLongestWord, WrongCarrier
-from .quivers import HeightFunction, Vertex, json_int
+from .errors import InternalError, NotBraidPattern, NotCommuting, NotLongestWord, WrongCarrier
+from .quivers import HeightFunction, Vertex, exact_ints, json_int
 
 GAMMA_THETA = "gamma-theta"    # window of the untwisted staircase theta
 GAMMA_BIG_THETA = "gamma-THETA"  # window of the twisted staircase big_theta
@@ -67,6 +67,7 @@ class LusztigDatum:
     counts: tuple[int, ...]
 
     def __post_init__(self):
+        exact_ints("rank, letters and counts", (self.n, *self.word, *self.counts))
         if len(self.word) != len(self.counts):
             raise ValueError("word and counts must have equal length")
         if any(c < 0 for c in self.counts):
@@ -238,7 +239,7 @@ def vj_carrier(n0: int, j: int) -> Carrier:
 @dataclass(frozen=True)
 class VertexDatum:
     carrier: Carrier
-    counts: Mapping[Vertex, int] = field(default_factory=dict)  # a read-only copy on the carrier's own keys
+    counts: Mapping[Vertex, int] = field(default_factory=dict)  # a read-only copy of the support on the carrier's own keys
 
     def __post_init__(self):
         carrier, counts = self.carrier, dict(self.counts)
@@ -247,17 +248,15 @@ class VertexDatum:
         if not counts.keys() <= index.keys():
             bad = [v for v in counts if v not in index]
             raise WrongCarrier(f"keys {bad[:3]} outside carrier {carrier.name}")
-        if not set(map(type, counts.values())) <= {int}:
-            bad = next(c for c in counts.values() if type(c) is not int)
-            raise NotAnInteger(f"counts must be integers, got {bad!r}")
+        exact_ints("counts", counts.values())
         if counts and min(counts.values()) < 0:
             raise ValueError("counts must be nonnegative")
-        keys = map(index.__getitem__, counts)
-        object.__setattr__(self, "counts", MappingProxyType(dict(zip(keys, counts.values()))))
+        keys, values = map(index.__getitem__, counts), counts.values()
+        object.__setattr__(self, "counts", MappingProxyType(dict(compress(zip(keys, values), values))))
 
     @classmethod
     def _trusted(cls, carrier: Carrier, counts: dict[Vertex, int]) -> "VertexDatum":
-        """A datum on a fresh dict no one else holds, with keys in the carrier and counts >= 0: no check."""
+        """A datum on a fresh dict no one else holds, with keys in the carrier and counts > 0: no check."""
         d = object.__new__(cls)
         d.__dict__.update(carrier=carrier, counts=MappingProxyType(counts))
         return d
@@ -266,7 +265,7 @@ class VertexDatum:
         return self.counts.get(v, 0)
 
     def nonzero(self) -> dict[Vertex, int]:
-        return {v: c for v, c in sorted(self.counts.items()) if c != 0}
+        return dict(sorted(self.counts.items()))
 
 
 def unit_datum(carrier: Carrier, points: Sequence[Vertex]) -> VertexDatum:
@@ -372,7 +371,7 @@ def _check_layer(n0: int, j: int, layer: _Layer, src_rows: AbstractSet[int], dst
 
 def _transport(keys: Sequence[Vertex], layers: Sequence[_Layer], entry: Sequence[slice], exit: Sequence[slice],
                d: VertexDatum) -> dict[Vertex, int]:
-    """d's nonzero counts, the entry slots' rows run through the layers onto the exit slots' rows.
+    """d's counts, the entry slots' rows run through the layers onto the exit slots' rows, zeros dropped.
 
     Only the moved rows' keys are hashed; the rest keep the copy's stored
     hashes.  A triple whose reads are all 0 writes nothing; read slots keep
@@ -390,9 +389,6 @@ def _transport(keys: Sequence[Vertex], layers: Sequence[_Layer], entry: Sequence
                 vals[x], vals[y], vals[z] = cb + cc - m, m, ca + cb - m
         for s, t in layer.moves:
             vals[t] = vals[s]
-    if not all(out.values()):  # stored zeros in the copied rows
-        for v in [v for v, c in out.items() if not c]:
-            del out[v]
     for run in exit:
         got = vals[run]
         out.update(compress(zip(keys[run], got), got))
@@ -430,7 +426,7 @@ def rho(d: VertexDatum) -> VertexDatum:
 
 
 def datum_to_json(d: VertexDatum) -> dict:
-    entries = [{"i": v.i, "k2": v.k2, "c": c} for v, c in sorted(d.counts.items(), key=lambda t: (t[0].k2, t[0].i)) if c != 0]
+    entries = [{"i": v.i, "k2": v.k2, "c": c} for v, c in sorted(d.counts.items(), key=lambda t: (t[0].k2, t[0].i))]
     return {"carrier": d.carrier.name, "entries": entries}
 
 

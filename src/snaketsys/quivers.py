@@ -14,10 +14,10 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Collection, Iterable, Mapping, NamedTuple
 
 from . import roots
-from .errors import InternalError, NotHeightFunction, OutsideWindow
+from .errors import InternalError, NotAnInteger, NotHeightFunction, OutsideWindow
 from .roots import Root
 
 UNTWISTED = "untwisted"
@@ -55,6 +55,12 @@ def json_int(x) -> int:
     return x
 
 
+def exact_ints(what: str, values: Collection) -> None:
+    """Raise NotAnInteger naming the first of values that is not an int (a bool is none)."""
+    if not set(map(type, values)) <= {int}:  # one C-level pass over a run of ints
+        raise NotAnInteger(f"{what} must be integers, got {next(x for x in values if type(x) is not int)!r}")
+
+
 class Region(enum.Enum):
     """Row classification of a twisted repetition quiver."""
 
@@ -75,6 +81,7 @@ class HeightFunction:
         # checked first: an unknown flavor is a plain ValueError whatever the values
         if self.flavor not in (UNTWISTED, TWISTED):
             raise ValueError(f"unknown flavor {self.flavor!r}")
+        exact_ints("rank, heights and n0", (self.n, *self.values2) + (() if self.n0 is None else (self.n0,)))
         if self.n < 1 or len(self.values2) != self.n:
             raise NotHeightFunction("values must assign one height per node")
         if self.flavor == UNTWISTED:
@@ -110,6 +117,7 @@ class HeightFunction:
     @staticmethod
     def untwisted(values: Iterable[int]) -> "HeightFunction":
         vals = tuple(values)
+        exact_ints("heights", vals)  # before doubling, which turns True into 2
         return HeightFunction(len(vals), UNTWISTED, tuple(2 * v for v in vals))
 
     @staticmethod

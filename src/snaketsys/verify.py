@@ -208,7 +208,7 @@ def dual_vertex_datum(d: VertexDatum) -> VertexDatum:
     """
     n = d.carrier.n
     dual = Carrier(f"gamma-delta:{1 - reineke.delta_of_carrier(d.carrier)}", n)
-    return VertexDatum(dual, {Vertex(roots.star(n, v.i), 2 * n - v.k2): c for v, c in d.counts.items() if c})
+    return VertexDatum(dual, {Vertex(roots.star(n, v.i), 2 * n - v.k2): c for v, c in d.counts.items()})
 
 
 def sweep_reineke_dual(ns=(2, 3, 4, 5, 6), trials_per_n: int = 200, seed: int = 0) -> SweepResult:

@@ -5,6 +5,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snaketsys import reineke
 from snaketsys.errors import (
@@ -170,7 +172,7 @@ def test_carrier_validation():
 
 def test_vertex_datum_checks_keys_before_signs():
     # off-carrier keys are named, the first three in insertion order, before
-    # any count is looked at; a negative count is a ValueError, a zero is kept
+    # any count is looked at; a negative count is a ValueError, a zero is dropped
     carrier = Carrier(GAMMA_THETA, 7)
     inside = sorted(carrier.vertices())[:2]
     off = [Vertex(2, 99), Vertex(1, 1), Vertex(7, -8), Vertex(3, 0)]
@@ -184,7 +186,7 @@ def test_vertex_datum_checks_keys_before_signs():
         VertexDatum(carrier, {inside[0]: 0, inside[1]: -1})
     assert not isinstance(exc.value, WrongCarrier)
     zeros = VertexDatum(carrier, {v: 0 for v in carrier.vertices()})
-    assert len(zeros.counts) == len(carrier.vertices()) and zeros.nonzero() == {}
+    assert zeros.counts == {} and zeros == VertexDatum(carrier, {})
 
 
 def test_vertex_datum_counts_are_a_read_only_copy():
@@ -248,7 +250,45 @@ def test_vertex_datum_counts_must_be_ints(bad):
     assert isinstance(exc.value, DomainError) and isinstance(exc.value, ValueError)
     with pytest.raises(WrongCarrier):  # keys are checked first
         VertexDatum(carrier, {Vertex(1, 1): bad})
-    assert VertexDatum(carrier, {v: 10**30, w: 0}).counts == {v: 10**30, w: 0}
+    assert VertexDatum(carrier, {v: 10**30, w: 0}).counts == {v: 10**30}
+
+
+_V, _W = sorted(Carrier(GAMMA_BIG_THETA, 7).vertices())[:2]
+
+# One int slot of each public constructor: (its valid int for a base b, the
+# call with x in that slot).  Every other slot holds a valid int.
+_INT_SLOTS = {
+    "VertexDatum count": (lambda b: b, lambda x, b: VertexDatum(Carrier(GAMMA_BIG_THETA, 7), {_V: x, _W: 1})),
+    "LusztigDatum count": (lambda b: b, lambda x, b: LusztigDatum(2, (1, 2, 1), (1, x, 0))),
+    "LusztigDatum rank": (lambda b: b + 2, lambda x, b: LusztigDatum(x, (1, 2, 1), (1, 0, 0))),
+    "LusztigDatum letter": (lambda b: 1, lambda x, b: LusztigDatum(2, (x, 2, 1), (0, 0, 0))),
+    "HeightFunction rank": (lambda b: 3, lambda x, b: HeightFunction(x, "untwisted", (2 * b, 2 * b + 2, 2 * b))),
+    "untwisted height": (lambda b: b, lambda x, b: HeightFunction.untwisted([x, b + 1, b])),
+    "twisted height": (lambda b: 2 * b, lambda x, b: HeightFunction.twisted([x, 2 * b + 1, 2 * b + 2], 2)),
+    "twisted n0": (lambda b: 2, lambda x, b: HeightFunction.twisted([2 * b, 2 * b + 1, 2 * b + 2], x)),
+}
+_AS = st.sampled_from([int, float, bool, Fraction, str, lambda c: c + 0.5, lambda c: Fraction(2 * c + 1, 2)])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(slot=st.sampled_from(sorted(_INT_SLOTS)), b=st.sampled_from([0, 1, 10**30]), convert=_AS)
+def test_public_constructors_take_exact_ints_only(slot, b, convert):
+    # the slot's valid int c, passed as convert(c): ints (0 and 10**30 too)
+    # are taken as they are, and only VertexDatum drops a zero; a float, a
+    # bool, a Fraction or a string, integral or not, is NotAnInteger naming it
+    valid, build = _INT_SLOTS[slot]
+    x = convert(valid(b))
+    if type(x) is not int:
+        with pytest.raises(NotAnInteger, match=f"must be integers, got {re.escape(repr(x))}$"):
+            build(x, b)
+        return
+    got = build(x, b)
+    if slot == "VertexDatum count":
+        assert got.counts == ({_V: x} if x else {}) | {_W: 1}
+    elif slot == "LusztigDatum count":
+        assert got.counts == (1, x, 0)
+    elif slot == "untwisted height":
+        assert got.values2 == (2 * x, 2 * b + 2, 2 * b)
 
 
 def test_rho_zero_datum():
@@ -355,7 +395,7 @@ def test_rho_matches_reference_layers():
             VertexDatum(carrier, {v: rng.randint(1, 5) for v in verts if rng.random() < 0.1}),
             VertexDatum(carrier, {v: rng.randint(0, 9) for v in verts}),
             unit_datum(carrier, snakes.random_snake(big, rng, rng.randint(1, 6), prime=False, in_gamma=True)),
-            # every key stored, zeros in every row
+            # every key given, zeros in every row (the datum keeps the support)
             VertexDatum(carrier, {v: rng.randint(1, 5) if rng.random() < 0.3 else 0 for v in verts}
                         | {v: 0 for v in {v.i: v for v in verts}.values()}),
         ]
@@ -375,7 +415,7 @@ def test_rho_matches_reference_layers():
 
 
 def _seeded_data(rng):
-    """(n0, data) for n0 = 2..16: empty, unit, dense, and stored zeros in every row (below n0 and moved)."""
+    """(n0, data) for n0 = 2..16: empty, unit, dense, and zeros given in every row (below n0 and moved)."""
     from snaketsys import snakes
 
     for n0 in range(2, 17):
@@ -417,7 +457,7 @@ def test_rho_results_pass_the_public_datum_check():
 
 def test_rho_moves_a_lone_count_like_the_reference():
     # a datum whose only nonzero count sits at one read of a layer (one
-    # read of a triple, or a boundary key), next to stored zeros: rho_step
+    # read of a triple, or a boundary key), built next to zeros: rho_step
     # and rho, stage by stage, agree with the reference layers
     for n0 in range(2, 6):
         n = 2 * n0 - 1
@@ -433,6 +473,28 @@ def test_rho_moves_a_lone_count_like_the_reference():
             for j, ref in zip(range(n0, n + 1), want):
                 d = rho_step(j, d)
                 assert d == ref
+
+
+def test_rho_of_zero_counts_is_rho_of_the_support():
+    # a datum built with zero counts is the datum of its support: rho and
+    # every rho_step stage of the two agree (carrier, counts and JSON), and
+    # no result stores a zero
+    rng = random.Random(21)
+    for n0 in range(2, 17):
+        n = 2 * n0 - 1
+        verts = sorted(Carrier(GAMMA_BIG_THETA, n).vertices())
+        counts = {v: rng.randint(1, 9) if rng.random() < 0.5 else 0 for v in verts}
+        data = [VertexDatum(Carrier(GAMMA_BIG_THETA, n), c) for c in (counts, {v: c for v, c in counts.items() if c})]
+        assert data[0] == data[1] and 0 not in data[0].counts.values()
+        outs = [[rho(d)] for d in data]
+        for j in range(n0, n + 1):
+            data = [rho_step(j, d) for d in data]
+            for out, d in zip(outs, data):
+                out.append(d)
+        for zeros, support in zip(*outs):
+            assert zeros == support  # carrier and counts
+            assert json.dumps(datum_to_json(zeros)) == json.dumps(datum_to_json(support))
+            assert 0 not in zeros.counts.values()
 
 
 def test_rho_and_rho_step_outputs_are_pinned():

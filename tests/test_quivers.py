@@ -4,7 +4,7 @@ import random
 import pytest
 
 from snaketsys import quivers, reineke
-from snaketsys.errors import DomainError, InternalError, NotSinkOrSource, OutsideWindow
+from snaketsys.errors import DomainError, InternalError, OutsideWindow
 from snaketsys.quivers import (
     TWISTED,
     UNTWISTED,
@@ -64,6 +64,10 @@ def test_sinks_sources():
     assert HeightFunction.untwisted([1, 2, 3]).sinks() == {1}
     assert 1 in XI_TWISTED.sinks()
     assert 3 in XI_TWISTED.sinks()  # -1/2 < 0 and -1/2 < 1
+
+
+class NotSinkOrSource(DomainError):
+    """A node that reflect_height cannot reflect."""
 
 
 def reflect_height(hf, i):

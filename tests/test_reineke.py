@@ -268,7 +268,7 @@ def test_closed_form_omega_is_the_preceq_interval_up_to_rank_24():
 
 
 def _seeded_canonical_data(rng):
-    """Seeded data on both canonical windows of each rank: empty, dense, sparse, and sparse with stored zeros."""
+    """Seeded data on both canonical windows of each rank: empty, dense, sparse, and sparse with zero counts given."""
     for n in (*range(1, 9), 12, 24):
         for delta in (0, 1):
             carrier = Carrier(f"gamma-delta:{delta}", n)
