@@ -224,7 +224,7 @@ OPTIONS = {
     "input": dict(nargs="?", help="JSON input path, or - (the default) for stdin"),
     "--realization": dict(help="'qdatum' or a custom table JSON path"),
     "--j": dict(type=int, required=True),
-    "--suite": dict(choices=(*dict.fromkeys(suite for suite, _, _ in verify.SUITES), "all"), default="all"),
+    "--suite": dict(choices=(*dict.fromkeys(sweep.group for sweep in verify.SWEEPS), "all"), default="all"),
     "--trials": dict(type=int, default=100),
     "--seed": dict(type=int, default=0),
 }

@@ -50,7 +50,7 @@ from types import MappingProxyType
 from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
 from . import roots
-from .errors import InternalError, NotBraidPattern, NotCommuting, NotLongestWord, WrongCarrier
+from .errors import InternalError, NotAnInteger, NotBraidPattern, NotCommuting, NotLongestWord, WrongCarrier
 from .quivers import HeightFunction, Vertex, exact_ints, json_int
 
 GAMMA_THETA = "gamma-theta"    # window of the untwisted staircase theta
@@ -146,6 +146,8 @@ class Carrier:
     arg: int | None = field(init=False, repr=False, compare=False)  # j of vj, delta of gamma-delta
 
     def __post_init__(self):
+        if type(self.n) is not int:  # one comparison: rho_step builds two carriers
+            raise NotAnInteger(f"ranks must be integers, got {self.n!r}")
         kind, _, arg = self.name.partition(":")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "arg", int(arg) if kind in ("vj", "gamma-delta") else None)

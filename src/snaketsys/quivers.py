@@ -128,7 +128,8 @@ class HeightFunction:
     # The canonical functions and the two staircases are built once per
     # rank and shared (a bounded cache): the tfd bridge asks for them
     # several times per call, and a shared instance is validated once and
-    # keeps its row heights.
+    # keeps its row heights.  A cached body checks its rank on a miss; the
+    # caches are typed, so a float or a bool never hits an int's entry.
 
     @staticmethod
     def canonical(n: int, delta: int) -> "HeightFunction":
@@ -139,21 +140,24 @@ class HeightFunction:
         return HeightFunction._canonical(n, delta)
 
     @staticmethod
-    @lru_cache(maxsize=64)
+    @lru_cache(maxsize=64, typed=True)
     def _canonical(n: int, delta: int) -> "HeightFunction":
+        exact_ints("ranks", (n,))
         return HeightFunction.untwisted([(i + 1 + delta) % 2 for i in range(1, n + 1)])
 
     @staticmethod
-    @lru_cache(maxsize=32)
+    @lru_cache(maxsize=32, typed=True)
     def theta(n0: int) -> "HeightFunction":
         """Untwisted companion of big_theta: i on [1,n0], i-2 above."""
+        exact_ints("n0 values", (n0,))
         n = 2 * n0 - 1
         return HeightFunction.untwisted([i if i <= n0 else i - 2 for i in range(1, n + 1)])
 
     @staticmethod
-    @lru_cache(maxsize=32)
+    @lru_cache(maxsize=32, typed=True)
     def big_theta(n0: int) -> "HeightFunction":
         """Twisted i, n0-1/2, i-1 staircase on [1, 2*n0-1]."""
+        exact_ints("n0 values", (n0,))
         return HeightFunction.twisted([big_theta2(n0, i) for i in range(1, 2 * n0)], n0)
 
     # -- basic structure ----------------------------------------------

@@ -9,7 +9,6 @@ data with big_theta's parity class by an integer shift
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -298,56 +297,6 @@ def translate_twisted(n0: int, points: Sequence[Vertex]) -> tuple[Vertex, ...]:
     if not is_snake(theta, result):
         raise InternalError("translation did not produce a snake")
     return result
-
-
-# -- random generation -----------------------------------------------------
-
-
-def snake_candidates(xi: HeightFunction, v: Vertex, prime: bool) -> list[Vertex]:
-    """Vertices in (prime) snake position w.r.t. v, at most ntilde above it (sampling bound)."""
-    pred = in_prime_snake_position if prime else in_snake_position
-    return [w for w in xi.vertices_between(v.k2 + 1, v.k2 + xi.ntilde2()) if pred(xi, v, w)]
-
-
-def random_vertex(xi: HeightFunction, rng: random.Random, k2_lo: int, k2_hi: int) -> Vertex:
-    """A random row, then a height in [k2_lo, k2_hi] rounded down onto it (redrawn below k2_lo)."""
-    while True:
-        i = rng.randint(1, xi.n)
-        k2 = rng.randint(k2_lo, k2_hi)
-        k2 -= (k2 - xi.xi2(i)) % xi.d2(i)
-        if k2 >= k2_lo:
-            return Vertex(i, k2)
-
-
-def grow_snake(
-    xi: HeightFunction, rng: random.Random, first: Vertex, length: int, prime: bool = False, in_gamma: bool = False
-) -> tuple[Vertex, ...]:
-    """Forward-grown random (prime) snake from first; may stop short at a dead end."""
-    points = [first]
-    for _ in range(length - 1):
-        cands = snake_candidates(xi, points[-1], prime)
-        if in_gamma:
-            cands = [w for w in cands if xi.in_gamma(w)]
-        if not cands:
-            break
-        points.append(rng.choice(cands))
-    return tuple(points)
-
-
-def random_snake(
-    xi: HeightFunction,
-    rng: random.Random,
-    length: int,
-    prime: bool = False,
-    k2_lo: int = 0,
-    in_gamma: bool = False,
-) -> tuple[Vertex, ...]:
-    """grow_snake from a random window vertex (in_gamma) or a random vertex at or above k2_lo."""
-    if in_gamma:
-        first = rng.choice(xi.gamma_vertices())
-    else:
-        first = random_vertex(xi, rng, k2_lo, k2_lo + 2 * xi.ntilde2())
-    return grow_snake(xi, rng, first, length, prime, in_gamma)
 
 
 # -- JSON ------------------------------------------------------------------

@@ -13,6 +13,8 @@ from snaketsys.realize import Monomial, Realization, relation_monomials
 from snaketsys.snakes import translate_twisted
 from snaketsys.tsystem import extended_tsystem
 
+SWEEP = {sweep.name: sweep for sweep in verify.SWEEPS}
+
 
 def V(i, k):
     return Vertex(i, int(2 * k))
@@ -55,7 +57,7 @@ def test_criterion_2_rho_golden_n15():
 
 def test_criterion_3_rho_oracle_equivalence():
     t0 = time.time()
-    res = verify.sweep_rho(n0s=(2, 3, 4, 5), trials_per_n0=500, seed=2024)
+    res = verify.run(SWEEP["rho"], 500, seed=2024)
     elapsed = time.time() - t0
     report(
         3,
@@ -107,7 +109,7 @@ def test_criterion_6_phi_closed_form():
 
 
 def test_criterion_7_reineke_dual_solvers():
-    res = verify.sweep_reineke_dual(ns=(2, 3, 4, 5, 6), trials_per_n=200, seed=7)
+    res = verify.run(SWEEP["reineke-dual"], 1000, seed=7)
     report(
         7,
         res.ok,
@@ -120,7 +122,7 @@ def test_criterion_8_epsilon_snake_predictions():
     detail = []
     ok = True
     for flavor in (UNTWISTED, TWISTED):
-        res = verify.sweep_epsilon_predictions(flavor, trials=500, seed=8)
+        res = verify.run(SWEEP[f"epsilon-predictions-{flavor}"], 500, seed=8)
         unreachable = res.details.get("bridge_unreachable", 0)
         ok = ok and res.ok and res.passed >= 500
         # the bridge must reach the vast majority of enumerated configurations
@@ -133,7 +135,7 @@ def test_criterion_8_epsilon_snake_predictions():
 
 
 def test_criterion_9_move_layer_properties():
-    res = verify.sweep_moves(ns=(2, 3, 4, 5, 6), walks_per_n=200, steps=200, seed=9)
+    res = verify.run(SWEEP["moves"], 1000, seed=9)
     report(
         9,
         res.ok,
@@ -146,12 +148,13 @@ def test_criterion_10_qr_properties():
     ok = True
     detail = []
     for flavor in (UNTWISTED, TWISTED):
-        res = verify.sweep_qr_being_snake(flavor, trials=1000, seed=10)
+        res = verify.run(SWEEP[f"qr-being-snake-{flavor}"], 1000, seed=10)
         ok = ok and res.ok
         detail.append(f"{flavor} Q/R snakes+disjoint on {res.passed}")
         if res.first_failure:
             detail.append(res.first_failure)
-    res = verify.sweep_qr_dual_equivariance(ns=(2, 3, 4, 5, 6), seed=10)
+    dual = SWEEP["qr-dual-equivariance"]._replace(cases=lambda trials: verify.canonical_prime_pairs(range(2, 7)))
+    res = verify.run(dual, 1, seed=10)
     ok = ok and res.ok
     detail.append(f"D-equivariance exhaustive on {res.passed} prime pairs")
     if res.first_failure:
@@ -160,7 +163,7 @@ def test_criterion_10_qr_properties():
 
 
 def test_criterion_11_epsilon_star_duality():
-    res = verify.sweep_epsilon_star(ns=(2, 3, 4, 5, 6), trials_per_n=200, seed=11)
+    res = verify.run(SWEEP["epsilon-star"], 1000, seed=11)
     report(
         11,
         res.ok,

@@ -4,8 +4,8 @@ Library checks raise explicitly (``errors.InternalError`` for a bug, a
 ``DomainError`` for bad input).  No module may hold an assert, so the
 allowlist below stays empty.  The ``_trusted`` constructors skip the datum
 checks, so only the lusztig kernels whose plan check or move rule proves
-their results valid may use them, and the reference oracles stay in
-``verify``, off the production path.
+their results valid may use them, and the reference oracles and the
+random case generators stay in ``verify``, off the production path.
 """
 import ast
 import os
@@ -18,6 +18,7 @@ SRC = ROOT / "src" / "snaketsys"
 ALLOWED: set[str] = set()
 TRUSTED_USES = {"lusztig.py": 4}  # two_move, apply_three_move, rho_step, rho
 ORACLES = {"dual_vertex_datum", "epsilon_bruteforce", "omega_interval"}  # verify's own
+GENERATORS = {"grow_snake", "random_snake", "random_vertex", "snake_candidates"}  # verify's own
 
 
 def _assert_lines(path: Path) -> list[int]:
@@ -44,20 +45,27 @@ def test_trusted_constructors_used_only_in_lusztig():
     assert {name: len(lines) for name, lines in found.items() if lines} == TRUSTED_USES, found
 
 
-def _oracle_lines(path: Path) -> list[int]:
-    """The lines of path that name an oracle: as a name, an attribute, an import or a definition."""
+def _naming_lines(path: Path, names: set[str]) -> list[int]:
+    """The lines of path that name one of names: as a name, an attribute, an import or a definition."""
     return [
         node.lineno for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Name) and node.id in ORACLES
-        or isinstance(node, ast.Attribute) and node.attr in ORACLES
-        or isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)) and node.name in ORACLES
+        if isinstance(node, ast.Name) and node.id in names
+        or isinstance(node, ast.Attribute) and node.attr in names
+        or isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)) and node.name in names
     ]
 
 
 def test_reference_oracles_stay_in_verify():
     # the dual datum, Omega_j as a preceq interval and the order-ideal
     # enumeration are oracles: no production module may name them
-    found = {path.name: _oracle_lines(path) for path in sorted(SRC.glob("*.py"))}
+    found = {path.name: _naming_lines(path, ORACLES) for path in sorted(SRC.glob("*.py"))}
+    assert {name for name, lines in found.items() if lines} == {"verify.py"}, found
+
+
+def test_case_generators_stay_in_verify():
+    # random vertices and snakes, and the candidates they grow from, are
+    # sweep case generators: no production module may name them
+    found = {path.name: _naming_lines(path, GENERATORS) for path in sorted(SRC.glob("*.py"))}
     assert {name for name, lines in found.items() if lines} == {"verify.py"}, found
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from snaketsys import snakes
+from snaketsys import snakes, verify
 from snaketsys.cli import build_parser, main
 from snaketsys.quivers import HeightFunction
 
@@ -476,6 +476,73 @@ def test_verify_reports_a_crashing_sweep_and_runs_the_rest(capsys, monkeypatch):
     assert "RuntimeError: broken kernel" in verify.run_suite("qr", 10, 0)[0].details["traceback"]
 
 
+def test_verify_fails_only_the_cases_that_raise(capsys, monkeypatch):
+    # epsilon* raising at rank 3 fails the two rank-3 cases of its sweep
+    # (10 trials: two cases per rank) and no other: the other ranks pass,
+    # the first failure and its traceback are kept, and the exit is 1
+    from snaketsys import reineke, verify
+
+    clean = [r.summary() for r in verify.run_suite("reineke", 10, 0)]
+    epsilon_star = reineke.epsilon_star
+
+    def broken(j, d):
+        if d.carrier.n == 3:
+            raise RuntimeError(f"broken at rank 3 on {d.carrier.name}")
+        return epsilon_star(j, d)
+
+    monkeypatch.setattr(reineke, "epsilon_star", broken)
+    code, out, err = run(capsys, "verify", "--suite", "reineke", "--trials", "10", "--seed", "0")
+    assert (code, err) == (1, "")
+    assert clean[1] == "epsilon-star: ok (40 passed, 0 failed, 0 skipped)"
+    want = "epsilon-star: FAIL (34 passed, 2 failed, 0 skipped)\n  first counterexample: RuntimeError: broken at rank 3 on gamma-delta:0"
+    assert out == "\n".join([clean[0], want, *clean[2:]]) + "\n"
+    traceback = {r.name: r for r in verify.run_suite("reineke", 10, 0)}["epsilon-star"].details["traceback"]
+    assert traceback.endswith("RuntimeError: broken at rank 3 on gamma-delta:0\n")
+
+
+def test_verify_reports_a_failing_case_generator_as_one_failure(capsys, monkeypatch):
+    # the exhaustive D-equivariance cases start from canonical(n, 0); when
+    # that raises, the sweep is a single failure and the other Q/R sweeps run
+    def broken(n, delta):
+        raise RuntimeError("no canonical quiver")
+
+    monkeypatch.setattr(HeightFunction, "canonical", staticmethod(broken))
+    code, out, err = run(capsys, "verify", "--suite", "qr", "--trials", "10", "--seed", "0")
+    assert (code, err) == (1, "")
+    assert out == (
+        "qr-being-snake-untwisted: ok (10 passed, 0 failed, 0 skipped)\n"
+        "qr-being-snake-twisted: ok (10 passed, 0 failed, 0 skipped)\n"
+        "qr-dual-equivariance: FAIL (0 passed, 1 failed, 0 skipped)\n"
+        "  first counterexample: RuntimeError: no canonical quiver\n"
+    )
+
+
+def test_verify_results_carry_seed_time_and_skip_reasons():
+    from snaketsys import verify
+
+    results = {r.name: r for r in verify.run_suite("all", 200, 0)}
+    for r in results.values():
+        assert r.details["seed"] == 0 and r.details["elapsed_s"] > 0
+        reasons = {k: c for k, c in r.details.items() if k not in ("seed", "elapsed_s")}
+        assert sum(reasons.values()) == r.skipped, r.name
+    twisted = results["epsilon-predictions-twisted"]
+    assert {k: twisted.details[k] for k in ("indeterminate", "bridge_unreachable")} == {
+        "indeterminate": 29, "bridge_unreachable": 2,
+    }
+
+
+def test_verify_suites_are_the_groups_of_the_sweep_table(capsys):
+    from snaketsys import verify
+
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (suite,) = [a for a in subparsers.choices["verify"]._actions if a.dest == "suite"]
+    assert suite.choices == ("moves", "rho", "reineke", "qr", "all")
+    assert set(suite.choices) == {sweep.group for sweep in verify.SWEEPS} | {"all"}
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--trials", "1", "--seed", "0")
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()] == [sweep.name for sweep in verify.SWEEPS]
+
+
 @pytest.mark.parametrize("trials", ["-5", "0"])
 def test_verify_needs_at_least_one_trial(capsys, trials):
     # no vacuous "ok (0 passed, ...)" line: a trial count below 1 is a config error
@@ -496,12 +563,28 @@ qr-being-snake-twisted: ok (200 passed, 0 failed, 0 skipped)
 qr-dual-equivariance: ok (322 passed, 0 failed, 0 skipped)
 """
 
+VERIFY_ALL_37_SEED_5 = """\
+moves: ok (315 passed, 0 failed, 0 skipped)
+rho: ok (148 passed, 0 failed, 0 skipped)
+reineke-dual: ok (69 passed, 0 failed, 0 skipped)
+epsilon-star: ok (140 passed, 0 failed, 0 skipped)
+epsilon-predictions-untwisted: ok (37 passed, 0 failed, 0 skipped)
+epsilon-predictions-twisted: ok (37 passed, 0 failed, 1 skipped)
+qr-being-snake-untwisted: ok (37 passed, 0 failed, 0 skipped)
+qr-being-snake-twisted: ok (37 passed, 0 failed, 0 skipped)
+qr-dual-equivariance: ok (322 passed, 0 failed, 0 skipped)
+"""
 
-def test_verify_all_output_is_pinned(capsys):
-    # every count pins the suites' random draw order at seed 0
-    code, out, err = run(capsys, "verify", "--suite", "all", "--trials", "200", "--seed", "0")
+
+@pytest.mark.parametrize(
+    ("trials", "seed", "want"), [("200", "0", VERIFY_ALL_200_SEED_0), ("37", "5", VERIFY_ALL_37_SEED_5)], ids=["200-0", "37-5"]
+)
+def test_verify_all_output_is_pinned(capsys, trials, seed, want):
+    # every count pins the suites' random draw order at its seed; 37 trials
+    # are no multiple of 5, so the per-rank sweeps round trials // 5 down
+    code, out, err = run(capsys, "verify", "--suite", "all", "--trials", trials, "--seed", seed)
     assert (code, err) == (0, "")
-    assert out == VERIFY_ALL_200_SEED_0
+    assert out == want
 
 
 def test_quiver_window_figure_labels(capsys):
@@ -613,7 +696,7 @@ def _snake_argv(draw):
     xi = draw(st.sampled_from(_HEIGHTS))
     window = sorted(xi.gamma_vertices())
     rng = random.Random(draw(st.integers(0, 2**16)))  # a (prime) snake grown from a window vertex, maybe leaving it
-    grown = snakes.grow_snake(xi, rng, draw(st.sampled_from(window)), draw(st.integers(2, 6)),
+    grown = verify.grow_snake(xi, rng, draw(st.sampled_from(window)), draw(st.integers(2, 6)),
                               prime=draw(st.booleans()), in_gamma=draw(st.booleans()))
     points = [{"i": v.i, "k2": v.k2} for v in grown]
     if not draw(st.integers(0, 3)):

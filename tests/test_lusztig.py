@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snaketsys import reineke
+from snaketsys import lusztig, reineke
 from snaketsys.errors import (
     DomainError,
     InternalError,
@@ -266,17 +266,29 @@ _INT_SLOTS = {
     "untwisted height": (lambda b: b, lambda x, b: HeightFunction.untwisted([x, b + 1, b])),
     "twisted height": (lambda b: 2 * b, lambda x, b: HeightFunction.twisted([x, 2 * b + 1, 2 * b + 2], 2)),
     "twisted n0": (lambda b: 2, lambda x, b: HeightFunction.twisted([2 * b, 2 * b + 1, 2 * b + 2], x)),
+    "Carrier rank": (lambda b: 7, lambda x, b: Carrier(GAMMA_THETA, x).vertices()),
+    "gamma-delta rank": (lambda b: 3, lambda x, b: Carrier("gamma-delta:0", x).vertices()),
+    "theta n0": (lambda b: 2, lambda x, b: HeightFunction.theta(x)),
+    "big_theta n0": (lambda b: 2, lambda x, b: HeightFunction.big_theta(x)),
+    "canonical rank": (lambda b: 3, lambda x, b: HeightFunction.canonical(x, 0)),
 }
 _AS = st.sampled_from([int, float, bool, Fraction, str, lambda c: c + 0.5, lambda c: Fraction(2 * c + 1, 2)])
+# the caches that could answer a non-int with the instance of its int
+_CACHES = (HeightFunction._canonical, HeightFunction.theta, HeightFunction.big_theta, lusztig._carrier_vertices)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(slot=st.sampled_from(sorted(_INT_SLOTS)), b=st.sampled_from([0, 1, 10**30]), convert=_AS)
-def test_public_constructors_take_exact_ints_only(slot, b, convert):
+@given(slot=st.sampled_from(sorted(_INT_SLOTS)), b=st.sampled_from([0, 1, 10**30]), convert=_AS, cached=st.booleans())
+def test_public_constructors_take_exact_ints_only(slot, b, convert, cached):
     # the slot's valid int c, passed as convert(c): ints (0 and 10**30 too)
     # are taken as they are, and only VertexDatum drops a zero; a float, a
-    # bool, a Fraction or a string, integral or not, is NotAnInteger naming it
+    # bool, a Fraction or a string, integral or not, is NotAnInteger naming
+    # it, whether or not c's own result is cached
     valid, build = _INT_SLOTS[slot]
+    for cache in _CACHES:
+        cache.cache_clear()
+    if cached:
+        build(valid(b), b)
     x = convert(valid(b))
     if type(x) is not int:
         with pytest.raises(NotAnInteger, match=f"must be integers, got {re.escape(repr(x))}$"):
@@ -383,7 +395,7 @@ def test_rho_matches_reference_layers():
     # rho and every rho_step stage against the full-rebuild reference, on
     # sparse, dense and unit (window snake) data up to rank 31, and on one
     # dense datum at ranks 63 and 95; neither may touch the caller's counts
-    from snaketsys import snakes
+    from snaketsys import verify
 
     rng = random.Random(31)
     for n0 in (*range(2, 17), 32, 48):
@@ -394,7 +406,7 @@ def test_rho_matches_reference_layers():
         data = [
             VertexDatum(carrier, {v: rng.randint(1, 5) for v in verts if rng.random() < 0.1}),
             VertexDatum(carrier, {v: rng.randint(0, 9) for v in verts}),
-            unit_datum(carrier, snakes.random_snake(big, rng, rng.randint(1, 6), prime=False, in_gamma=True)),
+            unit_datum(carrier, verify.random_snake(big, rng, rng.randint(1, 6), prime=False, in_gamma=True)),
             # every key given, zeros in every row (the datum keeps the support)
             VertexDatum(carrier, {v: rng.randint(1, 5) if rng.random() < 0.3 else 0 for v in verts}
                         | {v: 0 for v in {v.i: v for v in verts}.values()}),
@@ -416,12 +428,12 @@ def test_rho_matches_reference_layers():
 
 def _seeded_data(rng):
     """(n0, data) for n0 = 2..16: empty, unit, dense, and zeros given in every row (below n0 and moved)."""
-    from snaketsys import snakes
+    from snaketsys import verify
 
     for n0 in range(2, 17):
         carrier = Carrier(GAMMA_BIG_THETA, 2 * n0 - 1)
         verts = sorted(carrier.vertices())
-        snake = snakes.random_snake(HeightFunction.big_theta(n0), rng, rng.randint(1, 6), prime=False, in_gamma=True)
+        snake = verify.random_snake(HeightFunction.big_theta(n0), rng, rng.randint(1, 6), prime=False, in_gamma=True)
         yield n0, [
             VertexDatum(carrier, {}),
             unit_datum(carrier, snake),

@@ -104,8 +104,7 @@ def _pairwise_snake_monomial(real, xi, points):
 def test_snake_monomial_matches_pairwise_fold():
     import random
 
-    from snaketsys.snakes import random_snake
-    from snaketsys.verify import random_height_function
+    from snaketsys.verify import random_height_function, random_snake
 
     rng = random.Random(16)
     big = HeightFunction.big_theta(2)
@@ -161,8 +160,7 @@ def test_relation_monomials_are_the_snake_monomials_of_the_terms():
     # a key of A cancels to 0 and where D is the unit (p = 2)
     import random
 
-    from snaketsys.snakes import random_snake
-    from snaketsys.verify import random_height_function
+    from snaketsys.verify import random_height_function, random_snake
 
     rng = random.Random(23)
     cases = []

@@ -14,12 +14,12 @@ from snaketsys.snakes import (
     qr_sequences,
     qr_twisted,
     qr_untwisted,
-    random_snake,
     snake_from_json,
     snake_to_json,
     split_prime,
     translate_twisted,
 )
+from snaketsys.verify import random_snake
 
 XI3 = HeightFunction.untwisted([1, 2, 3])
 BIG2 = HeightFunction.big_theta(2)
@@ -249,7 +249,7 @@ def _qr_by_root_splitting(xi, v, w):
 
 def test_qr_untwisted_against_root_splitting_oracle():
     from snaketsys.quivers import HeightFunction
-    from snaketsys.snakes import snake_candidates
+    from snaketsys.verify import snake_candidates
 
     for n in range(2, 7):
         for delta in (0, 1):
@@ -270,7 +270,7 @@ def test_qr_twisted_consistent_with_translation():
     # the twisted socle factors must translate to the untwisted ones of the
     # translated pair
     from snaketsys.quivers import Region
-    from snaketsys.snakes import snake_candidates
+    from snaketsys.verify import snake_candidates
 
     for n0 in (2, 3, 4):
         big = HeightFunction.big_theta(n0)
@@ -334,7 +334,7 @@ def test_dual_equivariance_sweep_visits_every_prime_pair():
     # the sweep walks every vertex v of canonical(n, 0) with 0 <= k2 <= 4*ntilde;
     # count the prime pairs (v, w) independently, testing every (i, k2) of the
     # range for v and every w up to ntilde past it
-    from snaketsys.verify import sweep_qr_dual_equivariance
+    from snaketsys import verify
 
     ns = (2, 3, 4, 5, 6)
     want = 0
@@ -346,6 +346,7 @@ def test_dual_equivariance_sweep_visits_every_prime_pair():
         for v in ws:
             if v.k2 <= top2:
                 want += sum(in_prime_snake_position(xi, v, w) for w in ws)
-    res = sweep_qr_dual_equivariance(ns=ns, seed=10)
+    sweep = {s.name: s for s in verify.SWEEPS}["qr-dual-equivariance"]
+    res = verify.run(sweep._replace(cases=lambda trials: verify.canonical_prime_pairs(ns)), 1, seed=10)
     assert res.ok and res.skipped == 0
     assert res.passed == want

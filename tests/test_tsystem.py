@@ -14,7 +14,6 @@ from snaketsys.snakes import (
     in_snake_position,
     is_prime_snake,
     is_snake,
-    random_snake,
     split_prime,
 )
 from snaketsys.tsystem import (
@@ -32,7 +31,7 @@ from snaketsys.tsystem import (
     relation_text,
     tfd_via_epsilon,
 )
-from snaketsys.verify import random_height_function
+from snaketsys.verify import random_height_function, random_snake
 
 XI3 = HeightFunction.untwisted([1, 2, 3])
 BIG2 = HeightFunction.big_theta(2)
