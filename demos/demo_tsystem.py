@@ -2,6 +2,7 @@
 
 Run:  python demos/demo_tsystem.py
 """
+from snaketsys.errors import OutsideWindow
 from snaketsys.quivers import HeightFunction, Vertex
 from snaketsys.realize import (
     Monomial,
@@ -15,6 +16,7 @@ from snaketsys.tsystem import (
     extended_tsystem,
     relation_latex,
     relation_text,
+    tfd_via_epsilon,
 )
 
 
@@ -53,5 +55,20 @@ big = HeightFunction.big_theta(2)
 Pt = (V(3, 2), V(2, 4.5), V(2, 5.5))
 relt = extended_tsystem(big, Pt)
 print("\n" + relation_text(relt))
-report = check_theorem_hypotheses(big, Pt, via_epsilon=True)
-print("exactness hypotheses all hold:", report.all_one, "| epsilon cross-check:", report.consistent)
+report = check_theorem_hypotheses(big, Pt)
+
+
+# The exact tfd of each slice's left and right probe, through Reineke's
+# epsilon, against the prediction for it wherever the bridge reaches it.
+def bridge(v, snake, side):
+    try:
+        return tfd_via_epsilon(big, v, snake, side)
+    except OutsideWindow:
+        return None
+
+
+slices = [(a, b) for a in range(1, len(Pt)) for b in range(a + 1, len(Pt) + 1)]
+pairs = [(report.left[a - 1], bridge(Pt[a - 1], Pt[a:b], "left")) for a, b in slices]
+pairs += [(report.right[b - 2], bridge(Pt[b - 1], Pt[a - 1:b - 1], "right")) for a, b in slices]
+consistent = all(pred is None or eps is None or pred == eps for pred, eps in pairs)
+print("exactness hypotheses all hold:", report.all_one, "| epsilon cross-check:", consistent)

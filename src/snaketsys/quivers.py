@@ -35,7 +35,7 @@ class Vertex(NamedTuple):
 # Vertex((i, k2)) without NamedTuple's Python-level __new__: the same tuple
 # subclass, hash and str.  It takes the pair as one tuple and checks nothing,
 # so it is only for vertices that trusted code derives from vertices already
-# known to lie on a quiver: duality, the coordinate reversal and Q/R.
+# known to lie on a quiver: the coordinate reversal and Q/R.
 _vertex = partial(tuple.__new__, Vertex)
 
 
@@ -176,7 +176,7 @@ class HeightFunction:
 
     @cached_property
     def _rows(self) -> tuple[int, ...] | None:
-        """The doubled row heights T of _reaches, indexed by row; None on untwisted n = 1."""
+        """The doubled row heights T of preceq, indexed by row; None on untwisted n = 1."""
         return _row_heights(self.n, self.n0)
 
     def ntilde2(self) -> int:
@@ -261,11 +261,7 @@ class HeightFunction:
         necessary; tests/test_quivers.py checks that it is sufficient
         against breadth-first search over arrow_targets.
         """
-        return self.is_vertex(v) and self.is_vertex(w) and self._reaches(v, w)
-
-    def _reaches(self, v: Vertex, w: Vertex) -> bool:
-        """preceq on two vertices already known to lie on this quiver."""
-        return self._climbs(v.i, w.i, w.k2 - v.k2)
+        return self.is_vertex(v) and self.is_vertex(w) and self._climbs(v.i, w.i, w.k2 - v.k2)
 
     def _climbs(self, i: int, j: int, gap2: int) -> bool:
         """A vertex of this quiver on row i reaches the one gap2 (doubled) above it on row j."""
@@ -296,10 +292,6 @@ class HeightFunction:
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         return Vertex(roots.star(self.n, v.i), v.k2 - sign * self.ntilde2())
-
-    def _undualize(self, v: Vertex) -> Vertex:
-        """D^-1 (i,k) = (i*, k + ntilde) of a vertex already known to lie on this quiver."""
-        return _vertex((self.n + 1 - v.i, v.k2 + self.ntilde2()))
 
     def region(self, v: Vertex) -> Region:
         if not self.twisted_flavor:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import roots
 from .errors import MissingTableEntry
@@ -202,8 +202,7 @@ def snake_monomial(real: Realization, xi: HeightFunction, points: Sequence[Verte
     return _monomials(real, xi, (tuple(points),))[0], real.mode != CUSTOM
 
 
-@dataclass(frozen=True)
-class RelationMonomials:
+class RelationMonomials(NamedTuple):
     b: Monomial
     c: Monomial
     a: Monomial
@@ -214,15 +213,6 @@ class RelationMonomials:
 
     def identity_holds(self) -> bool:
         return self.b * self.c == self.a * self.d
-
-    @classmethod
-    def _new(cls, b, c, a, d, q, r, exact) -> "RelationMonomials":
-        """The record of these fields, built without the frozen-dataclass
-        __init__ (one object.__setattr__ per field).  The class has no
-        __post_init__, so no check is skipped."""
-        mon = object.__new__(cls)
-        mon.__dict__.update(b=b, c=c, a=a, d=d, q=q, r=r, exact=exact)
-        return mon
 
 
 def relation_monomials(rel, real: Realization) -> RelationMonomials:
@@ -237,7 +227,7 @@ def relation_monomials(rel, real: Realization) -> RelationMonomials:
     cusp = _realized(real, rel.xi, chain(pts, rel.first_q, rel.first_r))
     a, q, r = (_product(cusp, term) for term in (pts, rel.first_q, rel.first_r))
     b, c, d = (_product(cusp, ends, dict(a.factors), -1) for ends in ((pts[-1],), (pts[0],), (pts[0], pts[-1])))
-    return RelationMonomials._new(b, c, a, d, q, r, real.mode != CUSTOM)
+    return RelationMonomials(b, c, a, d, q, r, real.mode != CUSTOM)
 
 
 def _render_relation(mon: RelationMonomials, render) -> str:

@@ -205,7 +205,7 @@ def _qr_twisted(xi: HeightFunction, v: Vertex, w: Vertex) -> tuple[Points, Point
         q, r = _qr_direct(xi.n0, v, w)
     else:
         dq, dr = _qr_direct(xi.n0, xi.dualize(v), xi.dualize(w))
-        q, r = tuple(map(xi._undualize, dr)), tuple(map(xi._undualize, dq))
+        q, r = tuple(xi.dualize(u, -1) for u in dr), tuple(xi.dualize(u, -1) for u in dq)
     for u in q + r:
         if not xi.is_vertex(u):
             raise InternalError(f"{u} fell off the quiver")

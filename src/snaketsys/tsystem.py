@@ -20,8 +20,8 @@ except in the twisted normalization search.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 from . import reineke
 from .errors import NotPrimeSnake, NotSnake, OutsideWindow, TooShort
@@ -39,8 +39,7 @@ from .snakes import (
 )
 
 
-@dataclass(frozen=True)
-class TSystemRelation:
+class TSystemRelation(NamedTuple):
     xi: HeightFunction
     p: Points            # the prime snake
     term_b: Points       # P_[1, p-1]
@@ -56,15 +55,6 @@ class TSystemRelation:
     @property
     def flavor(self) -> str:
         return self.xi.flavor
-
-    @classmethod
-    def _new(cls, **fields) -> "TSystemRelation":
-        """The record of these fields, built without the frozen-dataclass
-        __init__ (one object.__setattr__ per field).  The class has no
-        __post_init__, so no check is skipped."""
-        rel = object.__new__(cls)
-        rel.__dict__.update(fields)
-        return rel
 
 
 def extended_tsystem(xi: HeightFunction, points) -> TSystemRelation:
@@ -89,16 +79,7 @@ def extended_tsystem(xi: HeightFunction, points) -> TSystemRelation:
             raise NotPrimeSnake(f"snake is not prime; prime segments: {split_prime(xi, pts)}")
         raise NotPrimeSnake("input is not a snake")
     first_q, first_r = _qr_concat(xi, pts)
-    return TSystemRelation._new(
-        xi=xi,
-        p=pts,
-        term_b=pts[:-1],
-        term_c=pts[1:],
-        term_a=pts,
-        term_d=pts[1:-1],
-        first_q=first_q,
-        first_r=first_r,
-    )
+    return TSystemRelation(xi, pts, pts[:-1], pts[1:], pts, pts[1:-1], first_q, first_r)
 
 
 # -- lemma-driven tfd predictions -----------------------------------------
@@ -127,7 +108,7 @@ def _predict_left(xi: HeightFunction, v: Vertex, first: Vertex) -> int | None:
     if _snake_position(xi, v, first):
         # within the prime window, snake position is automatically prime
         return 1 if _in_prime_window(xi, v, first) else 0
-    if v == first or not xi._reaches(v, first):
+    if v == first or not xi._climbs(v.i, first.i, first.k2 - v.k2):
         return None
     if not _in_prime_window(xi, v, first):
         return 0  # the whole snake sits outside the prime window of v
@@ -318,63 +299,22 @@ def tfd_via_epsilon(xi: HeightFunction, v: Vertex, points, side: str) -> int:
 # -- hypothesis sweep -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HypothesisCheck:
-    side: str   # 'left': tfd(S_{k_a}, S[a+1,b]);  'right': tfd(S[a,b-1], S_{k_b})
-    a: int      # 1-based slice bounds
-    b: int
-    predicted: int | None
-    epsilon: int | None = None
-
-
-@dataclass(frozen=True)
-class HypothesesReport:
+class HypothesesReport(NamedTuple):
     """The sweep over a snake of length p, stored as its 2(p-1) predictions.
 
     With 0-based points, left[s] is predicted_tfd_left of the probe pts[s]
     against the snake (pts[s+1],) and right[s] is predicted_tfd_right of the
     snake (pts[s],) against the probe pts[s+1]; the left check of slice
-    [a, b] reads left[a-1] and the right check right[b-2].  epsilons, when
-    the bridge ran, holds one exact value per check in the order of checks.
+    [a, b] reads left[a-1] and the right check right[b-2].
     """
 
     left: tuple[int | None, ...]
     right: tuple[int | None, ...]
-    epsilons: tuple[int | None, ...] | None = None
-
-    @property
-    def checks(self) -> tuple[HypothesisCheck, ...]:
-        """The left and then the right check of every slice, in _slices order."""
-        eps = iter(self.epsilons or ())
-        return tuple(
-            HypothesisCheck(side, a, b, predicted, next(eps, None))
-            for a, b in _slices(len(self.left) + 1)
-            for side, predicted in (("left", self.left[a - 1]), ("right", self.right[b - 2]))
-        )
 
     @property
     def all_one(self) -> bool:
         """Every check predicts 1: each prediction fills at least one check."""
         return all(x == 1 for x in self.left) and all(x == 1 for x in self.right)
-
-    @property
-    def consistent(self) -> bool:
-        return all(
-            c.epsilon is None or c.predicted is None or c.epsilon == c.predicted
-            for c in self.checks
-        )
-
-
-def _slices(p: int) -> list[tuple[int, int]]:
-    """The 1-based bounds (a, b), a < b, of the sub-slices of a length-p snake."""
-    return [(a, b) for a in range(1, p) for b in range(a + 1, p + 1)]
-
-
-def _epsilon_or_none(xi: HeightFunction, v: Vertex, points: Points, side: str) -> int | None:
-    try:
-        return tfd_via_epsilon(xi, v, points, side)
-    except OutsideWindow:
-        return None
 
 
 def _pair_predictions(xi: HeightFunction, pts: Points) -> tuple[int | None, ...]:
@@ -382,7 +322,7 @@ def _pair_predictions(xi: HeightFunction, pts: Points) -> tuple[int | None, ...]
     return tuple(map(_predict_left, repeat(xi), pts, pts[1:]))
 
 
-def check_theorem_hypotheses(xi: HeightFunction, points, via_epsilon: bool = False) -> HypothesesReport:
+def check_theorem_hypotheses(xi: HeightFunction, points) -> HypothesesReport:
     """Evaluate both exactness hypotheses on every sub-slice of a snake.
 
     The left check of slice [a, b] probes P_[a+1, b] with its predecessor
@@ -390,9 +330,9 @@ def check_theorem_hypotheses(xi: HeightFunction, points, via_epsilon: bool = Fal
     snake are snakes, and predicted_tfd_left reads only the head of its
     snake (predicted_tfd_right only the tail), so each prediction depends
     on one adjacent pair: 2(p-1) predictions fill all p(p-1) checks.  For a
-    prime snake every check predicts 1.  With via_epsilon the exact value
-    is recomputed per slice through the Reineke bridge, which needs the
-    whole slice, where the configuration admits it.
+    prime snake every check predicts 1.  The exact values behind the
+    predictions come from tfd_via_epsilon, which needs the whole slice;
+    verify's epsilon-predictions sweeps compare the two.
     """
     pts = tuple(points)
     if not is_snake(xi, pts):
@@ -400,14 +340,7 @@ def check_theorem_hypotheses(xi: HeightFunction, points, via_epsilon: bool = Fal
     left = _pair_predictions(xi, pts)
     # predicted_tfd_right of each point's snake against its successor, on the configuration reversed once
     right = _pair_predictions(xi._reversed(), _reverse(xi, pts))[::-1]
-    if not via_epsilon:
-        return HypothesesReport(left, right)
-    eps = tuple(
-        _epsilon_or_none(xi, v, snake, side)
-        for a, b in _slices(len(pts))
-        for v, snake, side in ((pts[a - 1], pts[a:b], "left"), (pts[b - 1], pts[a - 1:b - 1], "right"))
-    )
-    return HypothesesReport(left, right, eps)
+    return HypothesesReport(left, right)
 
 
 # -- rendering ---------------------------------------------------------------

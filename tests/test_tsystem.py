@@ -5,7 +5,7 @@ import pytest
 
 from snaketsys.errors import InternalError, NotPrimeSnake, OutsideWindow, TooShort
 from snaketsys.quivers import UNTWISTED, HeightFunction, Region, Vertex, _vertex, big_theta2
-from snaketsys.realize import Realization, RelationMonomials, relation_monomials
+from snaketsys.realize import Realization, relation_monomials
 from snaketsys.snakes import (
     _in_prime_window,
     _prime_position,
@@ -18,8 +18,6 @@ from snaketsys.snakes import (
 )
 from snaketsys.tsystem import (
     HypothesesReport,
-    HypothesisCheck,
-    TSystemRelation,
     _on_ray,
     _predict_left,
     check_theorem_hypotheses,
@@ -51,7 +49,7 @@ def test_untwisted_golden_relation():
     assert rel.first_r == (V(3, 1), V(3, 3))
     assert rel.real is rel.prime is rel.hypotheses_ok is True
     # constants of the class, not stored per record
-    assert not {"real", "prime", "hypotheses_ok"} & set(vars(rel))
+    assert not {"real", "prime", "hypotheses_ok"} & set(rel._fields)
 
 
 def test_twisted_golden_relation():
@@ -161,12 +159,12 @@ def test_hypotheses_prime_all_one():
             continue
         report = check_theorem_hypotheses(xi, pts)
         assert report.all_one
-        assert len(report.checks) == (len(pts) * (len(pts) - 1))
+        assert len(report.left) == len(report.right) == len(pts) - 1
 
 
 def test_hypotheses_nonprime_contains_zero():
     report = check_theorem_hypotheses(XI3, (V(2, 0), V(2, 6)))
-    assert any(c.predicted == 0 for c in report.checks)
+    assert 0 in report.left + report.right
     assert not report.all_one
 
 
@@ -184,13 +182,16 @@ def test_hypotheses_epsilon_consistent():
             if len(pts) < 2:
                 continue
             done += 1
-            report = check_theorem_hypotheses(xi, pts, via_epsilon=True)
-            assert report.all_one and report.consistent
-            assert any(c.epsilon == 1 for c in report.checks)
+            assert check_theorem_hypotheses(xi, pts).all_one
+            rows = _per_slice_sweep(xi, pts, via_epsilon=True)
+            assert all(pred == eps for *_, pred, eps in rows if pred is not None and eps is not None)
+            assert any(eps == 1 for *_, eps in rows)
 
 
 def _per_slice_sweep(xi, pts, via_epsilon=False):
-    """Reference oracle: the O(p^3) sweep, one prediction per sub-slice."""
+    """Reference oracle: the O(p^3) sweep, one prediction per sub-slice, as
+    (side, a, b, predicted, epsilon) rows; with via_epsilon, epsilon is the
+    bridge's exact value, None where it finds no normalization."""
     checks = []
     p = len(pts)
     for a in range(1, p):
@@ -200,18 +201,30 @@ def _per_slice_sweep(xi, pts, via_epsilon=False):
             if via_epsilon:
                 try:
                     eps = tfd_via_epsilon(xi, pts[a - 1], pts[a:b], "left")
-                except (OutsideWindow, AssertionError):
+                except OutsideWindow:
                     eps = None
-            checks.append(HypothesisCheck("left", a, b, pred, eps))
+            checks.append(("left", a, b, pred, eps))
             pred = predicted_tfd_right(xi, pts[a - 1:b - 1], pts[b - 1])
             eps = None
             if via_epsilon:
                 try:
                     eps = tfd_via_epsilon(xi, pts[b - 1], pts[a - 1:b - 1], "right")
-                except (OutsideWindow, AssertionError):
+                except OutsideWindow:
                     eps = None
-            checks.append(HypothesisCheck("right", a, b, pred, eps))
+            checks.append(("right", a, b, pred, eps))
     return tuple(checks)
+
+
+def _report_checks(report):
+    """The report's prediction for each check, in _per_slice_sweep order:
+    slice [a, b] reads left[a-1] and right[b-2]."""
+    p = len(report.left) + 1
+    return tuple(
+        (side, a, b, predicted)
+        for a in range(1, p)
+        for b in range(a + 1, p + 1)
+        for side, predicted in (("left", report.left[a - 1]), ("right", report.right[b - 2]))
+    )
 
 
 def _random_snake_case(rng, flavor, prime, max_len):
@@ -230,20 +243,27 @@ def test_sweep_matches_per_slice_oracle():
         for prime in (True, False):
             for _ in range(30):
                 xi, pts = _random_snake_case(rng, flavor, prime, 12)
-                report = check_theorem_hypotheses(xi, pts)
-                assert report.checks == _per_slice_sweep(xi, pts)
-                seen.update(c.predicted for c in report.checks)
+                checks = _report_checks(check_theorem_hypotheses(xi, pts))
+                assert checks == tuple(row[:4] for row in _per_slice_sweep(xi, pts))
+                seen.update(row[3] for row in checks)
     assert seen == {0, 1}
 
 
 def test_sweep_matches_per_slice_oracle_via_epsilon():
+    # the report against the oracle, and each prediction against the
+    # bridge's exact value wherever both exist
     rng = random.Random(13)
+    compared = 0
     for flavor in ("untwisted", "twisted"):
         for prime in (True, False):
             for _ in range(4):
                 xi, pts = _random_snake_case(rng, flavor, prime, 4)
-                report = check_theorem_hypotheses(xi, pts, via_epsilon=True)
-                assert report.checks == _per_slice_sweep(xi, pts, via_epsilon=True)
+                rows = _per_slice_sweep(xi, pts, via_epsilon=True)
+                assert _report_checks(check_theorem_hypotheses(xi, pts)) == tuple(row[:4] for row in rows)
+                both = [(pred, eps) for *_, pred, eps in rows if pred is not None and eps is not None]
+                assert all(pred == eps for pred, eps in both), (xi, pts, rows)
+                compared += len(both)
+    assert compared
 
 
 def test_all_one_matches_the_checks():
@@ -254,17 +274,16 @@ def test_all_one_matches_the_checks():
         for prime in (True, False):
             for t in range(30):
                 xi, pts = _random_snake_case(rng, flavor, prime, 8 if t % 5 else 4)
-                for via_epsilon in (False, True) if len(pts) <= 4 else (False,):
-                    report = check_theorem_hypotheses(xi, pts, via_epsilon)
-                    assert report.all_one == all(c.predicted == 1 for c in report.checks)
-                    seen.add(report.all_one)
+                report = check_theorem_hypotheses(xi, pts)
+                assert report.all_one == all(row[3] == 1 for row in _per_slice_sweep(xi, pts))
+                seen.add(report.all_one)
     assert seen == {True, False}
 
 
 def test_relation_validates_once_and_builds_no_checks(monkeypatch):
     # one vertex check per point, primality read off the p-1 left predictions,
-    # no right prediction, and no snake predicate, HypothesisCheck,
-    # HypothesesReport or validated HeightFunction at all
+    # no right prediction, and no snake predicate, HypothesesReport or
+    # validated HeightFunction at all
     from collections import Counter
 
     from snaketsys import realize, snakes, tsystem
@@ -283,7 +302,6 @@ def test_relation_validates_once_and_builds_no_checks(monkeypatch):
         monkeypatch.setattr(snakes, name, wrapper)
         if hasattr(tsystem, name):
             monkeypatch.setattr(tsystem, name, wrapper)
-    monkeypatch.setattr(tsystem, "HypothesisCheck", counted("HypothesisCheck", HypothesisCheck))
     monkeypatch.setattr(tsystem, "HypothesesReport", counted("HypothesesReport", HypothesesReport))
     monkeypatch.setattr(HeightFunction, "__post_init__", counted("validate", HeightFunction.__post_init__))
     monkeypatch.setattr(realize, "_factor_items", counted("_factor_items", realize._factor_items))
@@ -322,25 +340,40 @@ def test_relation_validates_once_and_builds_no_checks(monkeypatch):
         assert calls == {"_factor_items": 1}
         assert seen == dict.fromkeys(pts + rel.first_q + rel.first_r, 1)
         # the counters see the public paths, which still validate and build
-        assert len(check_theorem_hypotheses(xi, pts).checks) == 12 * 11
-        assert calls["HypothesisCheck"] == 12 * 11 and calls["is_snake"] == 1
+        report = check_theorem_hypotheses(xi, pts)
+        assert len(report.left) == len(report.right) == 11 and calls["is_snake"] == 1
         assert calls["HypothesesReport"] == 1 and calls["validate"] == 0
         assert xi.reversed() == xi._reversed() and calls["validate"] == 1
 
 
 def test_bridge_bug_is_not_indeterminate(monkeypatch):
-    # only OutsideWindow reads as "no value"; a library bug in the bridge propagates
-    from snaketsys import tsystem
+    # verify's prediction sweep reads only OutsideWindow as "no value"; a
+    # library bug in the bridge is a failed check
+    from snaketsys import tsystem, verify
 
-    pts = (V(2, 0), V(2, 2))
-    assert check_theorem_hypotheses(XI3, pts, via_epsilon=True).consistent
+    sweep = next(s for s in verify.SWEEPS if s.name == "epsilon-predictions-untwisted")
+    clean = verify.run(sweep, 20, 0)
+    assert clean.ok and (clean.passed, clean.skipped) == (20, 0)
+    bridge, calls = tsystem.tfd_via_epsilon, []
+
+    def unreachable_every_other_call(*args):
+        calls.append(args)
+        if len(calls) % 2:
+            raise OutsideWindow("no admissible normalization")
+        return bridge(*args)
+
+    monkeypatch.setattr(tsystem, "tfd_via_epsilon", unreachable_every_other_call)
+    res = verify.run(sweep, 20, 0)
+    assert res.ok and (res.passed, res.skipped, len(calls)) == (20, 20, 40)
+    assert res.details["bridge_unreachable"] == 20
 
     def broken(*args):
         raise InternalError("bridge bug")
 
     monkeypatch.setattr(tsystem, "tfd_via_epsilon", broken)
-    with pytest.raises(InternalError):
-        check_theorem_hypotheses(XI3, pts, via_epsilon=True)
+    res = verify.run(sweep, 20, 0)
+    assert (res.passed, res.failed, res.skipped) == (0, 20, 0)
+    assert res.first_failure == "InternalError: bridge bug"
 
 
 def test_bridge_matches_predictions_on_goldens():
@@ -518,14 +551,13 @@ def test_trusted_forms_match_the_public_ones():
         verts = _window(xi, *_trusted_window(xi))
         for v in verts:
             assert xi.is_vertex(xi.dualize(v, -1))  # the trusted prime test relies on D keeping vertices
-            assert xi._undualize(v) == xi.dualize(v, -1), (xi, v)
             made = _vertex((v.i, v.k2))
             assert type(made) is Vertex and made == v and str(made) == str(v) and hash(made) == hash(v)
             assert _vertex((xi.n + 1 - v.i, -v.k2)) == xi.reverse_vertex(v)
             if xi.twisted_flavor:
                 assert xi._region(v) == xi.region(v), (xi, v)
             for w in verts:
-                assert xi._reaches(v, w) == xi.preceq(v, w) == _reference_reaches(xi, v, w), (xi, v, w)
+                assert xi.preceq(v, w) == _reference_reaches(xi, v, w), (xi, v, w)
                 assert _in_prime_window(xi, v, w) == xi.preceq(w, xi.dualize(v, -1)), (xi, v, w)
                 assert _snake_position(xi, v, w) == in_snake_position(xi, v, w), (xi, v, w)
                 assert _prime_position(xi, v, w) == in_prime_snake_position(xi, v, w), (xi, v, w)
@@ -752,12 +784,3 @@ def test_relation_outputs_are_pinned():
     assert len(lines) == 322
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == "c1d37745c6f66495222e0cc9abfeb7fb72ca4bcf9f12bb44d040acb7a9f82bf1"
 
-
-def test_records_built_without_init_equal_the_dataclass_ones():
-    rel = extended_tsystem(XI3, (V(2, 0), V(2, 2), V(1, 5)))
-    fields = dict(vars(rel))
-    assert TSystemRelation(**fields) == rel and type(rel) is TSystemRelation
-    mon = relation_monomials(rel, Realization.qdatum_a(3))
-    assert RelationMonomials(**vars(mon)) == mon and type(mon) is RelationMonomials
-    assert set(vars(mon)) == set(RelationMonomials.__dataclass_fields__)
-    assert set(fields) == set(TSystemRelation.__dataclass_fields__)
