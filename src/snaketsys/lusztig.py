@@ -2,12 +2,12 @@
 
 A LusztigDatum binds a reduced word to its tuple of nonnegative counts so the
 two cannot fall out of sync.  A VertexDatum keys the counts by quiver
-vertices instead, in a read-only copy of the caller's support (its nonzero
-counts) keyed by the carrier's own Vertex objects (one shared {v: v} index
-per Gamma window), so data on one window share their keys and a plain
-(i, k2) key is stored as the carrier's Vertex; its counts are ints, never
-bools.  On vertex-keyed data 2-moves act trivially, so rho is a pure
-composition of 3-moves located by vertex coordinates.
+vertices instead: its carrier numbers its vertices row by row, each row by
+k2 (its slots, cached), and the datum stores one int per slot in a tuple.
+Its ``counts`` is a read-only Mapping view of the tuple that yields the
+carrier's own Vertex objects and leaves the zeros out.  On vertex-keyed data
+2-moves act trivially, so rho is a pure composition of 3-moves located by
+vertex coordinates.
 
 The chain of carriers V<n0>, ..., V<n+1> interpolates between the window of
 the twisted staircase big_theta (V<n0>) and that of its untwisted companion
@@ -23,31 +23,32 @@ else by identity.
 Row i of V<j>, n0 < j <= n+1, is theta's window row if i < j, the
 half-integer chain if i = j (_vj_chain), and big_theta's window row if i > j.
 
-The steps do not depend on the datum, so each rank has one cached plan that
-numbers each vertex of V<n0>, ..., V<n+1> once (its slot) and lists the
-slots every step reads and writes, checked once when it is built.  The check
-runs a row-indexed copy of the carrier from the big_theta window: each layer
-is checked on its two rows only, so it costs O(n) per layer and O(n^2) per
-rank and builds no intermediate carrier.  rho and rho_step share one kernel
-that moves only the rows its layers touch (rows j, j+1 for rho_<j>, rows
->= n0 for rho): it copies the input's counts with their stored hashes, pops
-the moved rows into slots, runs the layers in place and adds their nonzero
-results, so rho_step does O(n) Python work and one C-level dict copy.  The
-check proves the keys of the rows written and 3-moves keep counts
-nonnegative, so results are not checked again, only the input's carrier.
+The steps do not depend on the datum, so each rank has one cached plan: it
+numbers each vertex of the rows >= n0 of V<n0>, ..., V<n+1> once in a work
+list and lists the work slots every step reads and writes.  It is checked
+once on a row-indexed copy of the carrier from the big_theta window, each
+layer on its two rows only: O(n) per layer, O(n^2) per rank, and no
+intermediate carrier is built.  rho and rho_step share one kernel: the rows
+they move (rows >= n0, or rows j, j+1) are one run of the datum's slots,
+which it copies into the work list, runs through the layers and slices back
+between the rows it does not move, so no key is hashed.  The plan check
+proves the rows written and 3-moves keep counts nonnegative, so only the
+input's carrier is checked.
 
-Only the Gamma windows (gamma-theta, gamma-THETA, gamma-delta:*) are cached,
-in a bounded cache; V<n0> and V<n+1> are the two staircase windows.  An
-intermediate carrier V<j>, n0 < j <= n, is built from the row rule only by
-Carrier.vertices().
+Only the Gamma windows (gamma-theta, gamma-THETA, gamma-delta:*) cache their
+vertex sets; V<n0>, V<n+1> are the two staircase windows, and
+Carrier.vertices() builds an intermediate V<j>, n0 < j <= n, by the row rule.
 """
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress, count, repeat
+from itertools import chain, compress, count
+from operator import itemgetter
 from types import MappingProxyType
-from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from . import roots
 from .errors import InternalError, NotAnInteger, NotBraidPattern, NotCommuting, NotLongestWord, WrongCarrier
@@ -190,26 +191,33 @@ def _carrier_vertices(name: str, n: int) -> frozenset[Vertex]:
     return frozenset(Carrier(name, n).height_function().gamma_vertices())
 
 
-@lru_cache(maxsize=64)
-def _carrier_index(name: str, n: int) -> Mapping[Vertex, Vertex]:
-    """The vertices of a Gamma window carrier, each keyed by itself."""
-    return MappingProxyType({v: v for v in _carrier_vertices(name, n)})
+class _Slots(NamedTuple):
+    """A carrier's slot order: its vertices row by row, each row by k2, and the slot of each."""
+
+    keys: tuple[Vertex, ...]
+    at: Mapping[Vertex, int]  # the slot of each vertex, read-only; a plain (i, k2) tuple finds it too
 
 
-def _rows(verts: Iterable[Vertex], n: int) -> list[set[Vertex]]:
-    """verts by row: entry i holds row i of rank n (entries 0 and n+1 stay empty)."""
-    rows: list[set[Vertex]] = [set() for _ in range(n + 2)]
+@lru_cache(maxsize=128)
+def carrier_slots(name: str, n: int) -> _Slots:
+    """The slot order of data on the carrier named name of rank n."""
+    keys = tuple(chain.from_iterable(_rows(Carrier(name, n).vertices(), n)))
+    return _Slots(keys, MappingProxyType(dict(zip(keys, count()))))
+
+
+def _rows(verts: Iterable[Vertex], n: int) -> list[list[Vertex]]:
+    """verts by row, each row by k2: entry i holds row i of rank n (entries 0 and n+1 stay empty)."""
+    rows: list[list[Vertex]] = [[] for _ in range(n + 2)]
     for v in verts:
-        rows[v.i].add(v)
-    return rows
+        rows[v.i].append(v)
+    return [sorted(row, key=itemgetter(1)) for row in rows]
 
 
-def _vj_chain(n: int, j: int) -> frozenset[Vertex]:
-    """Row j of V<j> of rank n, n0 < j <= n+1: the half-integer chain (j, j - 3/2 + m), m in [0, 2n-2j+1].
+def _vj_chain(n: int, j: int) -> tuple[Vertex, ...]:
+    """Row j of V<j> of rank n, n0 < j <= n+1, by k2: the half-integer chain (j, j - 3/2 + m), m in [0, 2n-2j+1].
 
-    It is empty at j = n+1, where V<n+1> is theta's window.
-    """
-    return frozenset(Vertex(j, k2) for k2 in range(2 * j - 3, 4 * n - 2 * j, 2))
+    It is empty at j = n+1, where V<n+1> is theta's window."""
+    return tuple(Vertex(j, k2) for k2 in range(2 * j - 3, 4 * n - 2 * j, 2))
 
 
 def _vj_vertices(n: int, j: int) -> frozenset[Vertex]:
@@ -238,29 +246,58 @@ def vj_carrier(n0: int, j: int) -> Carrier:
     return Carrier(f"vj:{j}", n)
 
 
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
+class SlotCounts(Mapping):
+    """A datum's counts, read-only: ``vals`` holds the count of each slot of ``slots``, and the zeros are absent."""
+
+    slots: _Slots
+    vals: tuple[int, ...]
+
+    def __getitem__(self, key) -> int:
+        c = self.vals[self.slots.at[key]]
+        if not c:
+            raise KeyError(key)
+        return c
+
+    def __iter__(self):
+        return compress(self.slots.keys, self.vals)
+
+    def __len__(self) -> int:
+        return len(self.vals) - self.vals.count(0)
+
+    def items(self) -> ItemsView:
+        return _SlotItems(self)
+
+
+class _SlotItems(ItemsView):
+    def __iter__(self):
+        return compress(zip(self._mapping.slots.keys, self._mapping.vals), self._mapping.vals)
+
+
 @dataclass(frozen=True)
 class VertexDatum:
     carrier: Carrier
-    counts: Mapping[Vertex, int] = field(default_factory=dict)  # a read-only copy of the support on the carrier's own keys
+    counts: Mapping[Vertex, int] = field(default_factory=dict)  # stored as the SlotCounts of the carrier's slots
 
     def __post_init__(self):
         carrier, counts = self.carrier, dict(self.counts)
-        # each vertex keyed by itself: shared per Gamma window, built afresh for a V<j> (as its vertices are)
-        index = {v: v for v in carrier.vertices()} if carrier.kind == "vj" else _carrier_index(carrier.name, carrier.n)
-        if not counts.keys() <= index.keys():
-            bad = [v for v in counts if v not in index]
+        slots = carrier_slots(carrier.name, carrier.n)
+        if not counts.keys() <= slots.at.keys():
+            bad = [v for v in counts if v not in slots.at]
             raise WrongCarrier(f"keys {bad[:3]} outside carrier {carrier.name}")
         exact_ints("counts", counts.values())
         if counts and min(counts.values()) < 0:
             raise ValueError("counts must be nonnegative")
-        keys, values = map(index.__getitem__, counts), counts.values()
-        object.__setattr__(self, "counts", MappingProxyType(dict(compress(zip(keys, values), values))))
+        vals = [0] * len(slots.keys)
+        for s, c in zip(map(slots.at.__getitem__, counts), counts.values()):
+            vals[s] = c
+        object.__setattr__(self, "counts", SlotCounts(slots, tuple(vals)))
 
     @classmethod
-    def _trusted(cls, carrier: Carrier, counts: dict[Vertex, int]) -> "VertexDatum":
-        """A datum on a fresh dict no one else holds, with keys in the carrier and counts > 0: no check."""
+    def _trusted(cls, carrier: Carrier, vals: tuple[int, ...]) -> "VertexDatum":
+        """A datum on one count >= 0 per slot of the carrier: no check."""
         d = object.__new__(cls)
-        d.__dict__.update(carrier=carrier, counts=MappingProxyType(counts))
+        d.__dict__.update(carrier=carrier, counts=SlotCounts(carrier_slots(carrier.name, carrier.n), vals))
         return d
 
     def get(self, v: Vertex) -> int:
@@ -272,38 +309,37 @@ class VertexDatum:
 
 def unit_datum(carrier: Carrier, points: Sequence[Vertex]) -> VertexDatum:
     """e(P): indicator datum of a vertex sequence (multiplicities add)."""
-    counts: dict[Vertex, int] = {}
-    for v in points:
-        counts[v] = counts.get(v, 0) + 1
-    return VertexDatum(carrier, counts)
+    return VertexDatum(carrier, Counter(points))
 
 
 class _Layer(NamedTuple):
-    """One step rho_<j> on slots: it reads V<j>'s rows j, j+1 and writes V<j+1>'s."""
+    """One step rho_<j> on work slots: it reads V<j>'s rows j, j+1 and writes V<j+1>'s."""
 
     triples: tuple[tuple[int, int, int, int, int, int], ...]  # 3-moves (a, b, c) -> (x, y, z)
     moves: tuple[tuple[int, int], ...]  # (source, target) boundary shifts of row j
-    entry: tuple[slice, ...]  # the slots of rows j, j+1 of V<j>
-    exit: tuple[slice, ...]  # the slots of rows j, j+1 of V<j+1>
+    entry: tuple[slice, ...]  # the work slots of rows j, j+1 of V<j>, in its slot order
+    exit: tuple[slice, ...]  # the work slots of rows j, j+1 of V<j+1>, in its slot order
+    rows: slice  # the slots of rows j, j+1 in V<j> and in V<j+1>
 
 
 class _Plan(NamedTuple):
-    keys: tuple[Vertex, ...]  # the vertex of each slot
+    keys: tuple[Vertex, ...]  # the vertex of each work slot
     layers: tuple[_Layer, ...]  # rho_<n0>, ..., rho_<n>
-    entry: tuple[slice, ...]  # the slots of big_theta's rows >= n0, read by the composite
-    exit: tuple[slice, ...]  # the slots of theta's rows >= n0, written by the composite
+    entry: tuple[slice, ...]  # the work slots of big_theta's rows >= n0, read by the composite
+    exit: tuple[slice, ...]  # the work slots of theta's rows >= n0, written by the composite
+    rows: slice  # the slots of rows >= n0 in both windows
     big_theta: Carrier  # V<n0>
     theta: Carrier  # V<n+1>
 
 
 @lru_cache(maxsize=16)
 def _layer_plan(n: int) -> _Plan:
-    """The steps rho_<n0>, ..., rho_<n> of rank n on slots, each checked once on its two rows.
+    """The steps rho_<n0>, ..., rho_<n> of rank n on work slots, each checked once on its two rows.
 
-    Each row of each carrier is a run of slots: theta's window row by row,
-    big_theta's rows from n0 up, then each chain as its layer is met.  The
-    carrier's rows start as big_theta's, and each layer replaces rows j, j+1
-    with those of V<j+1>.
+    Each row >= n0 of each carrier is a run of work slots, by k2: big_theta's
+    rows, theta's rows, then each chain as its layer is met.  The carrier's
+    rows start as big_theta's, and each layer replaces rows j, j+1 with
+    those of V<j+1>, which start at the same slot of V<j> and of V<j+1>.
     """
     n0 = (n + 1) // 2
     big, theta = Carrier(GAMMA_BIG_THETA, n), Carrier(GAMMA_THETA, n)
@@ -312,20 +348,23 @@ def _layer_plan(n: int) -> _Plan:
         raise InternalError(f"the windows of rank {n} differ below row {n0}")
     slots: dict[Vertex, int] = {}
 
-    def number(verts: AbstractSet[Vertex]) -> range:
+    def number(verts: Sequence[Vertex]) -> range:
         lo = len(slots)
         slots.update(zip(verts, count(lo)))
         if len(slots) != lo + len(verts):
             raise InternalError(f"rho of rank {n} numbers a vertex twice")
         return range(lo, len(slots))
 
-    theta_span = [number(row) for row in theta_rows]
-    span = theta_span[:n0] + [number(row) for row in big_rows[n0:]]  # V<n0>
-    at = slots.get  # slot of the vertex (i, k2) by plain tuple; None off the numbered rows fails the check
+    span = [range(0)] * n0 + [number(row) for row in big_rows[n0:]]  # V<n0>
+    theta_span = [number(row) for row in theta_rows[n0:]]
+    at = slots.get  # work slot of the vertex (i, k2) by plain tuple; None off the numbered rows fails the check
     entry, layers = _runs(span[n0:]), []
+    below = lo = sum(map(len, theta_rows[:n0]))  # the first slot of row n0, and then of row j
     for j in range(n0, n + 1):
         src, src_runs = {*span[j], *span[j + 1]}, _runs(span[j:j + 2])
-        span[j], span[j + 1] = theta_span[j], number(_vj_chain(n, j + 1))
+        rows = slice(lo, lo + len(src))
+        span[j], span[j + 1] = theta_span[j - n0], number(_vj_chain(n, j + 1))
+        lo += len(span[j])
         triples = tuple(
             (
                 at((j, 2 * j + 4 * r - 1)), at((j + 1, 2 * j + 4 * r)), at((j, 2 * j + 4 * r + 1)),
@@ -336,10 +375,10 @@ def _layer_plan(n: int) -> _Plan:
         # leftover boundary keys of row j reshift by -+1/2
         moves = ((at((j, 2 * j - 3)), at((j, 2 * j - 4))),) if j > n0 else ()
         moves += ((at((j, 4 * n - 2 * j - 1)), at((j, 2 * (2 * n - j)))),)
-        layer = _Layer(triples, moves, src_runs, _runs(span[j:j + 2]))
+        layer = _Layer(triples, moves, src_runs, _runs(span[j:j + 2]), rows)
         _check_layer(n0, j, layer, src, {*span[j], *span[j + 1]})
         layers.append(layer)
-    return _Plan(tuple(slots), tuple(layers), entry, _runs(span[n0:]), big, theta)
+    return _Plan(tuple(slots), tuple(layers), entry, _runs(span[n0:]), slice(below, lo), big, theta)
 
 
 def _runs(spans: Iterable[range]) -> tuple[slice, ...]:
@@ -356,10 +395,9 @@ def _runs(spans: Iterable[range]) -> tuple[slice, ...]:
 def _check_layer(n0: int, j: int, layer: _Layer, src_rows: AbstractSet[int], dst_rows: AbstractSet[int]) -> None:
     """Raise InternalError unless the layer, run in place, maps src_rows onto dst_rows.
 
-    src_rows and dst_rows are the slots of rows j, j+1 of V<j> and of
-    V<j+1>.  The layer must read each slot of src_rows once, write each slot
-    of dst_rows once and read no slot it writes; every other row it carries
-    by identity.
+    src_rows and dst_rows are the slots of rows j, j+1 of V<j> and of V<j+1>.
+    The layer must read each slot of src_rows once, write each slot of
+    dst_rows once and read no slot it writes; it carries every other row.
     """
     reads = [s for t in layer.triples for s in t[:3]] + [s for s, _ in layer.moves]
     writes = [s for t in layer.triples for s in t[3:]] + [t for _, t in layer.moves]
@@ -371,30 +409,24 @@ def _check_layer(n0: int, j: int, layer: _Layer, src_rows: AbstractSet[int], dst
         raise InternalError(f"rho layer {j} of rank {2 * n0 - 1} does not map V<{j}> onto V<{j + 1}>")
 
 
-def _transport(keys: Sequence[Vertex], layers: Sequence[_Layer], entry: Sequence[slice], exit: Sequence[slice],
-               d: VertexDatum) -> dict[Vertex, int]:
-    """d's counts, the entry slots' rows run through the layers onto the exit slots' rows, zeros dropped.
+def _transport(size: int, layers: Sequence[_Layer], step: _Layer | _Plan, vals: tuple[int, ...]) -> tuple[int, ...]:
+    """vals with the slots of step.rows run through the layers, from step.entry's work slots to step.exit's.
 
-    Only the moved rows' keys are hashed; the rest keep the copy's stored
-    hashes.  A triple whose reads are all 0 writes nothing; read slots keep
-    stale counts, outside the exit.
-    """
-    out = d.counts.copy()
-    vals = [0] * len(keys)
-    for run in entry:
-        vals[run] = map(out.pop, keys[run], repeat(0))
+    A triple whose reads are all 0 writes nothing: each work slot is written once and starts at 0."""
+    work, at = [0] * size, step.rows.start
+    for run in step.entry:
+        work[run] = vals[at:at + run.stop - run.start]
+        at += run.stop - run.start
     for layer in layers:
         for a, b, c, x, y, z in layer.triples:
-            ca, cb, cc = vals[a], vals[b], vals[c]
+            ca, cb, cc = work[a], work[b], work[c]
             if ca or cb or cc:
                 m = ca if ca < cc else cc  # three_move, inlined
-                vals[x], vals[y], vals[z] = cb + cc - m, m, ca + cb - m
+                work[x], work[y], work[z] = cb + cc - m, m, ca + cb - m
         for s, t in layer.moves:
-            vals[t] = vals[s]
-    for run in exit:
-        got = vals[run]
-        out.update(compress(zip(keys[run], got), got))
-    return out
+            work[t] = work[s]
+    moved = sum(map(work.__getitem__, step.exit), [])  # one or two runs
+    return vals[:step.rows.start] + tuple(moved) + vals[step.rows.stop:]
 
 
 def rho_step(j: int, d: VertexDatum) -> VertexDatum:
@@ -408,7 +440,7 @@ def rho_step(j: int, d: VertexDatum) -> VertexDatum:
         raise WrongCarrier(f"datum carrier {d.carrier.name} is not V<{j}>")
     plan = _layer_plan(n)
     layer = plan.layers[j - n0]
-    return VertexDatum._trusted(vj_carrier(n0, j + 1), _transport(plan.keys, (layer,), layer.entry, layer.exit, d))
+    return VertexDatum._trusted(vj_carrier(n0, j + 1), _transport(len(plan.keys), (layer,), layer, d.counts.vals))
 
 
 def rho(d: VertexDatum) -> VertexDatum:
@@ -421,7 +453,7 @@ def rho(d: VertexDatum) -> VertexDatum:
     want = plan.big_theta.vertices()
     if have is not want and have != want:  # the cached window is not compared with itself
         raise WrongCarrier("rho expects a datum on the big_theta window")
-    return VertexDatum._trusted(plan.theta, _transport(plan.keys, plan.layers, plan.entry, plan.exit, d))
+    return VertexDatum._trusted(plan.theta, _transport(len(plan.keys), plan.layers, plan, d.counts.vals))
 
 
 # -- JSON round-trip -----------------------------------------------------
@@ -434,8 +466,7 @@ def datum_to_json(d: VertexDatum) -> dict:
 
 def datum_from_json(obj: Mapping, n: int) -> VertexDatum:
     carrier = Carrier(str(obj["carrier"]), n)
-    counts: dict[Vertex, int] = {}
+    counts: Counter[Vertex] = Counter()
     for e in obj["entries"]:
-        v = Vertex(json_int(e["i"]), json_int(e["k2"]))
-        counts[v] = counts.get(v, 0) + json_int(e["c"])
+        counts[Vertex(json_int(e["i"]), json_int(e["k2"]))] += json_int(e["c"])
     return VertexDatum(carrier, counts)

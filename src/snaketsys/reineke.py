@@ -9,18 +9,21 @@ and epsilon is a dynamic programme over the columns, linear in |Omega_j|.
 epsilon*_j is epsilon_j of the dual datum cv_{(i,k)} = c_{(i*, n-k)} on
 the other window, which is never built: the weights are read off c through
 the duality map (i, k2) -> (n+1-i, 2n-k2), so epsilon* costs what epsilon
-does.  The reference oracles live in ``verify``: Omega_j as the preceq
-interval of the window, epsilon by enumerating that interval's order
+does.  ``omega`` also lists the window slots that every weight reads, so no
+key is hashed.  The reference oracles live in ``verify``: Omega_j as the
+preceq interval of the window, epsilon by enumerating that interval's order
 ideals, and the dual datum itself.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import sub
 
 from . import roots
 from .errors import ParityMismatch, WrongCarrier
-from .lusztig import Carrier, VertexDatum
+from .lusztig import Carrier, VertexDatum, carrier_slots
 from .quivers import Vertex
 
 
@@ -42,6 +45,11 @@ class OmegaPoset:
     j: int
     vertices: tuple[Vertex, ...]
     columns: tuple[tuple[Vertex, ...], ...]  # per column k+i, ascending, each by row k-i
+    # slots read by epsilon_j, epsilon*_j: c_{i,k}, c_{i,k-2} per vertex on the parity-bar(j) window (its length:
+    # off it, 0); the dual's, c at (i*, n-k), (i*, n-k+2), on the other; first letters c_{j,0} there, c_{j*,n} here
+    reads: tuple[tuple[int, ...], ...]
+    dual_reads: tuple[tuple[int, ...], ...]
+    firsts: tuple[int, int]
 
 
 @lru_cache(maxsize=256)
@@ -55,23 +63,20 @@ def omega(n: int, j: int) -> OmegaPoset:
     columns = tuple(
         tuple(Vertex((c - r) // 2, c + r) for r in range(1 - j, j, 2)) for c in range(j + 1, 2 * n + 2 - j, 2)
     )
-    return OmegaPoset(n, j, tuple(v for col in columns for v in col), columns)
+    verts = tuple(v for col in columns for v in col)
+    own, other = (carrier_slots(f"gamma-delta:{delta}", n).at for delta in (bar(j), 1 - bar(j)))
+    reads = tuple(tuple(map(own.get, [(i, k2 - dk) for i, k2 in verts], repeat(len(own)))) for dk in (0, 4))
+    dual = tuple(tuple(map(other.get, [(n + 1 - i, 2 * n - k2 + dk) for i, k2 in verts], repeat(len(other))))
+                 for dk in (0, 4))
+    return OmegaPoset(n, j, verts, columns, reads, dual, (other[(j, 0)], own[(roots.star(n, j), 2 * n)]))
 
 
-def _weights(om: OmegaPoset, d: VertexDatum) -> list[int]:
-    """The weight c_{i,k} - c_{i,k-2} of each vertex of om in turn.
-
-    The key below a vertex is a plain (i, k2) tuple, which hashes and
-    compares as the Vertex keys do.
-    """
-    get = d.counts.get
-    return [get(v, 0) - get((v.i, v.k2 - 4), 0) for v in om.vertices]
-
-
-def _dual_weights(om: OmegaPoset, d: VertexDatum) -> list[int]:
-    """The weights of d's dual datum, whose count at (i, k2) is d's at (n+1-i, 2n-k2)."""
-    get, m, t = d.counts.get, d.carrier.n + 1, 2 * d.carrier.n
-    return [get((m - i, t - k2), 0) - get((m - i, t - k2 + 4), 0) for i, k2 in om.vertices]
+def _weights(reads: tuple[tuple[int, ...], ...], d: VertexDatum) -> list[int]:
+    """The weight c_{i,k} - c_{i,k-2} of each Omega vertex, read by slot: ``reads`` gives d's own weights and
+    ``dual_reads`` those of its dual datum, whose count at (i, k2) is d's at (n+1-i, 2n-k2)."""
+    vals = d.counts.vals + (0,)  # the slot past the window's last reads 0
+    plus, minus = reads
+    return list(map(sub, map(vals.__getitem__, plus), map(vals.__getitem__, minus)))
 
 
 def _staircase(j: int, wts: list[int]) -> int:
@@ -96,7 +101,7 @@ def epsilon(j: int, d: VertexDatum) -> int:
     delta = delta_of_carrier(d.carrier)
     if bar(j) != delta:
         raise ParityMismatch(f"epsilon_{j} needs the parity-{bar(j)} window, got {delta}")
-    return _staircase(j, _weights(omega(d.carrier.n, j), d))
+    return _staircase(j, _weights(omega(d.carrier.n, j).reads, d))
 
 
 def epsilon_other_parity(j: int, d: VertexDatum) -> int:
@@ -105,7 +110,7 @@ def epsilon_other_parity(j: int, d: VertexDatum) -> int:
     delta = delta_of_carrier(d.carrier)
     if bar(j) == delta:
         raise ParityMismatch(f"node {j} has the carrier parity; use epsilon")
-    return d.counts.get((j, 0), 0)
+    return d.counts.vals[omega(d.carrier.n, j).firsts[0]]
 
 
 def epsilon_any(j: int, d: VertexDatum) -> int:
@@ -125,5 +130,5 @@ def epsilon_star(j: int, d: VertexDatum) -> int:
     n = d.carrier.n
     roots.check_node(n, j)
     if bar(j) == delta:
-        return d.counts.get((roots.star(n, j), 2 * n), 0)
-    return _staircase(j, _dual_weights(omega(n, j), d))
+        return d.counts.vals[omega(n, j).firsts[1]]
+    return _staircase(j, _weights(omega(n, j).dual_reads, d))

@@ -79,8 +79,8 @@ class Sweep(NamedTuple):
 def run(sweep: Sweep, trials: int, seed: int) -> SweepResult:
     """Check every case of sweep, drawing from one rng seeded with seed.
 
-    A check that raises fails its own case and the sweep goes on; a case
-    generator that raises ends the sweep.  ``details`` keeps the first traceback.
+    A check that raises fails its own case and the sweep goes on; a case generator that raises, or
+    10 * trials draws of an ``until`` sweep that decide nothing, end it.  ``details`` keeps the first traceback.
     """
     res = SweepResult(sweep.name, details={"seed": seed})
     rng = random.Random(seed)
@@ -91,15 +91,19 @@ def run(sweep: Sweep, trials: int, seed: int) -> SweepResult:
         res.details.setdefault("traceback", traceback.format_exc())
 
     try:
-        cases = sweep.cases(trials)
+        cases, undecided = sweep.cases(trials), 0
         for case in itertools.cycle(cases) if sweep.until else cases:
-            if sweep.until and res.passed + res.failed >= trials:
+            decided = res.passed + res.failed
+            if sweep.until and (decided >= trials or undecided >= 10 * trials):
+                if decided < trials:
+                    res.record(False, f"{undecided} draws decided nothing, {decided} of {trials} checks made")
                 break
             try:
                 for outcome in sweep.check(rng, *case):
                     res.record(*outcome)
             except Exception as exc:
                 fail(exc)
+            undecided += res.passed + res.failed == decided
     except Exception as exc:
         fail(exc)
     res.details["elapsed_s"] = time.perf_counter() - start
@@ -264,7 +268,7 @@ def _ideal_masks(om: OmegaInterval):
 
 def epsilon_bruteforce(om: OmegaInterval, d: VertexDatum) -> int:
     """Reference oracle for ``reineke.epsilon``: maximize over explicitly enumerated order ideals."""
-    wts = reineke._weights(om, d)
+    wts = [d.get(v) - d.get((v.i, v.k2 - 4)) for v in om.vertices]  # looked up by key, not by slot
     best = 0
     for mask in _ideal_masks(om):
         s = 0

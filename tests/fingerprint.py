@@ -1,4 +1,4 @@
-"""Seeded fingerprints of two layers, pinned by tests/test_fingerprint.py.
+"""Seeded fingerprints of three layers, pinned by tests/test_fingerprint.py.
 
 Each layer is written out as canonical text lines on seeded inputs, and the
 tier-1 test pins one sha256 per layer, so a refactor of that layer that
@@ -10,7 +10,13 @@ changes any output fails there.  The layers:
 - ``predictions``: ``check_theorem_hypotheses`` (``left``, ``right``,
   ``all_one``) and ``predicted_tfd_left``/``predicted_tfd_right`` against
   every window probe, on seeded prime and non-prime snakes of both flavors,
-  some also with their last point moved so that most are no snakes.
+  some also with their last point moved so that most are no snakes;
+- ``lusztig``: ``VertexDatum`` on every carrier kind, built from empty,
+  unit, sparse and dense counts, with zeros given and with plain-tuple keys:
+  its items, ``len``, ``get``/``in`` on present, absent, off-carrier and
+  plain-tuple keys, ``datum_to_json``, ``rho`` and every ``rho_step``
+  stage, ``epsilon_any``/``epsilon_star`` for every j, and the type and
+  message of each constructor error.
 
 Run from the repository root:
 
@@ -21,9 +27,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import random
+from fractions import Fraction
 
+from snaketsys import reineke
 from snaketsys.errors import NotSnake
+from snaketsys.lusztig import Carrier, VertexDatum, datum_to_json, rho, rho_step, unit_datum
 from snaketsys.quivers import TWISTED, UNTWISTED, HeightFunction, Vertex
 from snaketsys.tsystem import check_theorem_hypotheses, predicted_tfd_left, predicted_tfd_right
 from snaketsys.verify import random_height_function, random_snake
@@ -101,7 +111,99 @@ def predictions_lines(count: int = 48) -> list[str]:
     return lines
 
 
-LAYERS = {"quivers": quivers_lines, "predictions": predictions_lines}
+def _counts(rng: random.Random, carrier: Carrier):
+    """(label, counts) of seeded data on carrier: empty, unit, sparse, dense, zeros given, plain-tuple keys."""
+    verts = sorted(carrier.vertices())
+    yield "empty", {}
+    yield "unit", unit_datum(carrier, rng.choices(verts, k=rng.randint(1, 4))).counts
+    yield "sparse", {v: rng.randint(1, 9) for v in verts if rng.random() < 0.2}
+    yield "dense", {v: rng.randint(0, 9) for v in verts}
+    yield "zeros", {v: rng.randint(1, 9) if rng.random() < 0.3 else 0 for v in rng.sample(verts, len(verts))}
+    yield "tuples", {(v.i, v.k2): rng.randint(0, 3) for v in verts if rng.random() < 0.5}
+
+
+def _probes(d: VertexDatum) -> list:
+    """A present key, an absent key of the carrier, an off-carrier key, and the first two as plain tuples."""
+    verts = sorted(d.carrier.vertices())
+    present = [v for v in verts if d.get(v)][:1]
+    absent = [v for v in verts if not d.get(v)][:1]
+    return [*present, *absent, type(verts[0])(d.carrier.n + 1, 0), *(tuple(v) for v in present + absent)]
+
+
+def _datum_lines(d: VertexDatum) -> list[str]:
+    items = " ".join(f"{v}={c}" for v, c in sorted(d.counts.items()))
+    lines = [f"  len={len(d.counts)} items {items}"]
+    for k in _probes(d):
+        lines.append(f"  {type(k).__name__}{tuple(k)} get={d.get(k)} counts.get={d.counts.get(k)} in={k in d.counts}")
+    lines.append(f"  json {json.dumps(datum_to_json(d))}")
+    return lines
+
+
+def _outcome(build, show=lambda out: []) -> list[str]:
+    """The type and message of the error build raises, or the lines show writes of its result."""
+    try:
+        out = build()
+    except Exception as exc:
+        return [f"  error {type(exc).__name__}: {exc}"]
+    return ["  built", *show(out)]
+
+
+def lusztig_lines() -> list[str]:
+    rng = random.Random(SEED + 2)
+    lines = []
+    for n in (1, 3, 5, 7, 11, 15):
+        n0 = (n + 1) // 2
+        names = [f"gamma-delta:{delta}" for delta in (0, 1)]
+        if n >= 3:
+            names += ["gamma-THETA", "gamma-theta", *(f"vj:{j}" for j in range(n0, n + 2))]
+        for name in names:
+            carrier = Carrier(name, n)
+            for label, counts in _counts(rng, carrier):
+                d = VertexDatum(carrier, counts)
+                lines.append(f"datum {name} n={n} {label}")
+                lines += _datum_lines(d)
+                support = {v: c for v, c in counts.items() if c}
+                lines.append(f"  equals its support: {d == VertexDatum(carrier, support)}")
+                if carrier.kind == "gamma-delta":
+                    for j in range(1, n + 1):
+                        lines.append(f"  j={j} epsilon={reineke.epsilon_any(j, d)} epsilon*={reineke.epsilon_star(j, d)}")
+                    continue
+                first = n0 if name == "gamma-THETA" else carrier.arg if carrier.kind == "vj" else n + 1
+                if name == "gamma-THETA" or first == n0:
+                    lines.append(f"  rho {json.dumps(datum_to_json(rho(d)))}")
+                for j in range(first, n + 1):
+                    d = rho_step(j, d)
+                    lines.append(f"  rho_step {j} -> {d.carrier.name}")
+                    lines += _datum_lines(d)
+            verts = sorted(carrier.vertices())
+            v, w = verts[0], verts[-1]
+            off = [type(v)(n + 1, 0), (0, 0), type(v)(1, 1), "key", type(v)(n, -4)]
+            for bad in (
+                {v: 1, off[0]: 1, w: 0, off[1]: 2, off[2]: 3, off[3]: 4, off[4]: 5},
+                {off[2]: -1},
+                {v: -1, w: 0},
+                {v: 1, w: 1.0},
+                {v: True},
+                {v: Fraction(2)},
+                {v: "1"},
+                {w: None, off[0]: None},
+                [(v, 1), (w, 2)],
+                5,
+            ):
+                lines.append(f"construct {name} n={n} {bad!r}")
+                lines += _outcome(lambda: VertexDatum(carrier, bad), _datum_lines)
+    for name, n in (("vj:1", 3), ("vj:5", 3), ("gamma-theta", 4), ("gamma-THETA", 1), ("gamma-delta:2", 3),
+                    ("gamma-delta:0", 3.0), ("sigma", 3), ("vj:x", 3)):
+        lines.append(f"carrier {name!r} {n!r}")
+        lines += _outcome(lambda: Carrier(name, n))
+    big, theta = Carrier("gamma-THETA", 7), Carrier("gamma-theta", 7)
+    lines += _outcome(lambda: rho(VertexDatum(theta, {})))
+    for j in (3, 4, 8):
+        lines += _outcome(lambda: rho_step(j, VertexDatum(big, {})))
+    return lines
+
+
+LAYERS = {"quivers": quivers_lines, "predictions": predictions_lines, "lusztig": lusztig_lines}
 
 
 def digest(lines: list[str]) -> str:

@@ -236,6 +236,58 @@ def test_vj_datum_keys_are_vertices_of_its_carrier():
     assert rho_step(5, d) == rho_step(5, VertexDatum(carrier, {v: 1 for v in verts}))
 
 
+def test_counts_view_keeps_the_mapping_contract():
+    # a datum's counts is a read-only Mapping that equals the dict of its
+    # support: == both ways, dict() round-trips, a zero or off-carrier key
+    # is a KeyError, an unhashable key and every write a TypeError, len is
+    # the support's size, and iteration (in the carrier's slot order)
+    # yields the carrier's own Vertex objects, for rho's and rho_step's
+    # results too.  Both caches start cold, so the windows' vertex sets and
+    # slot orders are built from the same objects.
+    lusztig._carrier_vertices.cache_clear()
+    lusztig.carrier_slots.cache_clear()
+    rng = random.Random(24)
+
+    def own_keys(d):
+        keys = lusztig.carrier_slots(d.carrier.name, d.carrier.n).keys
+        assert all(v is w for v, w in zip(d.counts, (k for k in keys if k in d.counts)))
+        if d.carrier.kind != "vj":  # a V<j> builds its vertices afresh per call
+            own = {v: v for v in d.carrier.vertices()}
+            assert all(v is own[v] and type(v) is Vertex for v in d.counts)
+        return True
+
+    for name, n in ((GAMMA_BIG_THETA, 7), (GAMMA_THETA, 7), ("gamma-delta:0", 5), ("gamma-delta:1", 5), ("vj:5", 7)):
+        carrier = Carrier(name, n)
+        verts = sorted(carrier.vertices())
+        support = {v: rng.randint(1, 9) for v in verts if rng.random() < 0.4}
+        zero = next(v for v in verts if v not in support)
+        d = VertexDatum(carrier, {zero: 0} | {tuple(v): c for v, c in support.items()})
+        assert d.counts == support and support == d.counts and d.counts != support | {zero: 1}
+        assert dict(d.counts) == support and type(dict(d.counts)) is dict and VertexDatum(carrier, dict(d.counts)) == d
+        assert len(d.counts) == len(support) == len(list(d.counts)) == len(d.counts.items())
+        assert list(d.counts) == [v for v in verts if v in support] and own_keys(d)
+        for key in (zero, tuple(zero), Vertex(n + 1, 0), (0, 0), "key"):
+            with pytest.raises(KeyError):
+                d.counts[key]
+            assert key not in d.counts and d.counts.get(key) is None and d.get(key) == 0
+        for v, c in support.items():
+            assert d.counts[v] == d.counts[tuple(v)] == d.get(v) == c and tuple(v) in d.counts
+        with pytest.raises(TypeError):
+            d.counts[[1, 2]]
+        for key in (zero, verts[0], [1, 2]):
+            with pytest.raises(TypeError):
+                d.counts[key] = 1
+            with pytest.raises(TypeError):
+                del d.counts[key]
+        if carrier.kind == "vj":
+            assert own_keys(rho_step(carrier.arg, d))
+        elif name == GAMMA_BIG_THETA:
+            assert own_keys(rho(d))
+            for j in range(4, 8):
+                d = rho_step(j, d)
+                assert own_keys(d)
+
+
 @pytest.mark.parametrize(
     "bad", [1.5, 2.0, True, False, Fraction(1), Fraction(3, 2), "1", None],
     ids=["float", "integral-float", "true", "false", "integral-fraction", "fraction", "string", "none"],

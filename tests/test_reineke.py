@@ -83,7 +83,7 @@ def epsilon_mincut(om, d) -> int:
     with infinite capacity.  Answer = sum of positives - min cut.  ``om`` is
     the preceq interval of ``verify``, which carries the arrows.
     """
-    wts = reineke._weights(om, d)
+    wts = [d.get(v) - d.get((v.i, v.k2 - 4)) for v in om.vertices]  # c_{i,k} - c_{i,k-2}, by key
     m = len(wts)
     src, snk = m, m + 1
     g = _Dinic(m + 2)

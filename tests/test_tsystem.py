@@ -376,6 +376,22 @@ def test_bridge_bug_is_not_indeterminate(monkeypatch):
     assert res.first_failure == "InternalError: bridge bug"
 
 
+def test_verify_ends_a_sweep_whose_every_draw_is_skipped(monkeypatch):
+    # an until sweep stops after 10 * trials draws that decide nothing, and
+    # reports that as one failure instead of drawing forever
+    from snaketsys import tsystem, verify
+
+    def unreachable(*args):
+        raise OutsideWindow("no admissible normalization")
+
+    monkeypatch.setattr(tsystem, "tfd_via_epsilon", unreachable)
+    sweep = next(s for s in verify.SWEEPS if s.name == "epsilon-predictions-untwisted")
+    res = verify.run(sweep, 5, 0)
+    assert (res.passed, res.failed) == (0, 1) and res.skipped <= 50
+    assert res.first_failure == "50 draws decided nothing, 0 of 5 checks made"
+    assert res.details["elapsed_s"] < 1
+
+
 def test_bridge_matches_predictions_on_goldens():
     assert tfd_via_epsilon(XI3, V(2, 0), (V(2, 2), V(1, 5)), "left") == 1
     assert tfd_via_epsilon(XI3, V(1, 5), (V(2, 0), V(2, 2)), "right") == 1
