@@ -132,16 +132,11 @@ class HeightFunction:
     # caches are typed, so a float or a bool never hits an int's entry.
 
     @staticmethod
+    @lru_cache(maxsize=64, typed=True)
     def canonical(n: int, delta: int) -> "HeightFunction":
         """The 0/1-valued untwisted function with xi_1 = delta."""
-        # checked before the cache, which would also answer 0.0 with the instance of 0
         if type(delta) is not int or delta not in (0, 1):
             raise ValueError("delta must be 0 or 1")
-        return HeightFunction._canonical(n, delta)
-
-    @staticmethod
-    @lru_cache(maxsize=64, typed=True)
-    def _canonical(n: int, delta: int) -> "HeightFunction":
         exact_ints("ranks", (n,))
         return HeightFunction.untwisted([(i + 1 + delta) % 2 for i in range(1, n + 1)])
 
@@ -195,16 +190,12 @@ class HeightFunction:
         and sends a snake, read backwards, to a snake.  Twisted rows keep U and
         D and swap LT with GT.  The middle value of a twisted function keeps
         its offset from the lower of its neighbours, so reversing twice gives
-        the function back.  The result is validated like any new function;
-        _reversed builds the same function without the check.
+        the function back.  Being an involution, reversal keeps a valid
+        function valid, so the result is not validated again; it shares this
+        function's row heights, which depend only on the shape.
+        tests/test_tsystem.py rebuilds the reversal of every small shape
+        through the validating constructor.
         """
-        rev = self._reversed()
-        return HeightFunction(rev.n, rev.flavor, rev.values2, rev.n0)
-
-    def _reversed(self) -> "HeightFunction":
-        """reversed() without __post_init__: reversal is an involution, so the
-        reversal of a valid function is valid.  It shares this function's row
-        heights, which depend only on the shape."""
         vals2 = [-x for x in reversed(self.values2)]
         if self.n0 is not None:
             m, old = self.n0 - 1, self.values2

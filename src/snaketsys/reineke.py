@@ -24,7 +24,7 @@ from operator import sub
 from . import roots
 from .errors import ParityMismatch, WrongCarrier
 from .lusztig import Carrier, VertexDatum, carrier_slots
-from .quivers import Vertex
+from .quivers import Vertex, exact_ints
 
 
 def bar(i: int) -> int:
@@ -52,13 +52,16 @@ class OmegaPoset:
     firsts: tuple[int, int]
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def omega(n: int, j: int) -> OmegaPoset:
     """Omega_j in closed form: columns c = k+i in {j+1, j+3, ..., 2n+1-j}, rows r = k-i in {1-j, ..., j-1}.
 
     The vertex at (c, r) is ((c-r)/2, k2 = c+r).  ``verify`` holds the
     second description, the interval of the canonical window by preceq.
+    The cache is typed and its body checks both arguments on a miss, so a
+    float or a bool never hits an int's entry.
     """
+    exact_ints("ranks and nodes", (n, j))
     roots.check_node(n, j)
     columns = tuple(
         tuple(Vertex((c - r) // 2, c + r) for r in range(1 - j, j, 2)) for c in range(j + 1, 2 * n + 2 - j, 2)

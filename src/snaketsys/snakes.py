@@ -1,15 +1,20 @@
 """Snake combinatorics: position predicates, Q/R socle pairs, translation.
 
-All operations take the governing height function explicitly.  The twisted
-Q/R formulas and the twisted-to-untwisted translation are stated on the
-staircase pair (big_theta, theta).  The Q/R formulas commute with integer
-shifts, so they run on any twisted quiver as is; the tfd bridge aligns its
-data with big_theta's parity class by an integer shift
+All operations take the governing height function explicitly.  One pair
+kernel gives Q/R for both flavors: Q is one formula on the row heights T
+of preceq (2i untwisted, big_theta's twisted), the one-point formula for R
+serves untwisted pairs and twisted pairs below row n0, and a twisted pair
+starting in region GT or D is D-conjugated.  The twisted formulas and the
+twisted-to-untwisted translation are stated on the staircase pair
+(big_theta, theta).  Q/R commute with integer shifts (each k2 term has
+total weight 1), so they run on any twisted quiver as is; the tfd bridge
+aligns its data with big_theta's parity class by an integer shift
 (twisted_parity_shift2) before it translates.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from .errors import InternalError, NotPrimeSnake, NotPrimeSnakePair, NotSnake, OutsideWindow
@@ -45,7 +50,7 @@ class Snake:
 
 
 def in_snake_position(xi: HeightFunction, v: Vertex, w: Vertex) -> bool:
-    return xi.is_vertex(v) and xi.is_vertex(w) and _snake_position(xi, v, w)
+    return is_snake(xi, (v, w))
 
 
 def _snake_position(xi: HeightFunction, v: Vertex, w: Vertex) -> bool:
@@ -63,7 +68,7 @@ def _snake_position(xi: HeightFunction, v: Vertex, w: Vertex) -> bool:
 
 
 def in_prime_snake_position(xi: HeightFunction, v: Vertex, w: Vertex) -> bool:
-    return xi.is_vertex(v) and xi.is_vertex(w) and _prime_position(xi, v, w)
+    return is_prime_snake(xi, (v, w))
 
 
 def _prime_position(xi: HeightFunction, v: Vertex, w: Vertex) -> bool:
@@ -80,15 +85,11 @@ def _in_prime_window(xi: HeightFunction, v: Vertex, w: Vertex) -> bool:
 
 
 def is_snake(xi: HeightFunction, points: Sequence[Vertex]) -> bool:
-    if not points or not all(xi.is_vertex(v) for v in points):
-        return False
-    return all(_snake_position(xi, points[s], points[s + 1]) for s in range(len(points) - 1))
+    return bool(points) and all(map(xi.is_vertex, points)) and all(map(_snake_position, repeat(xi), points, points[1:]))
 
 
 def is_prime_snake(xi: HeightFunction, points: Sequence[Vertex]) -> bool:
-    if not points or not all(xi.is_vertex(v) for v in points):
-        return False
-    return all(_prime_position(xi, points[s], points[s + 1]) for s in range(len(points) - 1))
+    return bool(points) and all(map(xi.is_vertex, points)) and all(map(_prime_position, repeat(xi), points, points[1:]))
 
 
 def split_prime(xi: HeightFunction, points: Sequence[Vertex]) -> list[tuple[Vertex, ...]]:
@@ -115,97 +116,56 @@ def _exact_div(num: int, den: int) -> int:
 
 
 def qr_untwisted(xi: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
-    """Socle positions of a prime pair: Q toward row 1, R toward row n."""
-    if xi.flavor != UNTWISTED:
-        raise NotPrimeSnakePair("qr_untwisted needs an untwisted height function")
-    if not in_prime_snake_position(xi, v, w):
-        raise NotPrimeSnakePair(f"{w} is not in prime snake position w.r.t. {v}")
-    return QRPair(*_qr_untwisted(xi, v, w))
-
-
-def _qr_untwisted(xi: HeightFunction, v: Vertex, w: Vertex) -> tuple[Points, Points]:
-    """qr_untwisted on a pair already known to be prime."""
-    n = xi.n
-    (i, k2), (ip, kp2) = v, w
-    diff2 = kp2 - k2
-    if diff2 == 2 * (i + ip):
-        q: tuple[Vertex, ...] = ()
-    else:
-        if diff2 > 2 * (i + ip):
-            raise InternalError(f"Q of a prime pair lies past row 1: {v}, {w}")
-        q = (_vertex((_exact_div(2 * (i + ip) - diff2, 4), _exact_div(2 * (i - ip) + k2 + kp2, 2))),)
-    if diff2 == 2 * (2 * n + 2 - i - ip):
-        r: tuple[Vertex, ...] = ()
-    else:
-        if diff2 > 2 * (2 * n + 2 - i - ip):
-            raise InternalError(f"R of a prime pair lies past row {n}: {v}, {w}")
-        r = (_vertex((_exact_div(2 * (i + ip) + diff2, 4), _exact_div(2 * (ip - i) + k2 + kp2, 2))),)
-    for u in q + r:
-        if not xi.is_vertex(u):
-            raise InternalError(f"{u} fell off the quiver")
-    return q, r
-
-
-def twisted_parity_shift2(xi: HeightFunction) -> int:
-    """Even doubled shift aligning xi's quiver with big_theta's parity class."""
-    s2 = (xi.values2[0] - big_theta2(xi.n0, 1)) % 4
-    if s2 not in (0, 2):
-        raise InternalError(f"odd doubled shift {s2} to big_theta")
-    for i in range(1, xi.n + 1):
-        if i != xi.n0 and (xi.xi2(i) - s2 - big_theta2(xi.n0, i)) % 4:
-            raise InternalError("twisted quiver parity mismatch")
-    return s2
-
-
-def _qr_direct(n0: int, v: Vertex, w: Vertex) -> tuple[Points, Points]:
-    """Q/R of a prime pair whose first point is in region LT or U."""
-    (i, k2), (ip, kp2) = v, w
-    t_i, t_ip = big_theta2(n0, i), big_theta2(n0, ip)
-    diff2 = kp2 - k2
-    if diff2 == t_i + t_ip:
-        q: tuple[Vertex, ...] = ()
-    else:
-        if diff2 > t_i + t_ip:
-            raise InternalError(f"Q of a prime pair lies past row 1: {v}, {w}")
-        q = (_vertex((_exact_div(t_i + t_ip - diff2, 4), _exact_div(t_i - t_ip + k2 + kp2, 2))),)
-    if i < n0 and ip < n0:
-        if diff2 < 2 * (2 * n0 - i - ip):
-            r: tuple[Vertex, ...] = (
-                _vertex((_exact_div(2 * (i + ip) + diff2, 4), _exact_div(2 * (ip - i) + k2 + kp2, 2))),
-            )
-        else:
-            r = (_vertex((n0, 2 * n0 - 2 * i + k2 - 1)), _vertex((n0, 2 * ip + kp2 - 2 * n0 + 1)))
-    elif i < n0 and ip == n0:
-        r = (_vertex((n0, 2 * n0 - 2 * i + k2 - 1)),)
-    elif i == n0 and ip < n0:
-        r = (_vertex((n0, 2 * ip + kp2 - 2 * n0 + 1)),)
-    else:
-        r = ()
-    return q, r
+    """Socle positions of an untwisted prime pair: Q toward row 1, R toward row n."""
+    return _checked_qr(xi, v, w, UNTWISTED, "qr_untwisted needs an untwisted height function")
 
 
 def qr_twisted(xi: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
-    """Twisted socle positions; the downward branch is D-conjugated."""
-    if xi.flavor != TWISTED:
-        raise NotPrimeSnakePair("qr_twisted needs a twisted height function")
-    if not in_prime_snake_position(xi, v, w):
+    """Socle positions of a twisted prime pair; a pair starting in region GT or D is D-conjugated."""
+    return _checked_qr(xi, v, w, TWISTED, "qr_twisted needs a twisted height function")
+
+
+def _checked_qr(xi: HeightFunction, v: Vertex, w: Vertex, flavor: str, wrong_flavor: str) -> QRPair:
+    """qr_untwisted and qr_twisted: the flavor and the prime pair checked, then the pair kernel."""
+    if xi.flavor != flavor:
+        raise NotPrimeSnakePair(wrong_flavor)
+    if not is_prime_snake(xi, (v, w)):
         raise NotPrimeSnakePair(f"{w} is not in prime snake position w.r.t. {v}")
-    return QRPair(*_qr_twisted(xi, v, w))
+    return QRPair(*_qr_pair(xi, v, w))
 
 
-def _qr_twisted(xi: HeightFunction, v: Vertex, w: Vertex) -> tuple[Points, Points]:
-    """qr_twisted on a pair already known to be prime.
+def _qr_pair(xi: HeightFunction, v: Vertex, w: Vertex) -> tuple[Points, Points]:
+    """Q/R of a pair already known to be prime, either flavor.
 
-    The formulas are stated on big_theta's parity class, but every one of
-    them moves with an integer shift of both points (their k2 terms have
-    total weight 1), and so do regions, D and the quiver's lattice; so they
-    run on any twisted quiver as is.
+    A twisted pair starting in region GT or D is D-conjugated: its Q/R are
+    D^-1 of the R/Q of (D v, D w), which starts in region LT or U.
     """
-    if xi._region(v) in (Region.LT, Region.U):
-        q, r = _qr_direct(xi.n0, v, w)
+    n0 = xi.n0
+    dual = n0 is not None and xi._region(v) in (Region.GT, Region.D)
+    if dual:
+        v, w = xi.dualize(v), xi.dualize(w)
+    (i, k2), (ip, kp2) = v, w
+    t = xi._rows or (0, 2)  # untwisted rank 1 has no arrows, but its row height is 2i all the same
+    ti, tp = t[i], t[ip]
+    diff2 = kp2 - k2
+    # Q: empty when w sits T_i + T_i' above v, one point toward row 1 below that
+    top2 = ti + tp
+    if diff2 > top2:
+        raise InternalError(f"Q of a prime pair lies past row 1: {v}, {w}")
+    q = (_vertex((_exact_div(top2 - diff2, 4), _exact_div(ti - tp + k2 + kp2, 2))),) if diff2 < top2 else ()
+    # R: one point toward row n, empty at the untwisted bound 4(n+1) - T_i - T_i'; a twisted pair with a point
+    # on row n0, or a gap at its bound 4 n0 - T_i - T_i' or more, takes the row-n0 points of the rays v -> w
+    bottom2 = 4 * (n0 or xi.n + 1) - top2
+    if n0 is None or i < n0 and ip < n0 and diff2 < bottom2:
+        if diff2 > bottom2:
+            raise InternalError(f"R of a prime pair lies past row {xi.n}: {v}, {w}")
+        r = (_vertex((_exact_div(top2 + diff2, 4), _exact_div(tp - ti + k2 + kp2, 2))),) if diff2 < bottom2 else ()
     else:
-        dq, dr = _qr_direct(xi.n0, xi.dualize(v), xi.dualize(w))
-        q, r = tuple(xi.dualize(u, -1) for u in dr), tuple(xi.dualize(u, -1) for u in dq)
+        r = (_vertex((n0, k2 + t[n0] - ti)),) if i < n0 else ()
+        if ip < n0:
+            r += (_vertex((n0, kp2 - t[n0] + tp)),)
+    if dual:
+        q, r = tuple(xi.dualize(u, -1) for u in r), tuple(xi.dualize(u, -1) for u in q)
     for u in q + r:
         if not xi.is_vertex(u):
             raise InternalError(f"{u} fell off the quiver")
@@ -223,17 +183,27 @@ def qr_sequences(xi: HeightFunction, points: Sequence[Vertex]) -> QRPair:
 
 def _qr_concat(xi: HeightFunction, points: Sequence[Vertex]) -> tuple[Points, Points]:
     """qr_sequences on a sequence already known to be a prime snake of length >= 2."""
-    kernel = _qr_untwisted if xi.flavor == UNTWISTED else _qr_twisted
     qs: list[Vertex] = []
     rs: list[Vertex] = []
     for v, w in zip(points, points[1:]):
-        q, r = kernel(xi, v, w)
+        q, r = _qr_pair(xi, v, w)
         qs += q
         rs += r
     return tuple(qs), tuple(rs)
 
 
 # -- twisted -> untwisted translation -------------------------------------
+
+
+def twisted_parity_shift2(xi: HeightFunction) -> int:
+    """Even doubled shift aligning xi's quiver with big_theta's parity class."""
+    s2 = (xi.values2[0] - big_theta2(xi.n0, 1)) % 4
+    if s2 not in (0, 2):
+        raise InternalError(f"odd doubled shift {s2} to big_theta")
+    for i in range(1, xi.n + 1):
+        if i != xi.n0 and (xi.xi2(i) - s2 - big_theta2(xi.n0, i)) % 4:
+            raise InternalError("twisted quiver parity mismatch")
+    return s2
 
 
 def _x_minus(n0: int, v: Vertex, region: Region) -> Vertex | None:
@@ -273,7 +243,7 @@ def translate_twisted(n0: int, points: Sequence[Vertex]) -> tuple[Vertex, ...]:
             raise OutsideWindow(f"{v} is outside the big_theta window")
     if not is_snake(big, points):
         raise NotSnake("translate_twisted expects a snake")
-    regions = [big.region(v) for v in points]
+    regions = [big._region(v) for v in points]
     out: list[Vertex] = []
     s = 0
     while s < len(points):

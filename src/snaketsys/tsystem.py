@@ -134,7 +134,7 @@ def predicted_tfd_right(xi: HeightFunction, points, v: Vertex) -> int | None:
     pts = tuple(points)
     if not is_snake(xi, pts) or not xi.is_vertex(v):
         return None
-    return _predict_left(xi._reversed(), *_reverse(xi, (pts[-1], v)))
+    return _predict_left(xi.reversed(), *_reverse(xi, (pts[-1], v)))
 
 
 def _reverse(xi: HeightFunction, points) -> Points:
@@ -254,7 +254,7 @@ def _twisted_core(big: HeightFunction, v: Vertex, pts, side: str) -> int:
                 if side == "left":
                     return _untwisted_probe_tfd(theta, probes, dagger)
                 # a right probe on theta is a left probe on the reversed theta
-                return _untwisted_probe_tfd(theta._reversed(), _reverse(theta, probes), _reverse(theta, dagger))
+                return _untwisted_probe_tfd(theta.reversed(), _reverse(theta, probes), _reverse(theta, dagger))
             except OutsideWindow as exc:
                 last_error = exc
                 continue
@@ -292,7 +292,7 @@ def tfd_via_epsilon(xi: HeightFunction, v: Vertex, points, side: str) -> int:
     if xi.flavor == TWISTED:
         return _twisted_bridge(xi, v, points, side)
     if side == "right":
-        xi, v, points = xi._reversed(), xi.reverse_vertex(v), _reverse(xi, points)
+        xi, v, points = xi.reversed(), xi.reverse_vertex(v), _reverse(xi, points)
     return tfd_left_via_epsilon(xi, v, points)
 
 
@@ -339,7 +339,7 @@ def check_theorem_hypotheses(xi: HeightFunction, points) -> HypothesesReport:
         raise NotSnake("hypothesis check expects a snake")
     left = _pair_predictions(xi, pts)
     # predicted_tfd_right of each point's snake against its successor, on the configuration reversed once
-    right = _pair_predictions(xi._reversed(), _reverse(xi, pts))[::-1]
+    right = _pair_predictions(xi.reversed(), _reverse(xi, pts))[::-1]
     return HypothesesReport(left, right)
 
 

@@ -1,4 +1,4 @@
-"""Seeded fingerprints of three layers, pinned by tests/test_fingerprint.py.
+"""Seeded fingerprints of four layers, pinned by tests/test_fingerprint.py.
 
 Each layer is written out as canonical text lines on seeded inputs, and the
 tier-1 test pins one sha256 per layer, so a refactor of that layer that
@@ -16,7 +16,16 @@ changes any output fails there.  The layers:
   its items, ``len``, ``get``/``in`` on present, absent, off-carrier and
   plain-tuple keys, ``datum_to_json``, ``rho`` and every ``rho_step``
   stage, ``epsilon_any``/``epsilon_star`` for every j, and the type and
-  message of each constructor error.
+  message of each constructor error;
+- ``snakes``: ``in_snake_position``, ``in_prime_snake_position``,
+  ``qr_untwisted`` and ``qr_twisted`` (each result, or the type and message
+  of its error, wrong flavor included) on every pair of a window of
+  vertices (plus off-quiver points), with ``reversed()`` of each height
+  function; ``is_snake``, ``is_prime_snake``, ``split_prime`` and
+  ``qr_sequences`` on seeded snakes of lengths 1 to 7, prime or not, some
+  with their last point moved or taken off the quiver; ``translate_twisted``
+  on seeded big_theta window snakes and on a few that are none; and
+  ``canonical(n, delta)`` on good and bad ranks and deltas, each twice.
 
 Run from the repository root:
 
@@ -31,7 +40,7 @@ import json
 import random
 from fractions import Fraction
 
-from snaketsys import reineke
+from snaketsys import reineke, snakes
 from snaketsys.errors import NotSnake
 from snaketsys.lusztig import Carrier, VertexDatum, datum_to_json, rho, rho_step, unit_datum
 from snaketsys.quivers import TWISTED, UNTWISTED, HeightFunction, Vertex
@@ -203,7 +212,59 @@ def lusztig_lines() -> list[str]:
     return lines
 
 
-LAYERS = {"quivers": quivers_lines, "predictions": predictions_lines, "lusztig": lusztig_lines}
+def _result(call) -> str:
+    """repr of call's result, or the type and message of the error it raises."""
+    try:
+        return repr(call())
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def snakes_lines(count: int = 16) -> list[str]:
+    rng = random.Random(SEED + 3)
+    lines = []
+    for xi in _height_functions(rng, count):
+        rev = xi.reversed()
+        lines.append(f"xi {xi.flavor} n={xi.n} n0={xi.n0} values2={list(xi.values2)} "
+                     f"reversed={list(rev.values2)} {rev.n0}")
+        verts = _window(xi)
+        targets = verts + [Vertex(v.i, v.k2 + 1) for v in verts[::5]]
+        for v in verts[::2]:
+            for w in targets:
+                pos = _bits((snakes.in_snake_position(xi, v, w), snakes.in_prime_snake_position(xi, v, w)))
+                qr_u = _result(lambda: snakes.qr_untwisted(xi, v, w))
+                qr_t = _result(lambda: snakes.qr_twisted(xi, v, w))
+                lines.append(f"{v} {w} {pos} u={qr_u} t={qr_t}")
+    for t, xi in enumerate(_height_functions(rng, 4 * count)):
+        pts = random_snake(xi, rng, rng.randint(1, 7), prime=t % 4 < 2)
+        last = pts[-1]
+        down = pts[:-1] + (Vertex(last.i, last.k2 - 2 * xi.d2(last.i)),)  # last point one step down its row
+        off = pts[:-1] + (Vertex(last.i, last.k2 + 1),)  # and half a step off it
+        for snake in (pts, down, off):
+            lines.append(f"xi {xi.flavor} n={xi.n} n0={xi.n0} values2={list(xi.values2)} P={' '.join(map(str, snake))}")
+            lines.append(f"  is_snake={snakes.is_snake(xi, snake)!r} is_prime_snake={snakes.is_prime_snake(xi, snake)!r}")
+            lines.append(f"  split_prime {_result(lambda: snakes.split_prime(xi, snake))}")
+            lines.append(f"  qr_sequences {_result(lambda: snakes.qr_sequences(xi, snake))}")
+    for n0 in (2, 3, 4, 5):
+        big = HeightFunction.big_theta(n0)
+        for t in range(count):
+            pts = random_snake(big, rng, rng.randint(1, 6), prime=t % 2 == 0, in_gamma=True)
+            # every fourth snake also appears with a point one duality period past its last, outside the window
+            beyond = (pts + (Vertex(pts[-1].i, pts[-1].k2 + big.ntilde2()),),) if t % 4 == 0 else ()
+            for snake in (pts, *beyond):
+                lines.append(f"translate n0={n0} P={' '.join(map(str, snake))}")
+                lines.append(f"  {_result(lambda: snakes.translate_twisted(n0, snake))}")
+        not_snake = big.gamma_vertices()[:2]
+        lines.append(f"translate n0={n0} not a snake {_result(lambda: snakes.translate_twisted(n0, not_snake))}")
+    for n in (-1, 0, 1, 2, 3, 6, 3.0, True, "3"):
+        for delta in (0, 1, 2, -1, 0.0, 1.0, True, False, "1", None):
+            for _ in range(2):  # twice: a raise is never cached
+                got = _result(lambda: HeightFunction.canonical(n, delta).values2)
+                lines.append(f"canonical({n!r}, {delta!r}) {got}")
+    return lines
+
+
+LAYERS = {"quivers": quivers_lines, "predictions": predictions_lines, "lusztig": lusztig_lines, "snakes": snakes_lines}
 
 
 def digest(lines: list[str]) -> str:

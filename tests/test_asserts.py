@@ -1,11 +1,13 @@
-"""Ratchets on library asserts, which ``python -O`` strips, and on unchecked constructors.
+"""Ratchets on library asserts, which ``python -O`` strips, on unchecked constructors and on twins.
 
 Library checks raise explicitly (``errors.InternalError`` for a bug, a
 ``DomainError`` for bad input).  No module may hold an assert, so the
 allowlist below stays empty.  The ``_trusted`` constructors skip the datum
 checks, so only the lusztig kernels whose plan check or move rule proves
 their results valid may use them, and the reference oracles and the
-random case generators stay in ``verify``, off the production path.
+random case generators stay in ``verify``, off the production path.  A
+public form and its unchecked ``_name`` twin are one concept written twice,
+so no new pair may appear.
 """
 import ast
 import os
@@ -19,6 +21,7 @@ ALLOWED: set[str] = set()
 TRUSTED_USES = {"lusztig.py": 4}  # two_move, apply_three_move, rho_step, rho
 ORACLES = {"dual_vertex_datum", "epsilon_bruteforce", "omega_interval"}  # verify's own
 GENERATORS = {"grow_snake", "random_snake", "random_vertex", "snake_candidates"}  # verify's own
+TWINS_ALLOWED = {"quivers.py:HeightFunction.region"}  # region checks the flavor and the vertex, _region neither
 
 
 def _assert_lines(path: Path) -> list[int]:
@@ -67,6 +70,30 @@ def test_case_generators_stay_in_verify():
     # sweep case generators: no production module may name them
     found = {path.name: _naming_lines(path, GENERATORS) for path in sorted(SRC.glob("*.py"))}
     assert {name for name, lines in found.items() if lines} == {"verify.py"}, found
+
+
+def _twins(path: Path) -> list[str]:
+    """Each name that path's module or one of its classes defines next to _name, as module:Class.name."""
+    found = []
+    tree = ast.parse(path.read_text())
+    for scope in [tree, *(node for node in ast.walk(tree) if isinstance(node, ast.ClassDef))]:
+        names = set()
+        for node in scope.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+        prefix = f"{path.name}:" + (f"{scope.name}." if isinstance(scope, ast.ClassDef) else "")
+        found += [prefix + name for name in sorted(names) if not name.startswith("_") and f"_{name}" in names]
+    return found
+
+
+def test_no_public_and_private_twins():
+    # one implementation per concept: a module or class defines name or
+    # _name, not both, save the allowlisted pairs
+    found = {twin for path in sorted(SRC.glob("*.py")) for twin in _twins(path)}
+    assert found == TWINS_ALLOWED
 
 
 def _verify_stdout(*python_flags: str) -> str:

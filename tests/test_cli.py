@@ -458,18 +458,18 @@ def test_verify_reports_a_wrong_move_and_exits_one(capsys, monkeypatch):
 
 def test_verify_reports_a_crashing_sweep_and_runs_the_rest(capsys, monkeypatch):
     # an exception in a sweep is that sweep's failure, not a traceback: the
-    # untwisted Q/R kernel raising fails the two sweeps that reach it only
+    # Q/R pair kernel raising fails the three sweeps that reach it only
     def broken(*args):
         raise RuntimeError("broken kernel")
 
-    monkeypatch.setattr(snakes, "_qr_untwisted", broken)
+    monkeypatch.setattr(snakes, "_qr_pair", broken)
     code, out, err = run(capsys, "verify", "--suite", "all", "--trials", "10", "--seed", "0")
     assert (code, err) == (1, "")
     names = [line.split(":")[0] for line in out.splitlines() if not line.startswith(" ")]
     assert names == [line.split(":")[0] for line in VERIFY_ALL_200_SEED_0.splitlines()]
     failed = [line.split(":")[0] for line in out.splitlines() if ": FAIL (" in line]
-    assert failed == ["qr-being-snake-untwisted", "qr-dual-equivariance"]
-    assert out.count("\n  first counterexample: RuntimeError: broken kernel\n") == 2
+    assert failed == ["qr-being-snake-untwisted", "qr-being-snake-twisted", "qr-dual-equivariance"]
+    assert out.count("\n  first counterexample: RuntimeError: broken kernel\n") == 3
     assert "Traceback" not in out
     from snaketsys import verify
 

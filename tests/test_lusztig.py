@@ -323,10 +323,14 @@ _INT_SLOTS = {
     "theta n0": (lambda b: 2, lambda x, b: HeightFunction.theta(x)),
     "big_theta n0": (lambda b: 2, lambda x, b: HeightFunction.big_theta(x)),
     "canonical rank": (lambda b: 3, lambda x, b: HeightFunction.canonical(x, 0)),
+    "omega rank": (lambda b: 3, lambda x, b: reineke.omega(x, 1)),
+    "omega node": (lambda b: 1, lambda x, b: reineke.omega(3, x)),
 }
 _AS = st.sampled_from([int, float, bool, Fraction, str, lambda c: c + 0.5, lambda c: Fraction(2 * c + 1, 2)])
 # the caches that could answer a non-int with the instance of its int
-_CACHES = (HeightFunction._canonical, HeightFunction.theta, HeightFunction.big_theta, lusztig._carrier_vertices)
+_CACHES = (
+    HeightFunction.canonical, HeightFunction.theta, HeightFunction.big_theta, lusztig._carrier_vertices, reineke.omega,
+)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

@@ -251,7 +251,7 @@ def test_qr_untwisted_against_root_splitting_oracle():
     from snaketsys.quivers import HeightFunction
     from snaketsys.verify import snake_candidates
 
-    for n in range(2, 7):
+    for n in range(1, 7):
         for delta in (0, 1):
             xi = HeightFunction.canonical(n, delta).shifted(-4)
             span2 = 2 * xi.ntilde2()

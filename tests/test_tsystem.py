@@ -343,7 +343,7 @@ def test_relation_validates_once_and_builds_no_checks(monkeypatch):
         report = check_theorem_hypotheses(xi, pts)
         assert len(report.left) == len(report.right) == 11 and calls["is_snake"] == 1
         assert calls["HypothesesReport"] == 1 and calls["validate"] == 0
-        assert xi.reversed() == xi._reversed() and calls["validate"] == 1
+        assert xi.reversed().reversed() == xi and calls["validate"] == 0  # reversal is not validated
 
 
 def test_bridge_bug_is_not_indeterminate(monkeypatch):
@@ -558,12 +558,36 @@ def _reference_reaches(xi, v, w):
     return v == w if xi.n == 1 else gap2 >= 2 * abs(w.i - v.i)
 
 
+def _every_twisted(n0):
+    """Every twisted height function of rank 2*n0 - 1 with xi_1 = 0, one per choice of steps and middle offset."""
+    for low in _every_untwisted(n0 - 1):
+        for high in _every_untwisted(n0 - 1):
+            for step in (-2, 2):
+                for offset in (-1, 1):
+                    left = list(low.values2)
+                    after = left[-1] + step
+                    middle = min(left[-1], after) + offset
+                    yield HeightFunction.twisted(left + [middle] + [after + x for x in high.values2], n0)
+
+
+def _assert_valid_reversal(xi):
+    """reversed() is not validated: it must equal the function rebuilt through the validating
+    constructor, be an involution, and share the row heights, which depend only on the shape."""
+    rev = xi.reversed()
+    rebuilt = HeightFunction(rev.n, rev.flavor, rev.values2, rev.n0)
+    assert type(rev) is HeightFunction and rev == rebuilt and hash(rev) == hash(rebuilt), xi
+    assert rev.reversed() == xi and rev._rows is xi._rows == rebuilt._rows, xi
+
+
 def test_trusted_forms_match_the_public_ones():
     seen = set()
+    shapes = [xi for n in range(1, 7) for xi in _every_untwisted(n)]
+    shapes += [xi for n0 in (2, 3, 4) for xi in _every_twisted(n0)]
+    for xi in shapes:
+        for s2 in (0, 2):
+            _assert_valid_reversal(xi.shifted(s2))
     for xi in _trusted_quivers():
-        rev = xi._reversed()
-        assert type(rev) is HeightFunction and rev == xi.reversed() and hash(rev) == hash(xi.reversed())
-        assert rev._reversed() == xi and rev._rows == xi._rows  # an involution; the row heights depend on the shape
+        _assert_valid_reversal(xi)
         verts = _window(xi, *_trusted_window(xi))
         for v in verts:
             assert xi.is_vertex(xi.dualize(v, -1))  # the trusted prime test relies on D keeping vertices
@@ -620,7 +644,7 @@ def test_right_predictions_are_one_on_prime_pairs():
     base = [xi for n in range(1, 7) for xi in _every_untwisted(n)]
     base += [HeightFunction.big_theta(n0) for n0 in (2, 3, 4)]
     pairs = 0
-    for xi in (q for b in base for q in (b, b.shifted(2), b._reversed())):
+    for xi in (q for b in base for q in (b, b.shifted(2), b.reversed())):
         verts = _window(xi, -12, 12)
         for v in verts:
             for w in verts:
