@@ -1,4 +1,4 @@
-"""Seeded fingerprints of four layers, pinned by tests/test_fingerprint.py.
+"""Seeded fingerprints of five layers, pinned by tests/test_fingerprint.py.
 
 Each layer is written out as canonical text lines on seeded inputs, and the
 tier-1 test pins one sha256 per layer, so a refactor of that layer that
@@ -25,7 +25,17 @@ changes any output fails there.  The layers:
   ``qr_sequences`` on seeded snakes of lengths 1 to 7, prime or not, some
   with their last point moved or taken off the quiver; ``translate_twisted``
   on seeded big_theta window snakes and on a few that are none; and
-  ``canonical(n, delta)`` on good and bad ranks and deltas, each twice.
+  ``canonical(n, delta)`` on good and bad ranks and deltas, each twice;
+- ``windows``: on seeded untwisted (n 1-8) and twisted (n0 2-5) height
+  functions and on ``theta``, ``big_theta`` and ``canonical``, the Gamma
+  window (``gamma_vertices`` in order and each ``gamma_row``), ``in_gamma``
+  on window, off-window and off-quiver points and on rows 0 and n+1, both
+  ``compatible_reading`` orders, the ``phi_map`` items, the error of ``phi``
+  off the window, and ``quiver_ascii``/``quiver_dot`` with and without
+  labels and on an empty k2 range; and every carrier kind at ranks 1-15:
+  ``height_function()`` or its error, ``kind``, ``arg``, equality with
+  the other carriers of its rank, and its vertex order (``list`` for Gamma
+  kinds, whose iteration order ``verify`` draws from, ``sorted`` for V<j>).
 
 Run from the repository root:
 
@@ -43,7 +53,7 @@ from fractions import Fraction
 from snaketsys import reineke, snakes
 from snaketsys.errors import NotSnake
 from snaketsys.lusztig import Carrier, VertexDatum, datum_to_json, rho, rho_step, unit_datum
-from snaketsys.quivers import TWISTED, UNTWISTED, HeightFunction, Vertex
+from snaketsys.quivers import TWISTED, UNTWISTED, HeightFunction, Vertex, phi_map, quiver_ascii, quiver_dot
 from snaketsys.tsystem import check_theorem_hypotheses, predicted_tfd_left, predicted_tfd_right
 from snaketsys.verify import random_height_function, random_snake
 
@@ -264,7 +274,70 @@ def snakes_lines(count: int = 16) -> list[str]:
     return lines
 
 
-LAYERS = {"quivers": quivers_lines, "predictions": predictions_lines, "lusztig": lusztig_lines, "snakes": snakes_lines}
+def _window_functions(rng: random.Random) -> list[HeightFunction]:
+    """Seeded untwisted (n 1-8) and twisted (n0 2-5) height functions, then theta, big_theta and canonical."""
+    out = [random_height_function(n, rng) for n in range(1, 9)]
+    out += [random_height_function(2 * n0 - 1, rng, TWISTED, n0) for n0 in range(2, 6)]
+    out += [f(n0) for n0 in range(2, 6) for f in (HeightFunction.theta, HeightFunction.big_theta)]
+    return out + [HeightFunction.canonical(n, delta) for n in range(1, 9) for delta in (0, 1)]
+
+
+def _carrier_names(n: int) -> list[str]:
+    """Every carrier kind at rank n, with V<j> for j one past each end of [n0, n+1]."""
+    n0 = (n + 1) // 2
+    return ["gamma-theta", "gamma-THETA", "gamma-delta:0", "gamma-delta:1", *(f"vj:{j}" for j in range(n0 - 1, n + 3))]
+
+
+def windows_lines() -> list[str]:
+    rng = random.Random(SEED + 4)
+    lines = []
+    for xi in _window_functions(rng):
+        n = xi.n
+        lines.append(f"xi {xi.flavor} n={n} n0={xi.n0} values2={list(xi.values2)}")
+        verts = xi.gamma_vertices()
+        lines.append(f"  gamma {' '.join(map(str, verts))}")
+        for i in range(1, n + 1):
+            lines.append(f"  row {i} {list(xi.gamma_row(i))}")
+        lo, hi = min(v.k2 for v in verts), max(v.k2 for v in verts)
+        probes = xi.vertices_between(lo - 4, hi + 4)
+        probes += [Vertex(v.i, v.k2 + 1) for v in probes[::3]] + [Vertex(i, k2) for i in (0, n + 1) for k2 in (lo, hi)]
+        lines.append(f"  in_gamma {_bits(map(xi.in_gamma, probes))}")
+        for reverse in (False, True):
+            order, word = xi.compatible_reading(reverse)
+            lines.append(f"  reading {reverse} {' '.join(map(str, order))} word={list(word)}")
+        lines.append(f"  phi {' '.join(f'{v}={r}' for v, r in phi_map(xi).items())}")
+        for v in (Vertex(1, lo - 4), Vertex(n, hi + 4), Vertex(1, lo + 1), Vertex(0, lo)):
+            lines.append(f"  phi {v} {_result(lambda: xi.phi(v))}")
+        for k2_lo, k2_hi in ((lo - 2, hi + 2), (lo + 2, lo + 6), (hi + 4, hi + 12), (hi, lo)):
+            for labels in (False, True):
+                lines.append(f"  render {k2_lo}:{k2_hi} labels={labels}")
+                lines += quiver_ascii(xi, k2_lo, k2_hi, labels).split("\n")
+                lines += quiver_dot(xi, k2_lo, k2_hi, labels).split("\n")
+    for n in range(1, 16):
+        carriers = {}
+        for name in _carrier_names(n):
+            try:
+                carriers[name] = Carrier(name, n)
+            except Exception as exc:
+                lines.append(f"carrier {name} n={n} error {type(exc).__name__}: {exc}")
+        for name, carrier in carriers.items():
+            hf = _result(lambda: carrier.height_function().values2)
+            eq = _bits(carrier == other for other in carriers.values())
+            lines.append(f"carrier {name} n={n} kind={carrier.kind} arg={carrier.arg} hf={hf} "
+                         f"eq={eq} copy={carrier == Carrier(name, n)}")
+            order = sorted if carrier.kind == "vj" else list
+            lines.append(f"  vertices {_result(lambda: ' '.join(map(str, order(carrier.vertices()))))}")
+            lines.append(f"  {_result(lambda: type(carrier.vertices()).__name__)}")
+    return lines
+
+
+LAYERS = {
+    "quivers": quivers_lines,
+    "predictions": predictions_lines,
+    "lusztig": lusztig_lines,
+    "snakes": snakes_lines,
+    "windows": windows_lines,
+}
 
 
 def digest(lines: list[str]) -> str:
