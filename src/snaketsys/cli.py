@@ -104,8 +104,7 @@ def cmd_quiver(args) -> int:
             raise ConfigError(f"bad --window: {exc}") from exc
         labels = args.labels
     else:
-        verts = xi.gamma_vertices()
-        lo, hi = min(v.k2 for v in verts), max(v.k2 for v in verts)
+        lo, hi = xi.gamma_vertices()[0].k2, xi.gamma_vertices()[-1].k2  # the reading runs by k2
         labels = True
     if args.format == "dot":
         print(quiver_dot(xi, lo, hi, phi_labels=labels))

@@ -2,12 +2,14 @@
 
 A LusztigDatum binds a reduced word to its tuple of nonnegative counts so the
 two cannot fall out of sync.  A VertexDatum keys the counts by quiver
-vertices instead: its carrier numbers its vertices row by row, each row by
-k2 (its slots, cached), and the datum stores one int per slot in a tuple.
-Its ``counts`` is a read-only Mapping view of the tuple that yields the
-carrier's own Vertex objects and leaves the zeros out.  On vertex-keyed data
-2-moves act trivially, so rho is a pure composition of 3-moves located by
-vertex coordinates.
+vertices instead and stores one int per slot of its carrier, whose slot
+order (a quivers.Window: row by row, each row by k2) is taken once: a
+window carrier shares its height function's Gamma window, and V<j> joins
+rows already in slot order, so nothing is sorted or cached.  Its
+``counts`` is a read-only Mapping view of the tuple that yields the
+carrier's own Vertex objects and leaves the zeros out.  On vertex-keyed
+data 2-moves act trivially, so rho is a pure composition of 3-moves
+located by vertex coordinates.
 
 The chain of carriers V<n0>, ..., V<n+1> interpolates between the window of
 the twisted staircase big_theta (V<n0>) and that of its untwisted companion
@@ -26,33 +28,26 @@ half-integer chain if i = j (_vj_chain), and big_theta's window row if i > j.
 The steps do not depend on the datum, so each rank has one cached plan: it
 numbers each vertex of the rows >= n0 of V<n0>, ..., V<n+1> once in a work
 list and lists the work slots every step reads and writes.  It is checked
-once on a row-indexed copy of the carrier from the big_theta window, each
-layer on its two rows only: O(n) per layer, O(n^2) per rank, and no
-intermediate carrier is built.  rho and rho_step share one kernel: the rows
+once on the rows of the two windows, each layer on its two rows only: O(n)
+per layer, O(n^2) per rank, and no intermediate carrier is built.  rho and rho_step share one kernel: the rows
 they move (rows >= n0, or rows j, j+1) are one run of the datum's slots,
 which it copies into the work list, runs through the layers and slices back
 between the rows it does not move, so no key is hashed.  The plan check
 proves the rows written and 3-moves keep counts nonnegative, so only the
 input's carrier is checked.
-
-Only the Gamma windows (gamma-theta, gamma-THETA, gamma-delta:*) cache their
-vertex sets; V<n0>, V<n+1> are the two staircase windows, and
-Carrier.vertices() builds an intermediate V<j>, n0 < j <= n, by the row rule.
 """
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import chain, compress, count
-from operator import itemgetter
-from types import MappingProxyType
+from functools import cached_property, lru_cache
+from itertools import compress, count
 from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from . import roots
 from .errors import InternalError, NotAnInteger, NotBraidPattern, NotCommuting, NotLongestWord, WrongCarrier
-from .quivers import HeightFunction, Vertex, exact_ints, json_int
+from .quivers import HeightFunction, Vertex, Window, exact_ints, json_int
 
 GAMMA_THETA = "gamma-theta"    # window of the untwisted staircase theta
 GAMMA_BIG_THETA = "gamma-THETA"  # window of the twisted staircase big_theta
@@ -169,10 +164,14 @@ class Carrier:
     def n0(self) -> int:
         return (self.n + 1) // 2
 
+    @cached_property
+    def slots(self) -> Window:
+        """The slot order of data on this carrier: a Gamma window, or V<j> by the row rule."""
+        return _vj_window(self.n, self.arg) if self.kind == "vj" else self.height_function().window
+
     def vertices(self) -> frozenset[Vertex]:
-        if self.kind == "vj":
-            return _vj_vertices(self.n, self.arg)
-        return _carrier_vertices(self.name, self.n)
+        """The carrier's vertices; a window's iterate as a set built from its (k2, i) reading."""
+        return frozenset(self.slots.reading or self.slots.vertices)
 
     def height_function(self) -> HeightFunction:
         """The window-defining height function, for Gamma carriers."""
@@ -185,34 +184,6 @@ class Carrier:
         raise WrongCarrier(f"{self.name!r} is not a Gamma carrier")
 
 
-@lru_cache(maxsize=64)
-def _carrier_vertices(name: str, n: int) -> frozenset[Vertex]:
-    """The vertices of a Gamma window carrier."""
-    return frozenset(Carrier(name, n).height_function().gamma_vertices())
-
-
-class _Slots(NamedTuple):
-    """A carrier's slot order: its vertices row by row, each row by k2, and the slot of each."""
-
-    keys: tuple[Vertex, ...]
-    at: Mapping[Vertex, int]  # the slot of each vertex, read-only; a plain (i, k2) tuple finds it too
-
-
-@lru_cache(maxsize=128)
-def carrier_slots(name: str, n: int) -> _Slots:
-    """The slot order of data on the carrier named name of rank n."""
-    keys = tuple(chain.from_iterable(_rows(Carrier(name, n).vertices(), n)))
-    return _Slots(keys, MappingProxyType(dict(zip(keys, count()))))
-
-
-def _rows(verts: Iterable[Vertex], n: int) -> list[list[Vertex]]:
-    """verts by row, each row by k2: entry i holds row i of rank n (entries 0 and n+1 stay empty)."""
-    rows: list[list[Vertex]] = [[] for _ in range(n + 2)]
-    for v in verts:
-        rows[v.i].append(v)
-    return [sorted(row, key=itemgetter(1)) for row in rows]
-
-
 def _vj_chain(n: int, j: int) -> tuple[Vertex, ...]:
     """Row j of V<j> of rank n, n0 < j <= n+1, by k2: the half-integer chain (j, j - 3/2 + m), m in [0, 2n-2j+1].
 
@@ -220,21 +191,17 @@ def _vj_chain(n: int, j: int) -> tuple[Vertex, ...]:
     return tuple(Vertex(j, k2) for k2 in range(2 * j - 3, 4 * n - 2 * j, 2))
 
 
-def _vj_vertices(n: int, j: int) -> frozenset[Vertex]:
-    """The vertices of V<j>: theta's window rows below j, the chain at j, big_theta's window rows above j.
-
-    Built afresh from the two cached windows unless j is n0 or n+1 (a window).
-    """
+def _vj_window(n: int, j: int) -> Window:
+    """V<j> in slot order, a window at j = n0 or n+1: theta's window rows below j, the chain, big_theta's above j."""
     n0 = (n + 1) // 2
-    if j == n0:
-        return _carrier_vertices(GAMMA_BIG_THETA, n)
-    if j == n + 1:
-        return _carrier_vertices(GAMMA_THETA, n)
-    theta, big = _carrier_vertices(GAMMA_THETA, n), _carrier_vertices(GAMMA_BIG_THETA, n)
-    verts = frozenset().union((v for v in theta if v.i < j), _vj_chain(n, j), (v for v in big if v.i > j))
-    if len(verts) != roots.num_positive_roots(n):
-        raise InternalError(f"V<{j}> of rank {n} has {len(verts)} vertices, not one per positive root")
-    return verts
+    if j in (n0, n + 1):
+        return vj_carrier(n0, j).slots
+    theta, big = Carrier(GAMMA_THETA, n).slots, Carrier(GAMMA_BIG_THETA, n).slots
+    win = Window.of_rows([*map(theta.vertices.__getitem__, theta.rows[:j]), _vj_chain(n, j),
+                          *map(big.vertices.__getitem__, big.rows[j + 1:])])
+    if len(win.vertices) != roots.num_positive_roots(n):
+        raise InternalError(f"V<{j}> of rank {n} has {len(win.vertices)} vertices, not one per positive root")
+    return win
 
 
 def vj_carrier(n0: int, j: int) -> Carrier:
@@ -250,17 +217,17 @@ def vj_carrier(n0: int, j: int) -> Carrier:
 class SlotCounts(Mapping):
     """A datum's counts, read-only: ``vals`` holds the count of each slot of ``slots``, and the zeros are absent."""
 
-    slots: _Slots
+    slots: Window
     vals: tuple[int, ...]
 
     def __getitem__(self, key) -> int:
-        c = self.vals[self.slots.at[key]]
+        c = self.vals[self.slots.slot[key]]
         if not c:
             raise KeyError(key)
         return c
 
     def __iter__(self):
-        return compress(self.slots.keys, self.vals)
+        return compress(self.slots.vertices, self.vals)
 
     def __len__(self) -> int:
         return len(self.vals) - self.vals.count(0)
@@ -271,7 +238,7 @@ class SlotCounts(Mapping):
 
 class _SlotItems(ItemsView):
     def __iter__(self):
-        return compress(zip(self._mapping.slots.keys, self._mapping.vals), self._mapping.vals)
+        return compress(zip(self._mapping.slots.vertices, self._mapping.vals), self._mapping.vals)
 
 
 @dataclass(frozen=True)
@@ -280,24 +247,23 @@ class VertexDatum:
     counts: Mapping[Vertex, int] = field(default_factory=dict)  # stored as the SlotCounts of the carrier's slots
 
     def __post_init__(self):
-        carrier, counts = self.carrier, dict(self.counts)
-        slots = carrier_slots(carrier.name, carrier.n)
-        if not counts.keys() <= slots.at.keys():
-            bad = [v for v in counts if v not in slots.at]
+        carrier, counts, at = self.carrier, dict(self.counts), self.carrier.slots.slot
+        if not counts.keys() <= at.keys():
+            bad = [v for v in counts if v not in at]
             raise WrongCarrier(f"keys {bad[:3]} outside carrier {carrier.name}")
         exact_ints("counts", counts.values())
         if counts and min(counts.values()) < 0:
             raise ValueError("counts must be nonnegative")
-        vals = [0] * len(slots.keys)
-        for s, c in zip(map(slots.at.__getitem__, counts), counts.values()):
+        vals = [0] * len(at)
+        for s, c in zip(map(at.__getitem__, counts), counts.values()):
             vals[s] = c
-        object.__setattr__(self, "counts", SlotCounts(slots, tuple(vals)))
+        object.__setattr__(self, "counts", SlotCounts(carrier.slots, tuple(vals)))
 
     @classmethod
     def _trusted(cls, carrier: Carrier, vals: tuple[int, ...]) -> "VertexDatum":
         """A datum on one count >= 0 per slot of the carrier: no check."""
         d = object.__new__(cls)
-        d.__dict__.update(carrier=carrier, counts=SlotCounts(carrier_slots(carrier.name, carrier.n), vals))
+        d.__dict__.update(carrier=carrier, counts=SlotCounts(carrier.slots, vals))
         return d
 
     def get(self, v: Vertex) -> int:
@@ -343,8 +309,8 @@ def _layer_plan(n: int) -> _Plan:
     """
     n0 = (n + 1) // 2
     big, theta = Carrier(GAMMA_BIG_THETA, n), Carrier(GAMMA_THETA, n)
-    theta_rows, big_rows = _rows(theta.vertices(), n), _rows(big.vertices(), n)
-    if big_rows[:n0] != theta_rows[:n0]:  # no layer touches these rows
+    below = lo = theta.slots.rows[n0].start  # the first slot of row n0 in both windows, and then of row j
+    if big.slots.vertices[:big.slots.rows[n0].start] != theta.slots.vertices[:below]:  # no layer touches these rows
         raise InternalError(f"the windows of rank {n} differ below row {n0}")
     slots: dict[Vertex, int] = {}
 
@@ -355,11 +321,10 @@ def _layer_plan(n: int) -> _Plan:
             raise InternalError(f"rho of rank {n} numbers a vertex twice")
         return range(lo, len(slots))
 
-    span = [range(0)] * n0 + [number(row) for row in big_rows[n0:]]  # V<n0>
-    theta_span = [number(row) for row in theta_rows[n0:]]
+    span = [range(0)] * n0 + [number(big.slots.vertices[r]) for r in big.slots.rows[n0:]]  # V<n0>
+    theta_span = [number(theta.slots.vertices[r]) for r in theta.slots.rows[n0:]]
     at = slots.get  # work slot of the vertex (i, k2) by plain tuple; None off the numbered rows fails the check
     entry, layers = _runs(span[n0:]), []
-    below = lo = sum(map(len, theta_rows[:n0]))  # the first slot of row n0, and then of row j
     for j in range(n0, n + 1):
         src, src_runs = {*span[j], *span[j + 1]}, _runs(span[j:j + 2])
         rows = slice(lo, lo + len(src))
@@ -436,7 +401,7 @@ def rho_step(j: int, d: VertexDatum) -> VertexDatum:
     if not n0 <= j <= n:
         raise WrongCarrier(f"rho step index {j} outside [n0, n]")
     carrier = vj_carrier(n0, j)
-    if d.carrier != carrier and d.carrier.vertices() != carrier.vertices():
+    if d.carrier != carrier and d.carrier.slots.vertices != carrier.slots.vertices:
         raise WrongCarrier(f"datum carrier {d.carrier.name} is not V<{j}>")
     plan = _layer_plan(n)
     layer = plan.layers[j - n0]
@@ -449,9 +414,9 @@ def rho(d: VertexDatum) -> VertexDatum:
     Composite rho_<n> o ... o rho_<n0> from the big_theta window to the
     theta window; satisfies B^Theta(c) = B^theta(rho(c)).
     """
-    have, plan = d.carrier.vertices(), _layer_plan(d.carrier.n)
-    want = plan.big_theta.vertices()
-    if have is not want and have != want:  # the cached window is not compared with itself
+    have, plan = d.carrier.slots.vertices, _layer_plan(d.carrier.n)
+    want = plan.big_theta.slots.vertices
+    if have is not want and have != want:  # the shared window is not compared with itself
         raise WrongCarrier("rho expects a datum on the big_theta window")
     return VertexDatum._trusted(plan.theta, _transport(len(plan.keys), plan.layers, plan, d.counts.vals))
 

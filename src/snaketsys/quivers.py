@@ -7,14 +7,23 @@ the pair Vertex(i, k2); a height function stores its doubled values.
 Untwisted height functions take integer values with |xi_i - xi_{i+1}| = 1.
 Twisted ones (n = 2*n0 - 1) take a half-integer value at the middle node n0,
 where the quiver row is twice as dense (d_{n0} = 1 instead of 2).
+
+A height function builds its Gamma window once, as one immutable Window
+kept on the instance: the vertices in slot order (row by row, each by k2),
+the slots of each row, the (k2, i) reading of gamma_vertices(), and, on
+first use, the slot map of in_gamma and the roots of phi; lusztig and
+reineke read the same windows.  The canonical functions and staircases are
+shared per rank in typed bounded caches whose bodies check the rank.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from itertools import accumulate, chain, count, repeat
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Collection, Iterable, Mapping, NamedTuple
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from . import roots
 from .errors import InternalError, NotAnInteger, NotHeightFunction, OutsideWindow
@@ -124,12 +133,6 @@ class HeightFunction:
     def twisted(values2: Iterable[int], n0: int) -> "HeightFunction":
         vals2 = tuple(values2)
         return HeightFunction(len(vals2), TWISTED, vals2, n0)
-
-    # The canonical functions and the two staircases are built once per
-    # rank and shared (a bounded cache): the tfd bridge asks for them
-    # several times per call, and a shared instance is validated once and
-    # keeps its row heights.  A cached body checks its rank on a miss; the
-    # caches are typed, so a float or a bool never hits an int's entry.
 
     @staticmethod
     @lru_cache(maxsize=64, typed=True)
@@ -303,9 +306,18 @@ class HeightFunction:
 
     # -- the finite window Gamma --------------------------------------
 
+    @cached_property
+    def window(self) -> "Window":
+        """The Gamma window, built once; InternalError unless it holds N = n(n+1)/2 vertices."""
+        rows = [map(_vertex, zip(repeat(i), self.gamma_row(i))) for i in range(1, self.n + 1)]
+        win = Window.of_rows([(), *map(tuple, rows), ()], reading=True)
+        if len(win.vertices) != roots.num_positive_roots(self.n):
+            raise InternalError(f"|Gamma| = {len(win.vertices)} != {roots.num_positive_roots(self.n)}")
+        return win
+
     def gamma_vertices(self) -> tuple[Vertex, ...]:
-        """All N = n(n+1)/2 vertices with xi_i <= k <= n-1+xi_{i*}."""
-        return _gamma_vertices(self)
+        """All N = n(n+1)/2 vertices with xi_i <= k <= n-1+xi_{i*}, by (k2, i)."""
+        return self.window.reading
 
     def gamma_row(self, i: int) -> range:
         """The doubled heights k2 of row i inside Gamma: xi_i <= k <= n-1+xi_{i*}, step d_i."""
@@ -313,25 +325,24 @@ class HeightFunction:
         return range(self.xi2(i), top2 + 1, self.d2(i))
 
     def in_gamma(self, v: Vertex) -> bool:
-        return 1 <= v.i <= self.n and v.k2 in self.gamma_row(v.i)
+        return v in self.window.slot
 
     def compatible_reading(self, reverse_rows: bool = False) -> tuple[tuple[Vertex, ...], tuple[int, ...]]:
         """A topological order of Gamma and its node word.
 
         Arrows strictly increase k2, so any k2-ascending order is compatible.
         Ties break by ascending row (descending when reverse_rows, used to
-        check reading-independence).
+        check reading-independence, a stable sort of the reversed slot order).
         """
-        key = (lambda v: (v.k2, -v.i)) if reverse_rows else (lambda v: (v.k2, v.i))
-        order = tuple(sorted(self.gamma_vertices(), key=key))
-        return order, tuple(v.i for v in order)
+        win = self.window
+        order = tuple(sorted(reversed(win.vertices), key=itemgetter(1))) if reverse_rows else win.reading
+        return order, tuple(map(itemgetter(0), order))
 
     def phi(self, v: Vertex) -> Root:
         """Positive root attached to a window vertex by the inversion sequence."""
-        m = phi_map(self)
-        if v not in m:
+        if v not in self.window.phi:
             raise OutsideWindow(f"{v} is not in the Gamma window")
-        return m[v]
+        return self.window.phi[v]
 
 
 def big_theta2(n0: int, i: int) -> int:
@@ -351,22 +362,37 @@ def _row_heights(n: int, n0: int | None) -> tuple[int, ...] | None:
     return tuple(range(0, 2 * n + 1, 2)) if n > 1 else None
 
 
-@lru_cache(maxsize=128)
-def _gamma_vertices(hf: HeightFunction) -> tuple[Vertex, ...]:
-    out = [Vertex(i, k2) for i in range(1, hf.n + 1) for k2 in hf.gamma_row(i)]
-    out.sort(key=lambda v: (v.k2, v.i))
-    expected = roots.num_positive_roots(hf.n)
-    if len(out) != expected:
-        raise InternalError(f"|Gamma| = {len(out)} != {expected}")
-    return tuple(out)
+@dataclass(frozen=True, eq=False)
+class Window:
+    """Vertices of a quiver of rank n in slot order, row by row, each row by k2; shared, so read-only."""
+
+    vertices: tuple[Vertex, ...]
+    rows: tuple[slice, ...]  # rows[i]: the slots of row i, for i in [0, n+1] (rows 0 and n+1 are empty)
+    reading: tuple[Vertex, ...]  # by (k2, i) on a Gamma window, a compatible reading; empty on lusztig's V<j>
+
+    @classmethod
+    def of_rows(cls, rows: Sequence[Sequence[Vertex]], reading: bool = False) -> "Window":
+        """The window whose row i is rows[i], already by k2; its reading is a stable sort by k2."""
+        vertices = tuple(chain.from_iterable(rows))
+        ends = tuple(accumulate(map(len, rows), initial=0))
+        order = tuple(sorted(vertices, key=itemgetter(1))) if reading else ()
+        return cls(vertices, tuple(map(slice, ends, ends[1:])), order)
+
+    @cached_property
+    def slot(self) -> Mapping[Vertex, int]:
+        """The slot of each vertex; a plain (i, k2) tuple finds it too."""
+        return MappingProxyType(dict(zip(self.vertices, count())))
+
+    @cached_property
+    def phi(self) -> Mapping[Vertex, Root]:
+        """The positive root of each vertex of the reading, by the inversion sequence of its word."""
+        betas = roots.inversion_sequence(len(self.rows) - 2, tuple(map(itemgetter(0), self.reading)))
+        return MappingProxyType(dict(zip(self.reading, betas)))
 
 
-@lru_cache(maxsize=128)
 def phi_map(hf: HeightFunction) -> Mapping[Vertex, Root]:
-    """Window vertex -> positive root, read-only since every caller shares it."""
-    order, word = hf.compatible_reading()
-    betas = roots.inversion_sequence(hf.n, word)
-    return MappingProxyType(dict(zip(order, betas)))
+    """Window vertex -> positive root, in the (k2, i) reading; read-only, built once per height function."""
+    return hf.window.phi
 
 
 def phi_closed_form(n: int, v: Vertex) -> Root:
@@ -394,9 +420,7 @@ def quiver_dot(hf: HeightFunction, k2_lo: int, k2_hi: int, phi_labels: bool = Fa
     vset = set(verts)
     lines = ["digraph repetition_quiver {", "  rankdir=LR;"]
     for v in sorted(vset, key=lambda u: (u.k2, u.i)):
-        label = f"{v.i}:{v.k2}"
-        if phi_labels:
-            label += "\\n" + str(hf.phi(v))
+        label = f"{v.i}:{v.k2}\\n{hf.phi(v)}" if phi_labels else f"{v.i}:{v.k2}"
         lines.append(f'  "{v.i}:{v.k2}" [label="{label}"];')
     for v in sorted(vset, key=lambda u: (u.k2, u.i)):
         for w in hf.arrow_targets(v):

@@ -9,10 +9,11 @@ and epsilon is a dynamic programme over the columns, linear in |Omega_j|.
 epsilon*_j is epsilon_j of the dual datum cv_{(i,k)} = c_{(i*, n-k)} on
 the other window, which is never built: the weights are read off c through
 the duality map (i, k2) -> (n+1-i, 2n-k2), so epsilon* costs what epsilon
-does.  ``omega`` also lists the window slots that every weight reads, so no
-key is hashed.  The reference oracles live in ``verify``: Omega_j as the
-preceq interval of the window, epsilon by enumerating that interval's order
-ideals, and the dual datum itself.
+does.  ``omega`` also lists the canonical windows' slots that every weight
+reads, so no key is hashed; the tfd bridge passes such counts straight to
+``_epsilon_on_slots``.  The reference oracles live in ``verify``: Omega_j
+as the preceq interval of the window, epsilon by enumerating that
+interval's order ideals, and the dual datum itself.
 """
 from __future__ import annotations
 
@@ -23,8 +24,8 @@ from operator import sub
 
 from . import roots
 from .errors import ParityMismatch, WrongCarrier
-from .lusztig import Carrier, VertexDatum, carrier_slots
-from .quivers import Vertex, exact_ints
+from .lusztig import Carrier, VertexDatum
+from .quivers import HeightFunction, Vertex, exact_ints
 
 
 def bar(i: int) -> int:
@@ -67,17 +68,17 @@ def omega(n: int, j: int) -> OmegaPoset:
         tuple(Vertex((c - r) // 2, c + r) for r in range(1 - j, j, 2)) for c in range(j + 1, 2 * n + 2 - j, 2)
     )
     verts = tuple(v for col in columns for v in col)
-    own, other = (carrier_slots(f"gamma-delta:{delta}", n).at for delta in (bar(j), 1 - bar(j)))
+    own, other = (HeightFunction.canonical(n, delta).window.slot for delta in (bar(j), 1 - bar(j)))
     reads = tuple(tuple(map(own.get, [(i, k2 - dk) for i, k2 in verts], repeat(len(own)))) for dk in (0, 4))
     dual = tuple(tuple(map(other.get, [(n + 1 - i, 2 * n - k2 + dk) for i, k2 in verts], repeat(len(other))))
                  for dk in (0, 4))
     return OmegaPoset(n, j, verts, columns, reads, dual, (other[(j, 0)], own[(roots.star(n, j), 2 * n)]))
 
 
-def _weights(reads: tuple[tuple[int, ...], ...], d: VertexDatum) -> list[int]:
-    """The weight c_{i,k} - c_{i,k-2} of each Omega vertex, read by slot: ``reads`` gives d's own weights and
-    ``dual_reads`` those of its dual datum, whose count at (i, k2) is d's at (n+1-i, 2n-k2)."""
-    vals = d.counts.vals + (0,)  # the slot past the window's last reads 0
+def _weights(reads: tuple[tuple[int, ...], ...], vals: tuple[int, ...]) -> list[int]:
+    """The weight c_{i,k} - c_{i,k-2} of each Omega vertex, read by slot off a datum's counts vals: ``reads``
+    gives its own weights and ``dual_reads`` those of its dual datum, whose count at (i, k2) is at (n+1-i, 2n-k2)."""
+    vals += (0,)  # the slot past the window's last reads 0
     plus, minus = reads
     return list(map(sub, map(vals.__getitem__, plus), map(vals.__getitem__, minus)))
 
@@ -104,7 +105,12 @@ def epsilon(j: int, d: VertexDatum) -> int:
     delta = delta_of_carrier(d.carrier)
     if bar(j) != delta:
         raise ParityMismatch(f"epsilon_{j} needs the parity-{bar(j)} window, got {delta}")
-    return _staircase(j, _weights(omega(d.carrier.n, j).reads, d))
+    return _epsilon_on_slots(d.carrier.n, j, d.counts.vals)
+
+
+def _epsilon_on_slots(n: int, j: int, vals: tuple[int, ...]) -> int:
+    """epsilon_j of the counts vals, one per slot of the parity-bar(j) canonical window of rank n: no check."""
+    return _staircase(j, _weights(omega(n, j).reads, vals))
 
 
 def epsilon_other_parity(j: int, d: VertexDatum) -> int:
@@ -134,4 +140,4 @@ def epsilon_star(j: int, d: VertexDatum) -> int:
     roots.check_node(n, j)
     if bar(j) == delta:
         return d.counts.vals[omega(n, j).firsts[1]]
-    return _staircase(j, _weights(omega(n, j).dual_reads, d))
+    return _staircase(j, _weights(omega(n, j).dual_reads, d.counts.vals))

@@ -138,12 +138,14 @@ def _qr_pair(xi: HeightFunction, v: Vertex, w: Vertex) -> tuple[Points, Points]:
     """Q/R of a pair already known to be prime, either flavor.
 
     A twisted pair starting in region GT or D is D-conjugated: its Q/R are
-    D^-1 of the R/Q of (D v, D w), which starts in region LT or U.
+    D^-1 of the R/Q of (D v, D w), which starts in region LT or U.  D maps
+    quiver vertices to quiver vertices, so it builds them with _vertex.
     """
     n0 = xi.n0
     dual = n0 is not None and xi._region(v) in (Region.GT, Region.D)
     if dual:
-        v, w = xi.dualize(v), xi.dualize(w)
+        top, nt2 = xi.n + 1, xi.ntilde2()  # D (i, k2) = (i*, k2 - ntilde2), i* = n + 1 - i
+        v, w = _vertex((top - v.i, v.k2 - nt2)), _vertex((top - w.i, w.k2 - nt2))
     (i, k2), (ip, kp2) = v, w
     t = xi._rows or (0, 2)  # untwisted rank 1 has no arrows, but its row height is 2i all the same
     ti, tp = t[i], t[ip]
@@ -165,7 +167,7 @@ def _qr_pair(xi: HeightFunction, v: Vertex, w: Vertex) -> tuple[Points, Points]:
         if ip < n0:
             r += (_vertex((n0, kp2 - t[n0] + tp)),)
     if dual:
-        q, r = tuple(xi.dualize(u, -1) for u in r), tuple(xi.dualize(u, -1) for u in q)
+        q, r = tuple([_vertex((top - a, b + nt2)) for a, b in r]), tuple([_vertex((top - a, b + nt2)) for a, b in q])
     for u in q + r:
         if not xi.is_vertex(u):
             raise InternalError(f"{u} fell off the quiver")

@@ -25,7 +25,6 @@ from typing import NamedTuple
 
 from . import reineke
 from .errors import NotPrimeSnake, NotSnake, OutsideWindow, TooShort
-from .lusztig import Carrier, unit_datum
 from .quivers import TWISTED, UNTWISTED, HeightFunction, Region, Vertex, _vertex, vertices_json
 from .snakes import (
     Points,
@@ -175,16 +174,13 @@ def tfd_left_via_epsilon(xi: HeightFunction, v: Vertex, points) -> int:
     pts = _truncate_to_window(xi, v, pts)
     if not pts:
         return 0
-    j = v.i
-    shift2 = -2 - v.k2
-    delta = j % 2
-    carrier = Carrier(f"gamma-delta:{delta}", xi.n)
-    window = carrier.height_function()
-    moved = tuple(Vertex(x.i, x.k2 + shift2) for x in pts)
-    for x in moved:
-        if not window.in_gamma(x):
+    slot = HeightFunction.canonical(xi.n, v.i % 2).window.slot
+    vals = [0] * len(slot)
+    for x in (Vertex(u.i, u.k2 - 2 - v.k2) for u in pts):  # the probe moves to (j, -1)
+        if x not in slot:
             raise OutsideWindow(f"normalized point {x} escapes the canonical window")
-    return reineke.epsilon(j, unit_datum(carrier, moved))
+        vals[slot[x]] += 1
+    return reineke._epsilon_on_slots(xi.n, v.i, tuple(vals))
 
 
 def _untwisted_probe_tfd(theta: HeightFunction, probes: tuple[Vertex, ...], dagger: tuple[Vertex, ...]) -> int:

@@ -1,5 +1,7 @@
 import hashlib
+import importlib
 import json
+import pkgutil
 import random
 import re
 from fractions import Fraction
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import snaketsys
 from snaketsys import lusztig, reineke
 from snaketsys.errors import (
     DomainError,
@@ -141,24 +144,77 @@ def test_vj_carriers_match_window_reference():
             assert vj_carrier(n0, j).vertices() == want
 
 
-def test_carrier_cache_holds_gamma_windows_only():
-    # rho builds its intermediate carriers once per rank and caches none
-    from snaketsys.lusztig import _carrier_vertices, _layer_plan
+def _lru_caches() -> dict:
+    """Every lru_cache of the snaketsys modules, module-level or on a class, by qualified name."""
+    found = {}
+    for info in pkgutil.iter_modules(snaketsys.__path__):
+        mod = importlib.import_module(f"snaketsys.{info.name}")
+        for name, val in vars(mod).items():
+            if getattr(val, "__module__", None) != mod.__name__:
+                continue
+            members = [(f"{name}.{attr}", getattr(val, attr)) for attr in vars(val)] if isinstance(val, type) else []
+            for qual, fn in [(name, val), *members]:
+                if hasattr(fn, "cache_info"):
+                    found[f"{info.name}.{qual}"] = fn
+    return found
 
-    _carrier_vertices.cache_clear()
-    _layer_plan.cache_clear()
-    ranks = (7, 15, 31)
-    for n in ranks:
-        rho(VertexDatum(Carrier(GAMMA_BIG_THETA, n), {}))
-    info = _carrier_vertices.cache_info()
-    assert info.maxsize is not None and info.currsize == 2 * len(ranks)
-    # the cached entries are exactly the two windows of each rank
-    for n in ranks:
-        for name in (GAMMA_BIG_THETA, GAMMA_THETA):
-            _carrier_vertices(name, n)
-    assert _carrier_vertices.cache_info().misses == info.misses
-    with pytest.raises(WrongCarrier):
-        _carrier_vertices("vj:5", 7)
+
+# distinct valid keys of each cache, as many as asked for
+_CACHE_KEYS = {
+    "quivers.HeightFunction.canonical": lambda k: [(n, d) for n in range(1, k + 1) for d in (0, 1)][:k],
+    "quivers.HeightFunction.theta": lambda k: [(n0,) for n0 in range(1, k + 1)],
+    "quivers.HeightFunction.big_theta": lambda k: [(n0,) for n0 in range(2, k + 2)],
+    "quivers._row_heights": lambda k: [(n, None) for n in range(1, k + 1)],
+    "reineke.omega": lambda k: [(n, j) for n in range(1, k + 1) for j in range(1, n + 1)][:k],
+    "lusztig._layer_plan": lambda k: [(n,) for n in range(3, 2 * k + 3, 2)],
+}
+
+
+def test_cache_census():
+    # the library's lru_caches are exactly these; each is bounded and fills
+    # to its bound on distinct keys, so no cache grows with its callers.
+    # The windows and carriers cache nothing of their own: a height
+    # function keeps its window, and a V<j> is built per carrier.
+    caches = _lru_caches()
+    assert sorted(caches) == sorted(_CACHE_KEYS)
+    for name, cache in caches.items():
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None, name
+        cache.cache_clear()
+        keys = _CACHE_KEYS[name](maxsize + 1)
+        assert len(set(keys)) == maxsize + 1
+        for key in keys:
+            cache(*key)
+        assert cache.cache_info().currsize == maxsize, name
+    assert Carrier("vj:5", 7).slots is not Carrier("vj:5", 7).slots
+
+
+def test_each_height_function_builds_its_window_once():
+    # the window, its slot map and its roots are built once per height
+    # function and shared by every reader: its carriers, phi_map and phi;
+    # it holds only tuples (of vertices and of row slices) and read-only maps
+    from types import MappingProxyType
+
+    from snaketsys.quivers import Window, phi_map
+
+    fresh = [HeightFunction.untwisted([2, 1, 2, 3, 4]), HeightFunction.twisted((-2, 0, -1, 2, 4), 3)]
+    carriers = [(HeightFunction.theta(4), Carrier(GAMMA_THETA, 7)), (HeightFunction.big_theta(4), Carrier(GAMMA_BIG_THETA, 7))]
+    carriers += [(HeightFunction.canonical(5, delta), Carrier(f"gamma-delta:{delta}", 5)) for delta in (0, 1)]
+    for hf in fresh + [hf for hf, _ in carriers]:
+        win = hf.window
+        assert type(win) is Window and hf.window is win and phi_map(hf) is phi_map(hf) is win.phi
+        assert hf.gamma_vertices() is win.reading and hf.compatible_reading()[0] is win.reading
+        assert win.slot is win.slot
+        assert type(win.vertices) is type(win.reading) is type(win.rows) is tuple
+        assert {type(v) for v in win.vertices + win.reading} == {Vertex} and {type(r) for r in win.rows} == {slice}
+        assert type(win.slot) is type(win.phi) is MappingProxyType
+        assert set(vars(win)) == {"vertices", "rows", "reading", "slot", "phi"}
+        with pytest.raises(TypeError):
+            win.slot[win.vertices[0]] = 0
+    for hf, carrier in carriers:
+        assert carrier.slots is hf.window and Carrier(carrier.name, carrier.n).slots is hf.window
+    assert vj_carrier(4, 4).slots is HeightFunction.big_theta(4).window
+    assert vj_carrier(4, 8).slots is HeightFunction.theta(4).window
 
 
 def test_carrier_validation():
@@ -242,18 +298,17 @@ def test_counts_view_keeps_the_mapping_contract():
     # is a KeyError, an unhashable key and every write a TypeError, len is
     # the support's size, and iteration (in the carrier's slot order)
     # yields the carrier's own Vertex objects, for rho's and rho_step's
-    # results too.  Both caches start cold, so the windows' vertex sets and
-    # slot orders are built from the same objects.
-    lusztig._carrier_vertices.cache_clear()
-    lusztig.carrier_slots.cache_clear()
+    # results too.  The windows start cold, so a carrier's vertex set is
+    # checked to be built from its slot order's objects.
+    for cache in (HeightFunction.canonical, HeightFunction.theta, HeightFunction.big_theta):
+        cache.cache_clear()
     rng = random.Random(24)
 
     def own_keys(d):
-        keys = lusztig.carrier_slots(d.carrier.name, d.carrier.n).keys
+        keys = d.carrier.slots.vertices
         assert all(v is w for v, w in zip(d.counts, (k for k in keys if k in d.counts)))
-        if d.carrier.kind != "vj":  # a V<j> builds its vertices afresh per call
-            own = {v: v for v in d.carrier.vertices()}
-            assert all(v is own[v] and type(v) is Vertex for v in d.counts)
+        own = {v: v for v in d.carrier.vertices()}
+        assert all(v is own[v] and type(v) is Vertex for v in d.counts)
         return True
 
     for name, n in ((GAMMA_BIG_THETA, 7), (GAMMA_THETA, 7), ("gamma-delta:0", 5), ("gamma-delta:1", 5), ("vj:5", 7)):
@@ -327,10 +382,8 @@ _INT_SLOTS = {
     "omega node": (lambda b: 1, lambda x, b: reineke.omega(3, x)),
 }
 _AS = st.sampled_from([int, float, bool, Fraction, str, lambda c: c + 0.5, lambda c: Fraction(2 * c + 1, 2)])
-# the caches that could answer a non-int with the instance of its int
-_CACHES = (
-    HeightFunction.canonical, HeightFunction.theta, HeightFunction.big_theta, lusztig._carrier_vertices, reineke.omega,
-)
+# every cache, since any could answer a non-int with the instance of its int
+_CACHES = tuple(_lru_caches().values())
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -716,11 +769,12 @@ def test_slot_plan_cache_is_bounded_and_holds_only_tuples():
 
 def _shifted_window(name, n, row):
     """The Gamma window `name` of rank n with the last key of `row` moved two steps right."""
-    from snaketsys.lusztig import _carrier_vertices
+    from snaketsys.quivers import Window
 
-    verts = set(_carrier_vertices(name, n))
-    last = max(v for v in verts if v.i == row)
-    return frozenset(verts - {last} | {Vertex(row, last.k2 + 8)})
+    win = Carrier(name, n).slots
+    rows = [win.vertices[r] for r in win.rows]
+    rows[row] = rows[row][:-1] + (Vertex(row, rows[row][-1].k2 + 8),)
+    return Window.of_rows(rows, reading=True)
 
 
 @pytest.mark.parametrize("row", [1, 7])
@@ -731,12 +785,12 @@ def test_layer_plan_rejects_a_window_off_the_row_rule(monkeypatch, row):
 
     n = 7
     bad = _shifted_window(GAMMA_BIG_THETA, n, row)
-    real = lusztig._carrier_vertices
+    real = Carrier.slots.func
 
-    def patched(name, m):
-        return bad if (name, m) == (GAMMA_BIG_THETA, n) else real(name, m)
+    def patched(carrier):
+        return bad if (carrier.name, carrier.n) == (GAMMA_BIG_THETA, n) else real(carrier)
 
-    monkeypatch.setattr(lusztig, "_carrier_vertices", patched)
+    monkeypatch.setattr(Carrier, "slots", property(patched))
     lusztig._layer_plan.cache_clear()
     try:
         with pytest.raises(InternalError):
@@ -756,20 +810,21 @@ def _vj_by_hand(n, j):
 
 
 def test_vj_rows_match_the_hand_written_grid():
-    # rows above j are read from big_theta's window; the grid is the oracle
-    from snaketsys.lusztig import _vj_vertices
+    # rows above j are read from big_theta's window; the grid is the oracle,
+    # and the slot order is row by row, each row by k2
+    from snaketsys.lusztig import _vj_window
 
     for n in range(3, 64, 2):
         for j in range((n + 1) // 2 + 1, n + 1):
-            assert _vj_vertices(n, j) == _vj_by_hand(n, j), (n, j)
+            assert _vj_window(n, j).vertices == tuple(sorted(_vj_by_hand(n, j))), (n, j)
 
 
 def test_layer_plan_builds_no_intermediate_carrier(monkeypatch):
     from snaketsys import lusztig
 
     calls = []
-    real = lusztig._vj_vertices
-    monkeypatch.setattr(lusztig, "_vj_vertices", lambda n, j: calls.append((n, j)) or real(n, j))
+    real = lusztig._vj_window
+    monkeypatch.setattr(lusztig, "_vj_window", lambda n, j: calls.append((n, j)) or real(n, j))
     lusztig._layer_plan.cache_clear()
     lusztig._layer_plan(31)
     assert calls == []
@@ -794,15 +849,17 @@ def test_rho_wrong_carrier():
 
 
 def test_rho_entry_check_accepts_the_same_carriers():
-    # the check skips comparing the cached window with itself; the accepted
+    # the check skips comparing the shared window with itself; the accepted
     # carriers are still exactly those with the big_theta window's vertices
-    from snaketsys.lusztig import _carrier_vertices
+    from snaketsys.lusztig import _layer_plan
 
     pts = (Vertex(5, 8), Vertex(4, 17))
     want = rho(unit_datum(Carrier(GAMMA_BIG_THETA, 7), pts)).nonzero()
     alias = unit_datum(Carrier("vj:4", 7), pts)  # V<n0> is the big_theta window
     assert rho(alias).nonzero() == want
-    _carrier_vertices.cache_clear()  # an equal window that is not the cached object
+    HeightFunction.big_theta.cache_clear()  # an equal window that is not the plan's object
+    alias = unit_datum(Carrier("vj:4", 7), pts)
+    assert alias.carrier.slots is not _layer_plan(7).big_theta.slots
     assert rho(alias).nonzero() == want
     with pytest.raises(WrongCarrier):
         rho(VertexDatum(Carrier(GAMMA_THETA, 7), {}))

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from snaketsys import quivers, reineke
+from snaketsys import quivers
 from snaketsys.errors import DomainError, InternalError, OutsideWindow
 from snaketsys.quivers import (
     TWISTED,
@@ -289,35 +289,16 @@ def test_phi_map_is_read_only():
 
 
 def test_gamma_window_size_check_raises(monkeypatch):
-    # an explicit raise, not an assert, so that python -O keeps the check
+    # an explicit raise, not an assert, so that python -O keeps the check;
+    # every reader of a fresh height function's window meets it
     monkeypatch.setattr(quivers.roots, "num_positive_roots", lambda n: -1)
-    with pytest.raises(InternalError):
-        quivers._gamma_vertices.__wrapped__(XI_DISPLAY)
-
-
-def _shifted_height_functions(count):
-    return [(HeightFunction.untwisted([b, b + 1, b + 2]),) for b in range(count)]
-
-
-def _omega_keys(count):
-    return list(itertools.islice(((n, j) for n in itertools.count(1) for j in range(1, n + 1)), count))
-
-
-@pytest.mark.parametrize(
-    "cached, keys",
-    [
-        (quivers.phi_map, _shifted_height_functions),
-        (quivers._gamma_vertices, _shifted_height_functions),
-        (reineke.omega, _omega_keys),
-    ],
-    ids=["phi_map", "gamma_vertices", "omega"],
-)
-def test_caches_are_bounded(cached, keys):
-    maxsize = cached.cache_info().maxsize
-    assert maxsize is not None
-    for args in keys(maxsize + 20):  # distinct keys, so the cache overfills
-        cached(*args)
-    assert cached.cache_info().currsize == maxsize
+    readers = (
+        lambda hf: hf.window, HeightFunction.gamma_vertices, phi_map, lambda hf: hf.in_gamma(Vertex(1, 4)),
+        HeightFunction.compatible_reading, lambda hf: hf.phi(Vertex(1, 4)),
+    )
+    for read in readers:
+        with pytest.raises(InternalError, match=r"^\|Gamma\| = 15 != -1$"):
+            read(HeightFunction.untwisted([2, 1, 2, 3, 4]))
 
 
 def test_phi_outside_window():
