@@ -5,11 +5,11 @@ two cannot fall out of sync.  A VertexDatum keys the counts by quiver
 vertices instead and stores one int per slot of its carrier, whose slot
 order (a quivers.Window: row by row, each row by k2) is taken once: a
 window carrier shares its height function's Gamma window, and V<j> joins
-rows already in slot order, so nothing is sorted or cached.  Its
-``counts`` is a read-only Mapping view of the tuple that yields the
-carrier's own Vertex objects and leaves the zeros out.  On vertex-keyed
-data 2-moves act trivially, so rho is a pure composition of 3-moves
-located by vertex coordinates.
+rows already in slot order, kept in one bounded cache for rho_step, whose
+every result sits on the next V<j>.  Its ``counts`` is a read-only Mapping
+view of the tuple that yields the carrier's own Vertex objects and leaves
+the zeros out.  On vertex-keyed data 2-moves act trivially, so rho is a
+pure composition of 3-moves located by vertex coordinates.
 
 The chain of carriers V<n0>, ..., V<n+1> interpolates between the window of
 the twisted staircase big_theta (V<n0>) and that of its untwisted companion
@@ -191,8 +191,9 @@ def _vj_chain(n: int, j: int) -> tuple[Vertex, ...]:
     return tuple(Vertex(j, k2) for k2 in range(2 * j - 3, 4 * n - 2 * j, 2))
 
 
+@lru_cache(maxsize=128)
 def _vj_window(n: int, j: int) -> Window:
-    """V<j> in slot order, a window at j = n0 or n+1: theta's window rows below j, the chain, big_theta's above j."""
+    """V<j> in slot order (a window at j = n0, n+1): theta's rows below j, the chain, big_theta's rows above j."""
     n0 = (n + 1) // 2
     if j in (n0, n + 1):
         return vj_carrier(n0, j).slots

@@ -167,14 +167,15 @@ _CACHE_KEYS = {
     "quivers._row_heights": lambda k: [(n, None) for n in range(1, k + 1)],
     "reineke.omega": lambda k: [(n, j) for n in range(1, k + 1) for j in range(1, n + 1)][:k],
     "lusztig._layer_plan": lambda k: [(n,) for n in range(3, 2 * k + 3, 2)],
+    "lusztig._vj_window": lambda k: [(n, j) for n in range(3, 2 * k + 3, 2) for j in range((n + 1) // 2, n + 2)][:k],
 }
 
 
 def test_cache_census():
     # the library's lru_caches are exactly these; each is bounded and fills
     # to its bound on distinct keys, so no cache grows with its callers.
-    # The windows and carriers cache nothing of their own: a height
-    # function keeps its window, and a V<j> is built per carrier.
+    # The Gamma windows live on their height functions, and a V<j> is
+    # built once per (n, j) and shared by its carriers.
     caches = _lru_caches()
     assert sorted(caches) == sorted(_CACHE_KEYS)
     for name, cache in caches.items():
@@ -186,7 +187,7 @@ def test_cache_census():
         for key in keys:
             cache(*key)
         assert cache.cache_info().currsize == maxsize, name
-    assert Carrier("vj:5", 7).slots is not Carrier("vj:5", 7).slots
+    assert Carrier("vj:5", 7).slots is Carrier("vj:5", 7).slots
 
 
 def test_each_height_function_builds_its_window_once():
@@ -858,6 +859,7 @@ def test_rho_entry_check_accepts_the_same_carriers():
     alias = unit_datum(Carrier("vj:4", 7), pts)  # V<n0> is the big_theta window
     assert rho(alias).nonzero() == want
     HeightFunction.big_theta.cache_clear()  # an equal window that is not the plan's object
+    lusztig._vj_window.cache_clear()
     alias = unit_datum(Carrier("vj:4", 7), pts)
     assert alias.carrier.slots is not _layer_plan(7).big_theta.slots
     assert rho(alias).nonzero() == want
