@@ -29,10 +29,11 @@ The steps do not depend on the datum, so each rank has one cached plan: it
 numbers each vertex of the rows >= n0 of V<n0>, ..., V<n+1> once in a work
 list and lists the work slots every step reads and writes.  It is checked
 once on the rows of the two windows, each layer on its two rows only: O(n)
-per layer, O(n^2) per rank, and no intermediate carrier is built.  rho and rho_step share one kernel: the rows
-they move (rows >= n0, or rows j, j+1) are one run of the datum's slots,
-which it copies into the work list, runs through the layers and slices back
-between the rows it does not move, so no key is hashed.  The plan check
+per layer, O(n^2) per rank, and no intermediate carrier is built.  rho and
+rho_step share one kernel: the rows they move (rows >= n0, or rows j, j+1)
+are one run of the datum's slots, which it copies into the work list, runs
+through the layers and slices back between the rows it does not move, so
+no key is hashed.  The plan check
 proves the rows written and 3-moves keep counts nonnegative, so only the
 input's carrier is checked.
 """

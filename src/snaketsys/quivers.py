@@ -9,11 +9,10 @@ Twisted ones (n = 2*n0 - 1) take a half-integer value at the middle node n0,
 where the quiver row is twice as dense (d_{n0} = 1 instead of 2).
 
 A height function builds its Gamma window once, as one immutable Window
-kept on the instance: the vertices in slot order (row by row, each by k2),
-the slots of each row, the (k2, i) reading of gamma_vertices(), and, on
-first use, the slot map of in_gamma and the roots of phi; lusztig and
-reineke read the same windows.  The canonical functions and staircases are
-shared per rank in typed bounded caches whose bodies check the rank.
+kept on the instance that lusztig and reineke read too: the vertices in slot
+order (row by row, each by k2), the slots of each row, the (k2, i) reading,
+and on first use the slot map and phi's roots.  The canonical functions and
+staircases are shared per rank in typed bounded caches that check the rank.
 """
 from __future__ import annotations
 
@@ -141,6 +140,8 @@ class HeightFunction:
         if type(delta) is not int or delta not in (0, 1):
             raise ValueError("delta must be 0 or 1")
         exact_ints("ranks", (n,))
+        if n < 1:
+            raise NotHeightFunction(f"the rank n must be at least 1, got {n}")
         return HeightFunction.untwisted([(i + 1 + delta) % 2 for i in range(1, n + 1)])
 
     @staticmethod
@@ -148,6 +149,8 @@ class HeightFunction:
     def theta(n0: int) -> "HeightFunction":
         """Untwisted companion of big_theta: i on [1,n0], i-2 above."""
         exact_ints("n0 values", (n0,))
+        if n0 < 1:
+            raise NotHeightFunction(f"the rank 2*n0 - 1 must be at least 1, got n0 = {n0}")
         n = 2 * n0 - 1
         return HeightFunction.untwisted([i if i <= n0 else i - 2 for i in range(1, n + 1)])
 
@@ -156,6 +159,8 @@ class HeightFunction:
     def big_theta(n0: int) -> "HeightFunction":
         """Twisted i, n0-1/2, i-1 staircase on [1, 2*n0-1]."""
         exact_ints("n0 values", (n0,))
+        if n0 < 1:
+            raise NotHeightFunction(f"the rank 2*n0 - 1 must be at least 1, got n0 = {n0}")
         return HeightFunction.twisted([big_theta2(n0, i) for i in range(1, 2 * n0)], n0)
 
     # -- basic structure ----------------------------------------------

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from snaketsys import quivers
-from snaketsys.errors import DomainError, InternalError, OutsideWindow
+from snaketsys.errors import DomainError, InternalError, NotHeightFunction, OutsideWindow
 from snaketsys.quivers import (
     TWISTED,
     UNTWISTED,
@@ -49,6 +49,26 @@ def test_canonical_is_shared_and_takes_int_delta_only():
     hf = HeightFunction.canonical(3, 0)
     assert hf.values2 == (0, 2, 0) and all(type(x) is int for x in hf.values2)
     assert HeightFunction.canonical(3, 0) is hf and HeightFunction.canonical(3, 1) is not hf
+
+
+@pytest.mark.parametrize(
+    "build, rank, rule",
+    [
+        (lambda r: HeightFunction.canonical(r, 0), "n", r"the rank n must be at least 1, got {}$"),
+        (HeightFunction.theta, "n0", r"the rank 2\*n0 - 1 must be at least 1, got n0 = {}$"),
+        (HeightFunction.big_theta, "n0", r"the rank 2\*n0 - 1 must be at least 1, got n0 = {}$"),
+    ],
+    ids=["canonical", "theta", "big_theta"],
+)
+def test_shared_constructors_name_the_rank_rule(build, rank, rule):
+    # a rank below 1 is named as such, not as values the caller never passed,
+    # and the raise is not cached; rank 1 builds (big_theta needs n0 >= 2)
+    for bad in (0, -1, -5, 0):
+        with pytest.raises(NotHeightFunction, match=rule.format(bad)):
+            build(bad)
+    if rank == "n":
+        assert build(1).n == 1
+    assert build(2).n == (2 if rank == "n" else 3)
 
 
 def test_is_vertex():
