@@ -144,6 +144,30 @@ def test_vj_carriers_match_window_reference():
             assert vj_carrier(n0, j).vertices() == want
 
 
+def test_carrier_cache_holds_gamma_windows_only():
+    # rho reads the two Gamma windows of each rank, kept on theta and
+    # big_theta, and builds no intermediate V<j> window
+    from snaketsys.lusztig import _layer_plan, _vj_window
+
+    shared = (HeightFunction.theta, HeightFunction.big_theta)
+    for cache in (_vj_window, _layer_plan, *shared):
+        cache.cache_clear()
+    ranks = (7, 15, 31)
+    for n in ranks:
+        rho(VertexDatum(Carrier(GAMMA_BIG_THETA, n), {}))
+    assert _vj_window.cache_info().currsize == 0
+    info = [cache.cache_info() for cache in shared]
+    assert [i.currsize for i in info] == [len(ranks)] * 2
+    # the windows rho read are exactly the two height functions' windows of each rank
+    for n in ranks:
+        plan, n0 = _layer_plan(n), (n + 1) // 2
+        assert plan.theta.slots is HeightFunction.theta(n0).window
+        assert plan.big_theta.slots is HeightFunction.big_theta(n0).window
+    assert [cache.cache_info().misses for cache in shared] == [i.misses for i in info]
+    with pytest.raises(WrongCarrier):
+        Carrier("vj:5", 7).height_function()
+
+
 def _lru_caches() -> dict:
     """Every lru_cache of the snaketsys modules, module-level or on a class, by qualified name."""
     found = {}

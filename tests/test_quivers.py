@@ -1,9 +1,11 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
-from snaketsys import quivers
+from snaketsys import quivers, reineke
 from snaketsys.errors import DomainError, InternalError, NotHeightFunction, OutsideWindow
 from snaketsys.quivers import (
     TWISTED,
@@ -319,6 +321,41 @@ def test_gamma_window_size_check_raises(monkeypatch):
     for read in readers:
         with pytest.raises(InternalError, match=r"^\|Gamma\| = 15 != -1$"):
             read(HeightFunction.untwisted([2, 1, 2, 3, 4]))
+
+
+def _shifted_height_functions(count):
+    return [(HeightFunction.untwisted([b, b + 1, b + 2]),) for b in range(count)]
+
+
+def _omega_keys(count):
+    return list(itertools.islice(((n, j) for n in itertools.count(1) for j in range(1, n + 1)), count))
+
+
+@pytest.mark.parametrize(
+    "cached, keys",
+    [
+        (phi_map, _shifted_height_functions),
+        (HeightFunction.gamma_vertices, _shifted_height_functions),
+        (reineke.omega, _omega_keys),
+    ],
+    ids=["phi_map", "gamma_vertices", "omega"],
+)
+def test_caches_are_bounded(cached, keys):
+    if hasattr(cached, "cache_info"):  # an lru_cache fills to its bound on distinct keys and no further
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None
+        for args in keys(maxsize + 20):
+            cached(*args)
+        assert cached.cache_info().currsize == maxsize
+        return
+    # a window is kept on its height function: built once, and freed with it,
+    # so no module-level store grows with the height functions it has seen
+    hfs = [hf for hf, in keys(300)]
+    assert all(cached(hf) is cached(hf) for hf in hfs)
+    refs = [weakref.ref(hf) for hf in hfs]
+    del hfs
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def test_phi_outside_window():
