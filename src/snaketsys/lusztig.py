@@ -152,8 +152,9 @@ class Carrier:
             if arg or self.n % 2 == 0 or self.n < 3:
                 raise WrongCarrier(f"{self.name!r} needs odd n >= 3")
         elif kind == "vj":
-            n0 = (self.n + 1) // 2
-            if self.n % 2 == 0 or not n0 <= self.arg <= self.n + 1:
+            if self.n % 2 == 0 or self.n < 3:
+                raise WrongCarrier(f"{self.name!r} needs odd n >= 3")
+            if not self.n0 <= self.arg <= self.n + 1:
                 raise WrongCarrier(f"vj carrier needs j in [n0, n+1], got {self.arg}")
         elif kind == "gamma-delta":
             if self.arg not in (0, 1):

@@ -251,6 +251,15 @@ def test_carrier_validation():
         VertexDatum(Carrier(GAMMA_THETA, 3), {Vertex(1, 1): 1})  # off-carrier key
 
 
+@pytest.mark.parametrize("name,n", [("vj:1", 1), ("vj:2", 1), ("vj:3", 1), ("vj:2", 2), ("vj:3", 4), ("vj:0", 1)])
+def test_vj_carrier_needs_odd_rank_at_least_3(name, n):
+    # as the window kinds do, V<j> asks for odd n >= 3 when it is built, so a
+    # rank-1 V<j> is refused up front and no later use names another carrier
+    with pytest.raises(WrongCarrier) as exc:
+        Carrier(name, n)
+    assert str(exc.value) == f"{name!r} needs odd n >= 3"
+
+
 def test_vertex_datum_checks_keys_before_signs():
     # off-carrier keys are named, the first three in insertion order, before
     # any count is looked at; a negative count is a ValueError, a zero is dropped
