@@ -154,7 +154,7 @@ class Carrier:
         elif kind == "vj":
             if self.n % 2 == 0 or self.n < 3:
                 raise WrongCarrier(f"{self.name!r} needs odd n >= 3")
-            if not self.n0 <= self.arg <= self.n + 1:
+            if not (self.n + 1) // 2 <= self.arg <= self.n + 1:
                 raise WrongCarrier(f"vj carrier needs j in [n0, n+1], got {self.arg}")
         elif kind == "gamma-delta":
             if self.arg not in (0, 1):

@@ -43,7 +43,9 @@ class Vertex(NamedTuple):
 # Vertex((i, k2)) without NamedTuple's Python-level __new__: the same tuple
 # subclass, hash and str.  It takes the pair as one tuple and checks nothing,
 # so it is only for vertices that trusted code derives from vertices already
-# known to lie on a quiver: the coordinate reversal and Q/R.
+# known to lie on a quiver: the coordinate reversal, the duality D, Q/R, and
+# the tfd bridge's shifts, by a multiple of 4 or by the twisted parity shift,
+# each of which keeps a vertex on its row's lattice.
 _vertex = partial(tuple.__new__, Vertex)
 
 

@@ -199,11 +199,12 @@ def _qr_concat(xi: HeightFunction, points: Sequence[Vertex]) -> tuple[Points, Po
 
 def twisted_parity_shift2(xi: HeightFunction) -> int:
     """Even doubled shift aligning xi's quiver with big_theta's parity class."""
-    s2 = (xi.values2[0] - big_theta2(xi.n0, 1)) % 4
+    n0, vals2 = xi.n0, xi.values2
+    s2 = (vals2[0] - big_theta2(n0, 1)) % 4
     if s2 not in (0, 2):
         raise InternalError(f"odd doubled shift {s2} to big_theta")
-    for i in range(1, xi.n + 1):
-        if i != xi.n0 and (xi.xi2(i) - s2 - big_theta2(xi.n0, i)) % 4:
+    for i, x2 in enumerate(vals2, 1):
+        if i != n0 and (x2 - s2 - big_theta2(n0, i)) % 4:
             raise InternalError("twisted quiver parity mismatch")
     return s2
 
@@ -238,13 +239,23 @@ def translate_twisted(n0: int, points: Sequence[Vertex]) -> tuple[Vertex, ...]:
     the ``verify`` rho sweep checks.
     """
     big = HeightFunction.big_theta(n0)
-    theta = HeightFunction.theta(n0)
-    n = big.n
     for v in points:
         if not big.in_gamma(v):
             raise OutsideWindow(f"{v} is outside the big_theta window")
     if not is_snake(big, points):
         raise NotSnake("translate_twisted expects a snake")
+    return _dagger(n0, points)
+
+
+def _dagger(n0: int, points: Sequence[Vertex]) -> Points:
+    """translate_twisted of a snake already known to lie in the big_theta window.
+
+    Its input is not checked again; its result is, and a result off the
+    theta window or not a snake is an InternalError.
+    """
+    big = HeightFunction.big_theta(n0)
+    theta = HeightFunction.theta(n0)
+    n = big.n
     regions = [big._region(v) for v in points]
     out: list[Vertex] = []
     s = 0

@@ -16,11 +16,18 @@ staircase, and maximize over lower closed subsets.  The two paths are
 independent and are cross-checked in the test suite.  Both are written for
 a probe before the snake; the coordinate reversal (i, k) -> (i*, -k) of
 HeightFunction.reversed turns a probe after the snake into one before it,
-except in the twisted normalization search.
+except in the twisted normalization search.  The bridge checks its input
+once, at tfd_via_epsilon (or tfd_left_via_epsilon): the points must be a
+snake and the probe a vertex, else NotSnake.  Everything after that moves
+checked vertices by maps that keep them on the quiver (reversal, D, the
+parity shift, shifts by a multiple of 4), builds them with _vertex and does
+not check them again; only the translation's result guards run, and the
+translated snake goes to Reineke unchecked.
 """
 from __future__ import annotations
 
-from itertools import repeat
+from functools import partial
+from itertools import dropwhile, repeat, takewhile
 from typing import NamedTuple
 
 from . import reineke
@@ -28,12 +35,12 @@ from .errors import NotPrimeSnake, NotSnake, OutsideWindow, TooShort
 from .quivers import TWISTED, UNTWISTED, HeightFunction, Region, Vertex, _vertex, vertices_json
 from .snakes import (
     Points,
+    _dagger,
     _in_prime_window,
     _qr_concat,
     _snake_position,
     is_snake,
     split_prime,
-    translate_twisted,
     twisted_parity_shift2,
 )
 
@@ -146,15 +153,20 @@ def _reverse(xi: HeightFunction, points) -> Points:
 # -- tfd through Reineke's epsilon ----------------------------------------
 
 
+def _checked(xi: HeightFunction, v: Vertex, points) -> Points:
+    """The bridge's one check of its input: points must be a snake and v a vertex of xi's quiver."""
+    pts = tuple(points)
+    if not is_snake(xi, pts):
+        raise NotSnake("epsilon bridge expects a snake")
+    if not xi.is_vertex(v):
+        raise NotSnake(f"{v} is not a vertex of the quiver")
+    return pts
+
+
 def _truncate_to_window(xi: HeightFunction, v: Vertex, pts: Points) -> Points:
-    """Drop the suffix outside the prime window of v (strong commutation)."""
-    bound = xi.dualize(v, -1)
-    kept = []
-    for x in pts:
-        if not xi.preceq(x, bound):
-            break
-        kept.append(x)
-    return tuple(kept)
+    """Drop the suffix outside the prime window of v (strong commutation): every point from the first
+    that does not reach D^-1(v) on."""
+    return tuple(takewhile(partial(_in_prime_window, xi, v), pts))
 
 
 def tfd_left_via_epsilon(xi: HeightFunction, v: Vertex, points) -> int:
@@ -168,15 +180,18 @@ def tfd_left_via_epsilon(xi: HeightFunction, v: Vertex, points) -> int:
     """
     if xi.flavor != UNTWISTED:
         raise ValueError("use tfd_via_epsilon for twisted data")
-    pts = tuple(points)
-    if not is_snake(xi, pts):
-        raise NotSnake("epsilon bridge expects a snake")
+    return _epsilon_tfd(xi, v, _checked(xi, v, points))
+
+
+def _epsilon_tfd(xi: HeightFunction, v: Vertex, pts: Points) -> int:
+    """tfd_left_via_epsilon of an untwisted probe and snake already known to lie on the quiver."""
     pts = _truncate_to_window(xi, v, pts)
     if not pts:
         return 0
     slot = HeightFunction.canonical(xi.n, v.i % 2).window.slot
     vals = [0] * len(slot)
-    for x in (Vertex(u.i, u.k2 - 2 - v.k2) for u in pts):  # the probe moves to (j, -1)
+    off2 = v.k2 + 2  # the probe moves to (j, -1)
+    for x in (_vertex((u.i, u.k2 - off2)) for u in pts):
         if x not in slot:
             raise OutsideWindow(f"normalized point {x} escapes the canonical window")
         vals[slot[x]] += 1
@@ -189,33 +204,38 @@ def _untwisted_probe_tfd(theta: HeightFunction, probes: tuple[Vertex, ...], dagg
     A single factor goes straight to Reineke.  With two factors, drop
     whichever strongly commutes with the whole snake; the prime-window
     clearance points toward the snake, one extra duality step for the
-    factor on the far side of the head.
+    factor on the far side of the head.  Probes and dagger come from the
+    translation, whose result guard has checked them on theta's quiver.
     """
     if len(probes) == 1:
-        return tfd_left_via_epsilon(theta, probes[0], dagger)
+        return _epsilon_tfd(theta, probes[0], dagger)
     c1, c2 = probes
     ft = dagger[0]
-    drop1 = not theta.preceq(ft, theta.dualize(c1, -1))
-    drop2 = not theta.preceq(ft, theta.dualize(theta.dualize(c2, -1), -1))
+    drop1 = not _in_prime_window(theta, c1, ft)
+    drop2 = not _in_prime_window(theta, theta.dualize(c2, -1), ft)
     if drop1 and drop2:
         return 0
     if drop1 or drop2:
-        return tfd_left_via_epsilon(theta, c2 if drop1 else c1, dagger)
+        return _epsilon_tfd(theta, c2 if drop1 else c1, dagger)
     raise OutsideWindow("probe translate has two interacting factors")
 
 
 def _truncate_after_window(xi: HeightFunction, pts: Points, v: Vertex) -> Points:
     """Drop the snake prefix whose prime windows miss a right probe."""
-    kept = list(pts)
-    while kept and not xi.preceq(v, xi.dualize(kept[0], -1)):
-        kept.pop(0)
-    return tuple(kept)
+    return tuple(dropwhile(lambda x: not _in_prime_window(xi, x, v), pts))
 
 
-def _twisted_core(big: HeightFunction, v: Vertex, pts, side: str) -> int:
+def _twisted_core(big: HeightFunction, v: Vertex, pts: Points, side: str) -> int:
     """The normalization search on the big_theta parity class, kept two-sided:
     on the reversed configuration it moves a few configurations between a
-    value and OutsideWindow, both ways, though the values found agree."""
+    value and OutsideWindow, both ways, though the values found agree.
+
+    v and pts lie on big_theta's quiver and pts is a snake there.  A shift
+    by a multiple of 4 keeps every vertex on its row's lattice and every
+    snake a snake, and the candidate shifts keep the whole snake in the
+    window, so the moved snake is built with _vertex, only for a candidate
+    whose probe passes the window test, and translated unchecked.
+    """
     n0 = big.n0
     pts = _truncate_to_window(big, v, pts) if side == "left" else _truncate_after_window(big, pts, v)
     if not pts:
@@ -224,27 +244,20 @@ def _twisted_core(big: HeightFunction, v: Vertex, pts, side: str) -> int:
     rows = [(big.gamma_row(x.i), x.k2) for x in pts]
     s_lo = max(row[0] - k2 for row, k2 in rows)
     s_hi = min(row[-1] - k2 for row, k2 in rows)
-    candidates = list(range(s_hi - s_hi % 4, s_lo - 1, -4))
+    candidates = range(s_hi - s_hi % 4, s_lo - 1, -4)
     theta = HeightFunction.theta(n0)
     dual_sign = -1 if side == "left" else 1  # off-window probe rewrite direction
     last_error: Exception | None = None
-    for regime in ("window", "dual"):
+    for steps in (0, -dual_sign):  # the probe in the window, then one duality step away from it
         for s2 in candidates:
-            moved_v = Vertex(v.i, v.k2 + s2)
-            moved = tuple(Vertex(x.i, x.k2 + s2) for x in pts)
-            if regime == "window":
-                if not big.in_gamma(moved_v):
-                    continue
-                probe_src = moved_v
-                steps = 0
-            else:
-                probe_src = big.dualize(moved_v, dual_sign)
-                if not big.in_gamma(probe_src):
-                    continue
-                steps = -dual_sign
+            probe_src = _vertex((v.i, v.k2 + s2))
+            if steps:
+                probe_src = big.dualize(probe_src, dual_sign)
+            if not big.in_gamma(probe_src):
+                continue
             try:
-                dagger = translate_twisted(n0, moved)
-                probes = translate_twisted(n0, (probe_src,))
+                dagger = _dagger(n0, tuple([_vertex((x.i, x.k2 + s2)) for x in pts]))
+                probes = _dagger(n0, (probe_src,))
                 if steps:
                     probes = tuple(theta.dualize(c, steps) for c in probes)
                 if side == "left":
@@ -253,20 +266,17 @@ def _twisted_core(big: HeightFunction, v: Vertex, pts, side: str) -> int:
                 return _untwisted_probe_tfd(theta.reversed(), _reverse(theta, probes), _reverse(theta, dagger))
             except OutsideWindow as exc:
                 last_error = exc
-                continue
     raise OutsideWindow(f"no admissible normalization ({side}): {last_error}")
 
 
-def _twisted_bridge(xi: HeightFunction, v: Vertex, points, side: str) -> int:
-    pts = tuple(points)
-    if not is_snake(xi, pts):
-        raise NotSnake("epsilon bridge expects a snake")
+def _twisted_bridge(xi: HeightFunction, v: Vertex, pts: Points, side: str) -> int:
+    """tfd_via_epsilon of twisted data already checked: the parity shift puts xi's quiver on big_theta's,
+    row for row on the same lattice, so the moved probe and snake are built with _vertex."""
     big = HeightFunction.big_theta(xi.n0)
     s2 = twisted_parity_shift2(xi)
-    v = Vertex(v.i, v.k2 - s2)
-    pts = tuple(Vertex(x.i, x.k2 - s2) for x in pts)
+    v, *pts = (_vertex((x.i, x.k2 - s2)) for x in (v, *pts))
     try:
-        return _twisted_core(big, v, pts, side)
+        return _twisted_core(big, v, tuple(pts), side)
     except OutsideWindow:
         # duality preserves the invariant; retry on the mirrored configuration
         return _twisted_core(big, big.dualize(v), tuple(big.dualize(x) for x in pts), side)
@@ -275,21 +285,24 @@ def _twisted_bridge(xi: HeightFunction, v: Vertex, points, side: str) -> int:
 def tfd_via_epsilon(xi: HeightFunction, v: Vertex, points, side: str) -> int:
     """Exact tfd(S_v, S(P)) (side "left") or tfd(S(P), S_v) (side "right").
 
-    An untwisted right probe is a left probe of the reversed configuration.
-    Twisted data is aligned with the big_theta parity class and slid until
-    the snake fits the window; the probe becomes a translated snake module
-    (directly if its slot is in the window, through one duality step
-    otherwise), and the surviving untwisted factor is evaluated by
-    Reineke's epsilon.  Configurations whose probe translate keeps two
-    interacting factors are outside the reduction and raise OutsideWindow.
+    The snake and the probe are checked once, here: a probe off the quiver
+    is a NotSnake, as in Snake.  An untwisted right probe is a left probe
+    of the reversed configuration.  Twisted data is aligned with the
+    big_theta parity class and slid until the snake fits the window; the
+    probe becomes a translated snake module (directly if its slot is in the
+    window, through one duality step otherwise), and the surviving
+    untwisted factor is evaluated by Reineke's epsilon.  Configurations
+    whose probe translate keeps two interacting factors are outside the
+    reduction and raise OutsideWindow.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    pts = _checked(xi, v, points)
     if xi.flavor == TWISTED:
-        return _twisted_bridge(xi, v, points, side)
+        return _twisted_bridge(xi, v, pts, side)
     if side == "right":
-        xi, v, points = xi.reversed(), xi.reverse_vertex(v), _reverse(xi, points)
-    return tfd_left_via_epsilon(xi, v, points)
+        xi, (v, *pts) = xi.reversed(), _reverse(xi, (*pts, v))
+    return _epsilon_tfd(xi, v, tuple(pts))
 
 
 # -- hypothesis sweep -------------------------------------------------------

@@ -229,19 +229,29 @@ def test_solvers_agree_beyond_dispatch_threshold():
 
 
 def test_staircase_matches_bruteforce_on_small_diamonds():
-    # every Omega of at most 20 vertices, odd and even j (both windows)
+    # every Omega of at most 20 vertices, odd and even j (both windows), on
+    # random data and on data whose columns are all negative or tied: counts
+    # falling with k give every vertex but (j, 1) the weight -4, constant
+    # counts give them 0, so the running best of a column never moves
     rng = random.Random(29)
-    seen = set()
+    seen, shapes = set(), set()
     for n in range(1, 21):
         for j in range(1, n + 1):
             om = omega_interval(n, j)
             if len(om.vertices) > 20:
                 continue
             seen.add(j % 2)
-            for _ in range(4):
-                d = _random_datum(n, j % 2, rng)
+            carrier = Carrier(f"gamma-delta:{j % 2}", n)
+            data = [_random_datum(n, j % 2, rng) for _ in range(4)]
+            data += [VertexDatum(carrier, {v: 4 * n - v.k2 for v in carrier.vertices()}),
+                     VertexDatum(carrier, dict.fromkeys(carrier.vertices(), 3)),
+                     VertexDatum(carrier, {v: rng.randint(0, 1) for v in carrier.vertices()})]
+            for d in data:
                 assert reineke.epsilon(j, d) == epsilon_bruteforce(om, d), (n, j, d.nonzero())
-    assert seen == {0, 1}
+                wts = [d.get(v) - d.get((v.i, v.k2 - 4)) for v in reineke.omega(n, j).vertices]
+                for col in (wts[x:x + j] for x in range(0, len(wts), j)):
+                    shapes.add("negative" if max(col) < 0 else "tied" if j > 1 and min(col) == max(col) else "mixed")
+    assert seen == {0, 1} and shapes == {"negative", "tied", "mixed"}
 
 
 def test_staircase_matches_mincut_up_to_rank_24():

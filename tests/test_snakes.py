@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from snaketsys.errors import NotPrimeSnake, NotPrimeSnakePair, NotSnake, OutsideWindow
+from snaketsys.errors import InternalError, NotPrimeSnake, NotPrimeSnakePair, NotSnake, OutsideWindow
 from snaketsys.lusztig import GAMMA_BIG_THETA, GAMMA_THETA, Carrier, rho, unit_datum
 from snaketsys.quivers import HeightFunction, Vertex
 from snaketsys.snakes import (
@@ -328,6 +328,28 @@ def test_qr_twisted_commutes_with_integer_shifts():
                     assert qr_twisted(xi, v, w) == QRPair(moved(want.q, s2), moved(want.r, s2)), (xi, v, w)
                     pairs += 1
     assert pairs > 1000
+
+
+def _unvalidated_twisted(values2, n0):
+    """A twisted height function built without validation, as HeightFunction.reversed builds one."""
+    hf = object.__new__(HeightFunction)
+    hf.__dict__.update(n=len(values2), flavor="twisted", values2=tuple(values2), n0=n0)
+    return hf
+
+
+def test_parity_shift_guard_raises_on_a_parity_mismatched_function():
+    # the guard reads the heights directly; a function whose rows do not share
+    # one shift to big_theta's parity class is a bug, not a domain error
+    from snaketsys.snakes import twisted_parity_shift2
+
+    assert HeightFunction.big_theta(3).values2 == (2, 4, 5, 6, 8)
+    assert twisted_parity_shift2(_unvalidated_twisted((4, 6, 7, 8, 10), 3)) == 2
+    assert twisted_parity_shift2(_unvalidated_twisted((2, 4, 7, 6, 8), 3)) == 0  # the middle row is not read
+    for values2 in ((2, 4, 5, 6, 10), (2, 6, 5, 6, 8), (4, 6, 7, 8, 8)):
+        with pytest.raises(InternalError, match="^twisted quiver parity mismatch$"):
+            twisted_parity_shift2(_unvalidated_twisted(values2, 3))
+    with pytest.raises(InternalError, match="^odd doubled shift 1 to big_theta$"):
+        twisted_parity_shift2(_unvalidated_twisted((3, 4, 5, 6, 8), 3))
 
 
 def test_dual_equivariance_sweep_visits_every_prime_pair():

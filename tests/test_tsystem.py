@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from snaketsys.errors import InternalError, NotPrimeSnake, OutsideWindow, TooShort
+from snaketsys.errors import InternalError, NotPrimeSnake, NotSnake, OutsideWindow, TooShort
 from snaketsys.quivers import UNTWISTED, HeightFunction, Region, Vertex, _vertex, big_theta2
 from snaketsys.realize import Realization, relation_monomials
 from snaketsys.snakes import (
@@ -27,6 +27,7 @@ from snaketsys.tsystem import (
     relation_json,
     relation_latex,
     relation_text,
+    tfd_left_via_epsilon,
     tfd_via_epsilon,
 )
 from snaketsys.verify import random_height_function, random_snake
@@ -400,6 +401,36 @@ def test_bridge_matches_predictions_on_goldens():
     # vanishing case: the ray probe
     hf5 = HeightFunction.canonical(5, 1)
     assert tfd_via_epsilon(hf5, V(2, 0), (V(3, 1), V(3, 3)), "left") == 0
+
+
+_CANONICAL4, _BIG3 = HeightFunction.canonical(4, 0), HeightFunction.big_theta(3)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("xi,pts,probe", [
+    (_CANONICAL4, (V(1, 2),), V(1, 0.5)),  # half-integer k on an untwisted row
+    (_CANONICAL4, (V(1, 2),), V(1, 1)),  # off the row's lattice
+    (_CANONICAL4, (V(1, 2),), V(0, 0)),
+    (_CANONICAL4, (V(1, 2),), V(5, 2)),  # row n + 1
+    (_CANONICAL4, (V(1, 2),), V(9, 4)),
+    (_BIG3, (V(1, 1), V(1, 3)), V(1, 0.5)),
+    (_BIG3, (V(1, 1), V(1, 3)), V(3, 2)),  # the middle row holds half-integers only
+    (_BIG3, (V(1, 1), V(1, 3)), V(0, 2)),
+    (_BIG3, (V(1, 1), V(1, 3)), V(6, 6)),  # row n + 1
+])
+def test_bridge_rejects_a_probe_off_the_quiver(xi, pts, probe, side):
+    # the bridge checks its probe as Snake checks its points, and as the
+    # predictions do, which return None there; never OutsideWindow, which
+    # counts as a documented outcome of a valid configuration
+    assert is_snake(xi, pts) and not xi.is_vertex(probe)
+    assert predicted_tfd_left(xi, probe, pts) is None and predicted_tfd_right(xi, pts, probe) is None
+    with pytest.raises(NotSnake) as exc:
+        tfd_via_epsilon(xi, probe, pts, side)
+    assert str(exc.value) == f"{probe} is not a vertex of the quiver"
+    assert not isinstance(exc.value, OutsideWindow)
+    if xi.flavor == UNTWISTED:
+        with pytest.raises(NotSnake, match="is not a vertex of the quiver"):
+            tfd_left_via_epsilon(xi, probe, pts)
 
 
 def test_relation_rendering():
