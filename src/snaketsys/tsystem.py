@@ -18,11 +18,12 @@ a probe before the snake; the coordinate reversal (i, k) -> (i*, -k) of
 HeightFunction.reversed turns a probe after the snake into one before it,
 except in the twisted normalization search.  The bridge checks its input
 once, at tfd_via_epsilon (or tfd_left_via_epsilon): the points must be a
-snake and the probe a vertex, else NotSnake.  Everything after that moves
-checked vertices by maps that keep them on the quiver (reversal, D, the
-parity shift, shifts by a multiple of 4), builds them with _vertex and does
-not check them again; only the translation's result guards run, and the
-translated snake goes to Reineke unchecked.
+snake and the probe a vertex, else NotSnake.  After that the bridge moves
+checked vertices only by maps that keep them on the quiver (the reversal,
+D, the parity shift, shifts by a multiple of 4), builds the reversed and
+shifted ones with _vertex, and checks none of them again: only the
+translation's result guards run, and the translated snake goes to Reineke
+as it is.
 """
 from __future__ import annotations
 
