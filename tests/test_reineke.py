@@ -232,7 +232,7 @@ def test_staircase_matches_bruteforce_on_small_diamonds():
     # every Omega of at most 20 vertices, odd and even j (both windows), on
     # random data and on data whose columns are all negative or tied: counts
     # falling with k give every vertex but (j, 1) the weight -4, constant
-    # counts give them 0, so the running best of a column never moves
+    # counts give them 0
     rng = random.Random(29)
     seen, shapes = set(), set()
     for n in range(1, 21):
