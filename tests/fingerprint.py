@@ -1,4 +1,4 @@
-"""Seeded fingerprints of five layers, pinned by tests/test_fingerprint.py.
+"""Seeded fingerprints of six layers, pinned by tests/test_fingerprint.py.
 
 Each layer is written out as canonical text lines on seeded inputs, and the
 tier-1 test pins one sha256 per layer, so a refactor of that layer that
@@ -35,7 +35,16 @@ changes any output fails there.  The layers:
   labels and on an empty k2 range; and every carrier kind at ranks 1-15:
   ``height_function()`` or its error, ``kind``, ``arg``, equality with
   the other carriers of its rank, and its vertex order (``list`` for Gamma
-  kinds, whose iteration order ``verify`` draws from, ``sorted`` for V<j>).
+  kinds, whose iteration order ``verify`` draws from, ``sorted`` for V<j>);
+- ``realize``: on seeded prime snakes of both flavors with p from 2 to 40,
+  under ``qdatum_a`` or ``qdatum_b`` and under a signed custom table whose
+  entries slide along D, ``cuspidal_monomial`` of each point,
+  ``snake_monomial`` of the snake (also with repeated points, and empty) and
+  ``relation_monomials`` of its relation: each monomial's ``factors`` items
+  in stored order and its ``to_json()``, ``exact`` and ``identity_holds()``;
+  the error of each on off-quiver points, on the other flavor's q-datum and
+  on custom tables without a table or lacking a window vertex; and
+  ``realization_from_json`` on the signed tables and on broken copies.
 
 Run from the repository root:
 
@@ -54,7 +63,17 @@ from snaketsys import reineke, snakes
 from snaketsys.errors import NotSnake
 from snaketsys.lusztig import Carrier, VertexDatum, datum_to_json, rho, rho_step, unit_datum
 from snaketsys.quivers import TWISTED, UNTWISTED, HeightFunction, Vertex, phi_map, quiver_ascii, quiver_dot
-from snaketsys.tsystem import check_theorem_hypotheses, predicted_tfd_left, predicted_tfd_right
+from snaketsys.realize import (
+    CUSTOM,
+    Monomial,
+    Realization,
+    cuspidal_monomial,
+    realization_from_json,
+    relation_monomials,
+    relation_monomials_text,
+    snake_monomial,
+)
+from snaketsys.tsystem import check_theorem_hypotheses, extended_tsystem, predicted_tfd_left, predicted_tfd_right
 from snaketsys.verify import random_height_function, random_snake
 
 SEED = 2023
@@ -331,12 +350,97 @@ def windows_lines() -> list[str]:
     return lines
 
 
+def _signed_table(xi: HeightFunction) -> Realization:
+    """A custom table with exponents +-1 on a shared factor Y_{1,0}, so that factors cancel within a term."""
+    return Realization.custom(xi.n + 1, {
+        v: Monomial({(1, 0): 1 if v.i % 2 else -1, (v.i, v.k2): -1}) for v in xi.gamma_vertices()
+    })
+
+
+def _monomial(label: str, m: Monomial) -> str:
+    return f"  {label} {list(m.factors.items())} {json.dumps(m.to_json())}"
+
+
+def _table_json(real: Realization) -> dict:
+    entries = [{"i": v.i, "k2": v.k2, "monomial": m.to_json()} for v, m in real.table.items()]
+    return {"h_dual": real.h_dual, "g0_rank": real.g0_rank, "entries": entries}
+
+
+def _broken_tables(obj: dict):
+    """(label, copy of the table JSON obj with one thing broken or changed)."""
+    first = obj["entries"][0]
+    yield "as is", obj
+    yield "no h_dual", {k: v for k, v in obj.items() if k != "h_dual"}
+    yield "no g0_rank", {k: v for k, v in obj.items() if k != "g0_rank"}
+    yield "no entries", {k: v for k, v in obj.items() if k != "entries"}
+    yield "float h_dual", {**obj, "h_dual": float(obj["h_dual"])}
+    yield "string g0_rank", {**obj, "g0_rank": str(obj["g0_rank"])}
+    yield "last entry dropped", {**obj, "entries": obj["entries"][:-1]}
+    yield "first entry twice", {**obj, "entries": obj["entries"] + [{**first, "monomial": []}]}
+    for key, bad in (("i", 1.0), ("k2", True), ("monomial", None)):
+        yield f"entry {key}={bad!r}", {**obj, "entries": [{**first, key: bad}, *obj["entries"][1:]]}
+    for factor in ({"node": 0, "spectral": 0, "exp": 1}, {"node": obj["g0_rank"] + 1, "spectral": 0, "exp": 1},
+                   {"node": 1, "spectral": 0, "exp": "1"}, {"node": 1, "spectral": 0.5, "exp": 1},
+                   {"node": 1, "spectral": 2, "exp": 3}, {"node": 1, "spectral": 0}):
+        yield f"factor {factor}", {**obj, "entries": [{**first, "monomial": first["monomial"] + [factor]}, *obj["entries"][1:]]}
+    cancel = [{"node": 1, "spectral": 4, "exp": 2}, {"node": 1, "spectral": 4, "exp": -2}]
+    yield "cancelling factors", {**obj, "entries": [{**first, "monomial": cancel}, *obj["entries"][1:]]}
+
+
+def realize_lines() -> list[str]:
+    rng = random.Random(SEED + 5)
+    lines = []
+    for t, p in enumerate(p for p in (2, 3, 4, 5, 6, 7, 8, 10, 12, 15, 20, 24, 30, 40) for _ in range(2)):
+        if t % 2 == 0:
+            xi = random_height_function(rng.randint(1, 8), rng)
+            qdatum = Realization.qdatum_a(xi.n)
+        else:
+            n0 = rng.randint(2, 5)
+            xi = random_height_function(2 * n0 - 1, rng, TWISTED, n0)
+            qdatum = Realization.qdatum_b(n0)
+        pts = random_snake(xi, rng, p, prime=True)
+        lines.append(f"xi {xi.flavor} n={xi.n} n0={xi.n0} values2={list(xi.values2)} P={' '.join(map(str, pts))}")
+        rel = extended_tsystem(xi, pts) if len(pts) >= 2 else None
+        off = (Vertex(pts[0].i, pts[0].k2 + 1), Vertex(0, pts[0].k2), Vertex(xi.n + 1, pts[-1].k2))
+        for real in (qdatum, _signed_table(xi)):
+            lines.append(f" {real.mode} h_dual={real.h_dual} g0_rank={real.g0_rank}")
+            for v in pts:
+                lines.append(_monomial(f"cusp {v}", cuspidal_monomial(real, xi, v)))
+            for label, points in (("snake", pts), ("repeated", pts + pts[:2] + pts[-1:]), ("empty", ())):
+                m, exact = snake_monomial(real, xi, points)
+                lines.append(_monomial(f"{label} exact={exact}", m))
+            if rel is not None:
+                mon = relation_monomials(rel, real)
+                lines.append(f"  relation exact={mon.exact} identity_holds={mon.identity_holds()}")
+                for name in ("b", "c", "a", "d", "q", "r"):
+                    lines.append(_monomial(name, getattr(mon, name)))
+                lines.append(f"  {relation_monomials_text(mon)}")
+            for v in off:
+                lines.append(f"  off {v} {_result(lambda: cuspidal_monomial(real, xi, v))}")
+                lines.append(f"  off snake {_result(lambda: snake_monomial(real, xi, pts[:1] + (v,) + pts[1:]))}")
+        other = Realization.qdatum_b(2) if xi.flavor == UNTWISTED else Realization.qdatum_a(xi.n)
+        lines.append(f" other flavor {_result(lambda: snake_monomial(other, xi, pts))}")
+        if rel is not None:
+            lines.append(f" other flavor {_result(lambda: relation_monomials(rel, other))}")
+        window = xi.gamma_vertices()
+        for real in (Realization(CUSTOM, xi.n + 1, xi.n), Realization.custom(xi.n + 1, {v: Monomial.y(1, 0) for v in window[1:]})):
+            lines.append(f" table {real.table is not None} {_result(lambda: snake_monomial(real, xi, pts))}")
+        obj = _table_json(_signed_table(xi))
+        for label, broken in _broken_tables(obj):
+            def load():
+                back = realization_from_json(broken, xi)
+                return back.mode, back.h_dual, back.g0_rank, [(v, list(m.factors.items())) for v, m in back.table.items()]
+            lines.append(f" from_json {label} {_result(load)}")
+    return lines
+
+
 LAYERS = {
     "quivers": quivers_lines,
     "predictions": predictions_lines,
     "lusztig": lusztig_lines,
     "snakes": snakes_lines,
     "windows": windows_lines,
+    "realize": realize_lines,
 }
 
 

@@ -6,7 +6,8 @@ public/trusted reachability and duality twins were folded, ``lusztig``
 before vertex data moved onto slot tuples, ``snakes`` before the Q/R
 kernels became one and the public/trusted snake twins were folded,
 ``windows`` before the Gamma window became one value per height function
-and the window and carrier caches were folded into it); if one
+and the window and carrier caches were folded into it, ``realize`` before a
+relation's six monomials were built from key counts and end removal); if one
 moves, the layer's output changed.  ``snakes`` was pinned again when
 ``canonical`` began to name the rank rule for a rank below 1: only those
 error lines of the layer changed.  ``windows`` was pinned again when a V<j>
@@ -25,6 +26,7 @@ PINNED = {
     "lusztig": ("561c11783caf03339489827a61f12ba0a292133b88fedfc15b4a03adbe0dea24", 9038),
     "snakes": ("9a814eedc2b53da340b71e57c6d4b5a37344e06a299950bec81bab1d06f3ac35", 13431),
     "windows": ("ef6f24a37e0eecf9f28ab80974872e10b72cc4119a211db8ac39832c2fe989c3", 9161),
+    "realize": ("915f48fbf410955bba0e11b18f7ca2004faf8eeb91d4eca6067c875f4a5a3924", 2396),
 }
 
 
