@@ -7,17 +7,26 @@ the duality shift Y_{j,l} -> Y_{j*, l +- h_dual} per application of D.
 
 Only relative spectral parameters matter, so they are bare integers.  The
 mode is resolved once per call (a relation, a snake or a point), and each
-distinct point is realized once.
+distinct point is checked to be a vertex once and realized once.
+
+A product of cuspidal monomials is built in one pass over its points, into
+the dict that its Monomial keeps.  In the q-datum modes a point is one
+variable with exponent 1, so the pass counts keys and no exponent is 0; a
+custom product sums the table entries and then drops the keys that cancel.
+A relation's A, Q and R are such products.  B, C and D are copies of A
+with the product of A's last point, its first or both divided out in place:
+a key is deleted when its exponent reaches 0, and nothing is scanned.  Each
+monomial keeps its keys in the order in which they first occur.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, filterfalse
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import roots
 from .errors import MissingTableEntry
-from .quivers import TWISTED, UNTWISTED, HeightFunction, Vertex, json_int
+from .quivers import TWISTED, UNTWISTED, HeightFunction, Vertex, exact_ints, json_int
 
 QDATUM_A = "qdatum_A"
 QDATUM_B = "qdatum_B"
@@ -30,7 +39,9 @@ class Monomial:
     __slots__ = ("factors",)
 
     def __init__(self, factors: Mapping[tuple[int, int], int] | None = None):
-        self.factors = {k: e for k, e in (factors or {}).items() if e != 0}
+        factors = factors or {}
+        exact_ints("monomial nodes, spectral parameters and exponents", [*chain.from_iterable(factors), *factors.values()])
+        self.factors = {k: e for k, e in factors.items() if e != 0}
 
     @staticmethod
     def one() -> "Monomial":
@@ -42,19 +53,13 @@ class Monomial:
 
     @staticmethod
     def _wrap(factors: dict[tuple[int, int], int]) -> "Monomial":
-        """A monomial that takes over a dict no one else holds, its zero exponents dropped in place."""
-        if 0 in factors.values():
-            for k in [k for k, e in factors.items() if e == 0]:
-                del factors[k]
+        """A monomial that takes over a dict of int keys and nonzero int exponents that no one else holds."""
         m = object.__new__(Monomial)
         m.factors = factors
         return m
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        out = dict(self.factors)
-        for k, e in other.factors.items():
-            out[k] = out.get(k, 0) + e
-        return Monomial._wrap(out)
+        return Monomial._wrap(_times(dict(self.factors), other.factors))
 
     def __pow__(self, e: int) -> "Monomial":
         return Monomial({k: v * e for k, v in self.factors.items()})
@@ -111,42 +116,85 @@ class Realization:
 
     @staticmethod
     def qdatum_a(n: int) -> "Realization":
+        exact_ints("ranks", (n,))
         return Realization(QDATUM_A, n + 1, n)
 
     @staticmethod
     def qdatum_b(n0: int) -> "Realization":
+        exact_ints("n0 values", (n0,))
         return Realization(QDATUM_B, 2 * n0 - 1, n0)
 
     @staticmethod
     def custom(h_dual: int, table: Mapping[Vertex, Monomial], g0_rank: int | None = None) -> "Realization":
+        exact_ints("dual Coxeter numbers and ranks", (h_dual,) if g0_rank is None else (h_dual, g0_rank))
         # classical subalgebras of type A have h_dual = rank + 1
         return Realization(CUSTOM, h_dual, g0_rank if g0_rank is not None else h_dual - 1, dict(table))
 
 
 def cuspidal_monomial(real: Realization, xi: HeightFunction, v: Vertex) -> Monomial:
     """Highest dominant monomial of the cuspidal module at a quiver vertex."""
-    return _monomials(real, xi, ((v,),))[0]
+    return Monomial._wrap(_checked_product(real, xi, (v,))((v,)))
 
 
-def _factor_items(real: Realization, xi: HeightFunction) -> Callable[[Vertex], Iterable[tuple[tuple[int, int], int]]]:
-    """The cuspidal monomial of a vertex of xi, as its (key, exponent) items.
+def _times(factors: dict, other: Mapping, sign: int = 1) -> dict:
+    """factors times other (over it with sign -1), in place: a key whose exponent
+    reaches 0 is deleted there, so other must hold no 0 exponent."""
+    for key, e in other.items():
+        e = factors.get(key, 0) + sign * e
+        if e:
+            factors[key] = e
+        else:
+            del factors[key]
+    return factors
 
-    The mode and its preconditions are resolved here, once per caller: a
-    vertex becomes Y_{i,-k} (qdatum_A), Y_{min(i,i*),-2k} (qdatum_B) or
-    its custom table entry (custom).
+
+def _factor_items(real: Realization, xi: HeightFunction) -> Callable[[Iterable[Vertex]], dict]:
+    """The product of the cuspidal monomials along a run of vertices of xi, as
+    a fresh dict of its nonzero exponents, keys in the order they first occur.
+
+    The mode and its preconditions are resolved here, once per caller.  In
+    the q-datum modes a vertex is one variable with exponent 1, Y_{i,-k}
+    (qdatum_A) or Y_{min(i,i*),-2k} (qdatum_B), so the product counts keys
+    and no exponent is 0.  In custom mode it sums the table entries, realizing
+    each distinct vertex once, and drops the keys that cancel.
     """
     if real.mode == QDATUM_A:
         if xi.flavor != UNTWISTED:
             raise ValueError("qdatum_A realizes untwisted quivers")
-        return lambda v: (((v.i, -v.k2 // 2), 1),)
-    if real.mode == QDATUM_B:
+        fold, top, div = xi.n, 0, 2  # no row folds
+    elif real.mode == QDATUM_B:
         if xi.flavor != TWISTED:
             raise ValueError("qdatum_B realizes twisted quivers")
-        top = xi.n + 1  # i* = n + 1 - i on a vertex
-        return lambda v: (((min(v.i, top - v.i), -v.k2), 1),)
-    if real.table is None:
+        fold, top, div = xi.n0, xi.n + 1, 1  # min(i, i*) = i up to n0, then i* = n + 1 - i
+    elif real.table is None:
         raise MissingTableEntry("custom realization has no table")
-    return lambda v: _table_entry(real, xi, v).factors.items()
+    else:
+        entries = {}
+
+        def summed(run):
+            factors = {}
+            for v in run:
+                entry = entries.get(v)
+                if entry is None:
+                    entry = entries[v] = _table_entry(real, xi, v)
+                for key, e in entry.factors.items():
+                    factors[key] = factors.get(key, 0) + e
+            if 0 in factors.values():
+                for key in [key for key, e in factors.items() if e == 0]:
+                    del factors[key]
+            return factors
+
+        return summed
+
+    def counted(run):
+        factors = {}
+        for v in run:
+            i = v.i
+            key = (i if i <= fold else top - i, -v.k2 // div)
+            factors[key] = factors.get(key, 0) + 1
+        return factors
+
+    return counted
 
 
 def _table_entry(real: Realization, xi: HeightFunction, v: Vertex) -> Monomial:
@@ -165,30 +213,14 @@ def _table_entry(real: Realization, xi: HeightFunction, v: Vertex) -> Monomial:
     raise MissingTableEntry(f"could not slide {v} into the window")
 
 
-def _monomials(real: Realization, xi: HeightFunction, terms: Sequence[Sequence[Vertex]]) -> list[Monomial]:
-    """The formal product of cuspidal monomials along each vertex sequence of terms."""
-    cusp = _realized(real, xi, chain.from_iterable(terms))
-    return [_product(cusp, term) for term in terms]
-
-
-def _realized(real: Realization, xi: HeightFunction, points: Iterable[Vertex]) -> dict:
-    """The cuspidal (key, exponent) items of each distinct point, each checked to
-    be a vertex and realized once; the mode is resolved once, if there is a point."""
+def _checked_product(real: Realization, xi: HeightFunction, points: Iterable[Vertex]) -> Callable[[Iterable[Vertex]], dict]:
+    """_factor_items of the mode, after each distinct point is checked once to
+    be a vertex of xi; with no point the mode is not resolved."""
     points = dict.fromkeys(points)
-    for v in points:
-        if not xi.is_vertex(v):
-            raise MissingTableEntry(f"{v} is not a vertex of the quiver")
-    return dict(zip(points, map(_factor_items(real, xi), points))) if points else {}
-
-
-def _product(cusp: dict, term: Sequence[Vertex], factors: dict | None = None, sign: int = 1) -> Monomial:
-    """factors (empty by default) times the product along term, or over it
-    with sign -1, summed straight into the dict the Monomial keeps."""
-    factors = {} if factors is None else factors
-    for v in term:
-        for key, e in cusp[v]:
-            factors[key] = factors.get(key, 0) + sign * e
-    return Monomial._wrap(factors)
+    bad = next(filterfalse(xi.is_vertex, points), None)
+    if bad is not None:
+        raise MissingTableEntry(f"{bad} is not a vertex of the quiver")
+    return _factor_items(real, xi) if points else dict
 
 
 def snake_monomial(real: Realization, xi: HeightFunction, points: Sequence[Vertex]) -> tuple[Monomial, bool]:
@@ -199,7 +231,8 @@ def snake_monomial(real: Realization, xi: HeightFunction, points: Sequence[Verte
     product only in custom mode.  The exponents are summed in one dict, in
     O(len(points)) for monomials of bounded size.
     """
-    return _monomials(real, xi, (tuple(points),))[0], real.mode != CUSTOM
+    points = tuple(points)
+    return Monomial._wrap(_checked_product(real, xi, points)(points)), real.mode != CUSTOM
 
 
 class RelationMonomials(NamedTuple):
@@ -219,15 +252,16 @@ def relation_monomials(rel, real: Realization) -> RelationMonomials:
     """Monomials of all six terms, each equal to the snake_monomial of its points.
 
     The mode is resolved once per relation, and each distinct point is
-    checked and realized once.  A, Q and R are products; B, C and D are A
-    over the monomial of its last point, its first or both, so m(B)m(C) =
-    m(A)m(D) holds by construction (identity_holds recomputes it).
+    checked and realized once.  A, Q and R are products; B, C and D are
+    copies of A divided in place by the product of its last point, its first
+    or both, so m(B)m(C) = m(A)m(D) holds by construction (identity_holds
+    recomputes it).
     """
-    pts = rel.term_a
-    cusp = _realized(real, rel.xi, chain(pts, rel.first_q, rel.first_r))
-    a, q, r = (_product(cusp, term) for term in (pts, rel.first_q, rel.first_r))
-    b, c, d = (_product(cusp, ends, dict(a.factors), -1) for ends in ((pts[-1],), (pts[0],), (pts[0], pts[-1])))
-    return RelationMonomials(b, c, a, d, q, r, real.mode != CUSTOM)
+    pts, q, r = rel.term_a, rel.first_q, rel.first_r
+    product = _checked_product(real, rel.xi, chain(pts, q, r))
+    a = product(pts)
+    b, c, d = (_times(dict(a), product(ends), -1) for ends in (pts[-1:], pts[:1], (pts[0], pts[-1])))
+    return RelationMonomials(*map(Monomial._wrap, (b, c, a, d, product(q), product(r))), real.mode != CUSTOM)
 
 
 def _render_relation(mon: RelationMonomials, render) -> str:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import snaketsys
 from snaketsys import lusztig, reineke
+from snaketsys.realize import Monomial, Realization
 from snaketsys.errors import (
     DomainError,
     InternalError,
@@ -414,6 +415,14 @@ _INT_SLOTS = {
     "canonical rank": (lambda b: 3, lambda x, b: HeightFunction.canonical(x, 0)),
     "omega rank": (lambda b: 3, lambda x, b: reineke.omega(x, 1)),
     "omega node": (lambda b: 1, lambda x, b: reineke.omega(3, x)),
+    "Monomial exponent": (lambda b: b, lambda x, b: Monomial({(1, 2): x, (2, b): 1})),
+    "Monomial spectral": (lambda b: b, lambda x, b: Monomial({(1, x): 1})),
+    "Monomial.y node": (lambda b: 1, lambda x, b: Monomial.y(x, b)),
+    "Monomial.y exponent": (lambda b: b, lambda x, b: Monomial.y(1, 2, x)),
+    "qdatum_a rank": (lambda b: b + 1, lambda x, b: Realization.qdatum_a(x)),
+    "qdatum_b n0": (lambda b: b + 2, lambda x, b: Realization.qdatum_b(x)),
+    "custom h_dual": (lambda b: b + 4, lambda x, b: Realization.custom(x, {})),
+    "custom g0_rank": (lambda b: b + 3, lambda x, b: Realization.custom(b + 4, {}, x)),
 }
 _AS = st.sampled_from([int, float, bool, Fraction, str, lambda c: c + 0.5, lambda c: Fraction(2 * c + 1, 2)])
 # every cache, since any could answer a non-int with the instance of its int
@@ -444,6 +453,12 @@ def test_public_constructors_take_exact_ints_only(slot, b, convert, cached):
         assert got.counts == (1, x, 0)
     elif slot == "untwisted height":
         assert got.values2 == (2 * x, 2 * b + 2, 2 * b)
+    elif slot == "Monomial exponent":
+        assert got.factors == ({(1, 2): x} if x else {}) | {(2, b): 1}
+    elif slot == "qdatum_a rank":
+        assert (got.h_dual, got.g0_rank) == (x + 1, x)
+    elif slot == "custom h_dual":
+        assert (got.h_dual, got.g0_rank) == (x, x - 1)
 
 
 def test_rho_zero_datum():
