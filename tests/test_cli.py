@@ -3,8 +3,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
 import random
+import subprocess
 import sys
 
 import pytest
@@ -541,6 +543,34 @@ def test_verify_suites_are_the_groups_of_the_sweep_table(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "all", "--trials", "1", "--seed", "0")
     assert code == 0
     assert [line.split(":")[0] for line in out.splitlines()] == [sweep.name for sweep in verify.SWEEPS]
+
+
+_LOADS_VERIFY = """
+import contextlib, io, sys
+from snaketsys.cli import main
+print("snaketsys.verify" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    quiver = main(["quiver", "--n", "3"])
+print(quiver, "snaketsys.verify" in sys.modules)
+print(main(["verify", "--suite", "rho", "--trials", "2", "--seed", "0"]), "snaketsys.verify" in sys.modules)
+"""
+
+
+def test_cli_loads_verify_only_for_the_verify_command():
+    # in a fresh interpreter: importing the CLI and running another command
+    # leave verify unloaded, and the verify command loads it and runs
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _LOADS_VERIFY], cwd=root, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "False",
+        "0 False",
+        "rho: ok (8 passed, 0 failed, 0 skipped)",
+        "0 True",
+    ]
 
 
 @pytest.mark.parametrize("trials", ["-5", "0"])
