@@ -37,8 +37,8 @@ changes any output fails there.  The layers:
   the other carriers of its rank, and its vertex order (``list`` for Gamma
   kinds, whose iteration order ``verify`` draws from, ``sorted`` for V<j>);
 - ``realize``: on seeded prime snakes of both flavors with p from 2 to 40,
-  under ``qdatum_a`` or ``qdatum_b`` and under a signed custom table whose
-  entries slide along D, ``cuspidal_monomial`` of each point,
+  each with a second one inside the window, under ``qdatum_a`` or
+  ``qdatum_b`` and under a signed custom table whose entries slide along D, ``cuspidal_monomial`` of each point,
   ``snake_monomial`` of the snake (also with repeated points, and empty) and
   ``relation_monomials`` of its relation: each monomial's ``factors`` items
   in stored order and its ``to_json()``, ``exact`` and ``identity_holds()``;
@@ -387,6 +387,34 @@ def _broken_tables(obj: dict):
     yield "cancelling factors", {**obj, "entries": [{**first, "monomial": cancel}, *obj["entries"][1:]]}
 
 
+def _realized_snake_lines(xi: HeightFunction, qdatum: Realization, pts: tuple) -> list[str]:
+    """The realize lines of one snake under qdatum and the signed table, and under the other flavor's q-datum."""
+    lines = [f"xi {xi.flavor} n={xi.n} n0={xi.n0} values2={list(xi.values2)} P={' '.join(map(str, pts))}"]
+    rel = extended_tsystem(xi, pts) if len(pts) >= 2 else None
+    off = (Vertex(pts[0].i, pts[0].k2 + 1), Vertex(0, pts[0].k2), Vertex(xi.n + 1, pts[-1].k2))
+    for real in (qdatum, _signed_table(xi)):
+        lines.append(f" {real.mode} h_dual={real.h_dual} g0_rank={real.g0_rank}")
+        for v in pts:
+            lines.append(_monomial(f"cusp {v}", cuspidal_monomial(real, xi, v)))
+        for label, points in (("snake", pts), ("repeated", pts + pts[:2] + pts[-1:]), ("empty", ())):
+            m, exact = snake_monomial(real, xi, points)
+            lines.append(_monomial(f"{label} exact={exact}", m))
+        if rel is not None:
+            mon = relation_monomials(rel, real)
+            lines.append(f"  relation exact={mon.exact} identity_holds={mon.identity_holds()}")
+            for name in ("b", "c", "a", "d", "q", "r"):
+                lines.append(_monomial(name, getattr(mon, name)))
+            lines.append(f"  {relation_monomials_text(mon)}")
+        for v in off:
+            lines.append(f"  off {v} {_result(lambda: cuspidal_monomial(real, xi, v))}")
+            lines.append(f"  off snake {_result(lambda: snake_monomial(real, xi, pts[:1] + (v,) + pts[1:]))}")
+    other = Realization.qdatum_b(2) if xi.flavor == UNTWISTED else Realization.qdatum_a(xi.n)
+    lines.append(f" other flavor {_result(lambda: snake_monomial(other, xi, pts))}")
+    if rel is not None:
+        lines.append(f" other flavor {_result(lambda: relation_monomials(rel, other))}")
+    return lines
+
+
 def realize_lines() -> list[str]:
     rng = random.Random(SEED + 5)
     lines = []
@@ -399,29 +427,10 @@ def realize_lines() -> list[str]:
             xi = random_height_function(2 * n0 - 1, rng, TWISTED, n0)
             qdatum = Realization.qdatum_b(n0)
         pts = random_snake(xi, rng, p, prime=True)
-        lines.append(f"xi {xi.flavor} n={xi.n} n0={xi.n0} values2={list(xi.values2)} P={' '.join(map(str, pts))}")
-        rel = extended_tsystem(xi, pts) if len(pts) >= 2 else None
-        off = (Vertex(pts[0].i, pts[0].k2 + 1), Vertex(0, pts[0].k2), Vertex(xi.n + 1, pts[-1].k2))
-        for real in (qdatum, _signed_table(xi)):
-            lines.append(f" {real.mode} h_dual={real.h_dual} g0_rank={real.g0_rank}")
-            for v in pts:
-                lines.append(_monomial(f"cusp {v}", cuspidal_monomial(real, xi, v)))
-            for label, points in (("snake", pts), ("repeated", pts + pts[:2] + pts[-1:]), ("empty", ())):
-                m, exact = snake_monomial(real, xi, points)
-                lines.append(_monomial(f"{label} exact={exact}", m))
-            if rel is not None:
-                mon = relation_monomials(rel, real)
-                lines.append(f"  relation exact={mon.exact} identity_holds={mon.identity_holds()}")
-                for name in ("b", "c", "a", "d", "q", "r"):
-                    lines.append(_monomial(name, getattr(mon, name)))
-                lines.append(f"  {relation_monomials_text(mon)}")
-            for v in off:
-                lines.append(f"  off {v} {_result(lambda: cuspidal_monomial(real, xi, v))}")
-                lines.append(f"  off snake {_result(lambda: snake_monomial(real, xi, pts[:1] + (v,) + pts[1:]))}")
-        other = Realization.qdatum_b(2) if xi.flavor == UNTWISTED else Realization.qdatum_a(xi.n)
-        lines.append(f" other flavor {_result(lambda: snake_monomial(other, xi, pts))}")
-        if rel is not None:
-            lines.append(f" other flavor {_result(lambda: relation_monomials(rel, other))}")
+        lines += _realized_snake_lines(xi, qdatum, pts)
+        # a snake inside the window, where every signed-table entry shares Y_{1,0}, so
+        # that the ends of a relation hold keys that cancel in A or reach 0 only in D
+        lines += _realized_snake_lines(xi, qdatum, random_snake(xi, rng, p, prime=True, in_gamma=True))
         window = xi.gamma_vertices()
         for real in (Realization(CUSTOM, xi.n + 1, xi.n), Realization.custom(xi.n + 1, {v: Monomial.y(1, 0) for v in window[1:]})):
             lines.append(f" table {real.table is not None} {_result(lambda: snake_monomial(real, xi, pts))}")

@@ -26,7 +26,7 @@ PINNED = {
     "lusztig": ("561c11783caf03339489827a61f12ba0a292133b88fedfc15b4a03adbe0dea24", 9038),
     "snakes": ("9a814eedc2b53da340b71e57c6d4b5a37344e06a299950bec81bab1d06f3ac35", 13431),
     "windows": ("ef6f24a37e0eecf9f28ab80974872e10b72cc4119a211db8ac39832c2fe989c3", 9161),
-    "realize": ("915f48fbf410955bba0e11b18f7ca2004faf8eeb91d4eca6067c875f4a5a3924", 2396),
+    "realize": ("b97dc2847bbbaed15b9be3a5ec3ba39962be4892ab12837ce352540f5939ce04", 3369),
 }
 
 
