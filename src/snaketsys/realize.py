@@ -179,10 +179,7 @@ def _factor_items(real: Realization, xi: HeightFunction) -> Callable[[Iterable[V
                     entry = entries[v] = _table_entry(real, xi, v)
                 for key, e in entry.factors.items():
                     factors[key] = factors.get(key, 0) + e
-            if 0 in factors.values():
-                for key in [key for key, e in factors.items() if e == 0]:
-                    del factors[key]
-            return factors
+            return {key: e for key, e in factors.items() if e}
 
         return summed
 
