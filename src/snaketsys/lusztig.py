@@ -25,17 +25,17 @@ else by identity.
 Row i of V<j>, n0 < j <= n+1, is theta's window row if i < j, the
 half-integer chain if i = j (_vj_chain), and big_theta's window row if i > j.
 
-The steps do not depend on the datum, so each rank has one cached plan: it
-numbers each vertex of the rows >= n0 of V<n0>, ..., V<n+1> once in a work
-list and lists the work slots every step reads and writes.  It is checked
-once on the rows of the two windows, each layer on its two rows only: O(n)
-per layer, O(n^2) per rank, and no intermediate carrier is built.  rho and
-rho_step share one kernel: the rows they move (rows >= n0, or rows j, j+1)
-are one run of the datum's slots, which it copies into the work list, runs
-through the layers and slices back between the rows it does not move, so
-no key is hashed.  The plan check
-proves the rows written and 3-moves keep counts nonnegative, so only the
-input's carrier is checked.
+The steps do not depend on the datum, so each rank has one cached plan.
+Rows j and j+1 of V<j> and of V<j+1> fill the same slots of a datum, from
+the first slot of theta's row j on, since the rows below are theta's and
+those above are big_theta's in both carriers.  So a layer reads V<j>'s two
+rows at the datum's own slots and writes V<j+1>'s at offsets into a fresh
+buffer of the same size, which then replaces them.  Each layer is checked
+once on its two rows: O(n) per layer, O(n^2) per rank, and no intermediate
+carrier is built.  rho and rho_step share one kernel, which copies the
+datum's slots once and hashes no key.  The plan check proves the rows
+written and 3-moves keep counts nonnegative, so only the input's carrier
+is checked.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import compress, count
-from typing import AbstractSet, Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import roots
 from .errors import InternalError, NotAnInteger, NotBraidPattern, NotCommuting, NotLongestWord, WrongCarrier
@@ -282,119 +282,91 @@ def unit_datum(carrier: Carrier, points: Sequence[Vertex]) -> VertexDatum:
 
 
 class _Layer(NamedTuple):
-    """One step rho_<j> on work slots: it reads V<j>'s rows j, j+1 and writes V<j+1>'s."""
+    """One step rho_<j>: it reads rows j, j+1 of V<j> at their datum slots and writes V<j+1>'s at offsets.
 
-    triples: tuple[tuple[int, int, int, int, int, int], ...]  # 3-moves (a, b, c) -> (x, y, z)
-    moves: tuple[tuple[int, int], ...]  # (source, target) boundary shifts of row j
-    entry: tuple[slice, ...]  # the work slots of rows j, j+1 of V<j>, in its slot order
-    exit: tuple[slice, ...]  # the work slots of rows j, j+1 of V<j+1>, in its slot order
-    rows: slice  # the slots of rows j, j+1 in V<j> and in V<j+1>
+    The two rows of either carrier fill the slots lo, ..., lo+size-1 of its
+    data, so the offsets 0, ..., size-1 land on those slots."""
+
+    lo: int  # the first slot of row j, in V<j> and in V<j+1>
+    size: int  # the slots of rows j, j+1, as many in both
+    triples: tuple[tuple[int, int, int, int, int, int], ...]  # 3-moves: slots (a, b, c) -> offsets (x, y, z)
+    moves: tuple[tuple[int, int], ...]  # (slot, offset) boundary shifts of row j
 
 
 class _Plan(NamedTuple):
-    keys: tuple[Vertex, ...]  # the vertex of each work slot
     layers: tuple[_Layer, ...]  # rho_<n0>, ..., rho_<n>
-    entry: tuple[slice, ...]  # the work slots of big_theta's rows >= n0, read by the composite
-    exit: tuple[slice, ...]  # the work slots of theta's rows >= n0, written by the composite
-    rows: slice  # the slots of rows >= n0 in both windows
     big_theta: Carrier  # V<n0>
     theta: Carrier  # V<n+1>
 
 
 @lru_cache(maxsize=16)
 def _layer_plan(n: int) -> _Plan:
-    """The steps rho_<n0>, ..., rho_<n> of rank n on work slots, each checked once on its two rows.
+    """The steps rho_<n0>, ..., rho_<n> of rank n, each checked once on its two rows.
 
-    Each row >= n0 of each carrier is a run of work slots, by k2: big_theta's
-    rows, theta's rows, then each chain as its layer is met.  The carrier's
-    rows start as big_theta's, and each layer replaces rows j, j+1 with
-    those of V<j+1>, which start at the same slot of V<j> and of V<j+1>.
+    Rows j and j+1 of V<j> and of V<j+1> start at lo, the first slot of
+    theta's row j: the rows below are theta's and the rows above are
+    big_theta's in both carriers.  Row j of V<j> is big_theta's row n0 at
+    j = n0 and the chain above it; V<j+1>'s rows are theta's row j and the
+    next chain.
     """
     n0 = (n + 1) // 2
     big, theta = Carrier(GAMMA_BIG_THETA, n), Carrier(GAMMA_THETA, n)
-    below = lo = theta.slots.rows[n0].start  # the first slot of row n0 in both windows, and then of row j
-    if big.slots.vertices[:big.slots.rows[n0].start] != theta.slots.vertices[:below]:  # no layer touches these rows
+    bw, tw = big.slots, theta.slots
+    if bw.vertices[:bw.rows[n0].start] != tw.vertices[:tw.rows[n0].start]:  # no layer touches these rows
         raise InternalError(f"the windows of rank {n} differ below row {n0}")
-    slots: dict[Vertex, int] = {}
-
-    def number(verts: Sequence[Vertex]) -> range:
-        lo = len(slots)
-        slots.update(zip(verts, count(lo)))
-        if len(slots) != lo + len(verts):
-            raise InternalError(f"rho of rank {n} numbers a vertex twice")
-        return range(lo, len(slots))
-
-    span = [range(0)] * n0 + [number(big.slots.vertices[r]) for r in big.slots.rows[n0:]]  # V<n0>
-    theta_span = [number(theta.slots.vertices[r]) for r in theta.slots.rows[n0:]]
-    at = slots.get  # work slot of the vertex (i, k2) by plain tuple; None off the numbered rows fails the check
-    entry, layers = _runs(span[n0:]), []
+    row, layers = bw.vertices[bw.rows[n0]], []  # row j of V<j>
     for j in range(n0, n + 1):
-        src, src_runs = {*span[j], *span[j + 1]}, _runs(span[j:j + 2])
-        rows = slice(lo, lo + len(src))
-        span[j], span[j + 1] = theta_span[j - n0], number(_vj_chain(n, j + 1))
-        lo += len(span[j])
+        lo, src, nxt = tw.rows[j].start, row + bw.vertices[bw.rows[j + 1]], _vj_chain(n, j + 1)
+        dst = tw.vertices[tw.rows[j]] + nxt
+        if len(src) != len(dst):
+            raise InternalError(f"rows {j}, {j + 1} of V<{j}> and V<{j + 1}> of rank {n} differ in size")
+        # datum slot of V<j>'s vertex (i, k2), and offset of V<j+1>'s, by plain tuple; None off the rows fails the check
+        at, to = dict(zip(src, count(lo))).get, dict(zip(dst, count())).get
         triples = tuple(
             (
                 at((j, 2 * j + 4 * r - 1)), at((j + 1, 2 * j + 4 * r)), at((j, 2 * j + 4 * r + 1)),
-                at((j + 1, 2 * j + 4 * r - 1)), at((j, 2 * j + 4 * r)), at((j + 1, 2 * j + 4 * r + 1)),
+                to((j + 1, 2 * j + 4 * r - 1)), to((j, 2 * j + 4 * r)), to((j + 1, 2 * j + 4 * r + 1)),
             )
             for r in range(0, n - j)
         )
         # leftover boundary keys of row j reshift by -+1/2
-        moves = ((at((j, 2 * j - 3)), at((j, 2 * j - 4))),) if j > n0 else ()
-        moves += ((at((j, 4 * n - 2 * j - 1)), at((j, 2 * (2 * n - j)))),)
-        layer = _Layer(triples, moves, src_runs, _runs(span[j:j + 2]), rows)
-        _check_layer(n0, j, layer, src, {*span[j], *span[j + 1]})
+        moves = ((at((j, 2 * j - 3)), to((j, 2 * j - 4))),) if j > n0 else ()
+        moves += ((at((j, 4 * n - 2 * j - 1)), to((j, 2 * (2 * n - j)))),)
+        layer = _Layer(lo, len(dst), triples, moves)
+        _check_layer(n0, j, layer)
         layers.append(layer)
-    return _Plan(tuple(slots), tuple(layers), entry, _runs(span[n0:]), slice(below, lo), big, theta)
+        row = nxt
+    return _Plan(tuple(layers), big, theta)
 
 
-def _runs(spans: Iterable[range]) -> tuple[slice, ...]:
-    """The nonempty ranges as slices, adjacent ones merged."""
-    runs: list[slice] = []
-    for r in filter(None, spans):
-        if runs and runs[-1].stop == r.start:
-            runs[-1] = slice(runs[-1].start, r.stop)
-        else:
-            runs.append(slice(r.start, r.stop))
-    return tuple(runs)
+def _check_layer(n0: int, j: int, layer: _Layer) -> None:
+    """Raise InternalError unless the layer reads each slot of its rows once and writes each offset once.
 
-
-def _check_layer(n0: int, j: int, layer: _Layer, src_rows: AbstractSet[int], dst_rows: AbstractSet[int]) -> None:
-    """Raise InternalError unless the layer, run in place, maps src_rows onto dst_rows.
-
-    src_rows and dst_rows are the slots of rows j, j+1 of V<j> and of V<j+1>.
-    The layer must read each slot of src_rows once, write each slot of
-    dst_rows once and read no slot it writes; it carries every other row.
-    """
-    reads = [s for t in layer.triples for s in t[:3]] + [s for s, _ in layer.moves]
-    writes = [s for t in layer.triples for s in t[3:]] + [t for _, t in layer.moves]
-    if (
-        len(reads) != len(src_rows) or set(reads) != src_rows
-        or len(writes) != len(dst_rows) or set(writes) != dst_rows
-        or not src_rows.isdisjoint(dst_rows)
-    ):
+    A vertex off the two rows has no slot or offset (None), so a layer
+    that moves one fails too; the layer carries every other row."""
+    lo, size, triples, moves = layer
+    reads = [s for t in triples for s in t[:3]] + [s for s, _ in moves]
+    writes = [s for t in triples for s in t[3:]] + [t for _, t in moves]
+    if Counter(reads) != Counter(range(lo, lo + size)) or Counter(writes) != Counter(range(size)):
         raise InternalError(f"rho layer {j} of rank {2 * n0 - 1} does not map V<{j}> onto V<{j + 1}>")
 
 
-def _transport(size: int, layers: Sequence[_Layer], step: _Layer | _Plan, vals: tuple[int, ...]) -> tuple[int, ...]:
-    """vals with the slots of step.rows run through the layers, from step.entry's work slots to step.exit's.
+def _transport(layers: Sequence[_Layer], vals: tuple[int, ...]) -> tuple[int, ...]:
+    """vals run through the layers: each reads its rows' slots and then replaces them with what it wrote.
 
-    A triple whose reads are all 0 writes nothing: each work slot is written once and starts at 0."""
-    work, at = [0] * size, step.rows.start
-    for run in step.entry:
-        work[run] = vals[at:at + run.stop - run.start]
-        at += run.stop - run.start
-    for layer in layers:
-        for a, b, c, x, y, z in layer.triples:
+    A triple whose reads are all 0 writes nothing: each offset is written once and starts at 0."""
+    work = list(vals)
+    for lo, size, triples, moves in layers:
+        out = [0] * size
+        for a, b, c, x, y, z in triples:
             ca, cb, cc = work[a], work[b], work[c]
             if ca or cb or cc:
                 m = ca if ca < cc else cc  # three_move, inlined
-                work[x], work[y], work[z] = cb + cc - m, m, ca + cb - m
-        for s, t in layer.moves:
-            work[t] = work[s]
-    moved = sum(map(work.__getitem__, step.exit), [])  # one or two runs
-    return vals[:step.rows.start] + tuple(moved) + vals[step.rows.stop:]
+                out[x], out[y], out[z] = cb + cc - m, m, ca + cb - m
+        for s, t in moves:
+            out[t] = work[s]
+        work[lo:lo + size] = out
+    return tuple(work)
 
 
 def rho_step(j: int, d: VertexDatum) -> VertexDatum:
@@ -406,9 +378,8 @@ def rho_step(j: int, d: VertexDatum) -> VertexDatum:
     carrier = vj_carrier(n0, j)
     if d.carrier != carrier and d.carrier.slots.vertices != carrier.slots.vertices:
         raise WrongCarrier(f"datum carrier {d.carrier.name} is not V<{j}>")
-    plan = _layer_plan(n)
-    layer = plan.layers[j - n0]
-    return VertexDatum._trusted(vj_carrier(n0, j + 1), _transport(len(plan.keys), (layer,), layer, d.counts.vals))
+    layer = _layer_plan(n).layers[j - n0]
+    return VertexDatum._trusted(vj_carrier(n0, j + 1), _transport((layer,), d.counts.vals))
 
 
 def rho(d: VertexDatum) -> VertexDatum:
@@ -421,7 +392,7 @@ def rho(d: VertexDatum) -> VertexDatum:
     want = plan.big_theta.slots.vertices
     if have is not want and have != want:  # the shared window is not compared with itself
         raise WrongCarrier("rho expects a datum on the big_theta window")
-    return VertexDatum._trusted(plan.theta, _transport(len(plan.keys), plan.layers, plan, d.counts.vals))
+    return VertexDatum._trusted(plan.theta, _transport(plan.layers, d.counts.vals))
 
 
 # -- JSON round-trip -----------------------------------------------------

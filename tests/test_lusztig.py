@@ -685,44 +685,38 @@ def test_rho_and_rho_step_outputs_are_pinned():
 def reference_check_plan(n):
     """The whole-carrier check of rank n's layer plan: raise InternalError unless it maps V<n0> onto V<n+1>.
 
-    Each layer must read each key of rows j, j+1 of V<j> once, write each
-    key of rows j, j+1 of V<j+1> once, read no key it writes, and the two
-    carriers must agree on every other row; its entry and exit slots must
-    hold each key of those rows of V<j> and of V<j+1> once.  The composite's
-    entry and exit must hold the two windows' rows >= n0, and the windows
-    must agree below n0.  Every carrier is built in full.
+    Every V<j> is built in full.  A layer's reads are taken through V<j>'s
+    slot order and its writes through V<j+1>'s slots lo, ..., lo+size-1,
+    where the kernel puts them.  Each must hold each vertex of rows j, j+1
+    of its carrier once, those rows must fill the slots lo, ..., lo+size-1
+    of both carriers, and the carriers must agree in slot order on every
+    other row.  The plan's carriers must be the two windows, which must
+    agree below n0.
     """
     from snaketsys.lusztig import _layer_plan
-
-    def keys(runs):
-        return [v for run in runs for v in plan.keys[run]]
 
     def once(got, want):
         return len(got) == len(want) and set(got) == want
 
     n0 = (n + 1) // 2
     plan = _layer_plan(n)
-    if len(set(plan.keys)) != len(plan.keys):
-        raise InternalError(f"the slots of rank {n} do not number each vertex once")
-    key = plan.keys.__getitem__
+    if len(plan.layers) != n + 1 - n0:
+        raise InternalError(f"rho of rank {n} has {len(plan.layers)} layers")
     for j, layer in zip(range(n0, n + 1), plan.layers):
-        src, dst = vj_carrier(n0, j).vertices(), vj_carrier(n0, j + 1).vertices()
-        reads = [key(s) for t in layer.triples for s in t[:3]] + [key(s) for s, _ in layer.moves]
-        writes = [key(s) for t in layer.triples for s in t[3:]] + [key(t) for _, t in layer.moves]
-        src_rows = {v for v in src if v.i in (j, j + 1)}
-        dst_rows = {v for v in dst if v.i in (j, j + 1)}
+        src, dst = vj_carrier(n0, j).slots.vertices, vj_carrier(n0, j + 1).slots.vertices
+        lo, hi = layer.lo, layer.lo + layer.size
+        reads = [src[s] for t in layer.triples for s in t[:3]] + [src[s] for s, _ in layer.moves]
+        writes = [dst[lo:hi][o] for t in layer.triples for o in t[3:]] + [dst[lo:hi][o] for _, o in layer.moves]
+        src_rows, dst_rows = _two_rows(src, j), _two_rows(dst, j)
         if (
             not once(reads, src_rows) or not once(writes, dst_rows)
-            or not src_rows.isdisjoint(dst_rows)
-            or src - src_rows != dst - dst_rows
-            or not once(keys(layer.entry), src_rows) or not once(keys(layer.exit), dst_rows)
+            or not once(src[lo:hi], src_rows) or not once(dst[lo:hi], dst_rows)
+            or src[:lo] + src[hi:] != dst[:lo] + dst[hi:]
         ):
             raise InternalError(f"rho layer {j} of rank {n} does not map V<{j}> onto V<{j + 1}>")
     big, theta = plan.big_theta.vertices(), plan.theta.vertices()
     if (
         (plan.big_theta, plan.theta) != (Carrier(GAMMA_BIG_THETA, n), Carrier(GAMMA_THETA, n))
-        or not once(keys(plan.entry), {v for v in big if v.i >= n0})
-        or not once(keys(plan.exit), {v for v in theta if v.i >= n0})
         or {v for v in big if v.i < n0} != {v for v in theta if v.i < n0}
     ):
         raise InternalError(f"rho of rank {n} does not map the big_theta window onto the theta window")
@@ -737,14 +731,9 @@ def _two_rows(verts, j):
     return {v for v in verts if v.i in (j, j + 1)}
 
 
-def _slots(plan, verts):
-    slot = {v: s for s, v in enumerate(plan.keys)}
-    return {slot[v] for v in verts}
-
-
 def test_layer_plan_is_checked_once():
-    # the cached plan is immutable and bounded; a layer that misses a slot,
-    # writes a slot twice or reads what it writes is rejected explicitly
+    # the cached plan is immutable and bounded; a layer that misses a slot
+    # or writes an offset twice is rejected explicitly
     from snaketsys.lusztig import _check_layer, _layer_plan
 
     assert _layer_plan.cache_info().maxsize is not None
@@ -758,44 +747,33 @@ def test_layer_plan_is_checked_once():
         layer._replace(triples=rest),
         layer._replace(moves=layer.moves[:1]),
         layer._replace(triples=((a, b, c, x, x, z),) + rest),
-        layer._replace(triples=((a, b, c, a, b, c),) + rest),
     ]
-    src = _slots(plan, _two_rows(vj_carrier(n0, j).vertices(), j))
-    dst = _slots(plan, _two_rows(vj_carrier(n0, j + 1).vertices(), j))
-    _check_layer(n0, j, layer, src, dst)
+    _check_layer(n0, j, layer)
     for bad in broken:
         with pytest.raises(InternalError):
-            _check_layer(n0, j, bad, src, dst)
+            _check_layer(n0, j, bad)
 
 
 def test_layer_check_rejects_a_move_outside_its_two_rows():
-    # a layer that also moves a slot of row j+2 is rejected, and so is one
-    # whose reads and writes overlap even if they match the rows given
+    # a layer that reads a slot of row j+2 in place of one of its own rows is
+    # rejected, and so is one that writes past the end of its buffer
     from snaketsys.lusztig import _check_layer, _layer_plan
 
     n0, j = 4, 5
-    plan = _layer_plan(7)
-    layer = plan.layers[j - n0]
-    src = _slots(plan, _two_rows(vj_carrier(n0, j).vertices(), j))
-    dst = _slots(plan, _two_rows(vj_carrier(n0, j + 1).vertices(), j))
-    far = min(_slots(plan, (v for v in vj_carrier(n0, j).vertices() if v.i == j + 2)))
-    with pytest.raises(InternalError):
-        _check_layer(n0, j, layer._replace(moves=layer.moves + ((far, far),)), src, dst)
-    reads = {s for t in layer.triples for s in t[:3]} | {s for s, _ in layer.moves}
-    in_place = layer._replace(triples=tuple(t[:3] * 2 for t in layer.triples), moves=tuple((s, s) for s, _ in layer.moves))
-    with pytest.raises(InternalError):
-        _check_layer(n0, j, in_place, reads, reads)
+    layer = _layer_plan(7).layers[j - n0]
+    far = vj_carrier(n0, j).slots.rows[j + 2].start
+    (s, t), *rest = layer.moves
+    for bad in ((far, t), (s, layer.size)):
+        with pytest.raises(InternalError):
+            _check_layer(n0, j, layer._replace(moves=(bad, *rest)))
 
 
 def test_slot_plan_cache_is_bounded_and_holds_only_tuples():
-    # the cached plans are tuples of tuples of ints, slices and vertices,
-    # and two frozen carriers, so no caller can change a plan another reads
+    # the cached plans are tuples of ints and of tuples of ints, and two
+    # frozen carriers, so no caller can change a plan another reads
     from dataclasses import FrozenInstanceError
 
     from snaketsys.lusztig import _layer_plan
-
-    def runs(part):
-        return type(part) is tuple and all(type(run) is slice for run in part)
 
     _layer_plan.cache_clear()
     for n in (3, 7, 15, 31):
@@ -803,17 +781,17 @@ def test_slot_plan_cache_is_bounded_and_holds_only_tuples():
     info = _layer_plan.cache_info()
     assert info.maxsize is not None and info.currsize == 4
     plan = _layer_plan(7)
-    assert type(plan.keys) is tuple and all(type(v) is Vertex for v in plan.keys)
-    assert runs(plan.entry) and runs(plan.exit) and len(plan.entry) == len(plan.exit) == 1
+    assert plan._fields == ("layers", "big_theta", "theta")
     assert type(plan.big_theta) is type(plan.theta) is Carrier
     with pytest.raises(FrozenInstanceError):
         plan.theta.name = GAMMA_BIG_THETA
     assert type(plan.layers) is tuple
     for layer in plan.layers:
+        assert layer._fields == ("lo", "size", "triples", "moves")
+        assert type(layer.lo) is type(layer.size) is int
         for part in (layer.triples, layer.moves):
             assert type(part) is tuple
             assert all(type(t) is tuple and all(type(s) is int for s in t) for t in part)
-        assert runs(layer.entry) and runs(layer.exit)
 
 
 def _shifted_window(name, n, row):
