@@ -25,7 +25,7 @@ from types import MappingProxyType
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from . import roots
-from .errors import InternalError, NotAnInteger, NotHeightFunction, OutsideWindow
+from .errors import InternalError, NotAnInteger, NotHeightFunction, NotSnake, OutsideWindow
 from .roots import Root
 
 UNTWISTED = "untwisted"
@@ -215,8 +215,10 @@ class HeightFunction:
         return rev
 
     def reverse_vertex(self, v: Vertex) -> Vertex:
-        """(i, k) -> (i*, -k): a vertex of this quiver to one of reversed()."""
-        return Vertex(roots.star(self.n, v.i), -v.k2)
+        """(i, k) -> (i*, -k): a vertex of this quiver to one of reversed(); NotSnake off the quiver."""
+        if not self.is_vertex(v):
+            raise NotSnake(f"{v} is not a vertex of the quiver")
+        return _vertex((self.n + 1 - v.i, -v.k2))
 
     def vertices_between(self, k2_lo: int, k2_hi: int) -> list[Vertex]:
         """Every vertex with k2_lo <= k2 <= k2_hi, row by row, k2 ascending in a row."""
@@ -289,10 +291,12 @@ class HeightFunction:
     # -- duality and regions ------------------------------------------
 
     def dualize(self, v: Vertex, sign: int = 1) -> Vertex:
-        """D^sign (i,k) = (i*, k - sign*ntilde)."""
+        """D^sign (i,k) = (i*, k - sign*ntilde) of a vertex of this quiver; NotSnake off the quiver."""
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        return Vertex(roots.star(self.n, v.i), v.k2 - sign * self.ntilde2())
+        if not self.is_vertex(v):
+            raise NotSnake(f"{v} is not a vertex of the quiver")
+        return _vertex((self.n + 1 - v.i, v.k2 - sign * self.ntilde2()))
 
     def region(self, v: Vertex) -> Region:
         if not self.twisted_flavor:

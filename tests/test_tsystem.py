@@ -706,6 +706,9 @@ def test_public_forms_reject_off_quiver_inputs():
                     assert in_prime_snake_position(xi, a, b) is False
                     assert predicted_tfd_left(xi, a, (b,)) is None
                     assert predicted_tfd_right(xi, (a,), b) is None  # checked before the reversal, rows 0 and n+1 too
+            for image in (xi.reverse_vertex, xi.dualize, lambda v: xi.dualize(v, -1)):
+                with pytest.raises(NotSnake, match=re.escape(f"{x} is not a vertex of the quiver")):
+                    image(x)
             if xi.twisted_flavor:
                 with pytest.raises(ValueError, match=re.escape(f"{x} is not a vertex of this quiver")):
                     xi.region(x)
