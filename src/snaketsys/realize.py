@@ -25,7 +25,7 @@ from itertools import chain, filterfalse
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import roots
-from .errors import MissingTableEntry
+from .errors import DomainError, MissingTableEntry
 from .quivers import TWISTED, UNTWISTED, HeightFunction, Vertex, exact_ints, json_int
 
 QDATUM_A = "qdatum_A"
@@ -40,6 +40,9 @@ class Monomial:
 
     def __init__(self, factors: Mapping[tuple[int, int], int] | None = None):
         factors = factors or {}
+        bad = [k for k in factors if not isinstance(k, tuple) or len(k) != 2]
+        if bad:
+            raise DomainError(f"monomial keys must be (node, spectral) pairs, got {bad[0]!r}")
         exact_ints("monomial nodes, spectral parameters and exponents", [*chain.from_iterable(factors), *factors.values()])
         self.factors = {k: e for k, e in factors.items() if e != 0}
 
@@ -113,6 +116,10 @@ class Realization:
     h_dual: int
     g0_rank: int
     table: dict[Vertex, Monomial] | None = None
+
+    def __post_init__(self):
+        if self.mode not in (QDATUM_A, QDATUM_B, CUSTOM):
+            raise ValueError(f"unknown realization mode {self.mode!r}")
 
     @staticmethod
     def qdatum_a(n: int) -> "Realization":

@@ -436,6 +436,9 @@ def test_public_constructors_take_exact_ints_only(slot, b, convert, cached):
     # are taken as they are, and only VertexDatum drops a zero; a float, a
     # bool, a Fraction or a string, integral or not, is NotAnInteger naming
     # it, whether or not c's own result is cached
+    for key in ((1, 2, 3), 1, (1,), "12"):  # a Monomial key is a (node, spectral) pair
+        with pytest.raises(DomainError, match=f"pairs, got {re.escape(repr(key))}$"):
+            Monomial({key: 2})
     valid, build = _INT_SLOTS[slot]
     for cache in _CACHES:
         cache.cache_clear()

@@ -267,6 +267,13 @@ def test_realize_checks_raise_explicitly():
         table_to_json(Realization.qdatum_a(3))
 
 
+def test_realization_rejects_an_unknown_mode():
+    # the modes are case-sensitive; an unknown one would run as custom with exact True
+    for args in (("qdatum_a", 4, 3), ("qdatum_a", 4, 3, {}), ("Custom", 4, 3, custom_table().table)):
+        with pytest.raises(ValueError, match=f"^unknown realization mode {args[0]!r}$"):
+            Realization(*args)
+
+
 def test_custom_slide_far_vertex():
     real = custom_table()
     far = cuspidal_monomial(real, XI3, V(2, 16))  # three duality periods out
