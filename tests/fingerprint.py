@@ -44,7 +44,13 @@ changes any output fails there.  The layers:
   in stored order and its ``to_json()``, ``exact`` and ``identity_holds()``;
   the error of each on off-quiver points, on the other flavor's q-datum and
   on custom tables without a table or lacking a window vertex; and
-  ``realization_from_json`` on the signed tables and on broken copies.
+  ``realization_from_json`` on the signed tables and on broken copies;
+- ``roots``: for ranks 1-8, ``inversion_sequence`` (its roots as ``str``,
+  or the type and message of its error) with ``is_reduced`` and
+  ``is_longest_word`` on seeded reduced words (longest ones too), on the
+  same words with one letter doubled and on random words, some with a
+  letter off [1, n]; ``num_positive_roots``; ``star`` and ``check_node``
+  on rows 0 to n+1; and ``str`` of positive and negative roots.
 
 Run from the repository root:
 
@@ -59,7 +65,7 @@ import json
 import random
 from fractions import Fraction
 
-from snaketsys import reineke, snakes
+from snaketsys import reineke, roots, snakes
 from snaketsys.errors import NotSnake
 from snaketsys.lusztig import Carrier, VertexDatum, datum_to_json, rho, rho_step, unit_datum
 from snaketsys.quivers import TWISTED, UNTWISTED, HeightFunction, Vertex, phi_map, quiver_ascii, quiver_dot
@@ -443,6 +449,40 @@ def realize_lines() -> list[str]:
     return lines
 
 
+def _reduced_word(rng: random.Random, n: int, length: int) -> tuple[int, ...]:
+    """A seeded reduced word of rank n: random letters, each kept only if the word stays reduced."""
+    word: tuple[int, ...] = ()
+    while len(word) < length:
+        letter = rng.randint(1, n)
+        if roots.is_reduced(n, word + (letter,)):
+            word += (letter,)
+    return word
+
+
+def roots_lines(count: int = 9) -> list[str]:
+    rng = random.Random(SEED + 6)
+    lines = []
+    for n in range(1, 9):
+        top = roots.num_positive_roots(n)
+        lines.append(f"n={n} positive roots={top}")
+        for t in range(count):
+            word = _reduced_word(rng, n, top if t % 3 == 0 else rng.randint(0, top))
+            k = rng.randrange(len(word) + 1)
+            doubled = word[:k] + word[k - 1:] if k else word + word[-1:]
+            noise = tuple(rng.randint(0 if t % 3 == 2 else 1, n) for _ in range(rng.randint(1, top)))
+            for w in (word, doubled, noise):
+                lines.append(f"word {list(w)}")
+                lines.append(f"  inversion {_result(lambda: ' '.join(map(str, roots.inversion_sequence(n, w))))}")
+                lines.append(f"  is_reduced={_result(lambda: roots.is_reduced(n, w))} "
+                             f"is_longest_word={_result(lambda: roots.is_longest_word(n, w))}")
+        for i in range(0, n + 2):
+            lines.append(f"row {i} star {_result(lambda: roots.star(n, i))} check_node {_result(lambda: roots.check_node(n, i))}")
+    for lo in range(1, 4):
+        for hi in range(lo, 4):
+            lines.append(f"root {lo} {hi} {roots.Root(lo, hi, 1)} {roots.Root(lo, hi, -1)}")
+    return lines
+
+
 LAYERS = {
     "quivers": quivers_lines,
     "predictions": predictions_lines,
@@ -450,6 +490,7 @@ LAYERS = {
     "snakes": snakes_lines,
     "windows": windows_lines,
     "realize": realize_lines,
+    "roots": roots_lines,
 }
 
 

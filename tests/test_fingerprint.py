@@ -7,8 +7,9 @@ before vertex data moved onto slot tuples, ``snakes`` before the Q/R
 kernels became one and the public/trusted snake twins were folded,
 ``windows`` before the Gamma window became one value per height function
 and the window and carrier caches were folded into it, ``realize`` before a
-relation's six monomials were built from key counts and end removal); if one
-moves, the layer's output changed.  ``snakes`` was pinned again when
+relation's six monomials were built from key counts and end removal,
+``roots`` on the code that the other layers build on, with no rework of it
+in view); if one moves, the layer's output changed.  ``snakes`` was pinned again when
 ``canonical`` began to name the rank rule for a rank below 1: only those
 error lines of the layer changed.  ``windows`` was pinned again when a V<j>
 carrier began to ask for odd n >= 3 as the window kinds do: only the rank-1
@@ -27,6 +28,7 @@ PINNED = {
     "snakes": ("9a814eedc2b53da340b71e57c6d4b5a37344e06a299950bec81bab1d06f3ac35", 13431),
     "windows": ("ef6f24a37e0eecf9f28ab80974872e10b72cc4119a211db8ac39832c2fe989c3", 9161),
     "realize": ("b97dc2847bbbaed15b9be3a5ec3ba39962be4892ab12837ce352540f5939ce04", 3369),
+    "roots": ("b520d947e0108c930f70cd372924524d868d8f0979445f4d3570b8cf81d6309c", 714),
 }
 
 
