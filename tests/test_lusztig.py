@@ -708,8 +708,9 @@ def reference_check_plan(n):
     for j, layer in zip(range(n0, n + 1), plan.layers):
         src, dst = vj_carrier(n0, j).slots.vertices, vj_carrier(n0, j + 1).slots.vertices
         lo, hi = layer.lo, layer.lo + layer.size
+        out = dst[lo:hi]  # where the kernel puts the layer's buffer
         reads = [src[s] for t in layer.triples for s in t[:3]] + [src[s] for s, _ in layer.moves]
-        writes = [dst[lo:hi][o] for t in layer.triples for o in t[3:]] + [dst[lo:hi][o] for _, o in layer.moves]
+        writes = [out[o] for t in layer.triples for o in t[3:]] + [out[o] for _, o in layer.moves]
         src_rows, dst_rows = _two_rows(src, j), _two_rows(dst, j)
         if (
             not once(reads, src_rows) or not once(writes, dst_rows)
