@@ -28,14 +28,18 @@ half-integer chain if i = j (_vj_chain), and big_theta's window row if i > j.
 The steps do not depend on the datum, so each rank has one cached plan.
 Rows j and j+1 of V<j> and of V<j+1> fill the same slots of a datum, from
 the first slot of theta's row j on, since the rows below are theta's and
-those above are big_theta's in both carriers.  So a layer reads V<j>'s two
-rows at the datum's own slots and writes V<j+1>'s at offsets into a fresh
-buffer of the same size, which then replaces them.  Each layer is checked
-once on its two rows: O(n) per layer, O(n^2) per rank, and no intermediate
-carrier is built.  rho and rho_step share one kernel, which copies the
-datum's slots once and hashes no key.  The plan check proves the rows
-written and 3-moves keep counts nonnegative, so only the input's carrier
-is checked.
+those above are big_theta's in both carriers.  Each layer is checked once
+on its two rows: O(n) per layer, O(n^2) per rank, and no intermediate
+carrier is built.  The checked layers are then compiled into a program
+that works in place on one copy of the datum's slots, its cells.  The
+triples of a layer read disjoint cells, so each 3-move writes its three
+results back into the three cells it read; a boundary shift only changes
+which vertex a cell holds, and costs nothing at run time.  One gather at
+the end puts the moved cells, from the first slot of theta's row n0 on,
+into the target's slot order.  rho runs the program of the whole rank and
+rho_step(j) that of layer j, through one kernel that allocates nothing
+per layer and hashes no key.  The plan check proves the rows written and
+3-moves keep counts nonnegative, so only the input's carrier is checked.
 """
 from __future__ import annotations
 
@@ -44,6 +48,7 @@ from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import compress, count
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from . import roots
@@ -293,15 +298,25 @@ class _Layer(NamedTuple):
     moves: tuple[tuple[int, int], ...]  # (slot, offset) boundary shifts of row j
 
 
+class _Program(NamedTuple):
+    """What the kernel runs: 3-moves in place on cells, then a gather of the run lo, ..., lo+len(gather)-1."""
+
+    cells: tuple[tuple[int, int, int], ...]  # each 3-move reads and then writes the cells (a, b, c)
+    lo: int  # the first slot the gather writes; no cell below it is read or written
+    gather: tuple[int, ...]  # the cell that holds the target's slot lo+o, after the 3-moves
+
+
 class _Plan(NamedTuple):
     layers: tuple[_Layer, ...]  # rho_<n0>, ..., rho_<n>
     big_theta: Carrier  # V<n0>
     theta: Carrier  # V<n+1>
+    program: _Program  # rho: every layer, composed
+    steps: tuple[_Program, ...]  # rho_<j>: layer j alone, in the slots of V<j>
 
 
 @lru_cache(maxsize=16)
 def _layer_plan(n: int) -> _Plan:
-    """The steps rho_<n0>, ..., rho_<n> of rank n, each checked once on its two rows.
+    """The steps rho_<n0>, ..., rho_<n> of rank n, each checked once on its two rows, and their programs.
 
     Rows j and j+1 of V<j> and of V<j+1> start at lo, the first slot of
     theta's row j: the rows below are theta's and the rows above are
@@ -336,7 +351,10 @@ def _layer_plan(n: int) -> _Plan:
         _check_layer(n0, j, layer)
         layers.append(layer)
         row = nxt
-    return _Plan(tuple(layers), big, theta)
+    plan = _Plan(tuple(layers), big, theta, *_compile(layers, len(tw.vertices)))
+    for program in (plan.program, *plan.steps):
+        _check_program(n, program)
+    return plan
 
 
 def _check_layer(n0: int, j: int, layer: _Layer) -> None:
@@ -347,25 +365,63 @@ def _check_layer(n0: int, j: int, layer: _Layer) -> None:
     lo, size, triples, moves = layer
     reads = [s for t in triples for s in t[:3]] + [s for s, _ in moves]
     writes = [s for t in triples for s in t[3:]] + [t for _, t in moves]
-    if Counter(reads) != Counter(range(lo, lo + size)) or Counter(writes) != Counter(range(size)):
-        raise InternalError(f"rho layer {j} of rank {2 * n0 - 1} does not map V<{j}> onto V<{j + 1}>")
+    for got, want in ((reads, range(lo, lo + size)), (writes, range(size))):
+        if len(got) != size or set(got) != set(want):  # size entries that fill size places: each place once
+            raise InternalError(f"rho layer {j} of rank {2 * n0 - 1} does not map V<{j}> onto V<{j + 1}>")
 
 
-def _transport(layers: Sequence[_Layer], vals: tuple[int, ...]) -> tuple[int, ...]:
-    """vals run through the layers: each reads its rows' slots and then replaces them with what it wrote.
+def _compile(layers: Sequence[_Layer], slots: int) -> tuple[_Program, tuple[_Program, ...]]:
+    """The programs of the checked layers: all of them composed, and each alone.
 
-    A triple whose reads are all 0 writes nothing: each offset is written once and starts at 0."""
-    work = list(vals)
+    Alone, a layer's 3-moves work on the slots they read, and its gather
+    takes offset x from the cell a that the 3-move writing x read, and a
+    boundary shift's offset from the slot it read.  Composed, held[s] is
+    the cell that holds slot s of the current V<j>: a layer's 3-moves work
+    on the cells of its slots, and its gather only relabels them.  The
+    layers move the slots from theta's row n0 on, so rho's gather is that
+    tail of held."""
+    held, cells, steps = list(range(slots)), [], []
     for lo, size, triples, moves in layers:
-        out = [0] * size
+        gather, own = [0] * size, []
         for a, b, c, x, y, z in triples:
-            ca, cb, cc = work[a], work[b], work[c]
-            if ca or cb or cc:
-                m = ca if ca < cc else cc  # three_move, inlined
-                out[x], out[y], out[z] = cb + cc - m, m, ca + cb - m
+            gather[x], gather[y], gather[z] = a, b, c
+            own.append((a, b, c))
+            cells.append((held[a], held[b], held[c]))
         for s, t in moves:
-            out[t] = work[s]
-        work[lo:lo + size] = out
+            gather[t] = s
+        steps.append(_Program(tuple(own), lo, tuple(gather)))
+        held[lo:lo + size] = [held[s] for s in gather]
+    lo = layers[0].lo
+    return _Program(tuple(cells), lo, tuple(held[lo:])), tuple(steps)
+
+
+def _check_program(n: int, program: _Program) -> None:
+    """Raise InternalError unless the program keeps to its run of slots lo, ..., lo+len(gather)-1.
+
+    Each 3-move reads three distinct cells of the run, and the gather is a
+    permutation of the run with at least 2 entries (itemgetter of one index
+    returns the item, not a tuple), so the slots below lo keep their counts."""
+    cells, lo, gather = program
+    run = range(lo, lo + len(gather))
+    if len(run) < 2 or sorted(gather) != list(run) or not all(
+        a != b != c != a and a in run and b in run and c in run for a, b, c in cells
+    ):
+        raise InternalError(f"a rho program of rank {n} does not keep to its run of slots from {lo}")
+
+
+def _transport(
+    cells: Sequence[tuple[int, int, int]], lo: int, gather: Sequence[int], vals: tuple[int, ...]
+) -> tuple[int, ...]:
+    """vals run through a program: each 3-move writes back into the cells it read, then one gather of the run from lo.
+
+    A 3-move whose reads are all 0 writes 0s back, so it is skipped."""
+    work = list(vals)
+    for a, b, c in cells:
+        ca, cb, cc = work[a], work[b], work[c]
+        if ca or cb or cc:
+            m = ca if ca < cc else cc  # three_move, inlined
+            work[a], work[b], work[c] = cb + cc - m, m, ca + cb - m
+    work[lo:lo + len(gather)] = itemgetter(*gather)(work)
     return tuple(work)
 
 
@@ -378,8 +434,7 @@ def rho_step(j: int, d: VertexDatum) -> VertexDatum:
     carrier = vj_carrier(n0, j)
     if d.carrier != carrier and d.carrier.slots.vertices != carrier.slots.vertices:
         raise WrongCarrier(f"datum carrier {d.carrier.name} is not V<{j}>")
-    layer = _layer_plan(n).layers[j - n0]
-    return VertexDatum._trusted(vj_carrier(n0, j + 1), _transport((layer,), d.counts.vals))
+    return VertexDatum._trusted(vj_carrier(n0, j + 1), _transport(*_layer_plan(n).steps[j - n0], d.counts.vals))
 
 
 def rho(d: VertexDatum) -> VertexDatum:
@@ -392,7 +447,7 @@ def rho(d: VertexDatum) -> VertexDatum:
     want = plan.big_theta.slots.vertices
     if have is not want and have != want:  # the shared window is not compared with itself
         raise WrongCarrier("rho expects a datum on the big_theta window")
-    return VertexDatum._trusted(plan.theta, _transport(plan.layers, d.counts.vals))
+    return VertexDatum._trusted(plan.theta, _transport(*plan.program, d.counts.vals))
 
 
 # -- JSON round-trip -----------------------------------------------------

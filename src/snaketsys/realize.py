@@ -302,7 +302,7 @@ def realization_from_json(obj: Mapping, xi: HeightFunction) -> Realization:
 
     Every number is a JSON integer (``quivers.json_int``); anything else is a
     TypeError, a missing key a KeyError, and a monomial node outside
-    [1, g0_rank] a ValueError.
+    [1, g0_rank] or a vertex listed twice a ValueError.
     """
     h_dual = json_int(obj["h_dual"])
     g0_rank = json_int(obj.get("g0_rank", h_dual - 1))
@@ -311,7 +311,10 @@ def realization_from_json(obj: Mapping, xi: HeightFunction) -> Realization:
         mono = Monomial.from_json(e["monomial"])
         for node, _ in mono.factors:
             roots.check_node(g0_rank, node)
-        table[Vertex(json_int(e["i"]), json_int(e["k2"]))] = mono
+        v = Vertex(json_int(e["i"]), json_int(e["k2"]))
+        if v in table:
+            raise ValueError(f"table lists vertex {v} twice")
+        table[v] = mono
     missing = [v for v in xi.gamma_vertices() if v not in table]
     if missing:
         raise MissingTableEntry(f"table misses window vertices, e.g. {missing[:3]}")

@@ -43,10 +43,11 @@ def inversion_sequence(n: int, word: Sequence[int]) -> list[Root]:
     in one-line notation on e_1..e_{n+1}, so b_k = e_{w(i)} - e_{w(i+1)}
     for the letter i, and appending s_i swaps w(i) and w(i+1).
 
-    Raises NotReduced if some b_k comes out negative or repeats.
+    Raises NotReduced if some b_k comes out negative.  No b_k can repeat:
+    each kept letter has w(i) < w(i+1), so it adds one inversion to w and
+    the roots found are distinct.
     """
     betas: list[Root] = []
-    seen: set[Root] = set()
     w = list(range(n + 2))  # one-line notation, w[0] unused
     for k, letter in enumerate(word):
         check_node(n, letter)
@@ -54,11 +55,7 @@ def inversion_sequence(n: int, word: Sequence[int]) -> list[Root]:
         if a > b:
             raise NotReduced(f"word {tuple(word)} is not reduced at position {k + 1}")
         w[letter], w[letter + 1] = b, a
-        beta = Root(a, b - 1, +1)
-        if beta in seen:
-            raise NotReduced(f"word {tuple(word)} repeats inversion {beta}")
-        seen.add(beta)
-        betas.append(beta)
+        betas.append(Root(a, b - 1, +1))
     return betas
 
 

@@ -425,15 +425,16 @@ def _table(**change):
         ({"entries": []}, 4),
         ({"h_dual": 4, "entries": []}, 3),
         (_table(g0_rank=3, monomial=[{"node": 9, "spectral": -2, "exp": 1}]), 4),
+        ({**_table(), "entries": _table()["entries"] + _table(monomial=[])["entries"][:1]}, 4),
         (NOT_UTF8, 4),
     ],
     ids=["valid", "string-h_dual", "infinite-h_dual", "float-h_dual", "float-row", "null-g0_rank",
-         "no-h_dual", "missing-window-vertex", "node-above-g0_rank", "not-utf8"],
+         "no-h_dual", "missing-window-vertex", "node-above-g0_rank", "window-vertex-twice", "not-utf8"],
 )
 def test_realization_input_exit_codes(capsys, tmp_path, table, want):
-    # numbers in a custom table must be integers and monomial nodes lie in
-    # [1, g0_rank] (else a parse error, 4); a table that misses a window
-    # vertex is a domain error (3)
+    # numbers in a custom table must be integers, monomial nodes lie in
+    # [1, g0_rank] and no vertex is listed twice (else a parse error, 4); a
+    # table that misses a window vertex is a domain error (3)
     snake, real = write(tmp_path, "s.json", SNAKE_UNTW), write(tmp_path, "t.json", table)
     code, out, err = run(capsys, "tsystem", snake, "--realization", real)
     assert code == want

@@ -13,7 +13,10 @@ in view); if one moves, the layer's output changed.  ``snakes`` was pinned again
 ``canonical`` began to name the rank rule for a rank below 1: only those
 error lines of the layer changed.  ``windows`` was pinned again when a V<j>
 carrier began to ask for odd n >= 3 as the window kinds do: only the rank-1
-V<j> lines and the V<j> error lines of even ranks changed.  `PYTHONPATH=src python
+V<j> lines and the V<j> error lines of even ranks changed.  ``realize`` was
+pinned again when a custom table that lists a vertex twice began to raise
+instead of keeping its last entry: only its 28 "first entry twice" lines
+changed.  `PYTHONPATH=src python
 tests/fingerprint.py --dump LAYER` prints the lines to diff against a
 checkout that still matches.
 """
@@ -27,7 +30,7 @@ PINNED = {
     "lusztig": ("561c11783caf03339489827a61f12ba0a292133b88fedfc15b4a03adbe0dea24", 9038),
     "snakes": ("9a814eedc2b53da340b71e57c6d4b5a37344e06a299950bec81bab1d06f3ac35", 13431),
     "windows": ("ef6f24a37e0eecf9f28ab80974872e10b72cc4119a211db8ac39832c2fe989c3", 9161),
-    "realize": ("b97dc2847bbbaed15b9be3a5ec3ba39962be4892ab12837ce352540f5939ce04", 3369),
+    "realize": ("86712f0629dd52f6a7b770e065ce8eb4a5d377bdf960526bbf11e293acfad9db", 3369),
     "roots": ("b520d947e0108c930f70cd372924524d868d8f0979445f4d3570b8cf81d6309c", 714),
 }
 

@@ -736,8 +736,8 @@ def _two_rows(verts, j):
 
 
 def test_layer_plan_is_checked_once():
-    # the cached plan is immutable and bounded; a layer that misses a slot
-    # or writes an offset twice is rejected explicitly
+    # the cached plan is immutable and bounded; a layer that misses a slot,
+    # writes an offset twice or moves one slot twice is rejected explicitly
     from snaketsys.lusztig import _check_layer, _layer_plan
 
     assert _layer_plan.cache_info().maxsize is not None
@@ -750,6 +750,7 @@ def test_layer_plan_is_checked_once():
     broken = [
         layer._replace(triples=rest),
         layer._replace(moves=layer.moves[:1]),
+        layer._replace(moves=layer.moves + layer.moves[:1]),  # every slot and offset still there, one twice
         layer._replace(triples=((a, b, c, x, x, z),) + rest),
     ]
     _check_layer(n0, j, layer)
@@ -785,7 +786,7 @@ def test_slot_plan_cache_is_bounded_and_holds_only_tuples():
     info = _layer_plan.cache_info()
     assert info.maxsize is not None and info.currsize == 4
     plan = _layer_plan(7)
-    assert plan._fields == ("layers", "big_theta", "theta")
+    assert plan._fields == ("layers", "big_theta", "theta", "program", "steps")
     assert type(plan.big_theta) is type(plan.theta) is Carrier
     with pytest.raises(FrozenInstanceError):
         plan.theta.name = GAMMA_BIG_THETA
@@ -796,6 +797,55 @@ def test_slot_plan_cache_is_bounded_and_holds_only_tuples():
         for part in (layer.triples, layer.moves):
             assert type(part) is tuple
             assert all(type(t) is tuple and all(type(s) is int for s in t) for t in part)
+    # the compiled programs: rho's, and one per layer for rho_step
+    assert type(plan.steps) is tuple and len(plan.steps) == len(plan.layers)
+    for program in (plan.program, *plan.steps):
+        assert program._fields == ("cells", "lo", "gather")
+        assert type(program.lo) is int
+        assert type(program.cells) is type(program.gather) is tuple
+        assert all(type(t) is tuple and len(t) == 3 and all(type(s) is int for s in t) for t in program.cells)
+        assert all(type(s) is int for s in program.gather)
+
+
+def test_program_check_rejects_a_program_off_its_run():
+    # every compiled program passes; a gather that repeats a cell or has one
+    # entry, and a composite 3-move that reads one cell twice or a cell below
+    # the run, are rejected explicitly
+    from snaketsys.lusztig import _check_program, _layer_plan, _Program
+
+    n = 7
+    plan = _layer_plan(n)
+    for program in (plan.program, *plan.steps):
+        _check_program(n, program)
+    cells, lo, gather = plan.program
+    (a, b, c), rest = cells[0], cells[1:]
+    broken = [
+        plan.program._replace(gather=(gather[0], *gather[:-1])),
+        _Program((), lo, (lo,)),  # a permutation of its run, but itemgetter of one index gives an int
+        plan.program._replace(cells=((a, a, c), *rest)),
+        plan.program._replace(cells=((a, b, a), *rest)),
+        plan.program._replace(cells=((lo - 1, b, c), *rest)),
+        plan.steps[1]._replace(cells=plan.program.cells),  # layer n0's cells lie below layer n0+1's run
+    ]
+    for bad in broken:
+        with pytest.raises(InternalError):
+            _check_program(n, bad)
+
+
+def test_rho_is_rho_step_folded_over_j():
+    # the composed program of the whole rank against the per-layer programs,
+    # for every odd rank from 3 to 63 on seeded dense and unit data
+    from functools import reduce
+
+    from snaketsys import verify
+
+    rng = random.Random(63)
+    for n in range(3, 64, 2):
+        n0 = (n + 1) // 2
+        carrier = Carrier(GAMMA_BIG_THETA, n)
+        snake = verify.random_snake(HeightFunction.big_theta(n0), rng, rng.randint(1, 4), prime=False, in_gamma=True)
+        for d in (VertexDatum(carrier, {v: rng.randint(0, 9) for v in carrier.vertices()}), unit_datum(carrier, snake)):
+            assert rho(d) == reduce(lambda e, j: rho_step(j, e), range(n0, n + 1), d), n
 
 
 def _shifted_window(name, n, row):

@@ -160,6 +160,34 @@ def test_walk_matches_reference_on_all_short_words():
                 _assert_walk_matches(n, word)
 
 
+def test_every_non_reduced_word_fails_at_its_first_descent():
+    # a kept letter adds one inversion to w, so no inversion can repeat: a
+    # word fails exactly at the first letter that does not lengthen its
+    # prefix's permutation (counted here by pairs), with "is not reduced at
+    # position"; on every word of ranks 1-3 and lengths 0-7, and on a seeded
+    # sample of rank 4 and length 8
+    def words():
+        for n in range(1, 4):
+            for length in range(8):
+                yield from ((n, word) for word in itertools.product(range(1, n + 1), repeat=length))
+        rng = random.Random(118)
+        yield from ((4, tuple(rng.randint(1, 4) for _ in range(8))) for _ in range(300))
+
+    for n, word in words():
+        w, bad = list(range(n + 1)), None
+        for k, i in enumerate(word):
+            w[i - 1], w[i] = w[i], w[i - 1]
+            if sum(a > b for a, b in itertools.combinations(w, 2)) != k + 1:
+                bad = k + 1
+                break
+        if bad is None:
+            assert len(set(roots.inversion_sequence(n, word))) == len(word)
+        else:
+            with pytest.raises(NotReduced) as err:
+                roots.inversion_sequence(n, word)
+            assert str(err.value) == f"word {word} is not reduced at position {bad}"
+
+
 def test_walk_matches_reference_on_readings():
     rng = random.Random(5)
     cases = [random_height_function(n, rng) for n in range(1, 13) for _ in range(3)]
