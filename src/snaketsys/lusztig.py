@@ -25,18 +25,21 @@ else by identity.
 Row i of V<j>, n0 < j <= n+1, is theta's window row if i < j, the
 half-integer chain if i = j (_vj_chain), and big_theta's window row if i > j.
 
-The steps do not depend on the datum, so each rank has one cached plan.
+The steps do not depend on the datum, so each rank has one cached plan of
+programs that work in place on one copy of a datum's slots, its cells.
 Rows j and j+1 of V<j> and of V<j+1> fill the same slots of a datum, from
 the first slot of theta's row j on, since the rows below are theta's and
-those above are big_theta's in both carriers.  Each layer is checked once
-on its two rows: O(n) per layer, O(n^2) per rank, and no intermediate
-carrier is built.  The checked layers are then compiled into a program
-that works in place on one copy of the datum's slots, its cells.  The
-triples of a layer read disjoint cells, so each 3-move writes its three
-results back into the three cells it read; a boundary shift only changes
-which vertex a cell holds, and costs nothing at run time.  One gather at
-the end puts the moved cells, from the first slot of theta's row n0 on,
-into the target's slot order.  rho runs the program of the whole rank and
+those above are big_theta's in both carriers.  Each step's program is
+built from the vertex coordinates of its two rows and checked once, when
+it is built: O(n) per layer, O(n^2) per rank, and no intermediate carrier
+is built.  The triples of a layer read disjoint cells, so each 3-move
+writes its three results back into the three cells it read; a boundary
+shift only changes which vertex a cell holds, and costs nothing at run
+time.  A step's gather puts its two rows into V<j+1>'s slot order.  rho's
+program is composed from the steps in the same pass: its 3-moves work on
+the cells the earlier steps left each slot in, and one gather at the end
+puts the moved cells, from the first slot of theta's row n0 on, into the
+target's slot order.  rho runs the program of the whole rank and
 rho_step(j) that of layer j, through one kernel that allocates nothing
 per layer and hashes no key.  The plan check proves the rows written and
 3-moves keep counts nonnegative, so only the input's carrier is checked.
@@ -47,7 +50,7 @@ from collections import Counter
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import compress, count
+from itertools import chain, compress, count
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -286,18 +289,6 @@ def unit_datum(carrier: Carrier, points: Sequence[Vertex]) -> VertexDatum:
     return VertexDatum(carrier, Counter(points))
 
 
-class _Layer(NamedTuple):
-    """One step rho_<j>: it reads rows j, j+1 of V<j> at their datum slots and writes V<j+1>'s at offsets.
-
-    The two rows of either carrier fill the slots lo, ..., lo+size-1 of its
-    data, so the offsets 0, ..., size-1 land on those slots."""
-
-    lo: int  # the first slot of row j, in V<j> and in V<j+1>
-    size: int  # the slots of rows j, j+1, as many in both
-    triples: tuple[tuple[int, int, int, int, int, int], ...]  # 3-moves: slots (a, b, c) -> offsets (x, y, z)
-    moves: tuple[tuple[int, int], ...]  # (slot, offset) boundary shifts of row j
-
-
 class _Program(NamedTuple):
     """What the kernel runs: 3-moves in place on cells, then a gather of the run lo, ..., lo+len(gather)-1."""
 
@@ -307,92 +298,58 @@ class _Program(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    layers: tuple[_Layer, ...]  # rho_<n0>, ..., rho_<n>
     big_theta: Carrier  # V<n0>
     theta: Carrier  # V<n+1>
-    program: _Program  # rho: every layer, composed
-    steps: tuple[_Program, ...]  # rho_<j>: layer j alone, in the slots of V<j>
+    program: _Program  # rho: every step, composed
+    steps: tuple[_Program, ...]  # rho_<j>, j = n0, ..., n: layer j alone, in the slots of V<j>
 
 
 @lru_cache(maxsize=16)
 def _layer_plan(n: int) -> _Plan:
-    """The steps rho_<n0>, ..., rho_<n> of rank n, each checked once on its two rows, and their programs.
+    """The programs of rank n: each step rho_<j>'s, built from vertex coordinates and checked once, and rho's.
 
     Rows j and j+1 of V<j> and of V<j+1> start at lo, the first slot of
     theta's row j: the rows below are theta's and the rows above are
     big_theta's in both carriers.  Row j of V<j> is big_theta's row n0 at
     j = n0 and the chain above it; V<j+1>'s rows are theta's row j and the
-    next chain.
+    next chain.  A step's 3-moves work on the slots they read, and its
+    gather gives each vertex of V<j+1>'s two rows the slot of the vertex of
+    V<j> that moves there.  Composed, held[s] is the cell that holds slot s
+    of the current V<j>: a step's 3-moves work on the cells of its slots,
+    and its gather only relabels them.  The steps move the slots from
+    theta's row n0 on, so rho's gather is that tail of held.
     """
     n0 = (n + 1) // 2
     big, theta = Carrier(GAMMA_BIG_THETA, n), Carrier(GAMMA_THETA, n)
     bw, tw = big.slots, theta.slots
     if bw.vertices[:bw.rows[n0].start] != tw.vertices[:tw.rows[n0].start]:  # no layer touches these rows
         raise InternalError(f"the windows of rank {n} differ below row {n0}")
-    row, layers = bw.vertices[bw.rows[n0]], []  # row j of V<j>
+    row, held, cells, steps = bw.vertices[bw.rows[n0]], list(range(len(tw.vertices))), [], []  # row j of V<j>
     for j in range(n0, n + 1):
         lo, src, nxt = tw.rows[j].start, row + bw.vertices[bw.rows[j + 1]], _vj_chain(n, j + 1)
         dst = tw.vertices[tw.rows[j]] + nxt
         if len(src) != len(dst):
             raise InternalError(f"rows {j}, {j + 1} of V<{j}> and V<{j + 1}> of rank {n} differ in size")
-        # datum slot of V<j>'s vertex (i, k2), and offset of V<j+1>'s, by plain tuple; None off the rows fails the check
-        at, to = dict(zip(src, count(lo))).get, dict(zip(dst, count())).get
-        triples = tuple(
-            (
-                at((j, 2 * j + 4 * r - 1)), at((j + 1, 2 * j + 4 * r)), at((j, 2 * j + 4 * r + 1)),
-                to((j + 1, 2 * j + 4 * r - 1)), to((j, 2 * j + 4 * r)), to((j + 1, 2 * j + 4 * r + 1)),
-            )
-            for r in range(0, n - j)
-        )
-        # leftover boundary keys of row j reshift by -+1/2
-        moves = ((at((j, 2 * j - 3)), to((j, 2 * j - 4))),) if j > n0 else ()
-        moves += ((at((j, 4 * n - 2 * j - 1)), to((j, 2 * (2 * n - j)))),)
-        layer = _Layer(lo, len(dst), triples, moves)
-        _check_layer(n0, j, layer)
-        layers.append(layer)
+        at = dict(zip(src, count(lo))).get  # datum slot of V<j>'s vertex (i, k2), by plain tuple; None off the rows
+        # the vertex of V<j> whose cell each vertex of V<j+1> takes: the 3-moves swap rows j and j+1,
+        # and the leftover boundary keys of row j reshift by -+1/2
+        took = {(j, 2 * j - 4): (j, 2 * j - 3)} if j > n0 else {}
+        took[j, 4 * n - 2 * j] = (j, 4 * n - 2 * j - 1)
+        own = []
+        for k2 in range(2 * j, 4 * n - 2 * j, 4):  # the triple at k = k2/2 = j + 2r
+            own.append((at((j, k2 - 1)), at((j + 1, k2)), at((j, k2 + 1))))
+            took[j + 1, k2 - 1], took[j, k2], took[j + 1, k2 + 1] = (j, k2 - 1), (j + 1, k2), (j, k2 + 1)
+        step = _Program(tuple(own), lo, tuple(at(took.get(v)) for v in dst))
+        if len({*chain(*step.cells)}) != 3 * len(step.cells):  # so each 3-move writes back into its own cells
+            raise InternalError(f"the 3-moves of rho layer {j} of rank {n} share a cell")
+        _check_program(n, step)
+        cells += [(held[a], held[b], held[c]) for a, b, c in step.cells]
+        held[lo:lo + len(dst)] = [held[s] for s in step.gather]
+        steps.append(step)
         row = nxt
-    plan = _Plan(tuple(layers), big, theta, *_compile(layers, len(tw.vertices)))
-    for program in (plan.program, *plan.steps):
-        _check_program(n, program)
-    return plan
-
-
-def _check_layer(n0: int, j: int, layer: _Layer) -> None:
-    """Raise InternalError unless the layer reads each slot of its rows once and writes each offset once.
-
-    A vertex off the two rows has no slot or offset (None), so a layer
-    that moves one fails too; the layer carries every other row."""
-    lo, size, triples, moves = layer
-    reads = [s for t in triples for s in t[:3]] + [s for s, _ in moves]
-    writes = [s for t in triples for s in t[3:]] + [t for _, t in moves]
-    for got, want in ((reads, range(lo, lo + size)), (writes, range(size))):
-        if len(got) != size or set(got) != set(want):  # size entries that fill size places: each place once
-            raise InternalError(f"rho layer {j} of rank {2 * n0 - 1} does not map V<{j}> onto V<{j + 1}>")
-
-
-def _compile(layers: Sequence[_Layer], slots: int) -> tuple[_Program, tuple[_Program, ...]]:
-    """The programs of the checked layers: all of them composed, and each alone.
-
-    Alone, a layer's 3-moves work on the slots they read, and its gather
-    takes offset x from the cell a that the 3-move writing x read, and a
-    boundary shift's offset from the slot it read.  Composed, held[s] is
-    the cell that holds slot s of the current V<j>: a layer's 3-moves work
-    on the cells of its slots, and its gather only relabels them.  The
-    layers move the slots from theta's row n0 on, so rho's gather is that
-    tail of held."""
-    held, cells, steps = list(range(slots)), [], []
-    for lo, size, triples, moves in layers:
-        gather, own = [0] * size, []
-        for a, b, c, x, y, z in triples:
-            gather[x], gather[y], gather[z] = a, b, c
-            own.append((a, b, c))
-            cells.append((held[a], held[b], held[c]))
-        for s, t in moves:
-            gather[t] = s
-        steps.append(_Program(tuple(own), lo, tuple(gather)))
-        held[lo:lo + size] = [held[s] for s in gather]
-    lo = layers[0].lo
-    return _Program(tuple(cells), lo, tuple(held[lo:])), tuple(steps)
+    # the checked gathers permute runs from lo on, so held does too, and rho's program keeps to its run
+    lo = tw.rows[n0].start
+    return _Plan(big, theta, _Program(tuple(cells), lo, tuple(held[lo:])), tuple(steps))
 
 
 def _check_program(n: int, program: _Program) -> None:
@@ -400,10 +357,11 @@ def _check_program(n: int, program: _Program) -> None:
 
     Each 3-move reads three distinct cells of the run, and the gather is a
     permutation of the run with at least 2 entries (itemgetter of one index
-    returns the item, not a tuple), so the slots below lo keep their counts."""
+    returns the item, not a tuple), so the slots below lo keep their counts.
+    A vertex off a step's two rows has no slot (None), so it is off the run."""
     cells, lo, gather = program
     run = range(lo, lo + len(gather))
-    if len(run) < 2 or sorted(gather) != list(run) or not all(
+    if len(run) < 2 or set(gather) != set(run) or not all(
         a != b != c != a and a in run and b in run and c in run for a, b, c in cells
     ):
         raise InternalError(f"a rho program of rank {n} does not keep to its run of slots from {lo}")

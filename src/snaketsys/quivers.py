@@ -230,10 +230,13 @@ class HeightFunction:
         return out
 
     def is_vertex(self, v: Vertex) -> bool:
-        i = v.i
+        """Whether v lies on this quiver; NotAnInteger unless both coordinates are ints (a bool is none)."""
+        i, k2 = v
+        if type(i) is not int or type(k2) is not int:
+            raise NotAnInteger(f"vertex coordinates must be integers, got {v!r}")
         if not 1 <= i <= self.n:
             return False
-        return (v.k2 - self.values2[i - 1]) % (2 if i == self.n0 else 4) == 0  # the modulus d2(i)
+        return (k2 - self.values2[i - 1]) % (2 if i == self.n0 else 4) == 0  # the modulus d2(i)
 
     def _arrow_step2(self, i: int, j: int) -> int:
         # doubled min(d_i, d_j)/2

@@ -1,4 +1,4 @@
-"""Seeded fingerprints of six layers, pinned by tests/test_fingerprint.py.
+"""Seeded fingerprints of seven layers, pinned by tests/test_fingerprint.py.
 
 Each layer is written out as canonical text lines on seeded inputs, and the
 tier-1 test pins one sha256 per layer, so a refactor of that layer that

@@ -686,15 +686,15 @@ def test_rho_and_rho_step_outputs_are_pinned():
 
 
 def reference_check_plan(n):
-    """The whole-carrier check of rank n's layer plan: raise InternalError unless it maps V<n0> onto V<n+1>.
+    """The whole-carrier check of rank n's plan: raise InternalError unless its steps map V<n0> onto V<n+1>.
 
-    Every V<j> is built in full.  A layer's reads are taken through V<j>'s
-    slot order and its writes through V<j+1>'s slots lo, ..., lo+size-1,
-    where the kernel puts them.  Each must hold each vertex of rows j, j+1
-    of its carrier once, those rows must fill the slots lo, ..., lo+size-1
-    of both carriers, and the carriers must agree in slot order on every
-    other row.  The plan's carriers must be the two windows, which must
-    agree below n0.
+    Every V<j> is built in full.  A step's gather is read through V<j>'s
+    slot order and the run it writes, lo, ..., hi-1, through V<j+1>'s.  The
+    gather must read each vertex of rows j, j+1 of V<j> once, those rows
+    must fill the slots lo, ..., hi-1 of both carriers, the 3-moves must
+    work on cells of the run, and the carriers must agree in slot order on
+    every other row.  The plan's carriers must be the two windows, which
+    must agree below n0.
     """
     from snaketsys.lusztig import _layer_plan
 
@@ -703,18 +703,16 @@ def reference_check_plan(n):
 
     n0 = (n + 1) // 2
     plan = _layer_plan(n)
-    if len(plan.layers) != n + 1 - n0:
-        raise InternalError(f"rho of rank {n} has {len(plan.layers)} layers")
-    for j, layer in zip(range(n0, n + 1), plan.layers):
+    if len(plan.steps) != n + 1 - n0:
+        raise InternalError(f"rho of rank {n} has {len(plan.steps)} steps")
+    for j, (cells, lo, gather) in zip(range(n0, n + 1), plan.steps):
         src, dst = vj_carrier(n0, j).slots.vertices, vj_carrier(n0, j + 1).slots.vertices
-        lo, hi = layer.lo, layer.lo + layer.size
-        out = dst[lo:hi]  # where the kernel puts the layer's buffer
-        reads = [src[s] for t in layer.triples for s in t[:3]] + [src[s] for s, _ in layer.moves]
-        writes = [out[o] for t in layer.triples for o in t[3:]] + [out[o] for _, o in layer.moves]
+        hi = lo + len(gather)
         src_rows, dst_rows = _two_rows(src, j), _two_rows(dst, j)
         if (
-            not once(reads, src_rows) or not once(writes, dst_rows)
+            not once([src[s] for s in gather], src_rows)
             or not once(src[lo:hi], src_rows) or not once(dst[lo:hi], dst_rows)
+            or not all(lo <= s < hi for t in cells for s in t)
             or src[:lo] + src[hi:] != dst[:lo] + dst[hi:]
         ):
             raise InternalError(f"rho layer {j} of rank {n} does not map V<{j}> onto V<{j + 1}>")
@@ -735,42 +733,81 @@ def _two_rows(verts, j):
     return {v for v in verts if v.i in (j, j + 1)}
 
 
-def test_layer_plan_is_checked_once():
-    # the cached plan is immutable and bounded; a layer that misses a slot,
-    # writes an offset twice or moves one slot twice is rejected explicitly
-    from snaketsys.lusztig import _check_layer, _layer_plan
+def _plan_with_step(monkeypatch, n, j, bad):
+    """Rank n's plan, built afresh with bad in place of layer j's step program as it is built."""
+    good = tuple(lusztig._layer_plan(n).steps[j - (n + 1) // 2])
+    real = lusztig._Program
+    with monkeypatch.context() as m:
+        m.setattr(lusztig, "_Program", lambda *parts: bad if parts == good else real(*parts))
+        lusztig._layer_plan.cache_clear()
+        try:
+            return lusztig._layer_plan(n)
+        finally:
+            lusztig._layer_plan.cache_clear()
+
+
+def _swap(gather, old, new):
+    """The gather with slot old read as new (None: a vertex without a slot)."""
+    return tuple(new if s == old else s for s in gather)
+
+
+def _boundary_slots(step):
+    """The slots of a step's boundary shifts: those its gather reads that no 3-move does, left one first."""
+    return sorted(set(step.gather).difference(*step.cells))
+
+
+def test_layer_plan_is_checked_once(monkeypatch):
+    # the cached plan is immutable and bounded; a step program that drops a
+    # 3-move or a boundary shift, reads one slot at two offsets, writes one
+    # offset twice or shares a cell between two 3-moves is rejected when the
+    # plan is built
+    from snaketsys.lusztig import _layer_plan
 
     assert _layer_plan.cache_info().maxsize is not None
     plan = _layer_plan(7)
-    assert isinstance(plan.layers, tuple) and all(isinstance(layer.triples, tuple) for layer in plan.layers)
+    assert isinstance(plan.steps, tuple) and all(isinstance(step.cells, tuple) for step in plan.steps)
     assert _layer_plan(7) is plan
     n0, j = 4, 5
-    layer = plan.layers[j - n0]
-    (a, b, c, x, y, z), rest = layer.triples[0], layer.triples[1:]
+    step = plan.steps[j - n0]
+    cells, _, gather = step
+    (a, b, c), rest = cells[0], cells[1:]
+    left, right = _boundary_slots(step)
     broken = [
-        layer._replace(triples=rest),
-        layer._replace(moves=layer.moves[:1]),
-        layer._replace(moves=layer.moves + layer.moves[:1]),  # every slot and offset still there, one twice
-        layer._replace(triples=((a, b, c, x, x, z),) + rest),
+        step._replace(cells=rest, gather=_swap(_swap(_swap(gather, a, None), b, None), c, None)),  # a 3-move dropped
+        step._replace(gather=_swap(gather, right, None)),  # a boundary shift dropped
+        step._replace(gather=_swap(gather, right, left)),  # a boundary shift doubled: one slot at both offsets
+        step._replace(gather=_swap(_swap(gather, b, None), a, b)),  # a 3-move writes a's offset twice, b's never
+        step._replace(cells=((a, b, a), *rest)),  # a 3-move reads one cell twice
+        step._replace(cells=(cells[0], (a, *cells[1][1:]), *cells[2:])),  # two 3-moves share a cell
     ]
-    _check_layer(n0, j, layer)
+    # a step with its boundary offsets swapped keeps to its run, so the hook builds it into the plan
+    swapped = step._replace(gather=_swap(_swap(_swap(gather, left, None), right, left), None, right))
+    assert _plan_with_step(monkeypatch, 7, j, swapped).steps[j - n0] is swapped
     for bad in broken:
         with pytest.raises(InternalError):
-            _check_layer(n0, j, bad)
+            _plan_with_step(monkeypatch, 7, j, bad)
 
 
-def test_layer_check_rejects_a_move_outside_its_two_rows():
-    # a layer that reads a slot of row j+2 in place of one of its own rows is
-    # rejected, and so is one that writes past the end of its buffer
-    from snaketsys.lusztig import _check_layer, _layer_plan
+def test_layer_check_rejects_a_move_outside_its_two_rows(monkeypatch):
+    # a step that reads a slot of row j+2 in place of one of its own rows, or
+    # a vertex without a slot (None), is rejected, and so is one that writes
+    # past the end of its run
+    from snaketsys.lusztig import _layer_plan
 
     n0, j = 4, 5
-    layer = _layer_plan(7).layers[j - n0]
+    step = _layer_plan(7).steps[j - n0]
     far = vj_carrier(n0, j).slots.rows[j + 2].start
-    (s, t), *rest = layer.moves
-    for bad in ((far, t), (s, layer.size)):
+    assert far == step.lo + len(step.gather)
+    (a, b, c), rest = step.cells[0], step.cells[1:]
+    s = _boundary_slots(step)[0]
+    for bad in (
+        step._replace(gather=_swap(step.gather, s, far)),
+        step._replace(cells=((far, b, c), *rest), gather=_swap(step.gather, a, far)),
+        step._replace(cells=((None, b, c), *rest), gather=_swap(step.gather, a, None)),
+        step._replace(gather=_swap(step.gather, s, None) + (s,)),
+    ):
         with pytest.raises(InternalError):
-            _check_layer(n0, j, layer._replace(moves=(bad, *rest)))
+            _plan_with_step(monkeypatch, 7, j, bad)
 
 
 def test_slot_plan_cache_is_bounded_and_holds_only_tuples():
@@ -786,19 +823,12 @@ def test_slot_plan_cache_is_bounded_and_holds_only_tuples():
     info = _layer_plan.cache_info()
     assert info.maxsize is not None and info.currsize == 4
     plan = _layer_plan(7)
-    assert plan._fields == ("layers", "big_theta", "theta", "program", "steps")
+    assert plan._fields == ("big_theta", "theta", "program", "steps")
     assert type(plan.big_theta) is type(plan.theta) is Carrier
     with pytest.raises(FrozenInstanceError):
         plan.theta.name = GAMMA_BIG_THETA
-    assert type(plan.layers) is tuple
-    for layer in plan.layers:
-        assert layer._fields == ("lo", "size", "triples", "moves")
-        assert type(layer.lo) is type(layer.size) is int
-        for part in (layer.triples, layer.moves):
-            assert type(part) is tuple
-            assert all(type(t) is tuple and all(type(s) is int for s in t) for t in part)
-    # the compiled programs: rho's, and one per layer for rho_step
-    assert type(plan.steps) is tuple and len(plan.steps) == len(plan.layers)
+    # the programs: rho's, and one per layer for rho_step
+    assert type(plan.steps) is tuple and len(plan.steps) == 4
     for program in (plan.program, *plan.steps):
         assert program._fields == ("cells", "lo", "gather")
         assert type(program.lo) is int

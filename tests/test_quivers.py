@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from snaketsys import quivers, reineke
-from snaketsys.errors import DomainError, InternalError, NotHeightFunction, OutsideWindow
+from snaketsys.errors import DomainError, InternalError, NotAnInteger, NotHeightFunction, OutsideWindow
 from snaketsys.quivers import (
     TWISTED,
     UNTWISTED,
@@ -78,6 +78,27 @@ def test_is_vertex():
     assert not XI_DISPLAY.is_vertex(Vertex(2, 4))   # (2,2) wrong parity
     assert XI_TWISTED.is_vertex(Vertex(3, 1))       # (3,1/2)
     assert not XI_TWISTED.is_vertex(Vertex(1, 0))   # (1,0) wrong parity
+
+
+def test_is_vertex_rejects_coordinates_that_are_not_ints():
+    # a float, bool or string coordinate is NotAnInteger at the one check in
+    # is_vertex, on every public path that asks it, not read as the int it
+    # equals and not a bare TypeError from indexing with it
+    from snaketsys.snakes import is_snake
+    from snaketsys.tsystem import extended_tsystem, predicted_tfd_left
+
+    xi = HeightFunction.canonical(5, 0)
+    cases = [
+        lambda: is_snake(xi, [Vertex(1, 0.0)]),
+        lambda: predicted_tfd_left(xi, Vertex(1, -4.0), [Vertex(1, 0)]),
+        lambda: extended_tsystem(xi, [Vertex(True, 0), Vertex(1, 4)]),
+        lambda: is_snake(xi, [Vertex(1.0, 0)]),
+        lambda: xi.is_vertex(Vertex("1", 0)),
+    ]
+    for case in cases:
+        with pytest.raises(NotAnInteger, match="vertex coordinates must be integers"):
+            case()
+    assert is_snake(xi, [Vertex(1, 0)]) and xi.is_vertex(Vertex(1, 0))
 
 
 def test_sinks_sources():
