@@ -181,8 +181,12 @@ class HeightFunction:
 
     @cached_property
     def _rows(self) -> tuple[int, ...] | None:
-        """The doubled row heights T of preceq, indexed by row; None on untwisted n = 1."""
-        return _row_heights(self.n, self.n0)
+        """The doubled row heights T of preceq, T[i] for i in [0, n] (T[0] unused): 2i untwisted,
+        big_theta2 twisted; None on untwisted n = 1, which has no arrows."""
+        n, n0 = self.n, self.n0
+        if n0 is not None:
+            return tuple(big_theta2(n0, i) for i in range(n + 1))
+        return tuple(range(0, 2 * n + 1, 2)) if n > 1 else None
 
     def ntilde2(self) -> int:
         return 2 * self.n if self.n0 is not None else 2 * (self.n + 1)  # n0 is set on twisted functions only
@@ -305,7 +309,7 @@ class HeightFunction:
         if not self.twisted_flavor:
             raise ValueError("regions exist only for twisted height functions")
         if not self.is_vertex(v):
-            raise ValueError(f"{v} is not a vertex of this quiver")
+            raise NotSnake(f"{v} is not a vertex of the quiver")
         return self._region(v)
 
     def _region(self, v: Vertex) -> Region:
@@ -366,14 +370,6 @@ def big_theta2(n0: int, i: int) -> int:
     if i == n0:
         return 2 * n0 - 1
     return 2 * (i - 1)
-
-
-@lru_cache(maxsize=128)
-def _row_heights(n: int, n0: int | None) -> tuple[int, ...] | None:
-    """T[i] for i in [0, n] (T[0] unused): 2i untwisted, big_theta2 twisted; None on untwisted n = 1."""
-    if n0 is not None:
-        return tuple(big_theta2(n0, i) for i in range(n + 1))
-    return tuple(range(0, 2 * n + 1, 2)) if n > 1 else None
 
 
 @dataclass(frozen=True, eq=False)

@@ -175,23 +175,23 @@ def _qr_pair(xi: HeightFunction, v: Vertex, w: Vertex) -> tuple[Points, Points]:
 
 
 def qr_sequences(xi: HeightFunction, points: Sequence[Vertex]) -> QRPair:
-    """Concatenated pairwise Q/R outputs of a prime snake, empties dropped."""
+    """Concatenated pairwise Q/R outputs of a prime snake, empties dropped.
+
+    The snake is checked once, here, and each pair's Q/R then comes from
+    the trusted kernel _qr_pair.  extended_tsystem takes its (Q, R) from
+    here and rewords the NotPrimeSnake.
+    """
     if len(points) < 2:
         raise NotPrimeSnake("qr_sequences needs a prime snake of length >= 2")
     if not is_prime_snake(xi, points):
         raise NotPrimeSnake("qr_sequences expects a prime snake")
-    return QRPair(*_qr_concat(xi, points))
-
-
-def _qr_concat(xi: HeightFunction, points: Sequence[Vertex]) -> tuple[Points, Points]:
-    """qr_sequences on a sequence already known to be a prime snake of length >= 2."""
     qs: list[Vertex] = []
     rs: list[Vertex] = []
     for v, w in zip(points, points[1:]):
         q, r = _qr_pair(xi, v, w)
         qs += q
         rs += r
-    return tuple(qs), tuple(rs)
+    return QRPair(tuple(qs), tuple(rs))
 
 
 # -- twisted -> untwisted translation -------------------------------------

@@ -5,10 +5,12 @@ For a prime snake P of length p >= 2 the relation has the shape
     0 -> S(Q) (x) S(R) -> S(P_[1,p-1]) (x) S(P_[2,p])
                        -> S(P) (x) S(P_[2,p-1]) -> 0,
 
-with (Q, R) the concatenated socle positions; its primality check is the
-left half of the hypothesis sweep, and the right half, all 1 on a prime
-snake, is left to check_theorem_hypotheses (see extended_tsystem).  The
-invariant tfd between a cuspidal probe and a snake head is never computed
+with (Q, R) the concatenated socle positions of its pairs.  Both the
+primality check and (Q, R) belong to snakes.qr_sequences; every check of
+the hypothesis sweep is 1 on a prime snake, so only
+check_theorem_hypotheses runs it (see extended_tsystem).
+
+The invariant tfd between a cuspidal probe and a snake head is never computed
 categorically; this module exposes the 0/1 predictions of the
 snake-position lemmas, plus an exact evaluation path through Reineke's
 epsilon: normalize the probe, translate twisted data to the untwisted
@@ -17,8 +19,8 @@ independent and are cross-checked in the test suite.  Both are written for
 a probe before the snake; the coordinate reversal (i, k) -> (i*, -k) of
 HeightFunction.reversed turns a probe after the snake into one before it,
 except in the twisted normalization search.  The bridge checks its input
-once, at tfd_via_epsilon (or tfd_left_via_epsilon): the points must be a
-snake and the probe a vertex, else NotSnake.  After that the bridge moves
+once, at tfd_via_epsilon, its one entry: the points must be a snake and
+the probe a vertex, else NotSnake.  After that the bridge moves
 checked vertices only by maps that keep them on the quiver (the reversal,
 D, the parity shift, shifts by a multiple of 4), builds the reversed and
 shifted ones with _vertex, and checks none of them again: only the
@@ -38,9 +40,9 @@ from .snakes import (
     Points,
     _dagger,
     _in_prime_window,
-    _qr_concat,
     _snake_position,
     is_snake,
+    qr_sequences,
     split_prime,
     twisted_parity_shift2,
 )
@@ -65,27 +67,24 @@ class TSystemRelation(NamedTuple):
 
 
 def extended_tsystem(xi: HeightFunction, points) -> TSystemRelation:
-    """The relation of a prime snake; the snake is checked once, here.
+    """The relation of a prime snake; the snake is checked once, by qr_sequences.
 
-    Each point is checked to be a vertex, and then primality is read from
-    the left predictions of the hypothesis sweep: _predict_left returns 1
-    exactly on a pair in prime snake position, so the snake is prime iff
-    every left prediction is 1.  On a prime snake every right prediction
-    is 1 too, so hypotheses_ok is True without computing them;
-    check_theorem_hypotheses still runs the whole sweep, and the tests
-    hold it to this.
+    qr_sequences checks that each point is a vertex and each pair in prime
+    snake position, and gives (Q, R); its NotPrimeSnake becomes a message
+    naming the prime segments of a snake, or saying the input is no snake.
+    On a prime snake every prediction of the hypothesis sweep is 1, so
+    hypotheses_ok is True without computing them; check_theorem_hypotheses
+    still runs the whole sweep, and the tests hold it to this.
     """
     pts = tuple(points)
     if len(pts) < 2:
         raise TooShort("extended T-system needs a snake of length >= 2")
-    if not all(map(xi.is_vertex, pts)):
-        raise NotPrimeSnake("input is not a snake")
-    left = _pair_predictions(xi, pts)
-    if left.count(1) != len(left):
+    try:
+        first_q, first_r = qr_sequences(xi, pts)
+    except NotPrimeSnake:
         if is_snake(xi, pts):
-            raise NotPrimeSnake(f"snake is not prime; prime segments: {split_prime(xi, pts)}")
-        raise NotPrimeSnake("input is not a snake")
-    first_q, first_r = _qr_concat(xi, pts)
+            raise NotPrimeSnake(f"snake is not prime; prime segments: {split_prime(xi, pts)}") from None
+        raise NotPrimeSnake("input is not a snake") from None
     return TSystemRelation(xi, pts, pts[:-1], pts[1:], pts, pts[1:-1], first_q, first_r)
 
 
@@ -154,24 +153,14 @@ def _reverse(xi: HeightFunction, points) -> Points:
 # -- tfd through Reineke's epsilon ----------------------------------------
 
 
-def _checked(xi: HeightFunction, v: Vertex, points) -> Points:
-    """The bridge's one check of its input: points must be a snake and v a vertex of xi's quiver."""
-    pts = tuple(points)
-    if not is_snake(xi, pts):
-        raise NotSnake("epsilon bridge expects a snake")
-    if not xi.is_vertex(v):
-        raise NotSnake(f"{v} is not a vertex of the quiver")
-    return pts
-
-
 def _truncate_to_window(xi: HeightFunction, v: Vertex, pts: Points) -> Points:
     """Drop the suffix outside the prime window of v (strong commutation): every point from the first
     that does not reach D^-1(v) on."""
     return tuple(takewhile(partial(_in_prime_window, xi, v), pts))
 
 
-def tfd_left_via_epsilon(xi: HeightFunction, v: Vertex, points) -> int:
-    """Exact tfd(S_v, S(P)) for an untwisted configuration.
+def _epsilon_tfd(xi: HeightFunction, v: Vertex, pts: Points) -> int:
+    """Exact tfd(S_v, S(P)) of an untwisted probe and snake already known to lie on the quiver.
 
     Drops the snake suffix that strongly commutes with the probe, then
     normalizes the probe to (j, -1) on the canonical parity window and
@@ -179,13 +168,6 @@ def tfd_left_via_epsilon(xi: HeightFunction, v: Vertex, points) -> int:
     relation between probe and snake, only that the normalized snake fits
     the window.
     """
-    if xi.flavor != UNTWISTED:
-        raise ValueError("use tfd_via_epsilon for twisted data")
-    return _epsilon_tfd(xi, v, _checked(xi, v, points))
-
-
-def _epsilon_tfd(xi: HeightFunction, v: Vertex, pts: Points) -> int:
-    """tfd_left_via_epsilon of an untwisted probe and snake already known to lie on the quiver."""
     pts = _truncate_to_window(xi, v, pts)
     if not pts:
         return 0
@@ -298,7 +280,11 @@ def tfd_via_epsilon(xi: HeightFunction, v: Vertex, points, side: str) -> int:
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    pts = _checked(xi, v, points)
+    pts = tuple(points)
+    if not is_snake(xi, pts):
+        raise NotSnake("epsilon bridge expects a snake")
+    if not xi.is_vertex(v):
+        raise NotSnake(f"{v} is not a vertex of the quiver")
     if xi.flavor == TWISTED:
         return _twisted_bridge(xi, v, pts, side)
     if side == "right":
@@ -327,11 +313,6 @@ class HypothesesReport(NamedTuple):
         return all(x == 1 for x in self.left) and all(x == 1 for x in self.right)
 
 
-def _pair_predictions(xi: HeightFunction, pts: Points) -> tuple[int | None, ...]:
-    """predicted_tfd_left of each point against the snake made of its successor."""
-    return tuple(map(_predict_left, repeat(xi), pts, pts[1:]))
-
-
 def check_theorem_hypotheses(xi: HeightFunction, points) -> HypothesesReport:
     """Evaluate both exactness hypotheses on every sub-slice of a snake.
 
@@ -347,9 +328,11 @@ def check_theorem_hypotheses(xi: HeightFunction, points) -> HypothesesReport:
     pts = tuple(points)
     if not is_snake(xi, pts):
         raise NotSnake("hypothesis check expects a snake")
-    left = _pair_predictions(xi, pts)
-    # predicted_tfd_right of each point's snake against its successor, on the configuration reversed once
-    right = _pair_predictions(xi.reversed(), _reverse(xi, pts))[::-1]
+    # predicted_tfd_left of each point against the snake made of its successor; the right predictions are
+    # the left ones of the configuration reversed once, read backwards
+    left = tuple(map(_predict_left, repeat(xi), pts, pts[1:]))
+    rev = _reverse(xi, pts)
+    right = tuple(map(_predict_left, repeat(xi.reversed()), rev, rev[1:]))[::-1]
     return HypothesesReport(left, right)
 
 

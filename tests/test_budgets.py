@@ -45,7 +45,10 @@ import tracemalloc
 import pytest
 
 from snaketsys.lusztig import GAMMA_BIG_THETA, Carrier, VertexDatum, rho, unit_datum
-from snaketsys.quivers import Vertex
+from snaketsys.quivers import HeightFunction, Vertex
+from snaketsys.realize import Realization, relation_monomials
+from snaketsys.tsystem import extended_tsystem, tfd_via_epsilon
+from snaketsys.verify import random_height_function, random_snake
 
 MEASURED_ON = (3, 11)
 PACKAGE = os.path.dirname(sys.modules["snaketsys"].__file__)
@@ -67,17 +70,41 @@ def _dense(n):
     return VertexDatum(carrier, {v: rng.randint(0, 9) for v in sorted(carrier.vertices())})
 
 
+def _relation(n, n0=None):
+    """One relation op of the relations benchmark: a seeded prime snake of length 5 and its monomials."""
+    rng = random.Random(5)
+    xi = random_height_function(n, rng) if n0 is None else random_height_function(n, rng, "twisted", n0)
+    real = Realization.qdatum_a(n) if n0 is None else Realization.qdatum_b(n0)
+    while len(pts := random_snake(xi, rng, 5, prime=True)) < 5:
+        pass
+    return lambda points: relation_monomials(extended_tsystem(xi, points), real), pts
+
+
+def _bridge(xi, probe, points):
+    """One tfd_via_epsilon probe left of a snake."""
+    return lambda side: tfd_via_epsilon(xi, Vertex(*probe), [Vertex(*v) for v in points], side), "left"
+
+
 CASES = {
     "rho unit n=15": lambda: (rho, _unit(15)),
     "rho dense n=63": lambda: (rho, _dense(63)),
     "rho dense n=95": lambda: (rho, _dense(95)),
     "rho plans n=7-95": lambda: (TRANSPORT_RANKS,),
+    "relation p=5 n=8": lambda: _relation(8),
+    "relation p=5 n0=4": lambda: _relation(7, 4),
+    # the published examples: tfd 1 on both flavors
+    "bridge untwisted": lambda: _bridge(HeightFunction.untwisted([1, 2, 3]), (2, 0), ((2, 4), (1, 10))),
+    "bridge twisted": lambda: _bridge(HeightFunction.big_theta(2), (3, 4), ((2, 9), (2, 11))),
     **{os.path.basename(path): lambda path=path: (path,) for path in MODULES},
 }
 
 BUDGETS = {
     ("calls", "rho unit n=15"): 3,
     ("calls", "rho dense n=63"): 3,
+    ("calls", "relation p=5 n=8"): 95,
+    ("calls", "relation p=5 n0=4"): 101,
+    ("calls", "bridge untwisted"): 20,
+    ("calls", "bridge twisted"): 80,
     ("lines", "rho unit n=15"): 111,
     ("lines", "rho dense n=63"): 2_491,
     ("peak", "rho dense n=63"): 32_416,
@@ -87,12 +114,12 @@ BUDGETS = {
     ("code lines", "cli.py"): 211,
     ("code lines", "errors.py"): 28,
     ("code lines", "lusztig.py"): 253,
-    ("code lines", "quivers.py"): 289,
+    ("code lines", "quivers.py"): 287,
     ("code lines", "realize.py"): 198,
     ("code lines", "reineke.py"): 75,
     ("code lines", "roots.py"): 37,
-    ("code lines", "snakes.py"): 186,
-    ("code lines", "tsystem.py"): 199,
+    ("code lines", "snakes.py"): 184,
+    ("code lines", "tsystem.py"): 189,
     ("code lines", "verify.py"): 346,
 }
 

@@ -27,7 +27,6 @@ from snaketsys.tsystem import (
     relation_json,
     relation_latex,
     relation_text,
-    tfd_left_via_epsilon,
     tfd_via_epsilon,
 )
 from snaketsys.verify import random_height_function, random_snake
@@ -71,8 +70,8 @@ def test_relation_errors():
 
 
 def test_relation_rejects_exactly_the_non_prime_inputs():
-    # primality read off the left predictions agrees with is_prime_snake, and
-    # the error names a snake's prime segments or says it is no snake
+    # extended_tsystem rejects exactly what is_prime_snake rejects, and the
+    # error names a snake's prime segments or says it is no snake
     rng = random.Random(26)
     kinds = {"prime": 0, "mixed": 0, "no prime pair": 0, "not a snake": 0}
     quivers = [HeightFunction.canonical(4, 0), random_height_function(5, rng)]
@@ -282,9 +281,9 @@ def test_all_one_matches_the_checks():
 
 
 def test_relation_validates_once_and_builds_no_checks(monkeypatch):
-    # one vertex check per point, primality read off the p-1 left predictions,
-    # no right prediction, and no snake predicate, HypothesesReport or
-    # validated HeightFunction at all
+    # one vertex check per point, one is_prime_snake (qr_sequences checks
+    # primality), no prediction, and no other snake predicate,
+    # HypothesesReport or validated HeightFunction at all
     from collections import Counter
 
     from snaketsys import realize, snakes, tsystem
@@ -306,17 +305,13 @@ def test_relation_validates_once_and_builds_no_checks(monkeypatch):
     monkeypatch.setattr(tsystem, "HypothesesReport", counted("HypothesesReport", HypothesesReport))
     monkeypatch.setattr(HeightFunction, "__post_init__", counted("validate", HeightFunction.__post_init__))
     monkeypatch.setattr(realize, "_factor_items", counted("_factor_items", realize._factor_items))
-    predict_left, is_vertex = tsystem._predict_left, HeightFunction.is_vertex
-
-    def predict(xi, v, w):
-        calls[f"predict:{xi.values2}"] += 1  # left on xi, right on xi.reversed()
-        return predict_left(xi, v, w)
+    is_vertex = HeightFunction.is_vertex
+    monkeypatch.setattr(tsystem, "_predict_left", counted("_predict_left", tsystem._predict_left))
 
     def vertex_check(xi, v):
         seen[v] += 1
         return is_vertex(xi, v)
 
-    monkeypatch.setattr(tsystem, "_predict_left", predict)
     monkeypatch.setattr(HeightFunction, "is_vertex", vertex_check)
     rng = random.Random(15)
     for xi in (HeightFunction.canonical(4, 0), BIG2):
@@ -324,13 +319,11 @@ def test_relation_validates_once_and_builds_no_checks(monkeypatch):
             pts = random_snake(xi, rng, 12, prime=True)
             if len(pts) == 12:
                 break
-        left, right = f"predict:{xi.values2}", f"predict:{xi.reversed().values2}"
-        assert left != right
         calls.clear()
         seen.clear()
         rel = extended_tsystem(xi, pts)
         assert rel.hypotheses_ok
-        assert calls == {left: 11}
+        assert calls == {"is_prime_snake": 1}
         # the snake's points once each, then each Q/R point once (the kernels' guard)
         assert sum(seen.values()) == 12 + len(rel.first_q) + len(rel.first_r)
         assert all(seen[v] == 1 for v in pts)
@@ -343,6 +336,7 @@ def test_relation_validates_once_and_builds_no_checks(monkeypatch):
         # the counters see the public paths, which still validate and build
         report = check_theorem_hypotheses(xi, pts)
         assert len(report.left) == len(report.right) == 11 and calls["is_snake"] == 1
+        assert calls["_predict_left"] == 22
         assert calls["HypothesesReport"] == 1 and calls["validate"] == 0
         assert xi.reversed().reversed() == xi and calls["validate"] == 0  # reversal is not validated
 
@@ -430,7 +424,7 @@ def test_bridge_rejects_a_probe_off_the_quiver(xi, pts, probe, side):
     assert not isinstance(exc.value, OutsideWindow)
     if xi.flavor == UNTWISTED:
         with pytest.raises(NotSnake, match="is not a vertex of the quiver"):
-            tfd_left_via_epsilon(xi, probe, pts)
+            tfd_via_epsilon(xi, probe, pts, "left")
 
 
 def test_relation_rendering():
@@ -639,7 +633,7 @@ def test_trusted_forms_match_the_public_ones():
 
 
 def test_left_prediction_is_one_exactly_on_prime_pairs():
-    # extended_tsystem reads primality off the left predictions: on every
+    # extended_tsystem sets hypotheses_ok without the left sweep: on every
     # vertex pair, _predict_left is 1 iff the pair is in prime snake position
     rng = random.Random(24)
     quivers = [HeightFunction.canonical(n, delta) for n in range(1, 7) for delta in (0, 1)]
@@ -710,7 +704,7 @@ def test_public_forms_reject_off_quiver_inputs():
                 with pytest.raises(NotSnake, match=re.escape(f"{x} is not a vertex of the quiver")):
                     image(x)
             if xi.twisted_flavor:
-                with pytest.raises(ValueError, match=re.escape(f"{x} is not a vertex of this quiver")):
+                with pytest.raises(NotSnake, match=re.escape(f"{x} is not a vertex of the quiver")):
                     xi.region(x)
             else:
                 with pytest.raises(ValueError, match="regions exist only for twisted height functions"):
@@ -718,9 +712,9 @@ def test_public_forms_reject_off_quiver_inputs():
 
 
 def test_relation_checks_each_point_once(monkeypatch):
-    # extended_tsystem checks each point once; the predictions and Q/R then
-    # trust them, and only Q/R's "fell off the quiver" checks (one per Q or
-    # R vertex) test a vertex again
+    # extended_tsystem checks each point once, through qr_sequences; Q/R then
+    # trusts them, and only its "fell off the quiver" checks (one per Q or R
+    # vertex) test a vertex again
     rng = random.Random(16)
     cases = []
     for xi in (HeightFunction.canonical(4, 0), BIG2):
