@@ -153,11 +153,13 @@ class Carrier:
     def __post_init__(self):
         if type(self.n) is not int:  # one comparison: rho_step builds two carriers
             raise NotAnInteger(f"ranks must be integers, got {self.n!r}")
+        if type(self.name) is not str:  # a TypeError, as json_int's: a JSON carrier of another type is a parse error
+            raise TypeError(f"carrier names are strings, got {self.name!r}")
         kind, _, arg = self.name.partition(":")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "arg", int(arg) if kind in ("vj", "gamma-delta") else None)
         if kind in (GAMMA_THETA, GAMMA_BIG_THETA):
-            if arg or self.n % 2 == 0 or self.n < 3:
+            if self.n % 2 == 0 or self.n < 3:
                 raise WrongCarrier(f"{self.name!r} needs odd n >= 3")
         elif kind == "vj":
             if self.n % 2 == 0 or self.n < 3:
@@ -169,6 +171,9 @@ class Carrier:
                 raise WrongCarrier("gamma-delta carrier needs delta in {0, 1}")
         else:
             raise WrongCarrier(f"unknown carrier {self.name!r}")
+        canonical = kind if self.arg is None else f"{kind}:{self.arg}"
+        if self.name != canonical:  # one spelling per carrier: names compare equal only when spelled alike
+            raise WrongCarrier(f"carrier {self.name!r} is spelled {canonical!r}")
 
     @property
     def n0(self) -> int:
@@ -417,7 +422,7 @@ def datum_to_json(d: VertexDatum) -> dict:
 
 
 def datum_from_json(obj: Mapping, n: int) -> VertexDatum:
-    carrier = Carrier(str(obj["carrier"]), n)
+    carrier = Carrier(obj["carrier"], n)
     counts: Counter[Vertex] = Counter()
     for e in obj["entries"]:
         counts[Vertex(json_int(e["i"]), json_int(e["k2"]))] += json_int(e["c"])

@@ -7,7 +7,9 @@ the duality shift Y_{j,l} -> Y_{j*, l +- h_dual} per application of D.
 
 Only relative spectral parameters matter, so they are bare integers.  The
 mode is resolved once per call (a relation, a snake or a point), and each
-distinct point is checked to be a vertex once and realized once.
+distinct point is realized once.  snake_monomial, which cuspidal_monomial
+calls, checks each distinct point once to be a vertex; a relation's points
+were checked when it was built, and relation_monomials does not check them.
 
 A product of cuspidal monomials is built in one pass over its points, into
 the dict that its Monomial keeps.  In the q-datum modes a point is one
@@ -140,7 +142,7 @@ class Realization:
 
 def cuspidal_monomial(real: Realization, xi: HeightFunction, v: Vertex) -> Monomial:
     """Highest dominant monomial of the cuspidal module at a quiver vertex."""
-    return Monomial._wrap(_checked_product(real, xi, (v,))((v,)))
+    return snake_monomial(real, xi, (v,))[0]
 
 
 def _times(factors: dict, other: Mapping, sign: int = 1) -> dict:
@@ -217,26 +219,21 @@ def _table_entry(real: Realization, xi: HeightFunction, v: Vertex) -> Monomial:
     raise MissingTableEntry(f"could not slide {v} into the window")
 
 
-def _checked_product(real: Realization, xi: HeightFunction, points: Iterable[Vertex]) -> Callable[[Iterable[Vertex]], dict]:
-    """_factor_items of the mode, after each distinct point is checked once to
-    be a vertex of xi; with no point the mode is not resolved."""
-    points = dict.fromkeys(points)
-    bad = next(filterfalse(xi.is_vertex, points), None)
-    if bad is not None:
-        raise MissingTableEntry(f"{bad} is not a vertex of the quiver")
-    return _factor_items(real, xi) if points else dict
-
-
 def snake_monomial(real: Realization, xi: HeightFunction, points: Sequence[Vertex]) -> tuple[Monomial, bool]:
     """Formal product of cuspidal monomials along a snake.
 
     Exact (equal to the highest monomial of the snake module) in the qdatum
     modes, where spectral parameters decrease along the snake; a formal
-    product only in custom mode.  The exponents are summed in one dict, in
-    O(len(points)) for monomials of bounded size.
+    product only in custom mode.  Each distinct point is checked once to be
+    a vertex of xi, realize's one vertex check; with no point the mode is
+    not resolved.  The exponents are summed in one dict, in O(len(points))
+    for monomials of bounded size.
     """
     points = tuple(points)
-    return Monomial._wrap(_checked_product(real, xi, points)(points)), real.mode != CUSTOM
+    bad = next(filterfalse(xi.is_vertex, dict.fromkeys(points)), None)
+    if bad is not None:
+        raise MissingTableEntry(f"{bad} is not a vertex of the quiver")
+    return Monomial._wrap(_factor_items(real, xi)(points) if points else {}), real.mode != CUSTOM
 
 
 class RelationMonomials(NamedTuple):
@@ -253,19 +250,19 @@ class RelationMonomials(NamedTuple):
 
 
 def relation_monomials(rel, real: Realization) -> RelationMonomials:
-    """Monomials of all six terms, each equal to the snake_monomial of its points.
+    """Monomials of all six terms of a tsystem.TSystemRelation, each equal to
+    the snake_monomial of its points.
 
-    The mode is resolved once per relation, and each distinct point is
-    checked and realized once.  A, Q and R are products; B, C and D are
-    copies of A divided in place by the product of its last point, its first
-    or both, so m(B)m(C) = m(A)m(D) holds by construction (identity_holds
-    recomputes it).
+    A relation is checked when it is built, so its points are not checked
+    again.  The mode is resolved once per relation, and each distinct point
+    is realized once.  A, Q and R are products; B, C and D are copies of A
+    divided in place by the product of its last point, its first or both, so
+    m(B)m(C) = m(A)m(D) holds by construction (identity_holds recomputes it).
     """
-    pts, q, r = rel.term_a, rel.first_q, rel.first_r
-    product = _checked_product(real, rel.xi, chain(pts, q, r))
-    a = product(pts)
+    pts, product = rel.p, _factor_items(real, rel.xi)
+    a, q, r = map(product, (pts, rel.first_q, rel.first_r))
     b, c, d = (_times(dict(a), product(ends), -1) for ends in (pts[-1:], pts[:1], (pts[0], pts[-1])))
-    return RelationMonomials(*map(Monomial._wrap, (b, c, a, d, product(q), product(r))), real.mode != CUSTOM)
+    return RelationMonomials(*map(Monomial._wrap, (b, c, a, d, q, r)), real.mode != CUSTOM)
 
 
 def _render_relation(mon: RelationMonomials, render) -> str:

@@ -5,9 +5,11 @@ For a prime snake P of length p >= 2 the relation has the shape
     0 -> S(Q) (x) S(R) -> S(P_[1,p-1]) (x) S(P_[2,p])
                        -> S(P) (x) S(P_[2,p-1]) -> 0,
 
-with (Q, R) the concatenated socle positions of its pairs.  Both the
-primality check and (Q, R) belong to snakes.qr_sequences; every check of
-the hypothesis sweep is 1 on a prime snake, so only
+with (Q, R) the concatenated socle positions of its pairs.  A
+TSystemRelation is a checked value: however it is built, its snake is
+checked once, by snakes.qr_sequences, which owns both the primality check
+and (Q, R), so realize.relation_monomials trusts its points.  Every check
+of the hypothesis sweep is 1 on a prime snake, so only
 check_theorem_hypotheses runs it (see extended_tsystem).
 
 The invariant tfd between a cuspidal probe and a snake head is never computed
@@ -29,6 +31,7 @@ as it is.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import dropwhile, repeat, takewhile
 from typing import NamedTuple
@@ -48,44 +51,53 @@ from .snakes import (
 )
 
 
-class TSystemRelation(NamedTuple):
+@dataclass(frozen=True)
+class TSystemRelation:
+    """The relation of a prime snake P, checked when it is built.
+
+    Every way to build one (the constructor, extended_tsystem,
+    dataclasses.replace) runs __post_init__, which checks the snake once, by
+    qr_sequences: each point a vertex and each pair in prime snake position.
+    Its NotPrimeSnake becomes a message naming the prime segments of a
+    snake, or saying the input is no snake.  B, C, A and D are slices of P.
+    """
+
     xi: HeightFunction
-    p: Points            # the prime snake
-    term_b: Points       # P_[1, p-1]
-    term_c: Points       # P_[2, p]
-    term_a: Points       # P
-    term_d: Points       # P_[2, p-1], () denotes the unit
-    first_q: Points
-    first_r: Points
-    # class constants, not fields: extended_tsystem raises on every snake
-    # for which one of them would be False
+    p: Points  # the prime snake, stored as a tuple
+    first_q: Points = field(init=False)
+    first_r: Points = field(init=False)
+    # class constants, not fields: a relation is only built on a prime snake,
+    # for which none of them is False
     real = prime = hypotheses_ok = True
 
-    @property
-    def flavor(self) -> str:
-        return self.xi.flavor
+    def __post_init__(self):
+        xi, pts = self.xi, tuple(self.p)
+        if len(pts) < 2:
+            raise TooShort("extended T-system needs a snake of length >= 2")
+        try:
+            first_q, first_r = qr_sequences(xi, pts)
+        except NotPrimeSnake:
+            if is_snake(xi, pts):
+                raise NotPrimeSnake(f"snake is not prime; prime segments: {split_prime(xi, pts)}") from None
+            raise NotPrimeSnake("input is not a snake") from None
+        for name, value in (("p", pts), ("first_q", first_q), ("first_r", first_r)):
+            object.__setattr__(self, name, value)
+
+    flavor = property(lambda self: self.xi.flavor)
+    term_a = property(lambda self: self.p)  # P
+    term_b = property(lambda self: self.p[:-1])  # P_[1, p-1]
+    term_c = property(lambda self: self.p[1:])  # P_[2, p]
+    term_d = property(lambda self: self.p[1:-1])  # P_[2, p-1], () denotes the unit
 
 
 def extended_tsystem(xi: HeightFunction, points) -> TSystemRelation:
-    """The relation of a prime snake; the snake is checked once, by qr_sequences.
+    """The relation of a prime snake: TSystemRelation(xi, points), checked once as it is built.
 
-    qr_sequences checks that each point is a vertex and each pair in prime
-    snake position, and gives (Q, R); its NotPrimeSnake becomes a message
-    naming the prime segments of a snake, or saying the input is no snake.
     On a prime snake every prediction of the hypothesis sweep is 1, so
     hypotheses_ok is True without computing them; check_theorem_hypotheses
     still runs the whole sweep, and the tests hold it to this.
     """
-    pts = tuple(points)
-    if len(pts) < 2:
-        raise TooShort("extended T-system needs a snake of length >= 2")
-    try:
-        first_q, first_r = qr_sequences(xi, pts)
-    except NotPrimeSnake:
-        if is_snake(xi, pts):
-            raise NotPrimeSnake(f"snake is not prime; prime segments: {split_prime(xi, pts)}") from None
-        raise NotPrimeSnake("input is not a snake") from None
-    return TSystemRelation(xi, pts, pts[:-1], pts[1:], pts, pts[1:-1], first_q, first_r)
+    return TSystemRelation(xi, points)
 
 
 # -- lemma-driven tfd predictions -----------------------------------------
@@ -357,15 +369,10 @@ def relation_latex(rel: TSystemRelation) -> str:
 
 
 def relation_json(rel: TSystemRelation) -> dict:
+    terms = zip("PBCADQR", (rel.p, rel.term_b, rel.term_c, rel.term_a, rel.term_d, rel.first_q, rel.first_r))
     return {
         "flavor": rel.flavor,
-        "P": vertices_json(rel.p),
-        "B": vertices_json(rel.term_b),
-        "C": vertices_json(rel.term_c),
-        "A": vertices_json(rel.term_a),
-        "D": vertices_json(rel.term_d),
-        "Q": vertices_json(rel.first_q),
-        "R": vertices_json(rel.first_r),
+        **{name: vertices_json(points) for name, points in terms},
         "flags": {"real": rel.real, "prime": rel.prime},
         "hypotheses_ok": rel.hypotheses_ok,
     }

@@ -67,6 +67,22 @@ def test_quiver_config_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("quiver", "--flavor", "twisted"), "twisted height functions need --n0"),
+        (("quiver",), "--n (or --xi) is required"),
+        (("quiver", "--n", "3", "--window", "5"), "bad --window: not enough values to unpack (expected 2, got 1)"),
+        (("translate", "SNAKE_UNTW"), "translate expects a twisted snake"),
+    ],
+    ids=["twisted-without-n0", "no-rank", "window-without-colon", "translate-untwisted"],
+)
+def test_config_errors_exit_two_with_their_message(capsys, tmp_path, argv, message):
+    # each config error is one line on stderr, with no traceback and no output
+    argv = [write(tmp_path, "s.json", SNAKE_UNTW) if a == "SNAKE_UNTW" else a for a in argv]
+    assert run(capsys, *argv) == (2, "", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("--n", "3", "--xi", "4,2,4,6,8"),
@@ -323,17 +339,23 @@ GOOD_DELTA = {"carrier": "gamma-delta:0", "entries": [{"i": 2, "k2": 2, "c": 1}]
         (("reineke", "--n", "5", "--j", "9"), GOOD_DELTA, 2),
         (("reineke", "--n", "5", "--j", "0"), GOOD_DELTA, 2),
         (("rho", "--n", "7"), NOT_UTF8, 4),
+        (("rho", "--n", "7"), {"carrier": 5, "entries": []}, 4),
+        (("rho", "--n", "7"), {"carrier": None, "entries": []}, 4),
+        (("rho", "--n", "7"), {"carrier": "gamma-THETA:", "entries": []}, 3),
+        (("reineke", "--n", "7", "--j", "1"), {"carrier": "vj:04", "entries": []}, 3),
     ],
     ids=[
         "rho-negative-count", "rho-bad-vj-carrier", "rho-non-integer-row", "rho-infinite-k2",
         "rho-float-entries", "rho-bool-count",
         "rho-key-off-carrier", "rho-rank-1", "rho-rank-0",
         "reineke-negative-count", "reineke-j-above-n", "reineke-j-zero", "rho-not-utf8",
+        "rho-int-carrier", "rho-null-carrier", "rho-carrier-trailing-colon", "reineke-carrier-leading-zero",
     ],
 )
 def test_datum_input_exit_codes(capsys, tmp_path, argv, datum, want):
-    # malformed or negative entries are parse errors (4), --n and --j out of
-    # range config errors (2), keys or ranks no carrier allows domain errors (3)
+    # malformed or negative entries and a carrier that is no string are parse
+    # errors (4), --n and --j out of range config errors (2), keys, ranks or
+    # carrier spellings no carrier allows domain errors (3)
     path = write(tmp_path, "d.json", datum)
     code, _, err = run(capsys, *argv, path)
     assert code == want

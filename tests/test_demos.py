@@ -1,5 +1,6 @@
 """Every demo script runs cleanly against the package in src/."""
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# the flags this interpreter runs under, so that CI's python -O and -W error steps reach the subprocesses too
+PYTHON = [sys.executable, *["-O"] * sys.flags.optimize, *(f"-W{w}" for w in sys.warnoptions)]
 
 
 def test_demos_found():
@@ -19,7 +22,7 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
+        [*PYTHON, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
@@ -34,8 +37,8 @@ def _readme_cli_examples() -> str:
 
 def test_readme_cli_examples_run():
     # a flag the README documents but the parser no longer takes fails here
-    script = 'snaketsys() { "$PYTHON" -m snaketsys.cli "$@"; }\n' + _readme_cli_examples()
-    env = dict(os.environ, PYTHON=sys.executable)
+    script = f'snaketsys() {{ {shlex.join(PYTHON)} -m snaketsys.cli "$@"; }}\n' + _readme_cli_examples()
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         ["bash", "-e", "-o", "pipefail", "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120

@@ -251,6 +251,27 @@ def test_carrier_validation():
         VertexDatum(Carrier(GAMMA_THETA, 3), {Vertex(1, 1): 1})  # off-carrier key
 
 
+@pytest.mark.parametrize(
+    "name, canonical",
+    [("gamma-THETA:", GAMMA_BIG_THETA), ("gamma-theta:1", GAMMA_THETA), ("vj:04", "vj:4"), ("gamma-delta: 1", "gamma-delta:1"),
+     ("gamma-delta:+1", "gamma-delta:1"), ("gamma-delta:-0", "gamma-delta:0")],
+)
+def test_carrier_has_one_spelling(name, canonical):
+    # carriers compare by name, so another spelling of a window would be
+    # unequal to it; it is refused, and the message names the spelling (a
+    # window name with an argument once read "needs odd n >= 3" at n = 7)
+    assert Carrier(canonical, 7).name == canonical
+    with pytest.raises(WrongCarrier) as exc:
+        Carrier(name, 7)
+    assert str(exc.value) == f"carrier {name!r} is spelled {canonical!r}"
+
+
+@pytest.mark.parametrize("name", [5, None, ["vj", 4], b"vj:4"])
+def test_carrier_name_of_another_type_is_a_type_error(name):
+    with pytest.raises(TypeError, match=r"^carrier names are strings, got "):
+        Carrier(name, 7)
+
+
 @pytest.mark.parametrize("name,n", [("vj:1", 1), ("vj:2", 1), ("vj:3", 1), ("vj:2", 2), ("vj:3", 4), ("vj:0", 1)])
 def test_vj_carrier_needs_odd_rank_at_least_3(name, n):
     # as the window kinds do, V<j> asks for odd n >= 3 when it is built, so a

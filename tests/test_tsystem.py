@@ -1,9 +1,10 @@
+import dataclasses
 import random
 import re
 
 import pytest
 
-from snaketsys.errors import InternalError, NotPrimeSnake, NotSnake, OutsideWindow, TooShort
+from snaketsys.errors import InternalError, NotAnInteger, NotPrimeSnake, NotSnake, OutsideWindow, TooShort
 from snaketsys.quivers import UNTWISTED, HeightFunction, Region, Vertex, _vertex, big_theta2
 from snaketsys.realize import Realization, relation_monomials
 from snaketsys.snakes import (
@@ -18,6 +19,7 @@ from snaketsys.snakes import (
 )
 from snaketsys.tsystem import (
     HypothesesReport,
+    TSystemRelation,
     _on_ray,
     _predict_left,
     check_theorem_hypotheses,
@@ -49,7 +51,7 @@ def test_untwisted_golden_relation():
     assert rel.first_r == (V(3, 1), V(3, 3))
     assert rel.real is rel.prime is rel.hypotheses_ok is True
     # constants of the class, not stored per record
-    assert not {"real", "prime", "hypotheses_ok"} & set(rel._fields)
+    assert not {"real", "prime", "hypotheses_ok"} & {f.name for f in dataclasses.fields(rel)}
 
 
 def test_twisted_golden_relation():
@@ -67,6 +69,37 @@ def test_relation_errors():
         extended_tsystem(XI3, (V(2, 0), V(2, 6)))
     with pytest.raises(NotPrimeSnake):
         extended_tsystem(XI3, (V(2, 0), V(3, 1)))
+
+
+@pytest.mark.parametrize(
+    "points, error, message",
+    [
+        ((V(2, 0),), TooShort, "extended T-system needs a snake of length >= 2"),
+        ((V(2, 0), V(2, 6)), NotPrimeSnake, "snake is not prime; prime segments: [(Vertex(i=2, k2=0),), (Vertex(i=2, k2=12),)]"),
+        ((V(2, 0), V(3, 1)), NotPrimeSnake, "input is not a snake"),
+        ((Vertex(2, 0.0), V(2, 2)), NotAnInteger, "vertex coordinates must be integers, got Vertex(i=2, k2=0.0)"),
+    ],
+    ids=["too-short", "not-prime", "not-a-snake", "float-coordinate"],
+)
+def test_every_way_to_build_a_relation_checks_it(points, error, message):
+    # the constructor and dataclasses.replace run the check that
+    # extended_tsystem runs: the same error type and message
+    rel = extended_tsystem(XI3, (V(2, 0), V(2, 2), V(1, 5)))
+    builds = (extended_tsystem, TSystemRelation, lambda xi, pts: dataclasses.replace(rel, xi=xi, p=pts))
+    for build in builds:
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as exc:
+            build(XI3, points)
+        assert type(exc.value) is error
+    # a good snake builds the same relation every way, its points stored as a tuple
+    pts = [V(2, 0), V(2, 2)]
+    assert len({build(XI3, pts) for build in builds}) == 1 and TSystemRelation(XI3, pts).p == tuple(pts)
+    # Q and R are derived, never given
+    with pytest.raises(TypeError):
+        TSystemRelation(XI3, pts, (), ())
+    with pytest.raises(ValueError):
+        dataclasses.replace(rel, first_q=())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rel.p = tuple(pts)
 
 
 def test_relation_rejects_exactly_the_non_prime_inputs():
@@ -332,7 +365,7 @@ def test_relation_validates_once_and_builds_no_checks(monkeypatch):
         real = Realization.qdatum_a(4) if xi.flavor == UNTWISTED else Realization.qdatum_b(2)
         relation_monomials(rel, real)
         assert calls == {"_factor_items": 1}
-        assert seen == dict.fromkeys(pts + rel.first_q + rel.first_r, 1)
+        assert not seen  # the relation was checked when it was built
         # the counters see the public paths, which still validate and build
         report = check_theorem_hypotheses(xi, pts)
         assert len(report.left) == len(report.right) == 11 and calls["is_snake"] == 1
