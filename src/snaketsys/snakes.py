@@ -1,15 +1,19 @@
 """Snake combinatorics: position predicates, Q/R socle pairs, translation.
 
-All operations take the governing height function explicitly.  One pair
-kernel gives Q/R for both flavors: Q is one formula on the row heights T
-of preceq (2i untwisted, big_theta's twisted), the one-point formula for R
-serves untwisted pairs and twisted pairs below row n0, and a twisted pair
-starting in region GT or D is D-conjugated.  The twisted formulas and the
-twisted-to-untwisted translation are stated on the staircase pair
-(big_theta, theta).  Q/R commute with integer shifts (each k2 term has
-total weight 1), so they run on any twisted quiver as is; the tfd bridge
-aligns its data with big_theta's parity class by an integer shift
-(twisted_parity_shift2) before it translates.
+All operations take the governing height function explicitly.  The pair
+tests _snake_position and _in_prime_window are arithmetic on the row
+heights T of preceq (2i untwisted, big_theta's twisted) and, on a twisted
+pair, the middle row's parity.  One pair kernel, _qr_pair, is the one pass
+over a pair: it runs both tests, returns None off prime snake position,
+and gives Q/R for both flavors from the same row heights: Q is one formula
+on T, the one-point formula for R serves untwisted pairs and twisted pairs
+below row n0, and a twisted pair starting in region GT or D is
+D-conjugated.  qr_sequences makes one kernel pass per pair of a snake.
+The twisted formulas and the twisted-to-untwisted translation are stated
+on the staircase pair (big_theta, theta).  Q/R commute with integer
+shifts (each k2 term has total weight 1), so they run on any twisted
+quiver as is; the tfd bridge aligns its data with big_theta's parity class
+by an integer shift (twisted_parity_shift2) before it translates.
 """
 from __future__ import annotations
 
@@ -54,17 +58,23 @@ def in_snake_position(xi: HeightFunction, v: Vertex, w: Vertex) -> bool:
 
 
 def _snake_position(xi: HeightFunction, v: Vertex, w: Vertex) -> bool:
-    """in_snake_position on two vertices already known to lie on the quiver:
-    v shifted by one step d2(v.i) along its row reaches w."""
-    i = v.i
-    if not xi._climbs(i, w.i, w.k2 - v.k2 - (2 if i == xi.n0 else 4)):
+    """in_snake_position on two vertices already known to lie on the quiver.
+
+    v shifted by one step d2(v.i) along its row reaches w (preceq's bound on
+    the row heights T), and a twisted pair runs from region LT or U to LT or
+    D, or from GT or D to GT or U: v is in GT or D iff w is in GT or U.  A
+    middle-row vertex is in region D iff k2 = xi2(n0 + 1) - 1 mod 4, the
+    test of HeightFunction._region.
+    """
+    (i, k2), (j, kp2) = v, w
+    t, n0 = xi._rows, xi.n0
+    gap2 = kp2 - k2 - (2 if i == n0 else 4)
+    if not (gap2 >= abs(t[j] - t[i]) if t else gap2 == 0):  # untwisted rank 1 has no arrows
         return False
-    if xi.n0 is None:  # untwisted
+    if n0 is None:  # untwisted
         return True
-    rv, rw = xi._region(v), xi._region(w)
-    if rv in (Region.LT, Region.U):
-        return rw in (Region.LT, Region.D)
-    return rw in (Region.GT, Region.U)
+    dk2 = xi.values2[n0] - 1
+    return (i > n0 or i == n0 and (k2 - dk2) % 4 == 0) == (j > n0 or j == n0 and (kp2 - dk2) % 4 != 0)
 
 
 def in_prime_snake_position(xi: HeightFunction, v: Vertex, w: Vertex) -> bool:
@@ -81,7 +91,9 @@ def _in_prime_window(xi: HeightFunction, v: Vertex, w: Vertex) -> bool:
 
     D maps vertices to vertices, so D^-1(v) needs no check; it is not built either.
     """
-    return xi._climbs(w.i, xi.n + 1 - v.i, v.k2 + xi.ntilde2() - w.k2)
+    t = xi._rows
+    gap2 = v.k2 + xi.ntilde2() - w.k2
+    return gap2 >= abs(t[xi.n + 1 - v.i] - t[w.i]) if t else gap2 == 0
 
 
 def is_snake(xi: HeightFunction, points: Sequence[Vertex]) -> bool:
@@ -96,14 +108,8 @@ def split_prime(xi: HeightFunction, points: Sequence[Vertex]) -> list[tuple[Vert
     """Cut a snake at every pair failing the prime condition."""
     if not is_snake(xi, points):
         raise NotSnake("split_prime expects a snake")
-    out: list[tuple[Vertex, ...]] = []
-    start = 0
-    for s in range(len(points) - 1):
-        if not _prime_position(xi, points[s], points[s + 1]):
-            out.append(tuple(points[start:s + 1]))
-            start = s + 1
-    out.append(tuple(points[start:]))
-    return out
+    cuts = [s for s in range(1, len(points)) if not _prime_position(xi, points[s - 1], points[s])]
+    return [tuple(points[a:b]) for a, b in zip([0, *cuts], [*cuts, len(points)])]
 
 
 # -- Q/R socle positions ---------------------------------------------------
@@ -126,23 +132,28 @@ def qr_twisted(xi: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
 
 
 def _checked_qr(xi: HeightFunction, v: Vertex, w: Vertex, flavor: str, wrong_flavor: str) -> QRPair:
-    """qr_untwisted and qr_twisted: the flavor and the prime pair checked, then the pair kernel."""
+    """qr_untwisted and qr_twisted: the flavor and the two vertices checked, then the pair kernel."""
     if xi.flavor != flavor:
         raise NotPrimeSnakePair(wrong_flavor)
-    if not is_prime_snake(xi, (v, w)):
+    if not (xi.is_vertex(v) and xi.is_vertex(w)) or (qr := _qr_pair(xi, v, w)) is None:
         raise NotPrimeSnakePair(f"{w} is not in prime snake position w.r.t. {v}")
-    return QRPair(*_qr_pair(xi, v, w))
+    return QRPair(*qr)
 
 
-def _qr_pair(xi: HeightFunction, v: Vertex, w: Vertex) -> tuple[Points, Points]:
-    """Q/R of a pair already known to be prime, either flavor.
+def _qr_pair(xi: HeightFunction, v: Vertex, w: Vertex) -> tuple[Points, Points] | None:
+    """Q/R of two vertices already known to lie on the quiver, either flavor;
+    None unless they are in prime snake position.
 
-    A twisted pair starting in region GT or D is D-conjugated: its Q/R are
-    D^-1 of the R/Q of (D v, D w), which starts in region LT or U.  D maps
-    quiver vertices to quiver vertices, so it builds them with _vertex.
+    The one pass over a pair: the prime test, then the Q/R formulas on the
+    same row heights T.  A twisted pair starting in region GT or D is
+    D-conjugated: its Q/R are D^-1 of the R/Q of (D v, D w), which starts in
+    region LT or U.  D maps quiver vertices to quiver vertices, so it builds
+    them with _vertex.
     """
+    if not (_snake_position(xi, v, w) and _in_prime_window(xi, v, w)):
+        return None
     n0 = xi.n0
-    dual = n0 is not None and xi._region(v) in (Region.GT, Region.D)
+    dual = n0 is not None and (v.i > n0 or v.i == n0 and (v.k2 + 1 - xi.values2[n0]) % 4 == 0)  # region GT or D
     if dual:
         top, nt2 = xi.n + 1, xi.ntilde2()  # D (i, k2) = (i*, k2 - ntilde2), i* = n + 1 - i
         v, w = _vertex((top - v.i, v.k2 - nt2)), _vertex((top - w.i, w.k2 - nt2))
@@ -177,20 +188,22 @@ def _qr_pair(xi: HeightFunction, v: Vertex, w: Vertex) -> tuple[Points, Points]:
 def qr_sequences(xi: HeightFunction, points: Sequence[Vertex]) -> QRPair:
     """Concatenated pairwise Q/R outputs of a prime snake, empties dropped.
 
-    The snake is checked once, here, and each pair's Q/R then comes from
-    the trusted kernel _qr_pair.  extended_tsystem takes its (Q, R) from
-    here and rewords the NotPrimeSnake.
+    One pass: each point is checked to be a vertex, then each pair goes
+    once through the kernel _qr_pair, which tests its prime snake position
+    and gives its Q/R.  extended_tsystem takes its (Q, R) from here and
+    rewords the NotPrimeSnake.
     """
     if len(points) < 2:
         raise NotPrimeSnake("qr_sequences needs a prime snake of length >= 2")
-    if not is_prime_snake(xi, points):
+    if not all(map(xi.is_vertex, points)):
         raise NotPrimeSnake("qr_sequences expects a prime snake")
     qs: list[Vertex] = []
     rs: list[Vertex] = []
-    for v, w in zip(points, points[1:]):
-        q, r = _qr_pair(xi, v, w)
-        qs += q
-        rs += r
+    for qr in map(_qr_pair, repeat(xi), points, points[1:]):
+        if qr is None:
+            raise NotPrimeSnake("qr_sequences expects a prime snake")
+        qs += qr[0]
+        rs += qr[1]
     return QRPair(tuple(qs), tuple(rs))
 
 

@@ -8,8 +8,9 @@ For a prime snake P of length p >= 2 the relation has the shape
 with (Q, R) the concatenated socle positions of its pairs.  A
 TSystemRelation is a checked value: however it is built, its snake is
 checked once, by snakes.qr_sequences, which owns both the primality check
-and (Q, R), so realize.relation_monomials trusts its points.  Every check
-of the hypothesis sweep is 1 on a prime snake, so only
+and (Q, R) and makes one kernel pass per pair, the prime test and the
+pair's Q/R together, so realize.relation_monomials trusts its points.
+Every check of the hypothesis sweep is 1 on a prime snake, so only
 check_theorem_hypotheses runs it (see extended_tsystem).
 
 The invariant tfd between a cuspidal probe and a snake head is never computed
@@ -57,7 +58,8 @@ class TSystemRelation:
 
     Every way to build one (the constructor, extended_tsystem,
     dataclasses.replace) runs __post_init__, which checks the snake once, by
-    qr_sequences: each point a vertex and each pair in prime snake position.
+    qr_sequences: each point a vertex, then one pass of the pair kernel per
+    pair, which tests prime snake position and gives the pair's Q/R.
     Its NotPrimeSnake becomes a message naming the prime segments of a
     snake, or saying the input is no snake.  B, C, A and D are slices of P.
     """

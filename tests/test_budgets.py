@@ -125,10 +125,10 @@ BUDGETS = {
     ("calls", "rho dense n=63"): 3,
     ("calls", "epsilon dense n=12"): 10,
     ("calls", "quiver n=8"): 165,
-    ("calls", "relation p=5 n=8"): 82,
-    ("calls", "relation p=5 n0=4"): 86,
-    ("calls", "bridge untwisted"): 20,
-    ("calls", "bridge twisted"): 80,
+    ("calls", "relation p=5 n=8"): 69,
+    ("calls", "relation p=5 n0=4"): 61,
+    ("calls", "bridge untwisted"): 17,
+    ("calls", "bridge twisted"): 74,
     ("lines", "rho unit n=15"): 111,
     ("lines", "rho dense n=63"): 2_491,
     ("peak", "rho dense n=63"): 32_416,
@@ -142,7 +142,7 @@ BUDGETS = {
     ("code lines", "realize.py"): 194,
     ("code lines", "reineke.py"): 75,
     ("code lines", "roots.py"): 37,
-    ("code lines", "snakes.py"): 184,
+    ("code lines", "snakes.py"): 183,
     ("code lines", "tsystem.py"): 187,
     ("code lines", "verify.py"): 346,
 }

@@ -4,9 +4,12 @@ import pytest
 
 from snaketsys.errors import InternalError, NotPrimeSnake, NotPrimeSnakePair, NotSnake, OutsideWindow
 from snaketsys.lusztig import GAMMA_BIG_THETA, GAMMA_THETA, Carrier, rho, unit_datum
-from snaketsys.quivers import HeightFunction, Vertex
+from snaketsys.quivers import TWISTED, UNTWISTED, HeightFunction, Region, Vertex
 from snaketsys.snakes import (
     QRPair,
+    _in_prime_window,
+    _qr_pair,
+    _snake_position,
     in_prime_snake_position,
     in_snake_position,
     is_prime_snake,
@@ -20,6 +23,7 @@ from snaketsys.snakes import (
     translate_twisted,
 )
 from snaketsys.verify import random_snake
+from tests.test_quivers import _all_height_functions
 
 XI3 = HeightFunction.untwisted([1, 2, 3])
 BIG2 = HeightFunction.big_theta(2)
@@ -137,6 +141,44 @@ def test_qr_sequences_goldens():
         qr_sequences(XI3, (V(2, 0),))
     with pytest.raises(NotPrimeSnake):
         qr_sequences(XI3, (V(2, 0), V(2, 6)))
+
+
+def _reference_snake_position(xi, v, w):
+    """Snake position by its definition: v shifted by d2(v.i) reaches w, and
+    a twisted pair runs from region LT or U to LT or D, or from GT or D to
+    GT or U, on the enum HeightFunction.region."""
+    if not xi.preceq(Vertex(v.i, v.k2 + xi.d2(v.i)), w):
+        return False
+    if not xi.twisted_flavor:
+        return True
+    rv, rw = xi.region(v), xi.region(w)
+    return rw in ((Region.LT, Region.D) if rv in (Region.LT, Region.U) else (Region.GT, Region.U))
+
+
+def test_pair_predicates_and_kernel_match_their_definitions():
+    # every height function up to shift (untwisted n <= 5, twisted n0 in {2, 3}), every vertex pair of a
+    # window two periods tall: the arithmetic predicates against preceq and the enum regions, and the
+    # kernel's None against the public prime test, its Q/R against the public pair functions
+    hfs = [hf for n in range(1, 6) for hf in _all_height_functions(n, UNTWISTED)]
+    hfs += [hf for n0 in (2, 3) for hf in _all_height_functions(2 * n0 - 1, TWISTED)]
+    seen = set()
+    for xi in hfs:
+        qr_pair = qr_twisted if xi.twisted_flavor else qr_untwisted
+        k2_lo, k2_hi = min(xi.values2) - 4, max(xi.values2) + 2 * xi.ntilde2()
+        verts = xi.vertices_between(k2_lo, k2_hi)
+        for v in verts:
+            dual = xi.dualize(v, -1)
+            for w in verts:
+                snake = _snake_position(xi, v, w)
+                assert snake == _reference_snake_position(xi, v, w), (xi, v, w)
+                assert _in_prime_window(xi, v, w) == xi.preceq(w, dual), (xi, v, w)
+                qr = _qr_pair(xi, v, w)
+                prime = in_prime_snake_position(xi, v, w)
+                assert (qr is None) == (not prime), (xi, v, w)
+                if prime:
+                    assert qr_sequences(xi, (v, w)) == qr_pair(xi, v, w) == qr, (xi, v, w)
+                seen.add((xi.flavor, snake, prime))
+    assert seen == {(f, s, p) for f in (UNTWISTED, TWISTED) for s, p in ((False, False), (True, False), (True, True))}
 
 
 def _translate_checked(n0, pts):

@@ -314,9 +314,10 @@ def test_all_one_matches_the_checks():
 
 
 def test_relation_validates_once_and_builds_no_checks(monkeypatch):
-    # one vertex check per point, one is_prime_snake (qr_sequences checks
-    # primality), no prediction, and no other snake predicate,
-    # HypothesesReport or validated HeightFunction at all
+    # one vertex check per point, one pass of the pair kernel _qr_pair per
+    # pair (it tests primality and gives the pair's Q/R), no is_prime_snake,
+    # no prediction, and no other snake predicate, HypothesesReport or
+    # validated HeightFunction at all
     from collections import Counter
 
     from snaketsys import realize, snakes, tsystem
@@ -330,7 +331,7 @@ def test_relation_validates_once_and_builds_no_checks(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("is_prime_snake", "is_snake"):
+    for name in ("is_prime_snake", "is_snake", "_qr_pair"):
         wrapper = counted(name, getattr(snakes, name))
         monkeypatch.setattr(snakes, name, wrapper)
         if hasattr(tsystem, name):
@@ -356,7 +357,7 @@ def test_relation_validates_once_and_builds_no_checks(monkeypatch):
         seen.clear()
         rel = extended_tsystem(xi, pts)
         assert rel.hypotheses_ok
-        assert calls == {"is_prime_snake": 1}
+        assert calls == {"_qr_pair": 11}
         # the snake's points once each, then each Q/R point once (the kernels' guard)
         assert sum(seen.values()) == 12 + len(rel.first_q) + len(rel.first_r)
         assert all(seen[v] == 1 for v in pts)
