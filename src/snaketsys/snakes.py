@@ -14,15 +14,24 @@ on the staircase pair (big_theta, theta).  Q/R commute with integer
 shifts (each k2 term has total weight 1), so they run on any twisted
 quiver as is; the tfd bridge aligns its data with big_theta's parity class
 by an integer shift (twisted_parity_shift2) before it translates.
+_dagger translates in one pass over the pairs of points, reading each
+point's region from its row and, on the middle row, its k2 mod 4.
+_twist(n0) is the translation's bounded, read-only table of rank
+2 n0 - 1: big_theta, theta and theta reversed, the first and last k2 of
+each big_theta window row, and the translation of each window vertex as a
+one-point snake, which passes _dagger's result guards once, when the table
+is built on first use.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
-from typing import NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InternalError, NotPrimeSnake, NotPrimeSnakePair, NotSnake, OutsideWindow
-from .quivers import TWISTED, UNTWISTED, HeightFunction, Region, Vertex, _vertex, big_theta2, json_int, vertices_json
+from .quivers import TWISTED, UNTWISTED, HeightFunction, Vertex, _vertex, big_theta2, json_int, vertices_json
 
 
 Points = tuple[Vertex, ...]
@@ -222,25 +231,29 @@ def twisted_parity_shift2(xi: HeightFunction) -> int:
     return s2
 
 
-def _x_minus(n0: int, v: Vertex, region: Region) -> Vertex | None:
-    if region == Region.D:
-        return None
-    t = big_theta2(n0, v.i)
-    return Vertex(_exact_div(t + v.k2 + 4, 4), _exact_div(t + v.k2 - 4, 2))
+class _Twist(NamedTuple):
+    """The per-rank constants of the twisted translation: see _twist."""
+
+    big: HeightFunction
+    theta: HeightFunction
+    theta_rev: HeightFunction  # theta.reversed(): a right probe on theta is a left probe there
+    lo: tuple[int, ...]  # lo[i], hi[i]: the first and last k2 of big_theta's window row i (lo[0], hi[0] unused)
+    hi: tuple[int, ...]
+    one: Mapping[Vertex, Points]  # each big_theta window vertex -> its translation as a one-point snake
 
 
-def _x_plus(n0: int, n: int, v: Vertex, region: Region) -> Vertex | None:
-    if region == Region.U:
-        return None
-    t = big_theta2(n0, v.i)
-    return Vertex(_exact_div(t - v.k2 + 4 * n, 4), _exact_div(-t + v.k2 + 4 * n, 2))
+@lru_cache(maxsize=32)
+def _twist(n0: int) -> _Twist:
+    """The table of the twisted translation of rank 2 n0 - 1, built on first use and shared, so read-only.
 
-
-def _x_mid(n0: int, v: Vertex, w: Vertex, region_v: Region) -> Vertex | None:
-    if region_v == Region.U:
-        return None
-    t, tp = big_theta2(n0, v.i), big_theta2(n0, w.i)
-    return Vertex(_exact_div(t + tp - v.k2 + w.k2, 4), _exact_div(-t + tp + v.k2 + w.k2, 2))
+    Each one-point translation passes _dagger's result guards once, here.
+    The keys of ``one`` are the big_theta window, so a lookup there is the
+    window test of a probe and its translation at once.
+    """
+    big, theta = HeightFunction.big_theta(n0), HeightFunction.theta(n0)
+    rows = [big.gamma_row(i) for i in range(1, big.n + 1)]
+    one = MappingProxyType({v: _dagger(n0, (v,)) for v in big.window.vertices})
+    return _Twist(big, theta, theta.reversed(), (0, *(r[0] for r in rows)), (0, *(r[-1] for r in rows)), one)
 
 
 def translate_twisted(n0: int, points: Sequence[Vertex]) -> tuple[Vertex, ...]:
@@ -249,7 +262,7 @@ def translate_twisted(n0: int, points: Sequence[Vertex]) -> tuple[Vertex, ...]:
     Points left of the middle row are kept; every maximal segment in the
     closed right half is replaced by its X^-/X/X^+ sequence.  The result is
     a snake in the theta window satisfying rho(e(P)) = e(P-dagger), which
-    the ``verify`` rho sweep checks.
+    the ``verify`` rho sweep checks.  The points may be plain (i, k2) pairs.
     """
     big = HeightFunction.big_theta(n0)
     for v in points:
@@ -257,38 +270,40 @@ def translate_twisted(n0: int, points: Sequence[Vertex]) -> tuple[Vertex, ...]:
             raise OutsideWindow(f"{v} is outside the big_theta window")
     if not is_snake(big, points):
         raise NotSnake("translate_twisted expects a snake")
-    return _dagger(n0, points)
+    return _dagger(n0, tuple(map(_vertex, points)))
 
 
 def _dagger(n0: int, points: Sequence[Vertex]) -> Points:
-    """translate_twisted of a snake already known to lie in the big_theta window.
+    """translate_twisted of a snake already known to lie in the big_theta window, in one pass over its pairs.
 
-    Its input is not checked again; its result is, and a result off the
-    theta window or not a snake is an InternalError.
+    A point below row n0 (region LT) is kept.  A maximal run u_1, ..., u_m
+    from row n0 on becomes X^-(u_1), X(u_1, u_2), ..., X(u_m-1, u_m),
+    X^+(u_m), less X^- of a point in region D and the X or X^+ after a
+    point in region U; a middle-row point is in region D iff its k2 is the
+    row's height T_n0 = 2 n0 - 1 mod 4.  Its input is not checked again;
+    its result is, and a result off the theta window or not a snake is an
+    InternalError.
     """
-    big = HeightFunction.big_theta(n0)
-    theta = HeightFunction.theta(n0)
-    n = big.n
-    regions = [big._region(v) for v in points]
+    big, theta = HeightFunction.big_theta(n0), HeightFunction.theta(n0)
+    t, n4 = big._rows, 4 * big.n
     out: list[Vertex] = []
-    s = 0
-    while s < len(points):
-        if regions[s] == Region.LT:
-            out.append(points[s])
-            s += 1
-            continue
-        e = s
-        while e + 1 < len(points) and regions[e + 1] != Region.LT:
-            e += 1
-        seg: list[Vertex | None] = [_x_minus(n0, points[s], regions[s])]
-        for t in range(s, e):
-            seg.append(_x_mid(n0, points[t], points[t + 1], regions[t]))
-        seg.append(_x_plus(n0, n, points[e], regions[e]))
-        out.extend(u for u in seg if u is not None)
-        s = e + 1
-    result = tuple(out)
+    for u, v in zip((None, *points), (*points, None)):
+        if u is not None and (u.i > n0 or u.i == n0 and (u.k2 - t[n0]) % 4 == 0):  # u in GT or D: X(u, v) or X^+(u)
+            tu, k2 = t[u.i], u.k2
+            if v is not None and v.i >= n0:
+                tv = t[v.i]
+                out.append(_vertex((_exact_div(tu + tv - k2 + v.k2, 4), _exact_div(tv - tu + k2 + v.k2, 2))))
+            else:
+                out.append(_vertex((_exact_div(tu - k2 + n4, 4), _exact_div(k2 - tu + n4, 2))))
+        if v is None:
+            break
+        if v.i < n0:
+            out.append(v)
+        elif (u is None or u.i < n0) and (v.i > n0 or (v.k2 - t[n0]) % 4):  # v opens a run, not in D: X^-(v)
+            out.append(_vertex((_exact_div(t[v.i] + v.k2 + 4, 4), _exact_div(t[v.i] + v.k2 - 4, 2))))
+    result, slot = tuple(out), theta.window.slot
     for v in result:
-        if not theta.in_gamma(v):
+        if v not in slot:
             raise InternalError(f"translated point {v} left the theta window")
     if not is_snake(theta, result):
         raise InternalError("translation did not produce a snake")

@@ -25,10 +25,14 @@ except in the twisted normalization search.  The bridge checks its input
 once, at tfd_via_epsilon, its one entry: the points must be a snake and
 the probe a vertex, else NotSnake.  After that the bridge moves
 checked vertices only by maps that keep them on the quiver (the reversal,
-D, the parity shift, shifts by a multiple of 4), builds the reversed and
-shifted ones with _vertex, and checks none of them again: only the
-translation's result guards run, and the translated snake goes to Reineke
-as it is.
+D, the parity shift, shifts by a multiple of 4), builds each vertex it
+moves or reads as a Vertex value with _vertex, so plain (i, k2) pairs
+work as input, and checks none of them again: only the translation's
+result guards run, and the translated snake goes to Reineke as it is.
+The twisted search reads its rank's constants from the table
+snakes._twist: the window row bounds, theta and its reversal, and each
+window probe's translation, checked when the table was built, so a
+probe's window test and its translation are one lookup.
 """
 from __future__ import annotations
 
@@ -42,9 +46,11 @@ from .errors import NotPrimeSnake, NotSnake, OutsideWindow, TooShort
 from .quivers import TWISTED, UNTWISTED, HeightFunction, Region, Vertex, _vertex, vertices_json
 from .snakes import (
     Points,
+    _Twist,
     _dagger,
     _in_prime_window,
     _snake_position,
+    _twist,
     is_snake,
     qr_sequences,
     split_prime,
@@ -120,7 +126,7 @@ def predicted_tfd_left(xi: HeightFunction, v: Vertex, points) -> int | None:
     pts = tuple(points)
     if not is_snake(xi, pts) or not xi.is_vertex(v):
         return None
-    return _predict_left(xi, v, pts[0])
+    return _predict_left(xi, _vertex(v), _vertex(pts[0]))
 
 
 def _predict_left(xi: HeightFunction, v: Vertex, first: Vertex) -> int | None:
@@ -201,15 +207,16 @@ def _untwisted_probe_tfd(theta: HeightFunction, probes: tuple[Vertex, ...], dagg
     A single factor goes straight to Reineke.  With two factors, drop
     whichever strongly commutes with the whole snake; the prime-window
     clearance points toward the snake, one extra duality step for the
-    factor on the far side of the head.  Probes and dagger come from the
-    translation, whose result guard has checked them on theta's quiver.
+    factor on the far side of the head, taken with _vertex.  Probes and
+    dagger come from the translation, whose result guard has checked them
+    on theta's quiver.
     """
     if len(probes) == 1:
         return _epsilon_tfd(theta, probes[0], dagger)
     c1, c2 = probes
     ft = dagger[0]
     drop1 = not _in_prime_window(theta, c1, ft)
-    drop2 = not _in_prime_window(theta, theta.dualize(c2, -1), ft)
+    drop2 = not _in_prime_window(theta, _vertex((theta.n + 1 - c2.i, c2.k2 + theta.ntilde2())), ft)  # D^-1 c2
     if drop1 and drop2:
         return 0
     if drop1 or drop2:
@@ -222,7 +229,7 @@ def _truncate_after_window(xi: HeightFunction, pts: Points, v: Vertex) -> Points
     return tuple(dropwhile(lambda x: not _in_prime_window(xi, x, v), pts))
 
 
-def _twisted_core(big: HeightFunction, v: Vertex, pts: Points, side: str) -> int:
+def _twisted_core(tw: _Twist, v: Vertex, pts: Points, side: str) -> int:
     """The normalization search on the big_theta parity class, kept two-sided:
     on the reversed configuration it moves a few configurations between a
     value and OutsideWindow, both ways, though the values found agree.
@@ -231,36 +238,35 @@ def _twisted_core(big: HeightFunction, v: Vertex, pts: Points, side: str) -> int
     by a multiple of 4 keeps every vertex on its row's lattice and every
     snake a snake, and the candidate shifts keep the whole snake in the
     window, so the moved snake is built with _vertex, only for a candidate
-    whose probe passes the window test, and translated unchecked.
+    whose probe lies in the window, and translated unchecked.  The probe,
+    moved with _vertex by the shift and D, is looked up in the rank's
+    table, whose keys are the window: the lookup is its window test and
+    gives its translation, checked when the table was built.
     """
-    n0 = big.n0
+    big, theta = tw.big, tw.theta
     pts = _truncate_to_window(big, v, pts) if side == "left" else _truncate_after_window(big, pts, v)
     if not pts:
         return 0
     # even shifts (multiples of 4 in doubled units) for which the whole snake fits the big_theta window
-    rows = [(big.gamma_row(x.i), x.k2) for x in pts]
-    s_lo = max(row[0] - k2 for row, k2 in rows)
-    s_hi = min(row[-1] - k2 for row, k2 in rows)
+    s_lo = max(tw.lo[x.i] - x.k2 for x in pts)
+    s_hi = min(tw.hi[x.i] - x.k2 for x in pts)
     candidates = range(s_hi - s_hi % 4, s_lo - 1, -4)
-    theta = HeightFunction.theta(n0)
+    top, nt2 = big.n + 1, big.ntilde2()  # D^sign (i, k2) = (i*, k2 - sign ntilde2); theta's ntilde2 is nt2 + 2
     dual_sign = -1 if side == "left" else 1  # off-window probe rewrite direction
     last_error: Exception | None = None
     for steps in (0, -dual_sign):  # the probe in the window, then one duality step away from it
         for s2 in candidates:
-            probe_src = _vertex((v.i, v.k2 + s2))
-            if steps:
-                probe_src = big.dualize(probe_src, dual_sign)
-            if not big.in_gamma(probe_src):
+            probe_src = _vertex((top - v.i, v.k2 + s2 - dual_sign * nt2) if steps else (v.i, v.k2 + s2))
+            if (probes := tw.one.get(probe_src)) is None:
                 continue
             try:
-                dagger = _dagger(n0, tuple([_vertex((x.i, x.k2 + s2)) for x in pts]))
-                probes = _dagger(n0, (probe_src,))
+                dagger = _dagger(big.n0, tuple([_vertex((x.i, x.k2 + s2)) for x in pts]))
                 if steps:
-                    probes = tuple(theta.dualize(c, steps) for c in probes)
+                    probes = tuple([_vertex((top - c.i, c.k2 - steps * (nt2 + 2))) for c in probes])
                 if side == "left":
                     return _untwisted_probe_tfd(theta, probes, dagger)
                 # a right probe on theta is a left probe on the reversed theta
-                return _untwisted_probe_tfd(theta.reversed(), _reverse(theta, probes), _reverse(theta, dagger))
+                return _untwisted_probe_tfd(tw.theta_rev, _reverse(theta, probes), _reverse(theta, dagger))
             except OutsideWindow as exc:
                 last_error = exc
     raise OutsideWindow(f"no admissible normalization ({side}): {last_error}")
@@ -269,14 +275,14 @@ def _twisted_core(big: HeightFunction, v: Vertex, pts: Points, side: str) -> int
 def _twisted_bridge(xi: HeightFunction, v: Vertex, pts: Points, side: str) -> int:
     """tfd_via_epsilon of twisted data already checked: the parity shift puts xi's quiver on big_theta's,
     row for row on the same lattice, so the moved probe and snake are built with _vertex."""
-    big = HeightFunction.big_theta(xi.n0)
+    tw = _twist(xi.n0)
     s2 = twisted_parity_shift2(xi)
-    v, *pts = (_vertex((x.i, x.k2 - s2)) for x in (v, *pts))
+    v, *pts = (_vertex((i, k2 - s2)) for i, k2 in (v, *pts))
     try:
-        return _twisted_core(big, v, tuple(pts), side)
+        return _twisted_core(tw, v, tuple(pts), side)
     except OutsideWindow:
         # duality preserves the invariant; retry on the mirrored configuration
-        return _twisted_core(big, big.dualize(v), tuple(big.dualize(x) for x in pts), side)
+        return _twisted_core(tw, tw.big.dualize(v), tuple(map(tw.big.dualize, pts)), side)
 
 
 def tfd_via_epsilon(xi: HeightFunction, v: Vertex, points, side: str) -> int:
@@ -303,7 +309,9 @@ def tfd_via_epsilon(xi: HeightFunction, v: Vertex, points, side: str) -> int:
         return _twisted_bridge(xi, v, pts, side)
     if side == "right":
         xi, (v, *pts) = xi.reversed(), _reverse(xi, (*pts, v))
-    return _epsilon_tfd(xi, v, tuple(pts))
+        return _epsilon_tfd(xi, v, tuple(pts))
+    # Vertex values, as the reversal and the parity shift build them, also from plain (i, k2) pairs
+    return _epsilon_tfd(xi, _vertex(v), tuple(map(_vertex, pts)))
 
 
 # -- hypothesis sweep -------------------------------------------------------

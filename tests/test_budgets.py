@@ -7,8 +7,10 @@ never replace them.
 
 - ``calls``: Python calls into snaketsys code during one warm call, as
   ``sys.setprofile`` sees them (a generator's every resumption counts).
-  Calls into the standard library and builtins are left out, so the count
-  does not depend on the interpreter's version.
+  Calls into the standard library and builtins are left out.  The count
+  still depends on the interpreter's version: from 3.12 on it reads lower,
+  since comprehensions are inlined there (PEP 709) and no longer count as
+  calls.
 - ``lines``: the snaketsys source lines run in one warm call, as
   ``sys.settrace`` sees them.  Work per layer coming back, such as a
   buffer allocated and copied back per layer, shows here.
@@ -100,9 +102,9 @@ def _relation(n, n0=None):
     return lambda points: relation_monomials(extended_tsystem(xi, points), real), pts
 
 
-def _bridge(xi, probe, points):
-    """One tfd_via_epsilon probe left of a snake."""
-    return lambda side: tfd_via_epsilon(xi, Vertex(*probe), [Vertex(*v) for v in points], side), "left"
+def _bridge(xi, probe, points, side="left"):
+    """One tfd_via_epsilon probe left (or right) of a snake."""
+    return lambda side: tfd_via_epsilon(xi, Vertex(*probe), [Vertex(*v) for v in points], side), side
 
 
 CASES = {
@@ -117,6 +119,7 @@ CASES = {
     # the published examples: tfd 1 on both flavors
     "bridge untwisted": lambda: _bridge(HeightFunction.untwisted([1, 2, 3]), (2, 0), ((2, 4), (1, 10))),
     "bridge twisted": lambda: _bridge(HeightFunction.big_theta(2), (3, 4), ((2, 9), (2, 11))),
+    "bridge twisted right": lambda: _bridge(HeightFunction.big_theta(2), (2, 11), ((3, 4), (2, 9)), "right"),
     **{os.path.basename(path): lambda path=path: (path,) for path in MODULES},
 }
 
@@ -128,7 +131,8 @@ BUDGETS = {
     ("calls", "relation p=5 n=8"): 69,
     ("calls", "relation p=5 n0=4"): 61,
     ("calls", "bridge untwisted"): 17,
-    ("calls", "bridge twisted"): 74,
+    ("calls", "bridge twisted"): 43,
+    ("calls", "bridge twisted right"): 48,
     ("lines", "rho unit n=15"): 111,
     ("lines", "rho dense n=63"): 2_491,
     ("peak", "rho dense n=63"): 32_416,
@@ -142,8 +146,8 @@ BUDGETS = {
     ("code lines", "realize.py"): 194,
     ("code lines", "reineke.py"): 75,
     ("code lines", "roots.py"): 37,
-    ("code lines", "snakes.py"): 183,
-    ("code lines", "tsystem.py"): 187,
+    ("code lines", "snakes.py"): 180,
+    ("code lines", "tsystem.py"): 186,
     ("code lines", "verify.py"): 346,
 }
 

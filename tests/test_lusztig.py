@@ -192,6 +192,7 @@ _CACHE_KEYS = {
     "reineke.omega": lambda k: [(n, j) for n in range(1, k + 1) for j in range(1, n + 1)][:k],
     "lusztig._layer_plan": lambda k: [(n,) for n in range(3, 2 * k + 3, 2)],
     "lusztig._vj_window": lambda k: [(n, j) for n in range(3, 2 * k + 3, 2) for j in range((n + 1) // 2, n + 2)][:k],
+    "snakes._twist": lambda k: [(n0,) for n0 in range(2, k + 2)],
 }
 
 

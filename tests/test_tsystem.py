@@ -16,6 +16,7 @@ from snaketsys.snakes import (
     is_prime_snake,
     is_snake,
     split_prime,
+    translate_twisted,
 )
 from snaketsys.tsystem import (
     HypothesesReport,
@@ -31,7 +32,7 @@ from snaketsys.tsystem import (
     relation_text,
     tfd_via_epsilon,
 )
-from snaketsys.verify import random_height_function, random_snake
+from snaketsys.verify import random_height_function, random_snake, random_vertex
 
 XI3 = HeightFunction.untwisted([1, 2, 3])
 BIG2 = HeightFunction.big_theta(2)
@@ -431,6 +432,40 @@ def test_bridge_matches_predictions_on_goldens():
     assert tfd_via_epsilon(hf5, V(2, 0), (V(3, 1), V(3, 3)), "left") == 0
 
 
+def _outcome(call):
+    """A call's value, or its exception's type and message."""
+    try:
+        return call()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_plain_pairs_give_the_vertex_results():
+    # the entry points check plain (i, k2) pairs as they check Vertex values,
+    # then build Vertex values from them, so both give the same result
+    assert tfd_via_epsilon(XI3, (2, 0), [(2, 4), (1, 10)], "left") == 1
+    assert translate_twisted(2, [(1, 2)]) == (V(1, 1),)
+    rng = random.Random(37)
+    seen = set()
+    for xi in (XI3, HeightFunction.canonical(5, 1).shifted(2), BIG2, HeightFunction.big_theta(3).shifted(2)):
+        for _ in range(60):
+            pts = random_snake(xi, rng, rng.randint(1, 4))
+            v = random_vertex(xi, rng, pts[0].k2 - xi.ntilde2(), pts[-1].k2 + xi.ntilde2())
+            plain = [tuple(u) for u in pts]
+            for side in ("left", "right"):
+                want = _outcome(lambda: tfd_via_epsilon(xi, v, pts, side))
+                assert _outcome(lambda: tfd_via_epsilon(xi, tuple(v), plain, side)) == want, (xi, v, pts, side)
+                seen.add((xi.flavor, side, want))
+            assert predicted_tfd_left(xi, tuple(v), plain) == predicted_tfd_left(xi, v, pts)
+            assert predicted_tfd_right(xi, plain, tuple(v)) == predicted_tfd_right(xi, pts, v)
+    assert {(f, side, x) for f in ("untwisted", "twisted") for side in ("left", "right") for x in (0, 1)} <= seen
+    for n0 in (2, 3):
+        for _ in range(20):
+            pts = random_snake(HeightFunction.big_theta(n0), rng, rng.randint(1, 4), in_gamma=True)
+            out = translate_twisted(n0, [tuple(u) for u in pts])
+            assert out == translate_twisted(n0, pts) and {type(u) for u in out} == {Vertex}
+
+
 _CANONICAL4, _BIG3 = HeightFunction.canonical(4, 0), HeightFunction.big_theta(3)
 
 
@@ -490,7 +525,6 @@ def test_twisted_untwisted_slice_coherence():
     # slices that respect the region-segment boundaries translate verbatim
     import random as _random
 
-    from snaketsys.snakes import translate_twisted
 
     rng = _random.Random(13)
     checked = 0
@@ -822,6 +856,62 @@ def test_bridge_census_is_pinned():
     # the twisted OutsideWindow sliver is not symmetric under the reversal,
     # which is why the twisted normalization search keeps both sides
     assert _bridge_census() == BRIDGE_CENSUS
+
+
+def test_bridge_census_tool_sees_every_probe():
+    # tools/bridge_census.py: each probe enters _twisted_bridge once, every
+    # final OutsideWindow went through the mirrored retry, and every
+    # two-factor translate reaches one of the lines after its drop test
+    import os
+    import runpy
+
+    tool = runpy.run_path(os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "bridge_census.py"))
+    hits, outcomes = tool["census"](1, 150)
+    by_line = {}
+    for (name, line, _), count in hits.items():
+        by_line[name, line] = by_line.get((name, line), 0) + count
+    first, retry = sorted(tool["arm_lines"](tool["tsystem"]._twisted_bridge))
+    one, *two = sorted(tool["arm_lines"](tool["tsystem"]._untwisted_probe_tfd))
+    probes = sum(outcomes.values())
+    assert probes > 500 and by_line["_twisted_bridge", first] == probes
+    assert by_line.get(("_twisted_bridge", retry), 0) >= sum(n for (_, got), n in outcomes.items() if got not in (0, 1))
+    flagged = sum(count for (_, _, flags), count in hits.items() if flags)
+    assert flagged == sum(by_line.get(("_untwisted_probe_tfd", line), 0) for line in two) > 0
+    assert by_line["_untwisted_probe_tfd", one] > 0
+
+
+def _pinned_bridge_lines():
+    """tfd_via_epsilon on seeded configurations, one line each: random (so
+    shifted) height functions, untwisted n = 2-8 and twisted n0 = 2-5,
+    snakes of 1 to 5 points, and four probes per side, drawn from the rows
+    up to ntilde + 2 below the head (left) or above the tail (right),
+    neither side restricted to probes before the snake; each value, or
+    each exception's type and message."""
+    rng = random.Random(36)
+    lines = []
+    for n, n0 in [(n, None) for n in range(2, 9)] + [(2 * n0 - 1, n0) for n0 in range(2, 6)]:
+        for _ in range(50):
+            xi = random_height_function(n, rng) if n0 is None else random_height_function(n, rng, "twisted", n0)
+            pts = random_snake(xi, rng, rng.randint(1, 5))
+            reach = xi.ntilde2() + 4
+            for side, lo, hi in (("left", pts[0].k2 - reach, pts[0].k2), ("right", pts[-1].k2, pts[-1].k2 + reach)):
+                for _ in range(4):
+                    v = random_vertex(xi, rng, lo, hi)
+                    got = _outcome(lambda: tfd_via_epsilon(xi, v, pts, side))
+                    lines.append(f"{xi.values2} {v} {' '.join(map(str, pts))} {side}: {got}")
+    return lines
+
+
+def test_bridge_outputs_are_pinned():
+    # the sha256 of every value and error message of _pinned_bridge_lines;
+    # the digest was written down before the twisted translation read a
+    # per-rank table
+    import hashlib
+
+    lines = _pinned_bridge_lines()
+    assert len(lines) == 4400
+    assert sum("OutsideWindow" in line for line in lines) == 322
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == "d42c8a200140491f2c1be48a9412e815df161ff664e35d5d45cba32ab7590461"
 
 
 def _pinned_relation_lines():
