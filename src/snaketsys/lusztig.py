@@ -158,18 +158,15 @@ class Carrier:
         kind, _, arg = self.name.partition(":")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "arg", int(arg) if kind in ("vj", "gamma-delta") else None)
-        if kind in (GAMMA_THETA, GAMMA_BIG_THETA):
-            if self.n % 2 == 0 or self.n < 3:
-                raise WrongCarrier(f"{self.name!r} needs odd n >= 3")
-        elif kind == "vj":
-            if self.n % 2 == 0 or self.n < 3:
-                raise WrongCarrier(f"{self.name!r} needs odd n >= 3")
+        if kind in (GAMMA_THETA, GAMMA_BIG_THETA, "vj") and (self.n % 2 == 0 or self.n < 3):
+            raise WrongCarrier(f"{self.name!r} needs odd n >= 3")
+        if kind == "vj":
             if not (self.n + 1) // 2 <= self.arg <= self.n + 1:
                 raise WrongCarrier(f"vj carrier needs j in [n0, n+1], got {self.arg}")
         elif kind == "gamma-delta":
             if self.arg not in (0, 1):
                 raise WrongCarrier("gamma-delta carrier needs delta in {0, 1}")
-        else:
+        elif kind not in (GAMMA_THETA, GAMMA_BIG_THETA):
             raise WrongCarrier(f"unknown carrier {self.name!r}")
         canonical = kind if self.arg is None else f"{kind}:{self.arg}"
         if self.name != canonical:  # one spelling per carrier: names compare equal only when spelled alike
@@ -377,13 +374,19 @@ def _transport(
 ) -> tuple[int, ...]:
     """vals run through a program: each 3-move writes back into the cells it read, then one gather of the run from lo.
 
-    A 3-move whose reads are all 0 writes 0s back, so it is skipped."""
+    Each 3-move is three_move written out on each side of its min: one
+    comparison picks the side, which writes its results with one addition
+    and one subtraction, where selecting the min and subtracting it twice
+    cost more per triple than the move's own arithmetic.  With ca >= cc,
+    ca = cb = 0 forces cc = 0 (counts are nonnegative), so a 3-move whose
+    reads are all 0, which would write 0s back, is skipped."""
     work = list(vals)
     for a, b, c in cells:
         ca, cb, cc = work[a], work[b], work[c]
-        if ca or cb or cc:
-            m = ca if ca < cc else cc  # three_move, inlined
-            work[a], work[b], work[c] = cb + cc - m, m, ca + cb - m
+        if ca < cc:
+            work[a], work[b], work[c] = cb + cc - ca, ca, cb
+        elif ca or cb:
+            work[a], work[b], work[c] = cb, cc, ca + cb - cc
     work[lo:lo + len(gather)] = itemgetter(*gather)(work)
     return tuple(work)
 

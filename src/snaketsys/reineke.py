@@ -6,6 +6,8 @@ diamond Omega_j.  In the coordinates (k+i, k-i) Omega_j is a full rectangle
 whose arrows are the unit steps, so ``omega`` writes it down in closed form,
 a lower set is a staircase of column heights that never rise to the right,
 and epsilon is a dynamic programme over the columns, linear in |Omega_j|.
+Its cells are plain additions and comparisons: at a few hundred cells per
+call, a builtin call per cell (``max``) was the programme's main cost.
 epsilon*_j is epsilon_j of the dual datum cv_{(i,k)} = c_{(i*, n-k)} on
 the other window, which is never built: the weights are read off c through
 the duality map (i, k2) -> (n+1-i, 2n-k2), so epsilon* costs what epsilon
@@ -84,7 +86,12 @@ def _weights(reads: tuple[tuple[int, ...], ...], vals: tuple[int, ...]) -> list[
 
 
 def _staircase(j: int, wts: list[int]) -> int:
-    """The best lower set of Omega_j under the weights, which run column by column, j rows each."""
+    """The best lower set of Omega_j under the weights, which run column by column, j rows each.
+
+    Each cell is one addition and one comparison: the running maximum is a
+    conditional expression, not a call to ``max``, whose call per cell cost
+    about as much as the rest of the programme.
+    """
     # best[h]: optimum of the columns right of the current one, given that
     # the current column has height h (a lower set never rises to the right)
     best = [0] * (j + 1)
@@ -92,8 +99,7 @@ def _staircase(j: int, wts: list[int]) -> int:
         total = run = 0
         for h, w in enumerate(wts[x:x + j], 1):
             total += w
-            run = max(run, total + best[h])
-            best[h] = run
+            run = best[h] = t if (t := total + best[h]) > run else run
     return best[-1]
 
 

@@ -253,7 +253,7 @@ def _twisted_core(tw: _Twist, v: Vertex, pts: Points, side: str) -> int:
     candidates = range(s_hi - s_hi % 4, s_lo - 1, -4)
     top, nt2 = big.n + 1, big.ntilde2()  # D^sign (i, k2) = (i*, k2 - sign ntilde2); theta's ntilde2 is nt2 + 2
     dual_sign = -1 if side == "left" else 1  # off-window probe rewrite direction
-    last_error: Exception | None = None
+    last_error: Exception | str = "no candidate shift puts the probe, or its dual step, in the window"
     for steps in (0, -dual_sign):  # the probe in the window, then one duality step away from it
         for s2 in candidates:
             probe_src = _vertex((top - v.i, v.k2 + s2 - dual_sign * nt2) if steps else (v.i, v.k2 + s2))

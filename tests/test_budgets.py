@@ -133,18 +133,18 @@ BUDGETS = {
     ("calls", "bridge untwisted"): 17,
     ("calls", "bridge twisted"): 43,
     ("calls", "bridge twisted right"): 48,
-    ("lines", "rho unit n=15"): 111,
-    ("lines", "rho dense n=63"): 2_491,
+    ("lines", "rho unit n=15"): 130,
+    ("lines", "rho dense n=63"): 2_258,
     ("peak", "rho dense n=63"): 32_416,
     ("peak", "rho dense n=95"): 73_120,
     ("held", "rho plans n=7-95"): 579_644,
     ("code lines", "__init__.py"): 47,
     ("code lines", "cli.py"): 211,
     ("code lines", "errors.py"): 28,
-    ("code lines", "lusztig.py"): 258,
+    ("code lines", "lusztig.py"): 256,
     ("code lines", "quivers.py"): 287,
     ("code lines", "realize.py"): 194,
-    ("code lines", "reineke.py"): 75,
+    ("code lines", "reineke.py"): 74,
     ("code lines", "roots.py"): 37,
     ("code lines", "snakes.py"): 180,
     ("code lines", "tsystem.py"): 186,

@@ -5,6 +5,7 @@ import pkgutil
 import random
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +57,16 @@ def test_three_move_involution():
     for _ in range(300):
         a, b, c = (rng.randint(0, 9) for _ in range(3))
         assert three_move(*three_move(a, b, c)) == (a, b, c)
+
+
+def test_transport_of_one_triple_is_three_move():
+    # the kernel writes three_move out on each side of its min: every triple
+    # of {0..3}^3 (the ties a == c, the triples (0, b, 0) and all zeros among
+    # them), and big ints, which no float or fixed-width path keeps exact
+    k = 10**30 + 1
+    for t in (*product(range(4), repeat=3), *product((0, 1, k, k + 1, 2 * k), repeat=3)):
+        out = lusztig._transport(((0, 1, 2),), 0, (0, 1, 2), t)
+        assert out == three_move(*t) and all(type(x) is int for x in out), t
 
 
 def test_two_move():
@@ -575,8 +586,9 @@ def test_rho_step_triple_order_independent():
 
 def test_rho_matches_reference_layers():
     # rho and every rho_step stage against the full-rebuild reference, on
-    # sparse, dense and unit (window snake) data up to rank 31, and on one
-    # dense datum at ranks 63 and 95; neither may touch the caller's counts
+    # sparse, dense and unit (window snake) data up to rank 31, big-int counts
+    # k*x + y (k = 10**30 + 1) up to rank 31, and on one dense datum at ranks
+    # 63 and 95; neither may touch the caller's counts
     from snaketsys import verify
 
     rng = random.Random(31)
@@ -592,6 +604,7 @@ def test_rho_matches_reference_layers():
             # every key given, zeros in every row (the datum keeps the support)
             VertexDatum(carrier, {v: rng.randint(1, 5) if rng.random() < 0.3 else 0 for v in verts}
                         | {v: 0 for v in {v.i: v for v in verts}.values()}),
+            VertexDatum(carrier, {v: (10**30 + 1) * (v.k2 % 4) + v.i % 3 for v in verts}),
         ]
         for d in data if n0 <= 16 else data[1:2]:
             before = dict(d.counts)

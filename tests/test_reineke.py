@@ -232,7 +232,7 @@ def test_staircase_matches_bruteforce_on_small_diamonds():
     # every Omega of at most 20 vertices, odd and even j (both windows), on
     # random data and on data whose columns are all negative or tied: counts
     # falling with k give every vertex but (j, 1) the weight -4, constant
-    # counts give them 0
+    # counts give them 0; and on big-int counts k*x + y, k = 10**30 + 1
     rng = random.Random(29)
     seen, shapes = set(), set()
     for n in range(1, 21):
@@ -245,13 +245,22 @@ def test_staircase_matches_bruteforce_on_small_diamonds():
             data = [_random_datum(n, j % 2, rng) for _ in range(4)]
             data += [VertexDatum(carrier, {v: 4 * n - v.k2 for v in carrier.vertices()}),
                      VertexDatum(carrier, dict.fromkeys(carrier.vertices(), 3)),
-                     VertexDatum(carrier, {v: rng.randint(0, 1) for v in carrier.vertices()})]
+                     VertexDatum(carrier, {v: rng.randint(0, 1) for v in carrier.vertices()}),
+                     VertexDatum(carrier, {v: (10**30 + 1) * (v.k2 % 4) + v.i % 3 for v in carrier.vertices()})]
             for d in data:
                 assert reineke.epsilon(j, d) == epsilon_bruteforce(om, d), (n, j, d.nonzero())
                 wts = [d.get(v) - d.get((v.i, v.k2 - 4)) for v in reineke.omega(n, j).vertices]
                 for col in (wts[x:x + j] for x in range(0, len(wts), j)):
                     shapes.add("negative" if max(col) < 0 else "tied" if j > 1 and min(col) == max(col) else "mixed")
     assert seen == {0, 1} and shapes == {"negative", "tied", "mixed"}
+
+
+def test_staircase_on_hand_made_big_weights():
+    # big ints, which no float or fixed-width path keeps exact
+    k = 10**30 + 1
+    assert reineke._staircase(2, [k, -k, k + 1, k]) == 2 * k + 1  # column heights 1, 1
+    assert reineke._staircase(2, [-k, k, -1, 2 * k]) == 2 * k - 1  # heights 2, 2
+    assert reineke._staircase(1, [-k, -k]) == 0  # the empty lower set
 
 
 def test_staircase_matches_mincut_up_to_rank_24():
