@@ -12,19 +12,23 @@ calls, checks each distinct point once to be a vertex; a relation's points
 were checked when it was built, and relation_monomials does not check them.
 
 A product of cuspidal monomials is built in one pass over its points, into
-the dict that its Monomial keeps.  In the q-datum modes a point is one
+the dict that its Monomial keeps, by _products, which resolves the mode
+once for all the runs it is given.  In the q-datum modes a point is one
 variable with exponent 1, so the pass counts keys and no exponent is 0; a
-custom product sums the table entries and then drops the keys that cancel.
-A relation's A, Q and R are such products.  B, C and D are copies of A
-with the product of A's last point, its first or both divided out in place:
-a key is deleted when its exponent reaches 0, and nothing is scanned.  Each
-monomial keeps its keys in the order in which they first occur.
+custom product sums the table entries, each distinct vertex realized once,
+and then drops the keys that cancel.  relation_monomials makes one such
+call for A, Q, R and the products of A's last point and its first; B, C
+and D are copies of A with the product of A's last point, its first or
+both divided out in place: a key is deleted when its exponent reaches 0,
+and nothing is scanned.  The six dicts become Monomials with no call per
+monomial.  Each monomial keeps its keys in the order in which they first
+occur.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, filterfalse
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from itertools import chain, filterfalse, repeat
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import roots
 from .errors import DomainError, MissingTableEntry
@@ -56,15 +60,8 @@ class Monomial:
     def y(node: int, spectral: int, exp: int = 1) -> "Monomial":
         return Monomial({(node, spectral): exp})
 
-    @staticmethod
-    def _wrap(factors: dict[tuple[int, int], int]) -> "Monomial":
-        """A monomial that takes over a dict of int keys and nonzero int exponents that no one else holds."""
-        m = object.__new__(Monomial)
-        m.factors = factors
-        return m
-
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial._wrap(_times(dict(self.factors), other.factors))
+        return _wrapped([_times(dict(self.factors), other.factors)])[0]
 
     def __pow__(self, e: int) -> "Monomial":
         return Monomial({k: v * e for k, v in self.factors.items()})
@@ -157,15 +154,16 @@ def _times(factors: dict, other: Mapping, sign: int = 1) -> dict:
     return factors
 
 
-def _factor_items(real: Realization, xi: HeightFunction) -> Callable[[Iterable[Vertex]], dict]:
-    """The product of the cuspidal monomials along a run of vertices of xi, as
-    a fresh dict of its nonzero exponents, keys in the order they first occur.
+def _products(real: Realization, xi: HeightFunction, runs: Iterable[Sequence[Vertex]]) -> list[dict]:
+    """The product of the cuspidal monomials along each run of vertices of xi, as a fresh dict of its
+    nonzero exponents, keys in the order they first occur.
 
-    The mode and its preconditions are resolved here, once per caller.  In
+    The mode and its preconditions are resolved once, for all the runs.  In
     the q-datum modes a vertex is one variable with exponent 1, Y_{i,-k}
     (qdatum_A) or Y_{min(i,i*),-2k} (qdatum_B), so the product counts keys
-    and no exponent is 0.  In custom mode it sums the table entries, realizing
-    each distinct vertex once, and drops the keys that cancel.
+    and no exponent is 0.  In custom mode it sums the table entries,
+    realizing each distinct vertex once over all the runs, and drops the
+    keys that cancel.
     """
     if real.mode == QDATUM_A:
         if xi.flavor != UNTWISTED:
@@ -177,30 +175,31 @@ def _factor_items(real: Realization, xi: HeightFunction) -> Callable[[Iterable[V
         fold, top, div = xi.n0, xi.n + 1, 1  # min(i, i*) = i up to n0, then i* = n + 1 - i
     elif real.table is None:
         raise MissingTableEntry("custom realization has no table")
-    else:
-        entries = {}
-
-        def summed(run):
-            factors = {}
-            for v in run:
-                entry = entries.get(v)
-                if entry is None:
-                    entry = entries[v] = _table_entry(real, xi, v)
-                for key, e in entry.factors.items():
-                    factors[key] = factors.get(key, 0) + e
-            return {key: e for key, e in factors.items() if e}
-
-        return summed
-
-    def counted(run):
+    products, entries = [], {}
+    for run in runs:
         factors = {}
+        if real.mode != CUSTOM:
+            for i, k2 in run:
+                key = (i if i <= fold else top - i, -k2 // div)
+                factors[key] = factors.get(key, 0) + 1
+            products.append(factors)
+            continue
         for v in run:
-            i = v.i
-            key = (i if i <= fold else top - i, -v.k2 // div)
-            factors[key] = factors.get(key, 0) + 1
-        return factors
+            if (entry := entries.get(v)) is None:
+                entry = entries[v] = _table_entry(real, xi, v).factors
+            for key, e in entry.items():
+                factors[key] = factors.get(key, 0) + e
+        products.append({key: e for key, e in factors.items() if e})
+    return products
 
-    return counted
+
+def _wrapped(dicts: list[dict]) -> list[Monomial]:
+    """Monomials that take over dicts of int keys and nonzero int exponents that no one else holds,
+    without a call per monomial."""
+    monomials = [*map(object.__new__, repeat(Monomial, len(dicts)))]
+    for m, factors in zip(monomials, dicts):
+        m.factors = factors
+    return monomials
 
 
 def _table_entry(real: Realization, xi: HeightFunction, v: Vertex) -> Monomial:
@@ -233,7 +232,9 @@ def snake_monomial(real: Realization, xi: HeightFunction, points: Sequence[Verte
     bad = next(filterfalse(xi.is_vertex, dict.fromkeys(points)), None)
     if bad is not None:
         raise MissingTableEntry(f"{bad} is not a vertex of the quiver")
-    return Monomial._wrap(_factor_items(real, xi)(points) if points else {}), real.mode != CUSTOM
+    if not points:
+        return Monomial(), real.mode != CUSTOM
+    return _wrapped(_products(real, xi, (points,)))[0], real.mode != CUSTOM
 
 
 class RelationMonomials(NamedTuple):
@@ -254,15 +255,18 @@ def relation_monomials(rel, real: Realization) -> RelationMonomials:
     the snake_monomial of its points.
 
     A relation is checked when it is built, so its points are not checked
-    again.  The mode is resolved once per relation, and each distinct point
-    is realized once.  A, Q and R are products; B, C and D are copies of A
-    divided in place by the product of its last point, its first or both, so
-    m(B)m(C) = m(A)m(D) holds by construction (identity_holds recomputes it).
+    again.  One _products call resolves the mode once and builds A, Q, R and
+    the products of A's last point and its first, each distinct point
+    realized once.  B, C and D are copies of A divided in place by the
+    product of its last point, its first or both, so m(B)m(C) = m(A)m(D)
+    holds by construction (identity_holds recomputes it).
     """
-    pts, product = rel.p, _factor_items(real, rel.xi)
-    a, q, r = map(product, (pts, rel.first_q, rel.first_r))
-    b, c, d = (_times(dict(a), product(ends), -1) for ends in (pts[-1:], pts[:1], (pts[0], pts[-1])))
-    return RelationMonomials(*map(Monomial._wrap, (b, c, a, d, q, r)), real.mode != CUSTOM)
+    pts = rel.p
+    a, q, r, last, first = _products(real, rel.xi, (pts, rel.first_q, rel.first_r, pts[-1:], pts[:1]))
+    b, c, d = dict(a), dict(a), dict(a)
+    for factors, divisor in ((b, last), (c, first), (d, _times(dict(first), last))):
+        _times(factors, divisor, -1)
+    return RelationMonomials(*_wrapped([b, c, a, d, q, r]), real.mode != CUSTOM)
 
 
 def _render_relation(mon: RelationMonomials, render) -> str:

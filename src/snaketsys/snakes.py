@@ -3,14 +3,18 @@
 All operations take the governing height function explicitly.  The pair
 tests _snake_position and _in_prime_window are arithmetic on the row
 heights T of preceq (2i untwisted, big_theta's twisted) and, on a twisted
-pair, the middle row's parity.  One pair kernel, _qr_pair, is the one pass
-over a pair: it runs both tests, returns None off prime snake position,
-and gives Q/R for both flavors from the same row heights: Q is one formula
-on T, the one-point formula for R serves untwisted pairs and twisted pairs
-below row n0, and a twisted pair starting in region GT or D is
-D-conjugated.  qr_sequences makes one kernel pass per pair of a snake.
-The twisted formulas and the twisted-to-untwisted translation are stated
-on the staircase pair (big_theta, theta).  Q/R commute with integer
+pair, the middle row's parity.  One run kernel, _qr_run, is the one loop
+over the consecutive pairs of a run of points, with no call per pair: it
+reads the quiver's constants once, runs the arithmetic of both tests
+inline (tests/test_snakes.py pins this copy to the two predicates),
+returns None at the first pair off prime snake position, and gives Q/R
+for both flavors from the same row heights: Q is one formula on T, the
+one-point formula for R serves untwisted pairs and twisted pairs below
+row n0, and a twisted pair starting in region GT or D is D-conjugated.
+qr_sequences checks each point once and calls the kernel once; the pair
+functions qr_untwisted and qr_twisted call it on (v, w).  The twisted
+formulas and the twisted-to-untwisted translation are stated on the
+staircase pair (big_theta, theta).  Q/R commute with integer
 shifts (each k2 term has total weight 1), so they run on any twisted
 quiver as is; the tfd bridge aligns its data with big_theta's parity class
 by an integer shift (twisted_parity_shift2) before it translates.
@@ -117,8 +121,9 @@ def split_prime(xi: HeightFunction, points: Sequence[Vertex]) -> list[tuple[Vert
     """Cut a snake at every pair failing the prime condition."""
     if not is_snake(xi, points):
         raise NotSnake("split_prime expects a snake")
+    points = tuple(map(_vertex, points))
     cuts = [s for s in range(1, len(points)) if not _prime_position(xi, points[s - 1], points[s])]
-    return [tuple(points[a:b]) for a, b in zip([0, *cuts], [*cuts, len(points)])]
+    return [points[a:b] for a, b in zip([0, *cuts], [*cuts, len(points)])]
 
 
 # -- Q/R socle positions ---------------------------------------------------
@@ -141,79 +146,87 @@ def qr_twisted(xi: HeightFunction, v: Vertex, w: Vertex) -> QRPair:
 
 
 def _checked_qr(xi: HeightFunction, v: Vertex, w: Vertex, flavor: str, wrong_flavor: str) -> QRPair:
-    """qr_untwisted and qr_twisted: the flavor and the two vertices checked, then the pair kernel."""
+    """qr_untwisted and qr_twisted: the flavor and the two vertices checked, then the run kernel on (v, w)."""
     if xi.flavor != flavor:
         raise NotPrimeSnakePair(wrong_flavor)
-    if not (xi.is_vertex(v) and xi.is_vertex(w)) or (qr := _qr_pair(xi, v, w)) is None:
+    if not (xi.is_vertex(v) and xi.is_vertex(w)) or (qr := _qr_run(xi, (v, w))) is None:
         raise NotPrimeSnakePair(f"{w} is not in prime snake position w.r.t. {v}")
     return QRPair(*qr)
 
 
-def _qr_pair(xi: HeightFunction, v: Vertex, w: Vertex) -> tuple[Points, Points] | None:
-    """Q/R of two vertices already known to lie on the quiver, either flavor;
-    None unless they are in prime snake position.
+def _qr_run(xi: HeightFunction, points: Sequence[Vertex]) -> tuple[Points, Points] | None:
+    """The Q/R of the consecutive pairs of a run of vertices already known to lie on the quiver, either
+    flavor, concatenated; None unless every pair is in prime snake position.
 
-    The one pass over a pair: the prime test, then the Q/R formulas on the
-    same row heights T.  A twisted pair starting in region GT or D is
-    D-conjugated: its Q/R are D^-1 of the R/Q of (D v, D w), which starts in
-    region LT or U.  D maps quiver vertices to quiver vertices, so it builds
-    them with _vertex.
+    One loop, with no call per pair.  The quiver's constants are read once;
+    each pair then runs inline the arithmetic of _snake_position and
+    _in_prime_window (tests/test_snakes.py holds this copy to them on every
+    pair of the small shapes), the Q/R formulas on the same row heights T
+    with their exact-division guards, and is_vertex's range and lattice
+    test on each result point, an InternalError off the quiver.  A twisted
+    pair starting in region GT or D is D-conjugated: its Q/R are D^-1 of
+    the R/Q of (D v, D w), which starts in region LT or U.  An untwisted
+    quiver puts its middle row past row n, where no vertex lies, so none of
+    its pairs is conjugated and each R takes the one-point formula.
     """
-    if not (_snake_position(xi, v, w) and _in_prime_window(xi, v, w)):
-        return None
-    n0 = xi.n0
-    dual = n0 is not None and (v.i > n0 or v.i == n0 and (v.k2 + 1 - xi.values2[n0]) % 4 == 0)  # region GT or D
-    if dual:
-        top, nt2 = xi.n + 1, xi.ntilde2()  # D (i, k2) = (i*, k2 - ntilde2), i* = n + 1 - i
-        v, w = _vertex((top - v.i, v.k2 - nt2)), _vertex((top - w.i, w.k2 - nt2))
-    (i, k2), (ip, kp2) = v, w
-    t = xi._rows or (0, 2)  # untwisted rank 1 has no arrows, but its row height is 2i all the same
-    ti, tp = t[i], t[ip]
-    diff2 = kp2 - k2
-    # Q: empty when w sits T_i + T_i' above v, one point toward row 1 below that
-    top2 = ti + tp
-    if diff2 > top2:
-        raise InternalError(f"Q of a prime pair lies past row 1: {v}, {w}")
-    q = (_vertex((_exact_div(top2 - diff2, 4), _exact_div(ti - tp + k2 + kp2, 2))),) if diff2 < top2 else ()
-    # R: one point toward row n, empty at the untwisted bound 4(n+1) - T_i - T_i'; a twisted pair with a point
-    # on row n0, or a gap at its bound 4 n0 - T_i - T_i' or more, takes the row-n0 points of the rays v -> w
-    bottom2 = 4 * (n0 or xi.n + 1) - top2
-    if n0 is None or i < n0 and ip < n0 and diff2 < bottom2:
-        if diff2 > bottom2:
-            raise InternalError(f"R of a prime pair lies past row {xi.n}: {v}, {w}")
-        r = (_vertex((_exact_div(top2 + diff2, 4), _exact_div(tp - ti + k2 + kp2, 2))),) if diff2 < bottom2 else ()
-    else:
-        r = (_vertex((n0, k2 + t[n0] - ti)),) if i < n0 else ()
-        if ip < n0:
-            r += (_vertex((n0, kp2 - t[n0] + tp)),)
-    if dual:
-        q, r = tuple([_vertex((top - a, b + nt2)) for a, b in r]), tuple([_vertex((top - a, b + nt2)) for a, b in q])
-    for u in q + r:
-        if not xi.is_vertex(u):
-            raise InternalError(f"{u} fell off the quiver")
-    return q, r
+    n, n0, vals2, nt2 = xi.n, xi.n0, xi.values2, xi.ntilde2()
+    # untwisted rank 1 has no arrows, but its row height is 2i all the same: with T = (0, 2) the snake gap reads
+    # diff2 >= 4 where _snake_position reads diff2 = 4, and the prime window diff2 <= 4, so together they agree
+    t, top = xi._rows or (0, 2), n + 1
+    mid, dk2 = (top, 0) if n0 is None else (n0, vals2[n0] - 1)  # a middle-row vertex is in D iff k2 = dk2 mod 4
+    qs, rs = [], []  # (i, k2) pairs, made Vertex values once, at the end
+    for (i, k2), (j, kj2) in zip(points, points[1:]):
+        diff2, dual = kj2 - k2, i > mid or i == mid and (k2 - dk2) % 4 == 0  # dual: v in region GT or D
+        # snake position: v shifted by d2(i) reaches w, and on a twisted quiver v is in GT or D iff w is in GT
+        # or U; prime window: w reaches D^-1 v = (i*, k2 + ntilde2)
+        gap2, win2 = diff2 - (2 if i == mid else 4), nt2 - diff2
+        if not (-gap2 <= t[j] - t[i] <= gap2 and -win2 <= t[top - i] - t[j] <= win2
+                and dual == (j > mid or j == mid and (kj2 - dk2) % 4 != 0)):
+            return None
+        if dual:  # D (i, k2) = (i*, k2 - ntilde2), i* = n + 1 - i
+            i, k2, j, kj2 = top - i, k2 - nt2, top - j, kj2 - nt2
+        top2 = (ti := t[i]) + (tj := t[j])  # Q's bound; R's is 4 mid - top2
+        # Q: empty when w sits T_i + T_j above v, one point toward row 1 below that
+        if diff2 > top2:
+            raise InternalError(f"Q of a prime pair lies past row 1: {_vertex((i, k2))}, {_vertex((j, kj2))}")
+        q = r = ()
+        if diff2 < top2:
+            if (a := top2 - diff2) % 4 or (b := ti - tj + k2 + kj2) % 2:
+                raise InternalError(f"{a} not divisible by 4" if a % 4 else f"{b} not divisible by 2")
+            q = ((a // 4, b // 2),)
+        # R: one point toward row n, empty at the untwisted bound 4(n+1) - T_i - T_j; a twisted pair with a point
+        # on row n0, or a gap at its bound 4 n0 - T_i - T_j or more, takes the row-n0 points of the rays v -> w
+        if i < mid and j < mid and diff2 < 4 * mid - top2:
+            if (a := top2 + diff2) % 4 or (b := tj - ti + k2 + kj2) % 2:
+                raise InternalError(f"{a} not divisible by 4" if a % 4 else f"{b} not divisible by 2")
+            r = ((a // 4, b // 2),)
+        elif n0 is not None:
+            r = (((n0, k2 + t[n0] - ti),) if i < n0 else ()) + (((n0, kj2 - t[n0] + tj),) if j < n0 else ())
+        elif diff2 > 4 * mid - top2:
+            raise InternalError(f"R of a prime pair lies past row {n}: {_vertex((i, k2))}, {_vertex((j, kj2))}")
+        if dual:
+            q, r = tuple([(top - a, b + nt2) for a, b in r]), tuple([(top - a, b + nt2) for a, b in q])
+        for a, b in q + r:
+            if not (1 <= a <= n and (b - vals2[a - 1]) % (2 if a == n0 else 4) == 0):
+                raise InternalError(f"{_vertex((a, b))} fell off the quiver")
+        qs += q
+        rs += r
+    return tuple(map(_vertex, qs)), tuple(map(_vertex, rs))
 
 
 def qr_sequences(xi: HeightFunction, points: Sequence[Vertex]) -> QRPair:
     """Concatenated pairwise Q/R outputs of a prime snake, empties dropped.
 
-    One pass: each point is checked to be a vertex, then each pair goes
-    once through the kernel _qr_pair, which tests its prime snake position
-    and gives its Q/R.  extended_tsystem takes its (Q, R) from here and
-    rewords the NotPrimeSnake.
+    Each point is checked once to be a vertex, then one call of the run
+    kernel _qr_run tests the prime snake position of each pair and gives
+    its Q/R.  extended_tsystem takes its (Q, R) from here and rewords the
+    NotPrimeSnake.
     """
     if len(points) < 2:
         raise NotPrimeSnake("qr_sequences needs a prime snake of length >= 2")
-    if not all(map(xi.is_vertex, points)):
+    if not all(map(xi.is_vertex, points)) or (qr := _qr_run(xi, points)) is None:
         raise NotPrimeSnake("qr_sequences expects a prime snake")
-    qs: list[Vertex] = []
-    rs: list[Vertex] = []
-    for qr in map(_qr_pair, repeat(xi), points, points[1:]):
-        if qr is None:
-            raise NotPrimeSnake("qr_sequences expects a prime snake")
-        qs += qr[0]
-        rs += qr[1]
-    return QRPair(tuple(qs), tuple(rs))
+    return QRPair(*qr)
 
 
 # -- twisted -> untwisted translation -------------------------------------

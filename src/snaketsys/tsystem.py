@@ -8,10 +8,14 @@ For a prime snake P of length p >= 2 the relation has the shape
 with (Q, R) the concatenated socle positions of its pairs.  A
 TSystemRelation is a checked value: however it is built, its snake is
 checked once, by snakes.qr_sequences, which owns both the primality check
-and (Q, R) and makes one kernel pass per pair, the prime test and the
-pair's Q/R together, so realize.relation_monomials trusts its points.
-Every check of the hypothesis sweep is 1 on a prime snake, so only
-check_theorem_hypotheses runs it (see extended_tsystem).
+and (Q, R): one vertex check per point, then one call of the run kernel,
+which tests each pair's prime position and gives its Q/R in one loop, so
+realize.relation_monomials trusts its points.  P, Q and R are stored as
+Vertex values, also when P was given as plain (i, k2) pairs.  Every check
+of the hypothesis sweep is 1 on a prime snake, so only
+check_theorem_hypotheses runs it (see extended_tsystem); it and
+snakes.split_prime build Vertex values from their points after checking
+them, as the bridge does.
 
 The invariant tfd between a cuspidal probe and a snake head is never computed
 categorically; this module exposes the 0/1 predictions of the
@@ -64,8 +68,8 @@ class TSystemRelation:
 
     Every way to build one (the constructor, extended_tsystem,
     dataclasses.replace) runs __post_init__, which checks the snake once, by
-    qr_sequences: each point a vertex, then one pass of the pair kernel per
-    pair, which tests prime snake position and gives the pair's Q/R.
+    qr_sequences: each point a vertex, then one call of the run kernel,
+    which tests each pair's prime snake position and gives its Q/R.
     Its NotPrimeSnake becomes a message naming the prime segments of a
     snake, or saying the input is no snake.  B, C, A and D are slices of P.
     """
@@ -88,8 +92,8 @@ class TSystemRelation:
             if is_snake(xi, pts):
                 raise NotPrimeSnake(f"snake is not prime; prime segments: {split_prime(xi, pts)}") from None
             raise NotPrimeSnake("input is not a snake") from None
-        for name, value in (("p", pts), ("first_q", first_q), ("first_r", first_r)):
-            object.__setattr__(self, name, value)
+        p = pts if {*map(type, pts)} == {Vertex} else tuple(map(_vertex, pts))  # plain (i, k2) pairs: Vertex values
+        self.__dict__.update(p=p, first_q=first_q, first_r=first_r)  # frozen: set once, here
 
     flavor = property(lambda self: self.xi.flavor)
     term_a = property(lambda self: self.p)  # P
@@ -347,9 +351,9 @@ def check_theorem_hypotheses(xi: HeightFunction, points) -> HypothesesReport:
     predictions come from tfd_via_epsilon, which needs the whole slice;
     verify's epsilon-predictions sweeps compare the two.
     """
-    pts = tuple(points)
-    if not is_snake(xi, pts):
+    if not is_snake(xi, pts := tuple(points)):
         raise NotSnake("hypothesis check expects a snake")
+    pts = tuple(map(_vertex, pts))  # Vertex values, also from plain (i, k2) pairs
     # predicted_tfd_left of each point against the snake made of its successor; the right predictions are
     # the left ones of the configuration reversed once, read backwards
     left = tuple(map(_predict_left, repeat(xi), pts, pts[1:]))

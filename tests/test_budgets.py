@@ -10,7 +10,9 @@ never replace them.
   Calls into the standard library and builtins are left out.  The count
   still depends on the interpreter's version: from 3.12 on it reads lower,
   since comprehensions are inlined there (PEP 709) and no longer count as
-  calls.
+  calls.  The Q/R run kernel ``snakes._qr_run`` builds a D-conjugated
+  pair's Q/R in two list comprehensions, so on 3.11 a relation with such
+  pairs counts two calls more per pair; from 3.12 on it counts none.
 - ``lines``: the snaketsys source lines run in one warm call, as
   ``sys.settrace`` sees them.  Work per layer coming back, such as a
   buffer allocated and copied back per layer, shows here.
@@ -128,8 +130,8 @@ BUDGETS = {
     ("calls", "rho dense n=63"): 3,
     ("calls", "epsilon dense n=12"): 10,
     ("calls", "quiver n=8"): 165,
-    ("calls", "relation p=5 n=8"): 69,
-    ("calls", "relation p=5 n0=4"): 61,
+    ("calls", "relation p=5 n=8"): 17,
+    ("calls", "relation p=5 n0=4"): 17,
     ("calls", "bridge untwisted"): 17,
     ("calls", "bridge twisted"): 43,
     ("calls", "bridge twisted right"): 48,

@@ -483,11 +483,11 @@ def test_verify_reports_a_wrong_move_and_exits_one(capsys, monkeypatch):
 
 def test_verify_reports_a_crashing_sweep_and_runs_the_rest(capsys, monkeypatch):
     # an exception in a sweep is that sweep's failure, not a traceback: the
-    # Q/R pair kernel raising fails the three sweeps that reach it only
+    # Q/R run kernel raising fails the three sweeps that reach it only
     def broken(*args):
         raise RuntimeError("broken kernel")
 
-    monkeypatch.setattr(snakes, "_qr_pair", broken)
+    monkeypatch.setattr(snakes, "_qr_run", broken)
     code, out, err = run(capsys, "verify", "--suite", "all", "--trials", "10", "--seed", "0")
     assert (code, err) == (1, "")
     names = [line.split(":")[0] for line in out.splitlines() if not line.startswith(" ")]

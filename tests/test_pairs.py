@@ -134,3 +134,46 @@ def test_statistics_run_in_a_fraction_of_a_second():
     runs = _runs([(49_000.0 + k, 58.0, 800_000) for k in range(10)], [(58_000.0 + k, 63.0, 900_000) for k in range(10)])
     PAIRS["summarize"](runs, BETTER, BOUNDS)
     assert time.perf_counter() - t < 0.2
+
+
+LINECOUNT_OUT = """src/snaketsys/__init__.py: 57 lines, 47 code lines
+src/snaketsys/snakes.py: 340 lines, 180 code lines
+src/ lines: 397, code lines: 227
+"""
+BUDGETS_OUT = """Budgets (tests/test_budgets.py, Python 3.11.7)
+
+| budget | measured | ceiling |
+|---|---:|---:|
+| calls relation p=5 n=8 | 17 | 69 |
+| code lines snakes.py | 180 | 180 |
+| held rho plans n=7-95 | 579,644 | 608,626 |
+"""
+
+
+def test_tree_figures_parse_both_tools_and_print_beside_the_pairs():
+    t = time.perf_counter()
+    lines = PAIRS["parse_linecount"](LINECOUNT_OUT)
+    assert lines == {"modules": {"__init__.py": 47, "snakes.py": 180}, "lines": 397, "code_lines": 227}
+    budgets = PAIRS["parse_budgets"](BUDGETS_OUT)
+    assert budgets == {"calls relation p=5 n=8": {"measured": 17, "ceiling": 69},
+                       "code lines snakes.py": {"measured": 180, "ceiling": 180},
+                       "held rho plans n=7-95": {"measured": 579_644, "ceiling": 608_626}}
+    for parse, text in ((PAIRS["parse_linecount"], BUDGETS_OUT), (PAIRS["parse_budgets"], LINECOUNT_OUT)):
+        with pytest.raises(ValueError):
+            parse(text)
+    base = {"linecount": {**lines, "code_lines": 230}, "budgets": {**budgets, "calls old": {"measured": 3, "ceiling": 3}}}
+    rows = PAIRS["figures_table"]({"base": base, "change": {"linecount": lines, "budgets": budgets}}).splitlines()
+    assert rows[2] == "| code lines of src/ (tools/linecount.py) | 230 | 227 |"
+    assert "| calls old (measured / ceiling) | 3 / 3 | - |" in rows
+    assert "| held rho plans n=7-95 (measured / ceiling) | 579,644 / 608,626 | 579,644 / 608,626 |" in rows
+    assert len(rows) == 3 + 4
+    runs = _runs([(10.0, 5.0, 100)] * 2, [(12.0, 5.0, 120)] * 2)
+    bench = {"base": {"commit": "a" * 40}, "change": {"head": "b" * 40, "code_diff_sha256": None},
+             "python": "3.11.7", "seconds": 25, "seeds": [1, 2], "load_before": (1.0, 1.0, 1.0),
+             "load_after": (2.0, 1.0, 1.0),
+             "workloads": {"epsilon": {"summary": PAIRS["summarize"](runs, BETTER, BOUNDS),
+                                       "setup": PAIRS["setup_figures"]({"base": [0.1] * 15, "change": [0.1] * 15})}}}
+    assert "code lines of src/" not in PAIRS["table"](bench)  # a file written before the figures were recorded
+    bench["figures"] = {"base": base, "change": {"linecount": lines, "budgets": budgets}}
+    assert PAIRS["table"](bench).endswith("\n".join(rows))
+    assert time.perf_counter() - t < 0.2

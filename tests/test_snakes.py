@@ -8,7 +8,7 @@ from snaketsys.quivers import TWISTED, UNTWISTED, HeightFunction, Region, Vertex
 from snaketsys.snakes import (
     QRPair,
     _in_prime_window,
-    _qr_pair,
+    _qr_run,
     _snake_position,
     in_prime_snake_position,
     in_snake_position,
@@ -157,28 +157,39 @@ def _reference_snake_position(xi, v, w):
 
 def test_pair_predicates_and_kernel_match_their_definitions():
     # every height function up to shift (untwisted n <= 5, twisted n0 in {2, 3}), every vertex pair of a
-    # window two periods tall: the arithmetic predicates against preceq and the enum regions, and the
-    # kernel's None against the public prime test, its Q/R against the public pair functions
+    # window two periods tall: the arithmetic predicates against preceq and the enum regions, the run
+    # kernel's verdict against the two predicates and its Q/R against the public pair functions; then
+    # every 3-point run that starts with a prime pair, so the kernel chains pairs on hoisted constants
     hfs = [hf for n in range(1, 6) for hf in _all_height_functions(n, UNTWISTED)]
     hfs += [hf for n0 in (2, 3) for hf in _all_height_functions(2 * n0 - 1, TWISTED)]
     seen = set()
+    runs = 0
     for xi in hfs:
         qr_pair = qr_twisted if xi.twisted_flavor else qr_untwisted
         k2_lo, k2_hi = min(xi.values2) - 4, max(xi.values2) + 2 * xi.ntilde2()
         verts = xi.vertices_between(k2_lo, k2_hi)
+        pairs = {}
         for v in verts:
             dual = xi.dualize(v, -1)
             for w in verts:
                 snake = _snake_position(xi, v, w)
                 assert snake == _reference_snake_position(xi, v, w), (xi, v, w)
                 assert _in_prime_window(xi, v, w) == xi.preceq(w, dual), (xi, v, w)
-                qr = _qr_pair(xi, v, w)
+                qr = pairs[v, w] = _qr_run(xi, (v, w))
                 prime = in_prime_snake_position(xi, v, w)
-                assert (qr is None) == (not prime), (xi, v, w)
+                assert (qr is None) == (not (snake and _in_prime_window(xi, v, w))) == (not prime), (xi, v, w)
                 if prime:
                     assert qr_sequences(xi, (v, w)) == qr_pair(xi, v, w) == qr, (xi, v, w)
                 seen.add((xi.flavor, snake, prime))
+        for (u, v), first in pairs.items():
+            if first is not None:
+                for w in verts:
+                    second = pairs[v, w]
+                    want = None if second is None else (first[0] + second[0], first[1] + second[1])
+                    assert _qr_run(xi, (u, v, w)) == want, (xi, u, v, w)
+                    runs += second is not None
     assert seen == {(f, s, p) for f in (UNTWISTED, TWISTED) for s, p in ((False, False), (True, False), (True, True))}
+    assert runs > 1000
 
 
 def _translate_checked(n0, pts):

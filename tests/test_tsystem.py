@@ -15,6 +15,7 @@ from snaketsys.snakes import (
     in_snake_position,
     is_prime_snake,
     is_snake,
+    qr_sequences,
     split_prime,
     translate_twisted,
 )
@@ -315,10 +316,11 @@ def test_all_one_matches_the_checks():
 
 
 def test_relation_validates_once_and_builds_no_checks(monkeypatch):
-    # one vertex check per point, one pass of the pair kernel _qr_pair per
-    # pair (it tests primality and gives the pair's Q/R), no is_prime_snake,
-    # no prediction, and no other snake predicate, HypothesesReport or
-    # validated HeightFunction at all
+    # one vertex check per point, one call of the run kernel _qr_run per
+    # relation (it tests each pair's primality and gives its Q/R), no
+    # is_prime_snake, no prediction, and no other snake predicate,
+    # HypothesesReport or validated HeightFunction at all; the monomials
+    # take one _products call and check no vertex
     from collections import Counter
 
     from snaketsys import realize, snakes, tsystem
@@ -332,14 +334,14 @@ def test_relation_validates_once_and_builds_no_checks(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("is_prime_snake", "is_snake", "_qr_pair"):
+    for name in ("is_prime_snake", "is_snake", "_qr_run"):
         wrapper = counted(name, getattr(snakes, name))
         monkeypatch.setattr(snakes, name, wrapper)
         if hasattr(tsystem, name):
             monkeypatch.setattr(tsystem, name, wrapper)
     monkeypatch.setattr(tsystem, "HypothesesReport", counted("HypothesesReport", HypothesesReport))
     monkeypatch.setattr(HeightFunction, "__post_init__", counted("validate", HeightFunction.__post_init__))
-    monkeypatch.setattr(realize, "_factor_items", counted("_factor_items", realize._factor_items))
+    monkeypatch.setattr(realize, "_products", counted("_products", realize._products))
     is_vertex = HeightFunction.is_vertex
     monkeypatch.setattr(tsystem, "_predict_left", counted("_predict_left", tsystem._predict_left))
 
@@ -358,15 +360,15 @@ def test_relation_validates_once_and_builds_no_checks(monkeypatch):
         seen.clear()
         rel = extended_tsystem(xi, pts)
         assert rel.hypotheses_ok
-        assert calls == {"_qr_pair": 11}
-        # the snake's points once each, then each Q/R point once (the kernels' guard)
-        assert sum(seen.values()) == 12 + len(rel.first_q) + len(rel.first_r)
+        assert calls == {"_qr_run": 1}
+        # the snake's points once each; the kernel guards its Q/R points inline, with no is_vertex call
+        assert sum(seen.values()) == 12
         assert all(seen[v] == 1 for v in pts)
         calls.clear()
         seen.clear()
         real = Realization.qdatum_a(4) if xi.flavor == UNTWISTED else Realization.qdatum_b(2)
         relation_monomials(rel, real)
-        assert calls == {"_factor_items": 1}
+        assert calls == {"_products": 1}
         assert not seen  # the relation was checked when it was built
         # the counters see the public paths, which still validate and build
         report = check_theorem_hypotheses(xi, pts)
@@ -464,6 +466,27 @@ def test_plain_pairs_give_the_vertex_results():
             pts = random_snake(HeightFunction.big_theta(n0), rng, rng.randint(1, 4), in_gamma=True)
             out = translate_twisted(n0, [tuple(u) for u in pts])
             assert out == translate_twisted(n0, pts) and {type(u) for u in out} == {Vertex}
+
+
+def test_plain_pairs_on_the_relation_path_give_the_vertex_results():
+    # the relation path checks plain (i, k2) pairs, then reads them as pairs or builds Vertex values from them:
+    # a relation's P, Q and R, split_prime's segments and the hypothesis sweep are those of the Vertex input
+    assert relation_text(extended_tsystem(XI3, [(2, 0), (2, 4), (1, 10)])) == (
+        "0 -> S((1,1)) (x) S((3,1),(3,3)) -> S((2,0),(2,2)) (x) S((2,2),(1,5)) -> S((2,0),(2,2),(1,5)) (x) S((2,2)) -> 0")
+    rng = random.Random(38)
+    for xi in (XI3, HeightFunction.canonical(5, 1).shifted(2), BIG2, HeightFunction.big_theta(3).shifted(2)):
+        for t in range(40):
+            pts = random_snake(xi, rng, rng.randint(2, 6), prime=t % 2 == 0)
+            plain = [tuple(u) for u in pts]
+            assert _outcome(lambda: extended_tsystem(xi, plain)) == _outcome(lambda: extended_tsystem(xi, pts))
+            if is_prime_snake(xi, pts):
+                rel = extended_tsystem(xi, plain)
+                assert rel == extended_tsystem(xi, pts) and relation_text(rel) == relation_text(extended_tsystem(xi, pts))
+                assert {type(u) for u in rel.p + rel.first_q + rel.first_r} == {Vertex}
+                assert qr_sequences(xi, plain) == qr_sequences(xi, pts)
+            segments = split_prime(xi, plain)
+            assert segments == split_prime(xi, pts) and {type(u) for seg in segments for u in seg} == {Vertex}
+            assert check_theorem_hypotheses(xi, plain) == check_theorem_hypotheses(xi, pts)
 
 
 _CANONICAL4, _BIG3 = HeightFunction.canonical(4, 0), HeightFunction.big_theta(3)

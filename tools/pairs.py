@@ -14,8 +14,12 @@ per tree, timed as run.py times its own setup samples.  The file
 holds, per run, the seed, the pair, the order and every metric beside
 ``attempted``; per workload, each tree's medians, the base's quartiles and
 the pairs the change won for each metric, judged by the direction and the
-bound that ``BENCHMARK.json`` gives it; and the Python version, the CPU
-count and the load average before and after.
+bound that ``BENCHMARK.json`` gives it; the Python version, the CPU
+count and the load average before and after; and each tree's own static
+figures: the ``tools/linecount.py`` code lines, per module and in total,
+and the measured value and ceiling of every ``tests/test_budgets.py``
+budget (run as ``python tests/test_budgets.py`` in the tree, with its
+``src`` on ``PYTHONPATH``).
 
 A gain is read as clear when the change wins at least nine tenths of the
 pairs (ties count for neither side), the medians differ by more than the
@@ -125,6 +129,43 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def parse_linecount(stdout: str) -> dict:
+    """tools/linecount.py's output: the code lines of each module, and the total lines and code lines of src/."""
+    modules, total = {}, None
+    for line in stdout.splitlines():
+        if m := re.fullmatch(r"src/ lines: (\d+), code lines: (\d+)", line.strip()):
+            total = {"lines": int(m[1]), "code_lines": int(m[2])}
+        elif m := re.fullmatch(r"(\S+\.py): \d+ lines, (\d+) code lines", line.strip()):
+            modules[os.path.basename(m[1])] = int(m[2])
+    if total is None:
+        raise ValueError("no src/ total in the line count")
+    return {"modules": modules, **total}
+
+
+def parse_budgets(stdout: str) -> dict:
+    """tests/test_budgets.py's table: each budget's measured value and ceiling."""
+    budgets = {}
+    for line in stdout.splitlines():
+        if m := re.fullmatch(r"\| (.+?) \| ([\d,]+) \| ([\d,]+) \|", line.strip()):
+            budgets[m[1]] = {"measured": int(m[2].replace(",", "")), "ceiling": int(m[3].replace(",", ""))}
+    if not budgets:
+        raise ValueError("no budget rows in the budget table")
+    return budgets
+
+
+def figures_table(figures: dict) -> str:
+    """Both trees' line counts and budgets, as Markdown: one row for the code lines of src/, then one per budget."""
+    base, change = figures["base"], figures["change"]
+    rows = ["| figure | base | change |", "|---|---:|---:|",
+            f"| code lines of src/ (tools/linecount.py) | {base['linecount']['code_lines']:,} "
+            f"| {change['linecount']['code_lines']:,} |"]
+    for name in sorted(base["budgets"].keys() | change["budgets"].keys()):
+        cells = [f"{b['measured']:,} / {b['ceiling']:,}" if (b := tree["budgets"].get(name)) else "-"
+                 for tree in (base, change)]
+        rows.append(f"| {name} (measured / ceiling) | {cells[0]} | {cells[1]} |")
+    return "\n".join(rows)
+
+
 def _num(x: float) -> str:
     return f"{x:,.0f}" if abs(x) >= 1000 else f"{x:.4g}"
 
@@ -151,6 +192,8 @@ def table(bench: dict) -> str:
         s = w["setup"]
         rows.append(f"| {workload} | setup starts (median) | {_num(s['base']['median'])} | "
                     f"| {_num(s['change']['median'])} | | {s['base']['starts']}+{s['change']['starts']} starts | | |")
+    if "figures" in bench:
+        rows += ["", figures_table(bench["figures"])]
     return "\n".join(rows)
 
 
@@ -183,6 +226,17 @@ def setup_start(tree: str, workload: str, seed: int) -> float:
                           check=True, env=dict(os.environ, PYTHONHASHSEED="0"))
     setup = json.loads(proc.stdout.strip().splitlines()[-1])["setup"]
     return setup["start"] - spawned + setup["import_s"] + setup["warm_s"]
+
+
+def tree_figures(tree: str) -> dict:
+    """The tree's own line count and budget table, each run in the tree with its src on PYTHONPATH."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    out = {}
+    for name, script, parse in (("linecount", "tools/linecount.py", parse_linecount),
+                                ("budgets", "tests/test_budgets.py", parse_budgets)):
+        proc = subprocess.run([sys.executable, script], cwd=tree, env=env, capture_output=True, text=True, check=True)
+        out[name] = parse(proc.stdout)
+    return out
 
 
 def measure(trees: dict[str, str], workload: str, seeds: list[int], spec: dict) -> dict:
@@ -241,6 +295,7 @@ def main() -> int:
         bench["base"] = {"rev": args.base, "commit": export(args.base, base_tree)}
         bench["change"] = working_tree()
         trees = {"base": base_tree, "change": ROOT}
+        bench["figures"] = {tree: tree_figures(path) for tree, path in trees.items()}
         for workload in (w["name"] for w in spec["workloads"]):
             bench["workloads"][workload] = measure(trees, workload, seeds, spec)
     bench["load_after"] = os.getloadavg()
