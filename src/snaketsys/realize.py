@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import roots
 from .errors import DomainError, MissingTableEntry
-from .quivers import TWISTED, UNTWISTED, HeightFunction, Vertex, exact_ints, json_int
+from .quivers import TWISTED, UNTWISTED, HeightFunction, Vertex, _vertex, exact_ints, json_int
 
 QDATUM_A = "qdatum_A"
 QDATUM_B = "qdatum_B"
@@ -163,7 +163,8 @@ def _products(real: Realization, xi: HeightFunction, runs: Iterable[Sequence[Ver
     (qdatum_A) or Y_{min(i,i*),-2k} (qdatum_B), so the product counts keys
     and no exponent is 0.  In custom mode it sums the table entries,
     realizing each distinct vertex once over all the runs, and drops the
-    keys that cancel.
+    keys that cancel; the vertices are checked before, and a plain (i, k2)
+    pair is made a Vertex value only to realize it.
     """
     if real.mode == QDATUM_A:
         if xi.flavor != UNTWISTED:
@@ -185,8 +186,8 @@ def _products(real: Realization, xi: HeightFunction, runs: Iterable[Sequence[Ver
             products.append(factors)
             continue
         for v in run:
-            if (entry := entries.get(v)) is None:
-                entry = entries[v] = _table_entry(real, xi, v).factors
+            if (entry := entries.get(v)) is None:  # a checked vertex, maybe a plain (i, k2) pair: a Vertex value
+                entry = entries[v] = _table_entry(real, xi, _vertex(v)).factors
             for key, e in entry.items():
                 factors[key] = factors.get(key, 0) + e
         products.append({key: e for key, e in factors.items() if e})

@@ -11,18 +11,23 @@ call, a builtin call per cell (``max``) was the programme's main cost.
 epsilon*_j is epsilon_j of the dual datum cv_{(i,k)} = c_{(i*, n-k)} on
 the other window, which is never built: the weights are read off c through
 the duality map (i, k2) -> (n+1-i, 2n-k2), so epsilon* costs what epsilon
-does.  ``omega`` also lists the canonical windows' slots that every weight
-reads, so no key is hashed; the tfd bridge passes such counts straight to
-``_epsilon_on_slots``.  The reference oracles live in ``verify``: Omega_j
-as the preceq interval of the window, epsilon by enumerating that
-interval's order ideals, and the dual datum itself.
+does.  The weights of dense data are read with no call per cell: ``omega``
+keeps, for each of its read lists, one ``operator.itemgetter`` of the
+canonical windows' slots, built once per rank and node, so a datum's counts
+are gathered by two C-level calls and no key is hashed.  Unit data, the
+tfd bridge's at most p nonzero counts, build no slot vector at all:
+``_unit_weights`` places each count on its vertex's cell of the rectangle,
+column (k+i-j-1)/2 and row (k-i+j-1)/2, with +1 there and -1 on the cell of
+(i, k+2), in O(1) per point, and the staircase runs on the full rectangle.
+The reference oracles live in ``verify``: Omega_j as the preceq interval of
+the window, epsilon by enumerating that interval's order ideals, and the
+dual datum itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
-from operator import sub
+from operator import itemgetter, sub
 
 from . import roots
 from .errors import ParityMismatch, WrongCarrier
@@ -48,10 +53,12 @@ class OmegaPoset:
     j: int
     vertices: tuple[Vertex, ...]
     columns: tuple[tuple[Vertex, ...], ...]  # per column k+i, ascending, each by row k-i
-    # slots read by epsilon_j, epsilon*_j: c_{i,k}, c_{i,k-2} per vertex on the parity-bar(j) window (its length:
-    # off it, 0); the dual's, c at (i*, n-k), (i*, n-k+2), on the other; first letters c_{j,0} there, c_{j*,n} here
-    reads: tuple[tuple[int, ...], ...]
-    dual_reads: tuple[tuple[int, ...], ...]
+    # getters of the slots read by epsilon_j, epsilon*_j: c_{i,k}, c_{i,k-2} per vertex on the parity-bar(j)
+    # window (its length: off it, 0); the dual's, c at (i*, n-k), (i*, n-k+2), on the other; and the slots of
+    # the first letters, c_{j,0} there and c_{j*,n} here; a getter compares by identity, and the getters are
+    # a function of n and j, so they take no part in equality and hashing
+    reads: tuple[itemgetter, itemgetter] = field(compare=False)
+    dual_reads: tuple[itemgetter, itemgetter] = field(compare=False)
     firsts: tuple[int, int]
 
 
@@ -66,23 +73,42 @@ def omega(n: int, j: int) -> OmegaPoset:
     """
     exact_ints("ranks and nodes", (n, j))
     roots.check_node(n, j)
-    columns = tuple(
-        tuple(Vertex((c - r) // 2, c + r) for r in range(1 - j, j, 2)) for c in range(j + 1, 2 * n + 2 - j, 2)
-    )
+    columns = tuple(tuple(Vertex((c - r) // 2, c + r) for r in range(1 - j, j, 2)) for c in range(j + 1, 2 * n + 2 - j, 2))
     verts = tuple(v for col in columns for v in col)
     own, other = (HeightFunction.canonical(n, delta).window.slot for delta in (bar(j), 1 - bar(j)))
-    reads = tuple(tuple(map(own.get, [(i, k2 - dk) for i, k2 in verts], repeat(len(own)))) for dk in (0, 4))
-    dual = tuple(tuple(map(other.get, [(n + 1 - i, 2 * n - k2 + dk) for i, k2 in verts], repeat(len(other))))
-                 for dk in (0, 4))
+    reads = tuple(_getter([own.get((i, k2 - dk), len(own)) for i, k2 in verts]) for dk in (0, 4))
+    dual = tuple(_getter([other.get((n + 1 - i, 2 * n - k2 + dk), len(other)) for i, k2 in verts]) for dk in (0, 4))
     return OmegaPoset(n, j, verts, columns, reads, dual, (other[(j, 0)], own[(roots.star(n, j), 2 * n)]))
 
 
-def _weights(reads: tuple[tuple[int, ...], ...], vals: tuple[int, ...]) -> list[int]:
-    """The weight c_{i,k} - c_{i,k-2} of each Omega vertex, read by slot off a datum's counts vals: ``reads``
-    gives its own weights and ``dual_reads`` those of its dual datum, whose count at (i, k2) is at (n+1-i, 2n-k2)."""
+def _getter(slots: list[int]) -> itemgetter:
+    """A C-level getter of the counts at the slots, as a tuple.  One slot is read as a slice (rank 1's one-cell
+    diamond), since itemgetter of one index gives the count itself, not a tuple."""
+    return itemgetter(*slots) if len(slots) > 1 else itemgetter(slice(slots[0], slots[0] + 1))
+
+
+def _weights(plus: itemgetter, minus: itemgetter, vals: tuple[int, ...]) -> list[int]:
+    """The weight c_{i,k} - c_{i,k-2} of each Omega vertex, read off a datum's counts vals by the getters of
+    ``reads``, or of ``dual_reads`` for those of its dual datum, whose count at (i, k2) is at (n+1-i, 2n-k2)."""
     vals += (0,)  # the slot past the window's last reads 0
-    plus, minus = reads
-    return list(map(sub, map(vals.__getitem__, plus), map(vals.__getitem__, minus)))
+    return list(map(sub, plus(vals), minus(vals)))
+
+
+def _unit_weights(n: int, j: int, points: list[tuple[int, int]]) -> list[int]:
+    """The weights of Omega_j under a count 1 at each of the points (i, k2) of the parity-bar(j) window of
+    rank n, with no slot vector and no check: what ``_weights`` reads off that datum's counts.
+
+    Each count is placed straight onto its cells: +1 on the weight of its own
+    vertex, -1 on that of (i, k2 + 4), where each lies in Omega_j.  The cell
+    of (i, k2) is column (k2/2 + i - j - 1)/2 and row (k2/2 - i + j - 1)/2,
+    at col*j + row; both are whole on this window, where k = i + 1 + j mod 2.
+    """
+    cols, wts = n + 1 - j, [0] * (j * (n + 1 - j) + 1)  # the last cell takes what falls off Omega_j
+    for i, k2 in points:
+        col, row = (k2 + 2 * (i - j) - 2) >> 2, (k2 - 2 * (i - j) - 2) >> 2
+        wts[col * j + row if 0 <= col < cols and 0 <= row < j else -1] += 1
+        wts[col * j + row + j + 1 if -1 <= col < cols - 1 and -1 <= row < j - 1 else -1] -= 1
+    return wts[:-1]
 
 
 def _staircase(j: int, wts: list[int]) -> int:
@@ -111,19 +137,13 @@ def epsilon(j: int, d: VertexDatum) -> int:
     delta = delta_of_carrier(d.carrier)
     if bar(j) != delta:
         raise ParityMismatch(f"epsilon_{j} needs the parity-{bar(j)} window, got {delta}")
-    return _epsilon_on_slots(d.carrier.n, j, d.counts.vals)
-
-
-def _epsilon_on_slots(n: int, j: int, vals: tuple[int, ...]) -> int:
-    """epsilon_j of the counts vals, one per slot of the parity-bar(j) canonical window of rank n: no check."""
-    return _staircase(j, _weights(omega(n, j).reads, vals))
+    return _staircase(j, _weights(*omega(d.carrier.n, j).reads, d.counts.vals))
 
 
 def epsilon_other_parity(j: int, d: VertexDatum) -> int:
     """First-letter shortcut: on the opposite-parity window epsilon_j = c_{j,0}."""
     roots.check_node(d.carrier.n, j)
-    delta = delta_of_carrier(d.carrier)
-    if bar(j) == delta:
+    if bar(j) == delta_of_carrier(d.carrier):
         raise ParityMismatch(f"node {j} has the carrier parity; use epsilon")
     return d.counts.vals[omega(d.carrier.n, j).firsts[0]]
 
@@ -141,9 +161,8 @@ def epsilon_star(j: int, d: VertexDatum) -> int:
     When j has the other window's parity this is the staircase on the dual
     weights; otherwise it is the dual's first letter, cv_{(j,0)} = c_{(j*, n)}.
     """
-    delta = delta_of_carrier(d.carrier)
-    n = d.carrier.n
+    delta, n = delta_of_carrier(d.carrier), d.carrier.n
     roots.check_node(n, j)
     if bar(j) == delta:
         return d.counts.vals[omega(n, j).firsts[1]]
-    return _staircase(j, _weights(omega(n, j).dual_reads, d.counts.vals))
+    return _staircase(j, _weights(*omega(n, j).dual_reads, d.counts.vals))

@@ -33,6 +33,11 @@ D, the parity shift, shifts by a multiple of 4), builds each vertex it
 moves or reads as a Vertex value with _vertex, so plain (i, k2) pairs
 work as input, and checks none of them again: only the translation's
 result guards run, and the translated snake goes to Reineke as it is.
+An untwisted probe costs one loop over the snake: the prime-window
+truncation on constants hoisted out of it, the canonical window's slot
+lookup as the window test, and the normalized points handed to
+reineke._unit_weights, which places their unit counts straight onto
+Omega_j's cells, so no vector over the window is built.
 The twisted search reads its rank's constants from the table
 snakes._twist: the window row bounds, theta and its reversal, and each
 window probe's translation, checked when the table was built, so a
@@ -190,19 +195,23 @@ def _epsilon_tfd(xi: HeightFunction, v: Vertex, pts: Points) -> int:
     normalizes the probe to (j, -1) on the canonical parity window and
     evaluates Reineke's epsilon_j there.  The identity needs no order
     relation between probe and snake, only that the normalized snake fits
-    the window.
+    the window.  One loop does it all: the prime-window test of
+    _in_prime_window on the hoisted constants, the window test as a slot
+    lookup, and the normalized point kept; reineke._unit_weights places
+    their unit counts straight onto Omega_j's cells for the staircase.
     """
-    pts = _truncate_to_window(xi, v, pts)
-    if not pts:
-        return 0
-    slot = HeightFunction.canonical(xi.n, v.i % 2).window.slot
-    vals = [0] * len(slot)
-    off2 = v.k2 + 2  # the probe moves to (j, -1)
-    for x in (_vertex((u.i, u.k2 - off2)) for u in pts):
-        if x not in slot:
-            raise OutsideWindow(f"normalized point {x} escapes the canonical window")
-        vals[slot[x]] += 1
-    return reineke._epsilon_on_slots(xi.n, v.i, tuple(vals))
+    t, slot = xi._rows, HeightFunction.canonical(xi.n, v.i % 2).window.slot
+    # D^-1(v) = (top, reach2), xi being untwisted (ntilde = n + 1); the probe moves to (j, -1)
+    top, reach2, off2 = xi.n + 1 - v.i, v.k2 + 2 * (xi.n + 1), v.k2 + 2
+    xs = []
+    for i, k2 in pts:
+        gap2 = reach2 - k2
+        if not (gap2 >= abs(t[top] - t[i]) if t else gap2 == 0):
+            break  # this point and all after it lie outside the prime window of v
+        if (x := (i, k2 - off2)) not in slot:
+            raise OutsideWindow(f"normalized point {_vertex(x)} escapes the canonical window")
+        xs.append(x)
+    return reineke._staircase(v.i, reineke._unit_weights(xi.n, v.i, xs)) if xs else 0
 
 
 def _untwisted_probe_tfd(theta: HeightFunction, probes: tuple[Vertex, ...], dagger: tuple[Vertex, ...]) -> int:

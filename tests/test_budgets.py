@@ -115,11 +115,13 @@ CASES = {
     "rho dense n=95": lambda: (rho, _dense(95)),
     "rho plans n=7-95": lambda: (TRANSPORT_RANKS,),
     "epsilon dense n=12": lambda: _epsilon(12, 0, 6),  # j of the window's parity: the staircase runs
+    "epsilon dense n=24": lambda: _epsilon(24, 0, 12),  # the benchmark's largest rank, on the widest Omega
     "quiver n=8": lambda: _quiver(["quiver", "--n", "8"]),
     "relation p=5 n=8": lambda: _relation(8),
     "relation p=5 n0=4": lambda: _relation(7, 4),
     # the published examples: tfd 1 on both flavors
     "bridge untwisted": lambda: _bridge(HeightFunction.untwisted([1, 2, 3]), (2, 0), ((2, 4), (1, 10))),
+    "bridge untwisted right": lambda: _bridge(HeightFunction.untwisted([1, 2, 3]), (1, 10), ((2, 0), (2, 4)), "right"),
     "bridge twisted": lambda: _bridge(HeightFunction.big_theta(2), (3, 4), ((2, 9), (2, 11))),
     "bridge twisted right": lambda: _bridge(HeightFunction.big_theta(2), (2, 11), ((3, 4), (2, 9)), "right"),
     **{os.path.basename(path): lambda path=path: (path,) for path in MODULES},
@@ -128,13 +130,15 @@ CASES = {
 BUDGETS = {
     ("calls", "rho unit n=15"): 3,
     ("calls", "rho dense n=63"): 3,
-    ("calls", "epsilon dense n=12"): 10,
+    ("calls", "epsilon dense n=12"): 9,
+    ("calls", "epsilon dense n=24"): 9,
     ("calls", "quiver n=8"): 165,
     ("calls", "relation p=5 n=8"): 17,
     ("calls", "relation p=5 n0=4"): 17,
-    ("calls", "bridge untwisted"): 17,
-    ("calls", "bridge twisted"): 43,
-    ("calls", "bridge twisted right"): 48,
+    ("calls", "bridge untwisted"): 9,
+    ("calls", "bridge untwisted right"): 13,
+    ("calls", "bridge twisted"): 37,
+    ("calls", "bridge twisted right"): 42,
     ("lines", "rho unit n=15"): 130,
     ("lines", "rho dense n=63"): 2_258,
     ("peak", "rho dense n=63"): 32_416,

@@ -126,7 +126,8 @@ def test_headline_table_has_one_row_per_metric_and_the_attempted_ops():
     assert "| epsilon | ops_per_s | 10 | 10-10 | 12 | +20.0% | 2/2 | yes | yes |" in rows
     assert "| epsilon | attempted | 100 | | 120 | | | | |" in rows
     assert "| epsilon | failed ops (total) | 0 | | 0 | | | | |" in rows
-    assert sum(row.startswith("| epsilon |") for row in rows) == len(BETTER) + 3
+    assert "| epsilon | peak_rss_mb fit: slope, change offset at equal attempted | - | | +0 MiB | +0.0% | | | |" in rows
+    assert sum(row.startswith("| epsilon |") for row in rows) == len(BETTER) + 4
 
 
 def test_statistics_run_in_a_fraction_of_a_second():
@@ -177,3 +178,49 @@ def test_tree_figures_parse_both_tools_and_print_beside_the_pairs():
     bench["figures"] = {"base": base, "change": {"linecount": lines, "budgets": budgets}}
     assert PAIRS["table"](bench).endswith("\n".join(rows))
     assert time.perf_counter() - t < 0.2
+
+
+def test_rss_fit_splits_an_rss_move_into_slope_and_offset():
+    # RSS = 30 MiB + 4 MiB per 100k attempted ops, and the change 1.5 MiB above at equal attempted ops; the
+    # change attempts more, so its median reads far more than the 1.5 MiB that the library holds
+    t = time.perf_counter()
+    base = [(49_000.0, 30 + 4e-5 * a, a) for a in (800_000, 820_000, 790_000, 810_000)]
+    change = [(58_000.0, 31.5 + 4e-5 * a, a) for a in (950_000, 940_000, 960_000, 930_000)]
+    summary = PAIRS["summarize"](_runs(base, change), BETTER, BOUNDS)
+    fit = summary["rss_fit"]
+    assert fit["slope_mib_per_100k"] == pytest.approx(4.0) and fit["change_offset_mib"] == pytest.approx(1.5)
+    assert fit["change_offset_relative"] == pytest.approx(1.5 / (30 + 4e-5 * 805_000)) and fit["runs"] == 8
+    assert summary["metrics"]["peak_rss_mb"]["change_median"] - summary["metrics"]["peak_rss_mb"]["base_median"] > 7
+    # noise that is symmetric within each tree leaves the fit where it was
+    noisy = [(ops, rss + e, a) for (ops, rss, a), e in zip(base, (0.25, -0.25, -0.25, 0.25))]
+    fit = PAIRS["rss_fit"](_runs(noisy, change))
+    assert fit["slope_mib_per_100k"] == pytest.approx(4.0) and fit["change_offset_mib"] == pytest.approx(1.5)
+    # no spread in attempted ops: no slope, and the offset is the difference of the means
+    flat = PAIRS["rss_fit"](_runs([(1.0, 30.0, 100)] * 2, [(1.0, 33.0, 100)] * 2))
+    assert flat["slope_mib_per_100k"] is None and flat["change_offset_mib"] == pytest.approx(3.0)
+    assert PAIRS["rss_fit"]([]) is None
+    rows = PAIRS["table"]({"base": {"commit": "a" * 40}, "change": {"head": "b" * 40, "code_diff_sha256": None},
+                           "python": "3.11.7", "seconds": 25, "seeds": [1, 2, 3, 4], "load_before": (1.0, 1.0, 1.0),
+                           "load_after": (1.0, 1.0, 1.0),
+                           "workloads": {"epsilon": {"summary": summary, "setup": PAIRS["setup_figures"](
+                               {"base": [0.1] * 15, "change": [0.1] * 15})}}}).splitlines()
+    assert ("| epsilon | peak_rss_mb fit: slope, change offset at equal attempted | 4 MiB per 100k ops | "
+            "| +1.5 MiB | +2.4% | | | |") in rows
+    assert time.perf_counter() - t < 0.2
+
+
+def test_headline_table_fits_rss_from_the_runs_of_an_older_file():
+    # a file written before the fit was recorded: the table fits it from the runs that the file keeps
+    runs = _runs([(10.0, 30.0 + 4e-5 * a, a) for a in (100_000, 200_000)],
+                 [(12.0, 31.0 + 4e-5 * a, a) for a in (300_000, 400_000)])
+    summary = PAIRS["summarize"](runs, BETTER, BOUNDS)
+    del summary["rss_fit"]
+    bench = {"base": {"commit": "a" * 40}, "change": {"head": "b" * 40, "code_diff_sha256": None},
+             "python": "3.11.7", "seconds": 25, "seeds": [1, 2], "load_before": (1.0, 1.0, 1.0),
+             "load_after": (1.0, 1.0, 1.0),
+             "workloads": {"epsilon": {"runs": runs, "summary": summary,
+                                       "setup": PAIRS["setup_figures"]({"base": [0.1] * 15, "change": [0.1] * 15})}}}
+    fit_rows = [row for row in PAIRS["table"](bench).splitlines() if "peak_rss_mb fit" in row]
+    assert len(fit_rows) == 1 and "| 4 MiB per 100k ops | | +1 MiB |" in fit_rows[0]
+    del bench["workloads"]["epsilon"]["runs"]
+    assert "peak_rss_mb fit" not in PAIRS["table"](bench)

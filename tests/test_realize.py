@@ -280,6 +280,18 @@ def test_custom_slide_far_vertex():
     assert far == Y((3, -7), (3, -9))
 
 
+def test_custom_mode_takes_plain_pairs_off_the_window():
+    # a point one duality period out slides along D into the table's window: as a
+    # plain (i, k2) pair it realizes as its Vertex does, in both monomial calls
+    xi = HeightFunction.canonical(3, 0)
+    real = Realization.custom(4, {v: Monomial.y(1, v.k2) for v in xi.gamma_vertices()}, 3)
+    for w in xi.gamma_vertices():
+        u = (w.i, w.k2 + 2 * xi.ntilde2())
+        assert not xi.in_gamma(Vertex(*u))
+        assert snake_monomial(real, xi, [u]) == snake_monomial(real, xi, [Vertex(*u)])
+        assert cuspidal_monomial(real, xi, u) == cuspidal_monomial(real, xi, Vertex(*u))
+
+
 def twisted_table():
     # rank-3 twisted window table: cuspidal modules of a duality datum built
     # from L(Y_{1,7}), L(Y_{2,4}), L(Y_{3,7})

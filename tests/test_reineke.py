@@ -286,6 +286,49 @@ def test_closed_form_omega_is_the_preceq_interval_up_to_rank_24():
             assert steps == {(ref.vertices[a], ref.vertices[b]) for a, b in ref.covers}, (n, j)
 
 
+def test_unit_weights_place_each_count_on_its_closed_form_cells():
+    # the bridge's unit data go straight onto Omega_j's cells; the oracle is _weights over the slot
+    # vector of e(u), for every window point u of both canonical windows up to rank 7 and every j of
+    # the window's parity, and over the slot vector of a few seeded multi-point data
+    rng = random.Random(39)
+    for n in range(1, 8):
+        for delta in (0, 1):
+            win = HeightFunction.canonical(n, delta).window
+            for j in range(2 - delta, n + 1, 2):
+                plus, minus = reineke.omega(n, j).reads
+                for u in win.vertices:
+                    vals = [0] * len(win.vertices)
+                    vals[win.slot[u]] = 1
+                    assert reineke._unit_weights(n, j, [tuple(u)]) == reineke._weights(plus, minus, tuple(vals)), (n, j, u)
+                for _ in range(4):
+                    pts = rng.choices(win.vertices, k=rng.randint(1, 6))
+                    vals = [0] * len(win.vertices)
+                    for u in pts:
+                        vals[win.slot[u]] += 1
+                    assert reineke._unit_weights(n, j, pts) == reineke._weights(plus, minus, tuple(vals)), (n, j, pts)
+
+
+def test_a_rebuilt_omega_equals_the_cached_one():
+    # the getters compare by identity, so they stay out of equality: a rebuilt Omega_j is equal, with one hash
+    before = [reineke.omega(n, j) for n in (1, 5) for j in range(1, n + 1)]
+    reineke.omega.cache_clear()
+    after = [reineke.omega(n, j) for n in (1, 5) for j in range(1, n + 1)]
+    assert all(a is not b for a, b in zip(before, after))
+    assert before == after and list(map(hash, before)) == list(map(hash, after))
+
+
+def test_rank_one_reads_its_one_cell_diamond():
+    # Omega_1 of rank 1 is one cell, whose getters read a one-slot slice: itemgetter of one index gives no tuple
+    # the count c at (1, delta) is epsilon_1 on window 1 and epsilon*_1 on window 0 (the staircase) and
+    # the first letter on the other window
+    for c in range(4):
+        for delta in (0, 1):
+            d = _datum(1, delta, {(1, delta): c})
+            assert (reineke.epsilon_any(1, d), reineke.epsilon_star(1, d)) == (c, c), (c, delta)
+    assert reineke._weights(*reineke.omega(1, 1).reads, (3,)) == [3]
+    assert reineke._unit_weights(1, 1, [(1, 2)]) == [1]
+
+
 def _seeded_canonical_data(rng):
     """Seeded data on both canonical windows of each rank: empty, dense, sparse, and sparse with zero counts given."""
     for n in (*range(1, 9), 12, 24):

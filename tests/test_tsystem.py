@@ -579,6 +579,20 @@ def test_rank_one_degenerates_to_unit_first_term():
     assert rel.hypotheses_ok
 
 
+def test_rank_one_bridge_sees_only_the_dual_of_the_probe():
+    # on one row, the prime window of v is the one vertex D^-1(v) = (1, k + 2): tfd(S_v, S(P)) is 1 exactly
+    # when the snake's head is there and 0 otherwise, also for a head at or after v, never OutsideWindow;
+    # on the right, by the reversal, exactly when the tail is D(v)
+    for h in (-1, 0, 1):
+        xi = HeightFunction.untwisted([h])
+        for k2 in range(2 * h - 16, 2 * h + 17, 4):
+            for head in range(2 * h - 16, 2 * h + 17, 4):
+                for p in (1, 2, 3):
+                    pts = [Vertex(1, head + 4 * s) for s in range(p)]
+                    assert tfd_via_epsilon(xi, Vertex(1, k2), pts, "left") == (head == k2 + 4), (h, k2, pts)
+                    assert tfd_via_epsilon(xi, Vertex(1, k2), pts, "right") == (pts[-1].k2 == k2 - 4), (h, k2, pts)
+
+
 # -- the right side folded onto the left by the coordinate reversal ---------
 
 

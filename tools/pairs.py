@@ -21,6 +21,14 @@ and the measured value and ceiling of every ``tests/test_budgets.py``
 budget (run as ``python tests/test_budgets.py`` in the tree, with its
 ``src`` on ``PYTHONPATH``).
 
+``peak_rss_mb`` grows with the ops a run attempts, since the harness keeps
+state per attempted op, so a faster tree reads more RSS for the same
+library.  Per workload, a least-squares fit over both trees' runs, of
+``peak_rss_mb`` on ``attempted`` with one common slope and an offset for
+the change, splits an RSS move in two: the slope (MiB per 100k attempted
+ops, the harness's share) and the change's offset at equal attempted ops
+(the library's share).
+
 A gain is read as clear when the change wins at least nine tenths of the
 pairs (ties count for neither side), the medians differ by more than the
 distance between the base's quartiles, and the workload is comparable:
@@ -112,7 +120,33 @@ def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]
             "within_bound": -gain <= bounds.get(name, float("inf")) * abs(mb),
         }
     attempted = {tree: statistics.median(p[tree]["attempted"] for p in pairs) for tree in ("base", "change")}
-    return {"metrics": out, "attempted_median": attempted, "failed": failed, "comparable": comparable}
+    return {"metrics": out, "attempted_median": attempted, "failed": failed, "comparable": comparable,
+            "rss_fit": rss_fit([p[tree] for p in pairs for tree in ("base", "change")])}
+
+
+def rss_fit(runs: list[dict]) -> dict | None:
+    """peak_rss_mb = a + b * attempted + c * [change], fitted by least squares over both trees' runs.
+
+    With one slope b for both trees, b is the pooled slope within each tree
+    and c, the change's offset at equal attempted ops, is the difference of
+    the trees' means less b times the difference of their mean attempted
+    ops (``change_offset_relative`` gives c over the base's mean RSS).
+    None if a tree has no run or a run has no ``peak_rss_mb``; the
+    slope is None (and c the plain difference of the means) if no tree's
+    runs differ in attempted ops.
+    """
+    groups = {tree: [(r["attempted"], r["metrics"].get("peak_rss_mb")) for r in runs if r["tree"] == tree]
+              for tree in ("base", "change")}
+    if not all(groups.values()) or any(y is None for g in groups.values() for _, y in g):
+        return None
+    means = {tree: (statistics.fmean(x for x, _ in g), statistics.fmean(y for _, y in g)) for tree, g in groups.items()}
+    sxx = sum((x - means[tree][0]) ** 2 for tree, g in groups.items() for x, _ in g)
+    sxy = sum((x - means[tree][0]) * (y - means[tree][1]) for tree, g in groups.items() for x, y in g)
+    slope = sxy / sxx if sxx else None
+    (xb, yb), (xc, yc) = means["base"], means["change"]
+    offset = yc - yb - (slope or 0.0) * (xc - xb)
+    return {"slope_mib_per_100k": None if slope is None else slope * 100_000, "change_offset_mib": offset,
+            "change_offset_relative": offset / yb if yb else None, "runs": sum(map(len, groups.values()))}
 
 
 def setup_figures(starts: dict[str, list[float]]) -> dict:
@@ -187,6 +221,12 @@ def table(bench: dict) -> str:
                         f"| {_num(m['change_median'])} | {rel} | {m['wins']}/{m['pairs']} | {clear} | {bound} |")
         att = w["summary"]["attempted_median"]
         rows.append(f"| {workload} | attempted | {att['base']:,.0f} | | {att['change']:,.0f} | | | | |")
+        # a file written before the fit was recorded has it fitted here, from its runs
+        if fit := w["summary"]["rss_fit"] if "rss_fit" in w["summary"] else rss_fit(w.get("runs", [])):
+            slope = "-" if fit["slope_mib_per_100k"] is None else f"{fit['slope_mib_per_100k']:.3g} MiB per 100k ops"
+            rel = "" if fit["change_offset_relative"] is None else f"{100 * fit['change_offset_relative']:+.1f}%"
+            rows.append(f"| {workload} | peak_rss_mb fit: slope, change offset at equal attempted | {slope} | "
+                        f"| {fit['change_offset_mib']:+.3g} MiB | {rel} | | | |")
         failed = w["summary"]["failed"]
         rows.append(f"| {workload} | failed ops (total) | {failed['base']:,} | | {failed['change']:,} | | | | |")
         s = w["setup"]
