@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import realize, reineke, snakes, tsystem
-from .errors import DomainError
+from .errors import DomainError, NotSnake
 from .lusztig import VertexDatum, datum_from_json, datum_to_json, rho
 from .quivers import TWISTED, UNTWISTED, HeightFunction, quiver_ascii, quiver_dot, vertices_json
 
@@ -115,16 +115,16 @@ def cmd_quiver(args) -> int:
 
 def cmd_snake_check(args) -> int:
     snake = _read(args.input, snakes.snake_from_json, "snake")
-    xi, pts = snake.xi, snake.points
-    ok = snakes.is_snake(xi, pts)
-    prime = ok and snakes.is_prime_snake(xi, pts)
-    out = {"snake": ok, "prime": prime}
-    if ok:
-        out["splits"] = [vertices_json(seg) for seg in snakes.split_prime(xi, pts)]
+    try:  # the one classifier: prime means one segment
+        splits = [vertices_json(seg) for seg in snakes.split_prime(snake.xi, snake.points)]
+        out = {"snake": True, "prime": len(splits) == 1, "splits": splits}
+    except NotSnake:
+        out = {"snake": False, "prime": False}
     if args.format == "json":
         _emit(out)
     else:
-        print(f"snake: {ok}, prime: {prime}" + ("" if not ok else f", prime segments: {len(out['splits'])}"))
+        segments = f", prime segments: {len(splits)}" if out["snake"] else ""
+        print(f"snake: {out['snake']}, prime: {out['prime']}{segments}")
     return EXIT_OK
 
 

@@ -310,10 +310,6 @@ class HeightFunction:
             raise ValueError("regions exist only for twisted height functions")
         if not self.is_vertex(v):
             raise NotSnake(f"{v} is not a vertex of the quiver")
-        return self._region(v)
-
-    def _region(self, v: Vertex) -> Region:
-        """region of a vertex already known to lie on this twisted quiver."""
         n0 = self.n0
         if v.i < n0:
             return Region.LT

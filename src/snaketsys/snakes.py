@@ -77,7 +77,7 @@ def _snake_position(xi: HeightFunction, v: Vertex, w: Vertex) -> bool:
     the row heights T), and a twisted pair runs from region LT or U to LT or
     D, or from GT or D to GT or U: v is in GT or D iff w is in GT or U.  A
     middle-row vertex is in region D iff k2 = xi2(n0 + 1) - 1 mod 4, the
-    test of HeightFunction._region.
+    test of HeightFunction.region.
     """
     (i, k2), (j, kp2) = v, w
     t, n0 = xi._rows, xi.n0

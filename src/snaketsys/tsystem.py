@@ -29,10 +29,13 @@ except in the twisted normalization search.  The bridge checks its input
 once, at tfd_via_epsilon, its one entry: the points must be a snake and
 the probe a vertex, else NotSnake.  After that the bridge moves
 checked vertices only by maps that keep them on the quiver (the reversal,
-D, the parity shift, shifts by a multiple of 4), builds each vertex it
-moves or reads as a Vertex value with _vertex, so plain (i, k2) pairs
-work as input, and checks none of them again: only the translation's
-result guards run, and the translated snake goes to Reineke as it is.
+D, the parity shift, shifts by a multiple of 4), reads the points as
+(i, k2) pairs and builds each vertex it moves, and the probe it reads
+fields of, with _vertex, so plain pairs work as input.  It checks none of
+them again, save in the twisted search's retry on the mirrored
+configuration, which moves the probe and the snake by the checked
+HeightFunction.dualize: only the translation's result guards run, and
+the translated snake goes to Reineke as it is.
 An untwisted probe costs one loop over the snake: the prime-window
 truncation on constants hoisted out of it, the canonical window's slot
 lookup as the window test, and the normalized points handed to
@@ -52,7 +55,7 @@ from typing import NamedTuple
 
 from . import reineke
 from .errors import NotPrimeSnake, NotSnake, OutsideWindow, TooShort
-from .quivers import TWISTED, UNTWISTED, HeightFunction, Region, Vertex, _vertex, vertices_json
+from .quivers import TWISTED, HeightFunction, Vertex, _vertex, vertices_json
 from .snakes import (
     Points,
     _Twist,
@@ -75,8 +78,9 @@ class TSystemRelation:
     dataclasses.replace) runs __post_init__, which checks the snake once, by
     qr_sequences: each point a vertex, then one call of the run kernel,
     which tests each pair's prime snake position and gives its Q/R.
-    Its NotPrimeSnake becomes a message naming the prime segments of a
-    snake, or saying the input is no snake.  B, C, A and D are slices of P.
+    Its NotPrimeSnake becomes a message naming the prime segments that
+    split_prime finds, or, on split_prime's NotSnake, saying the input is no
+    snake.  B, C, A and D are slices of P.
     """
 
     xi: HeightFunction
@@ -94,9 +98,11 @@ class TSystemRelation:
         try:
             first_q, first_r = qr_sequences(xi, pts)
         except NotPrimeSnake:
-            if is_snake(xi, pts):
-                raise NotPrimeSnake(f"snake is not prime; prime segments: {split_prime(xi, pts)}") from None
-            raise NotPrimeSnake("input is not a snake") from None
+            try:
+                segments = split_prime(xi, pts)
+            except NotSnake:
+                raise NotPrimeSnake("input is not a snake") from None
+            raise NotPrimeSnake(f"snake is not prime; prime segments: {segments}") from None
         p = pts if {*map(type, pts)} == {Vertex} else tuple(map(_vertex, pts))  # plain (i, k2) pairs: Vertex values
         self.__dict__.update(p=p, first_q=first_q, first_r=first_r)  # frozen: set once, here
 
@@ -139,7 +145,19 @@ def predicted_tfd_left(xi: HeightFunction, v: Vertex, points) -> int | None:
 
 
 def _predict_left(xi: HeightFunction, v: Vertex, first: Vertex) -> int | None:
-    """predicted_tfd_left of a probe and a snake head already known to lie on the quiver."""
+    """predicted_tfd_left of a probe and a snake head already known to lie on the quiver.
+
+    Past the window test, an untwisted probe, a twisted probe on the middle
+    row and a head on a boundary ray of the probe's cone give 0; the rest
+    is None.  The middle-row rule stands for two region rules, a probe in U
+    against a head in GT or U and one in D against LT or D: the parity
+    argument below shows that a middle-row probe gets this far with no
+    other head.  The certificate
+    test_middle_row_rule_certifies_the_region_rules in tests/test_tsystem.py
+    holds it to a copy of the old rules on every pair of a probe of one
+    period and a head within two duality periods, on every twisted shape
+    with n0 <= 4.
+    """
     if _snake_position(xi, v, first):
         # within the prime window, snake position is automatically prime
         return 1 if _in_prime_window(xi, v, first) else 0
@@ -147,16 +165,11 @@ def _predict_left(xi: HeightFunction, v: Vertex, first: Vertex) -> int | None:
         return None
     if not _in_prime_window(xi, v, first):
         return 0  # the whole snake sits outside the prime window of v
-    if xi.flavor == UNTWISTED:
-        return 0  # off the snake cone but inside the window: boundary rays
-    if _on_ray(xi, v, first):
-        return 0
-    rv, rf = xi._region(v), xi._region(first)
-    if rv == Region.U and rf in (Region.GT, Region.U):
-        return 0
-    if rv == Region.D and rf in (Region.LT, Region.D):
-        return 0
-    return None
+    # Untwisted: off the snake cone but inside the window, the head lies on a boundary ray.  Twisted, a middle-row
+    # probe: a head in the regions where the region half of snake position holds fails only its gap half, so
+    # |dT| <= diff2 < |dT| + 2 with dT = T_j - T_n0, and off the ray diff2 = |dT| + 1.  But diff2 - |dT| is even:
+    # a middle-row k2 is odd, every other k2 even, T_n0 is odd and every other T even.
+    return 0 if xi.n0 in (None, v.i) or _on_ray(xi, v, first) else None
 
 
 def predicted_tfd_right(xi: HeightFunction, points, v: Vertex) -> int | None:
@@ -217,24 +230,25 @@ def _epsilon_tfd(xi: HeightFunction, v: Vertex, pts: Points) -> int:
 def _untwisted_probe_tfd(theta: HeightFunction, probes: tuple[Vertex, ...], dagger: tuple[Vertex, ...]) -> int:
     """tfd between the head of the translated probe factors and S(dagger).
 
-    A single factor goes straight to Reineke.  With two factors, drop
-    whichever strongly commutes with the whole snake; the prime-window
-    clearance points toward the snake, one extra duality step for the
-    factor on the far side of the head, taken with _vertex.  Probes and
-    dagger come from the translation, whose result guard has checked them
-    on theta's quiver.
+    A single factor goes straight to Reineke.  Of two factors, the second,
+    c2, never strongly commutes with the snake: the head always reaches
+    D^-2(c2), so it lies in the prime window of D^-1(c2), the clearance of
+    the factor on the far side of the head.  The certificate
+    test_second_probe_factor_never_drops in tests/test_tsystem.py checks
+    this for n0 = 2-12 on every two-factor translate of the rank's table,
+    moved as _twisted_core moves it, against every head the translation
+    can give (a theta-window vertex, reversed on the right).  So c1
+    interacting with the head is outside the reduction (OutsideWindow), and
+    otherwise c1 drops and the value is epsilon of c2.  Probes and dagger
+    come from the translation, whose result guard has checked them on
+    theta's quiver.
     """
     if len(probes) == 1:
         return _epsilon_tfd(theta, probes[0], dagger)
     c1, c2 = probes
-    ft = dagger[0]
-    drop1 = not _in_prime_window(theta, c1, ft)
-    drop2 = not _in_prime_window(theta, _vertex((theta.n + 1 - c2.i, c2.k2 + theta.ntilde2())), ft)  # D^-1 c2
-    if drop1 and drop2:
-        return 0
-    if drop1 or drop2:
-        return _epsilon_tfd(theta, c2 if drop1 else c1, dagger)
-    raise OutsideWindow("probe translate has two interacting factors")
+    if _in_prime_window(theta, c1, dagger[0]):
+        raise OutsideWindow("probe translate has two interacting factors")
+    return _epsilon_tfd(theta, c2, dagger)
 
 
 def _truncate_after_window(xi: HeightFunction, pts: Points, v: Vertex) -> Points:
@@ -322,9 +336,7 @@ def tfd_via_epsilon(xi: HeightFunction, v: Vertex, points, side: str) -> int:
         return _twisted_bridge(xi, v, pts, side)
     if side == "right":
         xi, (v, *pts) = xi.reversed(), _reverse(xi, (*pts, v))
-        return _epsilon_tfd(xi, v, tuple(pts))
-    # Vertex values, as the reversal and the parity shift build them, also from plain (i, k2) pairs
-    return _epsilon_tfd(xi, _vertex(v), tuple(map(_vertex, pts)))
+    return _epsilon_tfd(xi, _vertex(v), tuple(pts))  # _epsilon_tfd reads v.i and v.k2: a Vertex, also from a pair
 
 
 # -- hypothesis sweep -------------------------------------------------------

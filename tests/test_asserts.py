@@ -7,7 +7,7 @@ checks, so only the lusztig kernels whose plan check or move rule proves
 their results valid may use them, and the reference oracles and the
 random case generators stay in ``verify``, off the production path.  A
 public form and its unchecked ``_name`` twin are one concept written twice,
-so no new pair may appear.
+so no pair may appear.
 """
 import ast
 import os
@@ -21,7 +21,7 @@ ALLOWED: set[str] = set()
 TRUSTED_USES = {"lusztig.py": 4}  # two_move, apply_three_move, rho_step, rho
 ORACLES = {"dual_vertex_datum", "epsilon_bruteforce", "omega_interval"}  # verify's own
 GENERATORS = {"grow_snake", "random_snake", "random_vertex", "snake_candidates"}  # verify's own
-TWINS_ALLOWED = {"quivers.py:HeightFunction.region"}  # region checks the flavor and the vertex, _region neither
+TWINS_ALLOWED: set[str] = set()
 
 
 def _assert_lines(path: Path) -> list[int]:

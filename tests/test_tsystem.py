@@ -11,6 +11,7 @@ from snaketsys.snakes import (
     _in_prime_window,
     _prime_position,
     _snake_position,
+    _twist,
     in_prime_snake_position,
     in_snake_position,
     is_prime_snake,
@@ -724,8 +725,6 @@ def test_trusted_forms_match_the_public_ones():
             made = _vertex((v.i, v.k2))
             assert type(made) is Vertex and made == v and str(made) == str(v) and hash(made) == hash(v)
             assert _vertex((xi.n + 1 - v.i, -v.k2)) == xi.reverse_vertex(v)
-            if xi.twisted_flavor:
-                assert xi._region(v) == xi.region(v), (xi, v)
             for w in verts:
                 assert xi.preceq(v, w) == _reference_reaches(xi, v, w), (xi, v, w)
                 assert _in_prime_window(xi, v, w) == xi.preceq(w, xi.dualize(v, -1)), (xi, v, w)
@@ -897,8 +896,9 @@ def test_bridge_census_is_pinned():
 
 def test_bridge_census_tool_sees_every_probe():
     # tools/bridge_census.py: each probe enters _twisted_bridge once, every
-    # final OutsideWindow went through the mirrored retry, and every
-    # two-factor translate reaches one of the lines after its drop test
+    # final OutsideWindow went through the mirrored retry, and a two-factor
+    # translate reaches the raise when c1 interacts with the head and the
+    # last return when it does not, both seen
     import os
     import runpy
 
@@ -912,9 +912,83 @@ def test_bridge_census_tool_sees_every_probe():
     probes = sum(outcomes.values())
     assert probes > 500 and by_line["_twisted_bridge", first] == probes
     assert by_line.get(("_twisted_bridge", retry), 0) >= sum(n for (_, got), n in outcomes.items() if got not in (0, 1))
-    flagged = sum(count for (_, _, flags), count in hits.items() if flags)
-    assert flagged == sum(by_line.get(("_untwisted_probe_tfd", line), 0) for line in two) > 0
+    flagged = {flag: sum(count for (_, _, flags), count in hits.items() if flags == (flag,)) for flag in (True, False)}
+    two_factor = [by_line.get(("_untwisted_probe_tfd", line), 0) for line in two]  # the raise, then the last return
+    assert [flagged[True], flagged[False]] == two_factor and min(two_factor) > 0
     assert by_line["_untwisted_probe_tfd", one] > 0
+
+
+# -- certificates of the branches that no input reaches ----------------------
+
+
+def test_second_probe_factor_never_drops():
+    # _untwisted_probe_tfd tested whether the second factor c2 of a two-factor probe translate strongly commutes
+    # with the snake: whether the head misses D^-2(c2), the prime window of D^-1(c2).  Move every two-factor entry
+    # of the rank's table as _twisted_core does (the duality step on theta, and on the right the reversal onto
+    # theta reversed, read backwards); every head the translation can give, a theta-window vertex, reversed on
+    # the right, reaches D^-2(c2) with room to spare.  Doubled slack: gap2 - |T_i - T_j|, T_i = 2i on theta.
+    minima, entries = {}, 0
+    for n0 in range(2, 13):
+        tw = _twist(n0)
+        theta, rev = tw.theta, tw.theta.reversed()
+        window = theta.window.vertices
+        assert {len(probes) for probes in tw.one.values()} == {1, 2}, n0
+        for side, step, frame, heads in (("left", 1, theta, window),
+                                         ("right", -1, rev, [theta.reverse_vertex(u) for u in window])):
+            for steps in (0, step):
+                for probes in (p for p in tw.one.values() if len(p) == 2):
+                    if steps:
+                        probes = tuple(theta.dualize(c, steps) for c in probes)
+                    if side == "right":
+                        probes = tuple(theta.reverse_vertex(c) for c in reversed(probes))
+                    target = frame.dualize(frame.dualize(probes[1], -1), -1)
+                    slack = min(target.k2 - h.k2 - 2 * abs(target.i - h.i) for h in heads)
+                    key = (side, bool(steps))
+                    minima[key] = min(minima.get(key, slack), slack)
+                    entries += 1
+    assert entries == 4 * sum(n0 * (n0 - 1) // 2 for n0 in range(2, 13))
+    assert minima == {("left", False): 12, ("left", True): 4, ("right", False): 12, ("right", True): 4}
+
+
+def _region_rules(xi, v, first):
+    """_predict_left as it read before the middle-row rule, its region rules read through the public region."""
+    if _snake_position(xi, v, first):
+        # within the prime window, snake position is automatically prime
+        return 1 if _in_prime_window(xi, v, first) else 0
+    if v == first or not xi._climbs(v.i, first.i, first.k2 - v.k2):
+        return None
+    if not _in_prime_window(xi, v, first):
+        return 0  # the whole snake sits outside the prime window of v
+    if xi.flavor == UNTWISTED:
+        return 0  # off the snake cone but inside the window: boundary rays
+    if _on_ray(xi, v, first):
+        return 0
+    rv, rf = xi.region(v), xi.region(first)
+    if rv == Region.U and rf in (Region.GT, Region.U):
+        return 0
+    if rv == Region.D and rf in (Region.LT, Region.D):
+        return 0
+    return None
+
+
+def test_middle_row_rule_certifies_the_region_rules():
+    # every twisted shape of n0 <= 4, shifted by 0 and by 1: each probe of one period (k2 mod 4) at the low end of
+    # two duality periods against every head in them; _predict_left equals the old rules on every pair.  Only 8
+    # of the 16 (region, region) pairs reach the old region rules, and a middle-row probe only where they gave 0
+    pairs, reached = 0, set()
+    for xi in (shape.shifted(s2) for n0 in (2, 3, 4) for shape in _every_twisted(n0) for s2 in (0, 2)):
+        lo, hi = _trusted_window(xi)
+        heads = _window(xi, lo, hi)
+        for v in _window(xi, lo, lo + 3):
+            for w in heads:
+                assert _predict_left(xi, v, w) == _region_rules(xi, v, w), (xi, v, w)
+                inside = xi.prec(v, w) and _in_prime_window(xi, v, w)
+                if inside and not (_snake_position(xi, v, w) or _on_ray(xi, v, w)):
+                    reached.add((xi.region(v), xi.region(w)))  # the old rules got as far as their region rules
+                pairs += 1
+    assert pairs == 84_448
+    lt, gt, u, d = Region.LT, Region.GT, Region.U, Region.D
+    assert reached == {(u, gt), (u, u), (d, lt), (d, d), (lt, gt), (lt, u), (gt, lt), (gt, d)}, reached
 
 
 def _pinned_bridge_lines():

@@ -9,8 +9,9 @@ sys.settrace line tracer, and prints as Markdown:
   and tsystem._twisted_bridge, whose second return is the retry on the
   mirrored configuration; a line with 0 hits is an arm the sample never
   reached;
-- the two-factor probe translates by (drop1, drop2), which factor strongly
-  commutes with the snake, all four cases listed;
+- the two-factor probe translates by whether the first factor, c1,
+  interacts with the snake's head (lies in its prime window), the one test
+  that picks their arm, both cases listed;
 - the outcomes per side, each OutsideWindow by its message with the
   vertices elided.
 
@@ -28,15 +29,11 @@ import time
 
 from snaketsys import tsystem
 from snaketsys.errors import OutsideWindow
+from snaketsys.snakes import _in_prime_window
 from snaketsys.verify import random_height_function, random_snake
 
 FUNCTIONS = (tsystem._untwisted_probe_tfd, tsystem._twisted_bridge)
-TWO_FACTORS = {
-    (True, True): "both dropped: 0",
-    (True, False): "c1 dropped: epsilon of c2",
-    (False, True): "c2 dropped: epsilon of c1",
-    (False, False): "both kept: OutsideWindow",
-}
+TWO_FACTORS = {True: "OutsideWindow", False: "c1 dropped: epsilon of c2"}
 VERTEX = re.compile(r"\(-?\d+,-?\d+(/2)?\)")
 
 
@@ -59,14 +56,15 @@ def probes(xi, pts, side, rng) -> list:
 
 
 def census(seed: int, snakes: int) -> tuple[collections.Counter, collections.Counter]:
-    """(hits, outcomes): hits by (function, line, (drop1, drop2) or ()), outcomes by (side, outcome)."""
+    """(hits, outcomes): hits by (function, line, (c1 interacts,) or ()), outcomes by (side, outcome)."""
     codes = {fn.__code__: arm_lines(fn) for fn in FUNCTIONS}
     hits: collections.Counter = collections.Counter()
     outcomes: collections.Counter = collections.Counter()
 
     def local(frame, event, _):
         if event == "line" and frame.f_lineno in codes[frame.f_code]:
-            flags = tuple(frame.f_locals[k] for k in ("drop1", "drop2") if k in frame.f_locals)
+            names = frame.f_locals  # a two-factor arm has c1 bound; its test, recomputed on the frame's values
+            flags = (_in_prime_window(names["theta"], names["c1"], names["dagger"][0]),) if "c1" in names else ()
             hits[frame.f_code.co_name, frame.f_lineno, flags] += 1
         return local
 
@@ -111,11 +109,11 @@ def main() -> None:
             count = sum(c for (name, n, _), c in hits.items() if (name, n) == (fn.__name__, line))
             print(f"| `{fn.__name__}` | `{path}:{line}` | `{text}` | {count:,} |")
     print()
-    print("| two-factor translate (drop1, drop2) | hits |")
+    print("| two-factor translate: c1 interacts with the head | hits |")
     print("|---|---:|")
-    for flags, what in TWO_FACTORS.items():
-        count = sum(c for (_, _, f), c in hits.items() if f == flags)
-        print(f"| {flags}: {what} | {count:,} |")
+    for flag, what in TWO_FACTORS.items():
+        count = sum(c for (_, _, f), c in hits.items() if f == (flag,))
+        print(f"| {flag}: {what} | {count:,} |")
     print()
     print("| side | outcome | probes |")
     print("|---|---|---:|")
